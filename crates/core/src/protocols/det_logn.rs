@@ -44,7 +44,10 @@ impl DetHypercube {
 }
 
 /// `S(u, i)`: ids agreeing with `u` on bit positions `i..=ℓ` (MSB-first),
-/// i.e. on the low `ℓ - i + 1` bits. Ascending.
+/// i.e. on the low `ℓ - i + 1` bits. Ascending. With [`p_set`] and
+/// [`message_ids`], the explicit form of Lemma 6.2's invariant — kept as the
+/// test oracle for the session's index arithmetic.
+#[cfg(test)]
 fn s_set(u: usize, i: usize, ell: usize) -> Vec<usize> {
     let low_bits = (ell + 1) - i;
     let mask = (1usize << low_bits) - 1;
@@ -56,6 +59,7 @@ fn s_set(u: usize, i: usize, ell: usize) -> Vec<usize> {
 
 /// `P(u, i)`: ids agreeing with `u` on bit positions `1..i` (MSB-first),
 /// i.e. on the high `i - 1` bits. Ascending.
+#[cfg(test)]
 fn p_set(u: usize, i: usize, ell: usize) -> Vec<usize> {
     let low_bits = ell - (i - 1);
     let hi = u >> low_bits;
@@ -66,6 +70,7 @@ fn p_set(u: usize, i: usize, ell: usize) -> Vec<usize> {
 
 /// The (target, source) id list of `M_i(u)` in ascending (target, source)
 /// order — the implicit wire format of an iteration-`i` message set.
+#[cfg(test)]
 fn message_ids(u: usize, i: usize, ell: usize) -> Vec<(usize, usize)> {
     let sources = s_set(u, i, ell);
     let targets = p_set(u, i, ell);
@@ -78,20 +83,62 @@ fn message_ids(u: usize, i: usize, ell: usize) -> Vec<(usize, usize)> {
     ids
 }
 
+/// The half of `M_i(u)` collected by the partner whose iteration bit is
+/// `bit`: fields ascend by target first, and bit `i` is the top free target
+/// bit, so bit 0 takes the lower `n/2` fields and bit 1 the upper.
+fn half_of(state: &BitVec, bit: usize) -> BitVec {
+    let mid = state.len() / 2;
+    if bit == 0 {
+        state.slice(0, mid)
+    } else {
+        state.slice(mid, state.len())
+    }
+}
+
+/// `M_{i+1}(v)` from the two halves `v` collected in iteration `i`, indexed
+/// by the *sender's* iteration bit `c`. Both halves list the targets
+/// `P(v, i+1)` ascending, each with the sender's `srcs = 2^(i-1)` sources
+/// `S(sender, i)`; the source with index `h` there has index `2h + c` in
+/// `S(v, i+1)`, so field `t·srcs + h` of half `c` lands at field
+/// `t·2·srcs + 2h + c` — a field-wise interleave, the same for every `i`.
+/// A missing or wrong-length half reads as zeros.
+fn interleave_halves(halves: [Option<&BitVec>; 2], half_fields: usize, b: usize) -> BitVec {
+    let mut next = BitVec::zeros(2 * half_fields * b);
+    for (c, half) in halves.into_iter().enumerate() {
+        let Some(half) = half.filter(|h| h.len() == half_fields * b) else {
+            continue;
+        };
+        for f in 0..half_fields {
+            let (src, dst) = (f * b, (2 * f + c) * b);
+            let mut off = 0;
+            while off < b {
+                let w = (b - off).min(64) as u32;
+                next.write_uint(dst + off, w, half.read_uint(src + off, w));
+                off += 64;
+            }
+        }
+    }
+    next
+}
+
 /// The hypercube protocol as a state machine: `ℓ` iterations, one step per
 /// network round.
 struct HypercubeSession<'a> {
     router: &'a RouterConfig,
-    /// Optional cross-run codeword cache; iteration payloads recur rarely,
-    /// but the shared all-zero padding chunk always hits.
+    /// Optional cross-run codeword cache. Iteration payloads are random
+    /// halves that fill their chunks, so probes on this path miss (the
+    /// benchmark's `hypercube-matchings` trace reads 0 hits); the handle is
+    /// threaded through for the caller's counters.
     cache: Option<SharedCodewordCache>,
     n: usize,
     ell: usize,
     b: usize,
     /// Current iteration `i ∈ 1..=ℓ`.
     i: usize,
-    /// state[u]: payloads of M_i(u), aligned with message_ids(u, i, ell).
-    state: Vec<Vec<BitVec>>,
+    /// state[u]: `M_i(u)` as one string of `n` fields of `B` bits, in
+    /// ascending (target, source) order of `M(S(u,i), P(u,i))` — identities
+    /// are implicit in the field index (Lemma 6.2).
+    state: Vec<BitVec>,
     engine: HcEngine,
 }
 
@@ -125,43 +172,38 @@ enum HcDone {
     Direct(Vec<BitVec>),
 }
 
+/// Validates the instance shape shared by `new` and `restore`; returns `ℓ`.
+fn dimension(net: &Network, inst: &AllToAllInstance) -> Result<usize, CoreError> {
+    let n = inst.n();
+    if n != net.n() {
+        return Err(CoreError::invalid("instance size != network size"));
+    }
+    if !n.is_power_of_two() || n < 2 {
+        return Err(CoreError::invalid(format!(
+            "DetHypercube requires n to be a power of two, got {n}"
+        )));
+    }
+    Ok(n.trailing_zeros() as usize)
+}
+
 impl<'a> HypercubeSession<'a> {
     fn new(
         proto: &'a DetHypercube,
         net: &Network,
         inst: &'a AllToAllInstance,
     ) -> Result<Self, CoreError> {
+        let ell = dimension(net, inst)?;
         let n = inst.n();
-        if n != net.n() {
-            return Err(CoreError::invalid("instance size != network size"));
-        }
-        if !n.is_power_of_two() || n < 2 {
-            return Err(CoreError::invalid(format!(
-                "DetHypercube requires n to be a power of two, got {n}"
-            )));
-        }
-        let ell = n.trailing_zeros() as usize;
         let b = inst.b();
-        let state: Vec<Vec<BitVec>> = (0..n)
-            .map(|u| {
-                message_ids(u, 1, ell)
-                    .into_iter()
-                    .map(|(t, s)| {
-                        debug_assert_eq!(s, u);
-                        inst.message(u, t).clone()
-                    })
-                    .collect()
-            })
-            .collect();
+        // M_1(u) = M({u}, V): u's outgoing messages in target order.
+        let state: Vec<BitVec> = (0..n).map(|u| inst.outgoing_concat(u)).collect();
         let engine = if net.topology().is_complete() {
             HcEngine::Routed(Self::iteration_route(
                 net,
                 &proto.router,
                 proto.shared_cache.as_ref(),
                 &state,
-                n,
                 ell,
-                b,
                 1,
             )?)
         } else {
@@ -174,7 +216,7 @@ impl<'a> HypercubeSession<'a> {
                         .to_string(),
                 ));
             }
-            Self::direct_engine(&state, net.bandwidth(), n, ell, b, 1)
+            Self::direct_engine(&state, net.bandwidth(), ell, 1)
         };
         Ok(Self {
             router: &proto.router,
@@ -191,76 +233,48 @@ impl<'a> HypercubeSession<'a> {
     /// Opens iteration `i`'s direct partner exchange: precomputes each
     /// node's outgoing half (the half its partner collects) and sizes the
     /// round count to the bandwidth.
-    fn direct_engine(
-        state: &[Vec<BitVec>],
-        bandwidth: usize,
-        n: usize,
-        ell: usize,
-        b: usize,
-        i: usize,
-    ) -> HcEngine {
+    fn direct_engine(state: &[BitVec], bandwidth: usize, ell: usize, i: usize) -> HcEngine {
         let bit_shift = ell - i;
-        let half = n / 2;
-        let outbox = (0..n)
-            .map(|u| {
-                // The partner's bit is the complement of u's: partners with
-                // bit 0 collect lower halves, bit 1 upper halves.
-                if (u >> bit_shift) & 1 == 1 {
-                    BitVec::concat(state[u][..half].iter())
-                } else {
-                    BitVec::concat(state[u][half..].iter())
-                }
-            })
+        // The partner's bit is the complement of u's.
+        let outbox: Vec<BitVec> = state
+            .iter()
+            .enumerate()
+            .map(|(u, m)| half_of(m, 1 - ((u >> bit_shift) & 1)))
             .collect();
-        let total = half * b;
+        let total = outbox[0].len();
         HcEngine::Direct {
             rounds: total.div_ceil(bandwidth).max(1),
             done: 0,
+            received: vec![BitVec::zeros(total); state.len()],
             outbox,
-            received: vec![BitVec::zeros(total); n],
         }
     }
 
     /// Builds iteration `i`'s `k = 2` routing instance and opens its
     /// session.
-    #[allow(clippy::too_many_arguments)]
     fn iteration_route(
         net: &Network,
         router: &RouterConfig,
         cache: Option<&SharedCodewordCache>,
-        state: &[Vec<BitVec>],
-        n: usize,
+        state: &[BitVec],
         ell: usize,
-        b: usize,
         i: usize,
     ) -> Result<RouteSession<'static>, CoreError> {
         let bit_shift = ell - i; // MSB-first bit i == LSB bit ell - i
-        let half = n / 2; // |M_i(u)| = n, halves of n/2 messages
         let instance = RoutingInstance {
-            n,
-            payload_bits: half * b,
-            messages: (0..n)
-                .flat_map(|u| {
-                    // Slot 0 = lower-target half (goes to partner with
-                    // bit i = 0), slot 1 = upper half.
-                    let lower = BitVec::concat(state[u][..half].iter());
-                    let upper = BitVec::concat(state[u][half..].iter());
-                    let t0 = u & !(1 << bit_shift);
-                    let t1 = u | (1 << bit_shift);
-                    [
-                        SuperMessage {
-                            src: u,
-                            slot: 0,
-                            payload: lower,
-                            targets: vec![t0],
-                        },
-                        SuperMessage {
-                            src: u,
-                            slot: 1,
-                            payload: upper,
-                            targets: vec![t1],
-                        },
-                    ]
+            n: state.len(),
+            payload_bits: state[0].len() / 2, // |M_i(u)| = n, halves of n/2 messages
+            messages: state
+                .iter()
+                .enumerate()
+                .flat_map(|(u, m)| {
+                    // Slot c = the half going to the partner with bit i = c.
+                    [0, 1].map(|c| SuperMessage {
+                        src: u,
+                        slot: c,
+                        payload: half_of(m, c),
+                        targets: vec![(u & !(1 << bit_shift)) | (c << bit_shift)],
+                    })
                 })
                 .collect(),
         };
@@ -280,16 +294,8 @@ impl<'a> HypercubeSession<'a> {
         inst: &'a AllToAllInstance,
         dec: &mut Dec<'_>,
     ) -> Result<Self, CoreError> {
+        let ell = dimension(net, inst)?;
         let n = inst.n();
-        if n != net.n() {
-            return Err(CoreError::invalid("instance size != network size"));
-        }
-        if !n.is_power_of_two() || n < 2 {
-            return Err(CoreError::invalid(
-                "DetHypercube requires n to be a power of two",
-            ));
-        }
-        let ell = n.trailing_zeros() as usize;
         let b = inst.b();
         let i = dec.get_usize().map_err(CoreError::from)?;
         if i < 1 || i > ell {
@@ -297,12 +303,12 @@ impl<'a> HypercubeSession<'a> {
                 "hypercube snapshot iteration out of range",
             ));
         }
-        let mut state: Vec<Vec<BitVec>> = Vec::with_capacity(n);
+        let mut state: Vec<BitVec> = Vec::with_capacity(n);
         for _ in 0..n {
-            let row = dec.get_seq(1, Dec::get_bits).map_err(CoreError::from)?;
-            if row.len() != n {
+            let row = dec.get_bits().map_err(CoreError::from)?;
+            if row.len() != n * b {
                 return Err(CoreError::invalid(
-                    "hypercube snapshot state row size mismatch",
+                    "hypercube snapshot state row length mismatch",
                 ));
             }
             state.push(row);
@@ -315,7 +321,7 @@ impl<'a> HypercubeSession<'a> {
                 dec,
             )?),
             1 => {
-                let mut engine = Self::direct_engine(&state, net.bandwidth(), n, ell, b, i);
+                let mut engine = Self::direct_engine(&state, net.bandwidth(), ell, i);
                 let HcEngine::Direct {
                     rounds,
                     done,
@@ -332,7 +338,13 @@ impl<'a> HypercubeSession<'a> {
                     ));
                 }
                 for dst in received.iter_mut() {
-                    *dst = dec.get_bits().map_err(CoreError::from)?;
+                    let bits = dec.get_bits().map_err(CoreError::from)?;
+                    if bits.len() != dst.len() {
+                        return Err(CoreError::invalid(
+                            "hypercube snapshot received half length mismatch",
+                        ));
+                    }
+                    *dst = bits;
                 }
                 engine
             }
@@ -407,49 +419,32 @@ impl ProtocolSession for HypercubeSession<'_> {
             }
         };
         // Iteration i's exchange finished: rebuild M_{i+1}(v) from the two
-        // received halves.
-        let mut next: Vec<Vec<BitVec>> = Vec::with_capacity(n);
-        for v in 0..n {
-            let my_bit = (v >> bit_shift) & 1;
-            let partner = v ^ (1 << bit_shift);
-            let expected_ids = message_ids(v, i + 1, ell);
-            let mut collected: std::collections::HashMap<(usize, usize), BitVec> =
-                std::collections::HashMap::with_capacity(expected_ids.len());
-            for sender in [v, partner] {
-                let payload = match &outcome {
-                    HcDone::Routed(routed) => routed.delivered[v]
-                        .get(&(sender, my_bit))
-                        .cloned()
-                        .unwrap_or_else(|| BitVec::zeros(half * b)),
-                    HcDone::Direct(_) if sender == v => {
+        // collected halves — v's own and its partner's, both the half of
+        // v's iteration bit.
+        let next: Vec<BitVec> = (0..n)
+            .map(|v| {
+                let my_bit = (v >> bit_shift) & 1;
+                let partner = v ^ (1 << bit_shift);
+                let own_half;
+                let (own, theirs) = match &outcome {
+                    HcDone::Routed(routed) => (
+                        routed.delivered[v].get(&(v, my_bit)),
+                        routed.delivered[v].get(&(partner, my_bit)),
+                    ),
+                    HcDone::Direct(received) => {
                         // The own half never leaves the node.
-                        if my_bit == 0 {
-                            BitVec::concat(self.state[v][..half].iter())
-                        } else {
-                            BitVec::concat(self.state[v][half..].iter())
-                        }
+                        own_half = half_of(&self.state[v], my_bit);
+                        (Some(&own_half), Some(&received[v]))
                     }
-                    HcDone::Direct(received) => received[v].clone(),
                 };
-                // The sender's half ids: sender's iteration-i ids,
-                // lower or upper half by my_bit.
-                let sender_ids = message_ids(sender, i, ell);
-                let half_ids = if my_bit == 0 {
-                    &sender_ids[..half]
+                let halves = if my_bit == 0 {
+                    [own, theirs]
                 } else {
-                    &sender_ids[half..]
+                    [theirs, own]
                 };
-                for (idx, &(t, s)) in half_ids.iter().enumerate() {
-                    collected.insert((t, s), payload.slice(idx * b, (idx + 1) * b));
-                }
-            }
-            next.push(
-                expected_ids
-                    .iter()
-                    .map(|id| collected.remove(id).unwrap_or_else(|| BitVec::zeros(b)))
-                    .collect(),
-            );
-        }
+                interleave_halves(halves, half, b)
+            })
+            .collect();
         self.state = next;
         self.i += 1;
         if self.i <= ell {
@@ -459,24 +454,20 @@ impl ProtocolSession for HypercubeSession<'_> {
                     self.router,
                     self.cache.as_ref(),
                     &self.state,
-                    n,
                     ell,
-                    b,
                     self.i,
                 )?),
                 HcEngine::Direct { .. } => {
-                    Self::direct_engine(&self.state, net.bandwidth(), n, ell, b, self.i)
+                    Self::direct_engine(&self.state, net.bandwidth(), ell, self.i)
                 }
             };
             return Ok(Step::Running);
         }
-        // M_{ℓ+1}(v) = M(V, {v}), sorted by (target = v, source ascending).
+        // M_{ℓ+1}(v) = M(V, {v}): field s is the message from source s.
         let mut output = AllToAllOutput::empty(n);
-        for v in 0..n {
-            let ids = message_ids(v, ell + 1, ell);
-            debug_assert!(ids.iter().all(|&(t, _)| t == v));
-            for (idx, &(_, s)) in ids.iter().enumerate() {
-                output.set(v, s, self.state[v][idx].clone());
+        for (v, m) in self.state.iter().enumerate() {
+            for s in 0..n {
+                output.set(v, s, m.slice(s * b, (s + 1) * b));
             }
         }
         Ok(Step::Done(output))
@@ -485,7 +476,7 @@ impl ProtocolSession for HypercubeSession<'_> {
     fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
         enc.put_usize(self.i);
         for row in &self.state {
-            enc.put_seq(row, Enc::put_bits);
+            enc.put_bits(row);
         }
         match &mut self.engine {
             HcEngine::Routed(route) => {
@@ -559,6 +550,95 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
         assert_eq!(ids.len(), 8);
+    }
+
+    /// The pre-flat rebuild of `M_{i+1}(v)`, kept as the oracle for
+    /// [`interleave_halves`]: key every field of the two collected halves by
+    /// its explicit `(target, source)` id, then read the ids of
+    /// `M_{i+1}(v)` out in order. `own`/`theirs` are the halves from `v`
+    /// and from its partner; a missing half contributes zeros.
+    fn reference_next(
+        v: usize,
+        i: usize,
+        ell: usize,
+        b: usize,
+        own: Option<&BitVec>,
+        theirs: Option<&BitVec>,
+    ) -> BitVec {
+        let half = (1usize << ell) / 2;
+        let bit_shift = ell - i;
+        let my_bit = (v >> bit_shift) & 1;
+        let partner = v ^ (1 << bit_shift);
+        let mut collected = std::collections::HashMap::new();
+        for (sender, payload) in [(v, own), (partner, theirs)] {
+            let Some(payload) = payload else { continue };
+            let sender_ids = message_ids(sender, i, ell);
+            let half_ids = if my_bit == 0 {
+                &sender_ids[..half]
+            } else {
+                &sender_ids[half..]
+            };
+            for (idx, &id) in half_ids.iter().enumerate() {
+                collected.insert(id, payload.slice(idx * b, (idx + 1) * b));
+            }
+        }
+        let fields: Vec<BitVec> = message_ids(v, i + 1, ell)
+            .iter()
+            .map(|id| collected.remove(id).unwrap_or_else(|| BitVec::zeros(b)))
+            .collect();
+        BitVec::concat(fields.iter())
+    }
+
+    #[test]
+    fn interleave_matches_the_message_id_merge() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for n in [8usize, 16, 32] {
+            let ell = n.trailing_zeros() as usize;
+            for b in [1usize, 3, 65] {
+                for i in 1..=ell {
+                    for v in 0..n {
+                        let own = BitVec::from_fn(n / 2 * b, |_| rng.gen());
+                        let theirs = BitVec::from_fn(n / 2 * b, |_| rng.gen());
+                        let my_bit = (v >> (ell - i)) & 1;
+                        for theirs in [Some(&theirs), None] {
+                            let halves = if my_bit == 0 {
+                                [Some(&own), theirs]
+                            } else {
+                                [theirs, Some(&own)]
+                            };
+                            assert_eq!(
+                                interleave_halves(halves, n / 2, b),
+                                reference_next(v, i, ell, b, Some(&own), theirs),
+                                "n = {n}, B = {b}, i = {i}, v = {v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A wrong-length half reads as zeros, like a missing one.
+        let own = BitVec::from_fn(4, |j| j % 2 == 0);
+        let short = BitVec::zeros(3);
+        assert_eq!(
+            interleave_halves([Some(&own), Some(&short)], 4, 1),
+            interleave_halves([Some(&own), None], 4, 1)
+        );
+    }
+
+    /// `half_of` splits at the iteration bit: the lower half holds exactly
+    /// the targets of `P(u, i)` whose bit `i` is 0.
+    #[test]
+    fn halves_split_targets_by_the_iteration_bit() {
+        let (n, ell) = (16usize, 4usize);
+        for i in 1..=ell {
+            for u in 0..n {
+                let ids = message_ids(u, i, ell);
+                for (idx, &(t, _)) in ids.iter().enumerate() {
+                    assert_eq!((t >> (ell - i)) & 1, usize::from(idx >= n / 2));
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! codeword symbols to receiver-set members under the `InLoad = 1` filter;
 //! round 2 forwards them to targets under the `OutLoad = 1` filter.
 //!
-//! Two refinements over the paper's analysis, both noted in `DESIGN.md`:
+//! Two refinements over the paper's analysis:
 //!
 //! * Overlap positions dropped by the load filters are *computable by
 //!   every node* from public data, so the decoder treats them as **known
@@ -16,6 +16,13 @@
 //!   construction time from the verified family's measured cover fraction;
 //!   infeasible parameter combinations are rejected before any round runs,
 //!   which is what lets [`super::RoutingMode::Auto`] fall back cleanly.
+//!
+//! Frame assembly keeps no table keyed by edge: each round collects one
+//! entry per `(edge, lane)` slot it writes — in loop order, with an absent
+//! relay symbol still claiming its slot — sorts the entries by `(from, to)`,
+//! and emits every frame once, ascending, which is the order
+//! [`Traffic::send`]'s append fast-path wants. The `= 1` load filters give
+//! each slot a single writer, so the sort is all the bookkeeping there is.
 //!
 //! With [`RouterConfig::event_driven`] the engine runs on the same
 //! event-driven pack executor as the unit engine (see
@@ -267,10 +274,151 @@ struct CfEventState {
     pool: Arc<FramePool>,
 }
 
-/// Encodes one chunk pack and materializes its round-1 traffic in ascending
-/// `(src, relay)` order — the single builder behind the lockstep path
-/// (frames from the network arena) and the event-mode prefetch jobs
-/// (arena-free zeroed buffers), so the two cannot drift apart.
+/// One lane slot of one wire frame, as the round builders collect them in
+/// loop order (lane, then message, then receiver-set position).
+/// `sym == RelayGrid::ABSENT` leaves the slot's validity bit clear — round
+/// 2 still sends the frame when the relay holds nothing, which is the wire
+/// behavior the adversary observes.
+#[derive(Clone, Copy)]
+struct SlotWrite {
+    /// `from << 32 | to`: ascending edge keys are ascending `(from, to)`.
+    edge: u64,
+    lane: u32,
+    sym: u16,
+}
+
+impl SlotWrite {
+    fn new(from: usize, to: usize, lane: usize, sym: u16) -> Self {
+        Self {
+            edge: ((from as u64) << 32) | to as u64,
+            lane: lane as u32,
+            sym,
+        }
+    }
+
+    /// The edge's `(from, to)`.
+    fn ends(&self) -> (usize, usize) {
+        (
+            (self.edge >> 32) as usize,
+            (self.edge & 0xffff_ffff) as usize,
+        )
+    }
+}
+
+/// Turns `slots` into frames, emitting each edge's frame exactly once in
+/// ascending `(from, to)` order — the order the sparse substrate's append
+/// fast-path relies on, independent of any hash iteration. The sort is
+/// stable, so slots of one edge apply in collection order; the
+/// `InLoad`/`OutLoad = 1` filters give every `(edge, lane)` slot a single
+/// writer anyway, which is why no edge-keyed table is needed.
+fn assemble_frames(
+    mut slots: Vec<SlotWrite>,
+    params: &CfParams,
+    mut frame_buffer: impl FnMut(usize) -> BitVec,
+    mut emit: impl FnMut(usize, usize, BitVec),
+) {
+    slots.sort_by_key(|s| s.edge);
+    for edge in slots.chunk_by(|a, b| a.edge == b.edge) {
+        let mut frame = frame_buffer(params.lanes * params.slot);
+        for s in edge {
+            if s.sym != RelayGrid::ABSENT {
+                // Validity bit first, then the symbol.
+                let bits = 1 | (u64::from(s.sym) << 1);
+                frame.write_uint(s.lane as usize * params.slot, params.slot as u32, bits);
+            }
+        }
+        let (from, to) = edge[0].ends();
+        emit(from, to, frame);
+    }
+}
+
+/// Lazy per-pack encode (cache-aware): only the pack's chunks are
+/// materialized, one message per fan-out unit. Returns `[msg][lane][pos]`.
+fn encode_pack(
+    instance: &RoutingInstance,
+    plan: &CfPlan,
+    cache: Option<&SharedCodewordCache>,
+    parallel: bool,
+    pack: &[usize],
+) -> Result<Vec<Vec<Vec<u16>>>, CoreError> {
+    let jobs: Vec<Vec<BitVec>> = instance
+        .messages
+        .iter()
+        .map(|msg| {
+            pack.iter()
+                .map(|&chunk| payload_chunk(&msg.payload, chunk, plan.params.cap_bits))
+                .collect()
+        })
+        .collect();
+    encode_chunks(parallel, &plan.params.code, cache, jobs)
+}
+
+/// Round 1: sources scatter codeword symbols to receiver-set members
+/// (InLoad filter).
+fn round1_slots(
+    instance: &RoutingInstance,
+    plan: &CfPlan,
+    pack_cw: &[Vec<Vec<u16>>],
+    lanes_used: usize,
+) -> Vec<SlotWrite> {
+    let params = &plan.params;
+    let n = instance.n;
+    let mut slots = Vec::with_capacity(lanes_used * instance.messages.len() * params.l);
+    for lane in 0..lanes_used {
+        for (idx, msg) in instance.messages.iter().enumerate() {
+            for (pos, &w) in params.sets[idx].iter().enumerate() {
+                if params.in_load[msg.src * n + w as usize] != 1 {
+                    continue; // dropped: known erasure everywhere
+                }
+                if w as usize == msg.src {
+                    continue; // the source keeps its own symbol
+                }
+                slots.push(SlotWrite::new(
+                    msg.src,
+                    w as usize,
+                    lane,
+                    pack_cw[idx][lane][pos],
+                ));
+            }
+        }
+    }
+    slots
+}
+
+/// Round 2: relays forward what they hold to targets (OutLoad filter). An
+/// absent relay symbol still claims its slot, with the validity bit clear.
+fn round2_slots(
+    instance: &RoutingInstance,
+    plan: &CfPlan,
+    relay: &RelayGrid,
+    lanes_used: usize,
+) -> Vec<SlotWrite> {
+    let params = &plan.params;
+    let n = instance.n;
+    let mut slots = Vec::new();
+    for lane in 0..lanes_used {
+        for (idx, msg) in instance.messages.iter().enumerate() {
+            for (pos, &w) in params.sets[idx].iter().enumerate() {
+                if params.in_load[msg.src * n + w as usize] != 1 {
+                    continue; // w never expected this symbol
+                }
+                let sym = relay.get(lane, idx, pos).unwrap_or(RelayGrid::ABSENT);
+                for &v in &plan.uniq_targets[idx] {
+                    if v == w as usize || params.out_load[w as usize * n + v] != 1 {
+                        continue;
+                    }
+                    slots.push(SlotWrite::new(w as usize, v, lane, sym));
+                }
+            }
+        }
+    }
+    slots
+}
+
+/// Encodes one chunk pack and materializes its round-1 traffic — the single
+/// builder behind the lockstep path (frames from the network arena) and the
+/// event-mode prefetch jobs (arena-free zeroed buffers), so the two cannot
+/// drift apart.
 fn build_round1(
     instance: &RoutingInstance,
     plan: &CfPlan,
@@ -278,50 +426,13 @@ fn build_round1(
     parallel: bool,
     pack: &[usize],
     mut traffic: Traffic,
-    mut frame_buffer: impl FnMut(usize) -> BitVec,
+    frame_buffer: impl FnMut(usize) -> BitVec,
 ) -> CfEncodeResult {
-    let params = &plan.params;
-    let n = instance.n;
-    // ---- Lazy per-pack encode (cache-aware): only the pack's chunks are
-    // materialized, one message per fan-out unit.
-    let jobs: Vec<Vec<BitVec>> = instance
-        .messages
-        .iter()
-        .map(|msg| {
-            pack.iter()
-                .map(|&chunk| payload_chunk(&msg.payload, chunk, params.cap_bits))
-                .collect()
-        })
-        .collect();
-    let pack_cw: Vec<Vec<Vec<u16>>> = encode_chunks(parallel, &params.code, cache, jobs)?;
-
-    // ---- Round 1: sources scatter to receiver sets. Frames are assembled
-    // in ascending (src, relay) order so the sparse substrate's append
-    // fast-path applies and the send sequence never depends on hash
-    // iteration order.
-    let mut frames: BTreeMap<(usize, usize), BitVec> = BTreeMap::new();
-    for (lane, _) in pack.iter().enumerate() {
-        for (idx, msg) in instance.messages.iter().enumerate() {
-            for (pos, &w) in params.sets[idx].iter().enumerate() {
-                let w = w as usize;
-                if params.in_load[msg.src * n + w] != 1 {
-                    continue; // dropped: known erasure everywhere
-                }
-                if w == msg.src {
-                    continue; // the source keeps its own symbol
-                }
-                let sym = pack_cw[idx][lane][pos];
-                let frame = frames
-                    .entry((msg.src, w))
-                    .or_insert_with(|| frame_buffer(params.lanes * params.slot));
-                frame.set(lane * params.slot, true);
-                frame.write_uint(lane * params.slot + 1, plan.symbol_bits, sym as u64);
-            }
-        }
-    }
-    for ((from, to), frame) in frames {
-        traffic.send(from, to, frame);
-    }
+    let pack_cw = encode_pack(instance, plan, cache, parallel, pack)?;
+    let slots = round1_slots(instance, plan, &pack_cw, pack.len());
+    assemble_frames(slots, &plan.params, frame_buffer, |from, to, frame| {
+        traffic.send(from, to, frame)
+    });
     Ok((pack_cw, traffic))
 }
 
@@ -686,46 +797,16 @@ impl<'i> CfSession<'i> {
                 Ok(None)
             }
             CfPhase::Round2 { relay } => {
-                // ---- Round 2: relays forward to targets (OutLoad filter);
-                // ordered frame assembly exactly as in round 1. A forward
-                // frame is sent even when the relay holds nothing (validity
-                // bit clear) — the wire behavior the adversary observes.
-                let plan = &*self.plan;
-                let params = &plan.params;
-                let n = self.instance.n;
-                let instance = &*self.instance;
+                // ---- Round 2: relays forward to targets (OutLoad filter),
+                // frames assembled exactly as in round 1.
+                let slots = round2_slots(&self.instance, &self.plan, &relay, pack.len());
                 let mut traffic = net.traffic();
-                let mut frames: BTreeMap<(usize, usize), BitVec> = BTreeMap::new();
-                for (lane, _) in pack.iter().enumerate() {
-                    for (idx, msg) in instance.messages.iter().enumerate() {
-                        for (pos, &w) in params.sets[idx].iter().enumerate() {
-                            let w = w as usize;
-                            if params.in_load[msg.src * n + w] != 1 {
-                                continue; // w never expected this symbol
-                            }
-                            let val = relay.get(lane, idx, pos);
-                            for &v in &plan.uniq_targets[idx] {
-                                if v == w || params.out_load[w * n + v] != 1 {
-                                    continue;
-                                }
-                                let frame = frames.entry((w, v)).or_insert_with(|| {
-                                    net.frame_buffer(params.lanes * params.slot)
-                                });
-                                if let Some(sym) = val {
-                                    frame.set(lane * params.slot, true);
-                                    frame.write_uint(
-                                        lane * params.slot + 1,
-                                        plan.symbol_bits,
-                                        sym as u64,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                for ((from, to), frame) in frames {
-                    traffic.send(from, to, frame);
-                }
+                assemble_frames(
+                    slots,
+                    &self.plan.params,
+                    |len| net.frame_buffer(len),
+                    |from, to, frame| traffic.send(from, to, frame),
+                );
                 let delivery2 = net.exchange(traffic);
 
                 if self.event.is_some() {
@@ -1064,6 +1145,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The pre-sort frame assembly, kept as the oracle for
+    /// [`assemble_frames`]: a table keyed by edge, one buffer per first
+    /// touch, slots applied in collection order, emitted ascending.
+    fn reference_frames(slots: &[SlotWrite], params: &CfParams) -> Vec<(usize, usize, BitVec)> {
+        let mut frames: BTreeMap<(usize, usize), BitVec> = BTreeMap::new();
+        for s in slots {
+            let frame = frames
+                .entry(s.ends())
+                .or_insert_with(|| BitVec::zeros(params.lanes * params.slot));
+            if s.sym != RelayGrid::ABSENT {
+                let at = s.lane as usize * params.slot;
+                frame.set(at, true);
+                frame.write_uint(at + 1, params.slot as u32 - 1, u64::from(s.sym));
+            }
+        }
+        frames
+            .into_iter()
+            .map(|((from, to), frame)| (from, to, frame))
+            .collect()
+    }
+
+    /// Frame assembly is byte-identical to the edge-keyed table it replaced:
+    /// same edge set, same frame bits, same send order — every round of a
+    /// `k = 2`, two-lane instance with an odd chunk count (a short last
+    /// pack) under a frame-flipping adversary (so round 2 forwards absent
+    /// relay symbols), and the frames the session actually puts on the wire
+    /// are exactly those.
+    #[test]
+    fn frame_assembly_matches_edge_table_reference() {
+        let n = 256;
+        let msgs: Vec<(usize, usize, Vec<usize>)> = (0..n)
+            .flat_map(|u| (0..2).map(move |j| (u, j, vec![(u + j * 9 + 1) % n])))
+            .collect();
+        let inst = instance(n, 400, msgs);
+        let mut net = Network::new(n, 18, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
+        net.set_history_mode(bdclique_netsim::HistoryMode::Full);
+        let mut session =
+            CfSession::new(&net, Cow::Borrowed(&inst), &RouterConfig::default()).unwrap();
+        assert_eq!(session.plan.params.lanes, 2);
+        let chunks = session.plan.params.chunks;
+        assert!(
+            chunks >= 3 && chunks % 2 == 1,
+            "needs a short last pack, got {chunks} chunks"
+        );
+        let (mut rounds, mut absent) = ([0usize; 2], 0usize);
+        let out = loop {
+            let pack = session.pack().to_vec();
+            let (which, slots) = match &session.phase {
+                CfPhase::Round1 => {
+                    let cw = encode_pack(&inst, &session.plan, None, false, &pack).unwrap();
+                    (0, round1_slots(&inst, &session.plan, &cw, pack.len()))
+                }
+                CfPhase::Round2 { relay } => {
+                    (1, round2_slots(&inst, &session.plan, relay, pack.len()))
+                }
+            };
+            rounds[which] += 1;
+            absent += slots
+                .iter()
+                .filter(|s| which == 1 && s.sym == RelayGrid::ABSENT)
+                .count();
+            let expected = reference_frames(&slots, &session.plan.params);
+            let mut assembled = Vec::new();
+            assemble_frames(
+                slots,
+                &session.plan.params,
+                BitVec::zeros,
+                |from, to, frame| assembled.push((from, to, frame)),
+            );
+            assert_eq!(assembled, expected, "round kind {which}");
+            let done = session.step(&mut net).unwrap();
+            let mut sent = Vec::new();
+            let record = net.history().records().last().unwrap();
+            record
+                .intended
+                .as_ref()
+                .expect("full history keeps the intended traffic")
+                .for_each_frame(|from, to, frame| sent.push((from, to, frame.clone())));
+            assert_eq!(sent, expected, "wire traffic, round kind {which}");
+            if let Some(out) = done {
+                break out;
+            }
+        };
+        assert_eq!(rounds, [chunks.div_ceil(2); 2]);
+        assert!(absent > 0, "round 2 must forward an absent relay symbol");
+        assert_eq!(out.report.decode_failures, 0);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!
 //! [`route`] picks the engine per [`RouterConfig::mode`]; `Auto` uses the
 //! cover-free engine whenever its margin validates and falls back to unit
-//! scheduling otherwise, which mirrors how the paper trades the two (its
-//! constants make the cover-free margin positive only asymptotically; see
-//! `DESIGN.md`, substitution 4).
+//! scheduling otherwise, which mirrors how the paper trades the two: its
+//! constants make the cover-free margin positive only asymptotically, so
+//! the margin is checked numerically per instance — from the verified
+//! family's measured erasure count — instead of assumed.
 
 pub mod coverfree;
 pub mod unit;
@@ -806,9 +807,10 @@ pub(crate) fn encode_chunks(
 /// Dense relay holdings for one pack, flattened into a single contiguous
 /// buffer: block-major (`block` is the relay `w` for the unit engine, the
 /// lane for the cover-free engine), with per-row offsets shared by every
-/// block. Replaces the former `Vec<Vec<Vec<Option<u16>>>>` tables — the
-/// round-B forward-planning and decode loops walk `syms` linearly instead
-/// of chasing two levels of pointers per symbol.
+/// block. The round-B forward-planning and decode loops walk `syms`
+/// linearly; the cover-free engine's round-2 planner reads it in (lane,
+/// message, position) order into slot entries that are then sorted by edge
+/// (see [`coverfree`]'s frame assembly).
 ///
 /// Absent symbols (erasures) are stored as [`RelayGrid::ABSENT`]; valid
 /// symbols are field elements `< 2^8 ≤ 255`, so the sentinel is

@@ -37,8 +37,10 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"BDCS";
 
 /// Current snapshot format version. Bump on any layout change; [`Dec`]
-/// rejects mismatched versions instead of misparsing them.
-pub const VERSION: u16 = 1;
+/// rejects mismatched versions instead of misparsing them. Version 2 holds
+/// each det-hypercube node state as one bit string (version 1: a sequence
+/// of per-message strings).
+pub const VERSION: u16 = 2;
 
 /// Decode failure: the bytes do not describe a valid snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

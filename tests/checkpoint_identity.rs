@@ -450,3 +450,39 @@ fn corrupt_snapshots_are_rejected() {
     long.push(0);
     assert!(restore_run(&long, fresh_adversary(case), case.proto.as_ref(), &inst).is_err());
 }
+
+/// A det-hypercube state row announcing the wrong bit length is refused at
+/// restore (not by a slice panic iterations later), and so is a document of
+/// the previous format version, whose rows were per-message sequences.
+#[test]
+fn hypercube_state_row_length_and_format_version_are_validated() {
+    let all = cases();
+    let case = all.iter().find(|c| c.label == "hypercube/greedy").unwrap();
+    let (inst, mut net) = setup(case);
+    let mut session = case.proto.session(&net, &inst).unwrap();
+    assert!(step_to_round(session.as_mut(), &mut net, 3));
+    let bytes = snapshot_run(&mut net, session.as_mut()).unwrap();
+    assert!(restore_run(&bytes, fresh_adversary(case), case.proto.as_ref(), &inst).is_ok());
+
+    // The session section closes the document: the iteration (u64), then
+    // per node a bit length (u64) and the packed bits.
+    let mut section = bdclique_snapshot::Enc::new();
+    session.snapshot(&mut net, &mut section).unwrap();
+    let row_len_at = bytes.len() - section.bytes().len() + 8;
+    let row_bits = (case.n * case.b) as u64;
+    assert_eq!(bytes[row_len_at..row_len_at + 8], row_bits.to_le_bytes());
+    // One bit short keeps the byte count, so only the length check can
+    // catch it; a whole byte short or long shifts everything after it.
+    for wrong in [row_bits - 1, row_bits - 8, row_bits + 8] {
+        let mut bad = bytes.clone();
+        bad[row_len_at..row_len_at + 8].copy_from_slice(&wrong.to_le_bytes());
+        let err = restore_run(&bad, fresh_adversary(case), case.proto.as_ref(), &inst)
+            .err()
+            .unwrap_or_else(|| panic!("row of {wrong} bits must be refused"));
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+    }
+
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert!(restore_run(&v1, fresh_adversary(case), case.proto.as_ref(), &inst).is_err());
+}
