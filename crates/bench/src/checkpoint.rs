@@ -167,7 +167,7 @@ pub fn run_trial_checkpointed(
             Step::Running => {}
         }
         if cfg.every > 0 && net.rounds() >= last_mark + cfg.every {
-            let payload = snapshot_run(&mut net, session.as_mut())?;
+            let payload = snapshot_run(&net, session.as_ref())?;
             let doc = encode_wrapper(prior_secs + start.elapsed().as_secs_f64(), &payload);
             write_atomic(&path, &doc).map_err(|e| io_err("write", &path, &e))?;
             last_mark = net.rounds();
@@ -262,7 +262,7 @@ mod tests {
             while net.rounds() < 2 {
                 assert!(matches!(session.step(&mut net).unwrap(), Step::Running));
             }
-            let payload = snapshot_run(&mut net, session.as_mut()).unwrap();
+            let payload = snapshot_run(&net, session.as_ref()).unwrap();
             write_atomic(&cfg.path_for(key), &encode_wrapper(1.5, &payload)).unwrap();
         }
         // Segment 2: the checkpointed runner picks the file up.

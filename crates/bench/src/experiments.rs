@@ -142,7 +142,7 @@ pub fn registry() -> Vec<RegistryEntry> {
         },
         RegistryEntry {
             name: "xlargen",
-            about: "det-sqrt at n = 16384 on the event-driven executor (release-gated in CI)",
+            about: "det-sqrt at n = 16384 on the unit engine (release-gated in CI)",
             build: xlargen,
         },
         RegistryEntry {
@@ -1093,14 +1093,7 @@ pub fn largen(_trials: usize) -> Scenario {
             ("B", Value::u(1)),
         ],
         kind: CellKind::Trials(TrialJob {
-            // Event-driven pack execution (bit-identical to lockstep;
-            // overlaps decode with the next pack's encode on multicore).
-            protocol: factory(|_seed| {
-                DetSqrt::new(RouterConfig {
-                    event_driven: true,
-                    ..Default::default()
-                })
-            }),
+            protocol: factory(|_seed| DetSqrt::default()),
             protocol_key: "det-sqrt",
             adversary: AdversarySpec::None,
             topology: TopologySpec::Complete,
@@ -1228,12 +1221,8 @@ pub fn alpha_largen(_trials: usize) -> Scenario {
         // super-messages per node, routed by the stage-parallel unit engine
         // (forced — at this n/k the cover-free margin is known-infeasible,
         // so Auto would burn the whole family-construction probe per wave
-        // only to fall back). Deliberately *lockstep*: this cell is the
-        // CI wall-clock regression gate and must stay meaningful on a
-        // single-core runner, where the event executor's worker handoff
-        // has nothing to overlap into (~95s vs ~54s at this n). The event
-        // path's scale story lives in `largen`/`xlargen`.
-        // Release-gated in CI with a wall-clock budget; its per-cell `secs`
+        // only to fall back). This cell is the CI wall-clock regression
+        // gate, release-gated with a wall-clock budget; its per-cell `secs`
         // lands in the BENCH artifact and the trajectory ledger.
         (
             "det-sqrt",
@@ -1302,12 +1291,11 @@ pub fn alpha_largen(_trials: usize) -> Scenario {
     }
 }
 
-/// `S.XLARGE-N` — the event-driven executor's headline cell: one fault-free
+/// `S.XLARGE-N` — the scale frontier's headline cell: one fault-free
 /// DetSqrt trial at `n = 16384` (`k = 128` super-messages per node, two
-/// waves of 128 unit stages each) on the stage-parallel unit engine with
-/// event-driven pack execution. One trial, budget 0 — the point is that the
-/// cell *completes with zero errors under a CI wall-clock budget*, which no
-/// pre-event-executor revision managed; the α sweep stays at `n = 4096`
+/// waves of 128 unit stages each) on the stage-parallel unit engine. One
+/// trial, budget 0 — the point is that the cell *completes with zero errors
+/// under a CI wall-clock budget*; the α sweep stays at `n = 4096`
 /// ([`alpha_largen`]) where multiple budgets fit the same CI window.
 pub fn xlargen(_trials: usize) -> Scenario {
     fn present(_job: &TrialJob, agg: &Aggregate) -> Vec<(&'static str, Value)> {
@@ -1335,7 +1323,6 @@ pub fn xlargen(_trials: usize) -> Scenario {
             protocol: factory(|_| {
                 DetSqrt::new(RouterConfig {
                     mode: RoutingMode::Unit,
-                    event_driven: true,
                     ..Default::default()
                 })
             }),
@@ -1353,7 +1340,7 @@ pub fn xlargen(_trials: usize) -> Scenario {
     }];
     Scenario {
         name: "xlargen",
-        title: "S.XLARGE-N  DetSqrt at n = 16384, event-driven unit engine".into(),
+        title: "S.XLARGE-N  DetSqrt at n = 16384, unit engine".into(),
         headers: vec![
             "protocol",
             "n",

@@ -72,14 +72,12 @@ impl BroadcastSession {
         Ok(Some(result))
     }
 
-    /// Serializes the broadcast state. The inner [`RouteSession`] is
-    /// quiesced to a pack boundary first, so snapshots taken mid-pack in
-    /// event-driven mode remain valid.
-    pub(crate) fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
+    /// Serializes the broadcast state.
+    pub(crate) fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.src);
         enc.put_usize(self.payload_len);
         enc.put_usize(self.n);
-        self.route.snapshot(net, enc)
+        self.route.snapshot(enc);
     }
 
     /// Rebuilds a broadcast session from a snapshot. Bypasses

@@ -21,7 +21,6 @@ pub mod cc;
 pub mod compiler;
 pub mod driver;
 mod error;
-pub mod exec;
 mod problem;
 pub mod protocols;
 pub mod reduction;

@@ -678,17 +678,16 @@ impl ProtocolSession for Take1Session<'_> {
         }
     }
 
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
-        match &mut self.phase {
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
+        match &self.phase {
             Take1Phase::Scatter(scatter) => {
                 enc.put_u8(0);
                 scatter.snapshot(enc);
-                Ok(())
             }
             Take1Phase::BroadcastR3 { symbols, bcast } => {
                 enc.put_u8(1);
                 snapshot_symbols(symbols, enc);
-                bcast.snapshot(net, enc)
+                bcast.snapshot(enc);
             }
             Take1Phase::Fetch {
                 r3_received,
@@ -698,9 +697,10 @@ impl ProtocolSession for Take1Session<'_> {
                 enc.put_u8(2);
                 snapshot_bits_table(r3_received, enc);
                 snapshot_wanted(wanted, enc);
-                route.snapshot(net, enc)
+                route.snapshot(enc);
             }
         }
+        Ok(())
     }
 }
 
@@ -1486,15 +1486,17 @@ impl ProtocolSession for Take2Session<'_> {
         }
     }
 
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
         snapshot_rng(&self.v1_rng, enc);
-        match &mut self.phase {
-            Take2Phase::Poisoned => Err(CoreError::invalid(
-                "cannot snapshot a failed or consumed session",
-            )),
+        match &self.phase {
+            Take2Phase::Poisoned => {
+                return Err(CoreError::invalid(
+                    "cannot snapshot a failed or consumed session",
+                ))
+            }
             Take2Phase::Naive(naive) => {
                 enc.put_u8(0);
-                ProtocolSession::snapshot(naive, net, enc)
+                ProtocolSession::snapshot(naive, enc)?;
             }
             Take2Phase::BroadcastR1 {
                 received,
@@ -1504,7 +1506,7 @@ impl ProtocolSession for Take2Session<'_> {
                 enc.put_u8(1);
                 received.snapshot(enc);
                 enc.put_bits(r2_bits);
-                bcast.snapshot(net, enc)
+                bcast.snapshot(enc);
             }
             Take2Phase::BroadcastR2 {
                 received,
@@ -1514,7 +1516,7 @@ impl ProtocolSession for Take2Session<'_> {
                 enc.put_u8(2);
                 received.snapshot(enc);
                 enc.put_bits(r1_first);
-                bcast.snapshot(net, enc)
+                bcast.snapshot(enc);
             }
             Take2Phase::WaveA {
                 received,
@@ -1526,7 +1528,7 @@ impl ProtocolSession for Take2Session<'_> {
                 received.snapshot(enc);
                 snapshot_bits_table(r2_received, enc);
                 snapshot_parts(parts, enc);
-                route.snapshot(net, enc)
+                route.snapshot(enc);
             }
             Take2Phase::Scatter {
                 common, scatter, ..
@@ -1534,7 +1536,6 @@ impl ProtocolSession for Take2Session<'_> {
                 enc.put_u8(4);
                 common.snapshot(enc);
                 scatter.snapshot(enc);
-                Ok(())
             }
             Take2Phase::BroadcastR3 {
                 common,
@@ -1545,7 +1546,7 @@ impl ProtocolSession for Take2Session<'_> {
                 enc.put_u8(5);
                 common.snapshot(enc);
                 snapshot_symbols(symbols, enc);
-                bcast.snapshot(net, enc)
+                bcast.snapshot(enc);
             }
             Take2Phase::Fetch {
                 common,
@@ -1558,14 +1559,15 @@ impl ProtocolSession for Take2Session<'_> {
                 common.snapshot(enc);
                 snapshot_bits_table(r3_received, enc);
                 snapshot_wanted(wanted, enc);
-                route.snapshot(net, enc)
+                route.snapshot(enc);
             }
             Take2Phase::Pull { common, route } => {
                 enc.put_u8(7);
                 common.snapshot(enc);
-                route.snapshot(net, enc)
+                route.snapshot(enc);
             }
         }
+        Ok(())
     }
 }
 

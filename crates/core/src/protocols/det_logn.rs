@@ -473,15 +473,15 @@ impl ProtocolSession for HypercubeSession<'_> {
         Ok(Step::Done(output))
     }
 
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
         enc.put_usize(self.i);
         for row in &self.state {
             enc.put_bits(row);
         }
-        match &mut self.engine {
+        match &self.engine {
             HcEngine::Routed(route) => {
                 enc.put_u8(0);
-                route.snapshot(net, enc)?;
+                route.snapshot(enc);
             }
             HcEngine::Direct { done, received, .. } => {
                 enc.put_u8(1);

@@ -263,17 +263,14 @@ impl ProtocolSession for SqrtSession<'_> {
         }
     }
 
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
-        match &mut self.phase {
-            SqrtPhase::Wave1(route) => {
-                enc.put_u8(0);
-                route.snapshot(net, enc)
-            }
-            SqrtPhase::Wave2(route) => {
-                enc.put_u8(1);
-                route.snapshot(net, enc)
-            }
-        }
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
+        let (tag, route) = match &self.phase {
+            SqrtPhase::Wave1(route) => (0, route),
+            SqrtPhase::Wave2(route) => (1, route),
+        };
+        enc.put_u8(tag);
+        route.snapshot(enc);
+        Ok(())
     }
 }
 

@@ -81,15 +81,10 @@ pub trait ProtocolSession {
     /// Appends the session's dynamic state to `enc` so the run can later be
     /// resumed via [`AllToAllProtocol::restore_session`].
     ///
-    /// Sessions with in-flight event-path work (prefetched encodes,
-    /// background decodes) must **quiesce** to a step boundary first — join
-    /// or discard speculative jobs so the serialized state describes a
-    /// session exactly between two `step` calls — which is why this takes
-    /// `&mut self` and `&mut Network` (draining decode jobs reclaims their
-    /// deliveries into the network arena). A snapshot must leave the session
-    /// in a valid state: continuing to step it afterwards is bit-identical
-    /// to never having snapshotted (speculative work re-runs, and it is
-    /// pure).
+    /// A session is always exactly between two `step` calls — nothing runs
+    /// in the background — so the state it holds is the state to write, and
+    /// continuing to step it afterwards is bit-identical to never having
+    /// snapshotted.
     ///
     /// Only state that cannot be re-derived from the protocol's
     /// configuration belongs in the snapshot; plans, schedules, and codes
@@ -99,8 +94,8 @@ pub trait ProtocolSession {
     ///
     /// The default declines with [`CoreError::InvalidInput`] — sessions opt
     /// in explicitly.
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
-        let _ = (net, enc);
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
+        let _ = enc;
         Err(CoreError::invalid(
             "this protocol session does not support snapshots",
         ))
@@ -207,10 +202,9 @@ pub trait AllToAllProtocol: Send + Sync {
 /// full dynamic state followed by the session's, as one versioned snapshot
 /// document.
 ///
-/// The session is quiesced first (its [`ProtocolSession::snapshot`] joins
-/// or discards in-flight event-path work), so the document describes the
-/// run exactly between two steps; the session remains valid and continuing
-/// to step it is bit-identical to never having snapshotted.
+/// The document describes the run exactly between two steps; the session
+/// remains valid and continuing to step it is bit-identical to never
+/// having snapshotted.
 ///
 /// The instance, the protocol, and the adversary are *not* serialized —
 /// they are rebuilt from their specs at [`restore_run`] (the hybrid rule:
@@ -220,17 +214,15 @@ pub trait AllToAllProtocol: Send + Sync {
 ///
 /// [`CoreError::InvalidInput`] when the session does not support snapshots.
 pub fn snapshot_run(
-    net: &mut Network,
-    session: &mut (dyn ProtocolSession + '_),
+    net: &Network,
+    session: &(dyn ProtocolSession + '_),
 ) -> Result<Vec<u8>, CoreError> {
-    // Session first: quiescing may reclaim frames into the network arena,
-    // so it must precede the network capture even though the document
-    // stores the network section first (restore needs the network before
-    // the session can be rebuilt against it).
-    let mut session_enc = Enc::new();
-    session.snapshot(net, &mut session_enc)?;
+    // The network section goes first: restore needs the network before the
+    // session can be rebuilt against it.
     let mut enc = Enc::with_header();
     net.snapshot(&mut enc);
+    let mut session_enc = Enc::new();
+    session.snapshot(&mut session_enc)?;
     enc.put_bytes(session_enc.bytes());
     Ok(enc.into_bytes())
 }

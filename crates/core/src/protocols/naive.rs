@@ -128,7 +128,7 @@ impl ProtocolSession for NaiveSession<'_> {
         Ok(Step::Running)
     }
 
-    fn snapshot(&mut self, _net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
         enc.put_usize(self.s);
         for row in &self.partial {
             for cell in row {

@@ -358,15 +358,12 @@ impl ProtocolSession for NaSession<'_> {
         }
     }
 
-    fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
-        match &mut self.phase {
-            NaPhase::Publish => {
-                enc.put_u8(0);
-                Ok(())
-            }
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
+        match &self.phase {
+            NaPhase::Publish => enc.put_u8(0),
             NaPhase::Broadcast(bcast) => {
                 enc.put_u8(1);
-                bcast.snapshot(net, enc)
+                bcast.snapshot(enc);
             }
             NaPhase::CopyWave {
                 received_shifts,
@@ -383,7 +380,6 @@ impl ProtocolSession for NaSession<'_> {
                         }
                     }
                 }
-                Ok(())
             }
             NaPhase::Route {
                 received_shifts,
@@ -391,9 +387,10 @@ impl ProtocolSession for NaSession<'_> {
             } => {
                 enc.put_u8(3);
                 enc.put_seq(received_shifts, Enc::put_bits);
-                route.snapshot(net, enc)
+                route.snapshot(enc);
             }
         }
+        Ok(())
     }
 }
 

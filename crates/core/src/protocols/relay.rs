@@ -270,7 +270,7 @@ impl ProtocolSession for RelaySession<'_> {
         }
     }
 
-    fn snapshot(&mut self, _net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
+    fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
         enc.put_usize(self.i);
         match &self.phase {
             RelayPhase::Hop1 => enc.put_u8(0),

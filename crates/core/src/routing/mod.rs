@@ -2,7 +2,10 @@
 //!
 //! An instance consists of super-messages, each identified by `(src, slot)`
 //! with a payload of at most `payload_bits` bits and a target list known to
-//! all nodes. Two execution engines implement the same contract:
+//! all nodes. Both routers are the same two-round scatter/gather, run pack
+//! by pack by one `PackSession`: encode a pack's codewords and scatter them
+//! (round A), let the relays note what arrived, forward to the targets
+//! (round B), erasure-decode. Two engines plan that loop differently:
 //!
 //! * [`mod@unit`] — the *scheduled unit-instance* engine: messages are greedily
 //!   colored into stages so that each stage has per-node source- and
@@ -23,6 +26,12 @@
 //! constants make the cover-free margin positive only asymptotically, so
 //! the margin is checked numerically per instance — from the verified
 //! family's measured erasure count — instead of assumed.
+//!
+//! The mobile adversary acts once per round, so exchanges are strictly
+//! serial whatever the host does between them; the only host parallelism is
+//! the rayon fan-out *inside* a pack ([`RouterConfig::parallel`]). An
+//! executor that overlapped packs across rounds was built, measured slower
+//! on every shape tried, and removed — see the README's "One pack pipeline".
 
 pub mod coverfree;
 pub mod unit;
@@ -30,10 +39,11 @@ pub mod unit;
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
 use bdclique_codes::{BitCode, ReedSolomon, SymbolCode};
-use bdclique_netsim::Network;
+use bdclique_netsim::{Delivery, Network, Traffic};
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// One super-message: `slot` disambiguates multiple messages from the same
@@ -184,24 +194,9 @@ pub struct RouterConfig {
     pub mode: RoutingMode,
     /// Fan the per-pack encode (round-A frame assembly) and decode (round-B
     /// erasure decoding) out across the rayon thread pool. Bit-identical to
-    /// the serial path (`false` — the oracle behind
-    /// [`unit::route_unit_serial`] / [`coverfree::route_coverfree_serial`]);
+    /// the serial path (`false` — the oracle behind [`route_serial`]);
     /// network rounds themselves stay strictly sequential either way.
     pub parallel: bool,
-    /// Run the session on the **event-driven pack executor**: round-A
-    /// codeword encoding and frame assembly for upcoming packs run ahead of
-    /// the network's virtual clock on the shared worker pool
-    /// ([`crate::exec`]), staging finished batches on a
-    /// [`bdclique_netsim::MessageBus`] keyed by virtual delivery time, while
-    /// round-B erasure decoding drains asynchronously behind it. Exchanges
-    /// themselves stay strictly serialized in virtual-round order (the
-    /// mobile adversary acts per virtual round), so wire content, stats,
-    /// history digests, and outputs are bit-identical to the lockstep path —
-    /// property-tested in `tests/event_identity.rs`. Costs one instance
-    /// clone on the borrowed-[`route`] path (background tasks need owned
-    /// data); [`RouteSession::new`]/[`RouteSession::new_cached`] hand over
-    /// ownership and pay nothing.
-    pub event_driven: bool,
     /// Bits per Reed–Solomon symbol (field GF(2^m)); the wire slot is one
     /// bit wider (a validity flag).
     pub symbol_bits: u32,
@@ -223,7 +218,6 @@ impl Default for RouterConfig {
         Self {
             mode: RoutingMode::Auto,
             parallel: true,
-            event_driven: false,
             symbol_bits: 8,
             extra_error_slack: 1,
             cf_group_size: None,
@@ -277,12 +271,7 @@ pub struct RoutingOutput {
 /// lazily, per pack, optionally through a shared [`CodewordCache`]
 /// ([`RouteSession::new_cached`]).
 pub struct RouteSession<'i> {
-    engine: EngineSession<'i>,
-}
-
-enum EngineSession<'i> {
-    Unit(unit::UnitSession<'i>),
-    CoverFree(coverfree::CfSession<'i>),
+    packs: PackSession<'i>,
 }
 
 impl RouteSession<'static> {
@@ -300,7 +289,7 @@ impl RouteSession<'static> {
         instance: RoutingInstance,
         cfg: &RouterConfig,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Owned(instance), cfg, None)
+        Self::with_instance(net, Cow::Owned(instance), cfg, None)
     }
 
     /// [`RouteSession::new`] with a shared [`CodewordCache`]: chunks whose
@@ -319,7 +308,7 @@ impl RouteSession<'static> {
         cfg: &RouterConfig,
         cache: SharedCodewordCache,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Owned(instance), cfg, Some(cache))
+        Self::with_instance(net, Cow::Owned(instance), cfg, Some(cache))
     }
 }
 
@@ -335,53 +324,19 @@ impl<'i> RouteSession<'i> {
         instance: &'i RoutingInstance,
         cfg: &RouterConfig,
     ) -> Result<Self, CoreError> {
-        Self::with_instance(net, std::borrow::Cow::Borrowed(instance), cfg, None)
+        Self::with_instance(net, Cow::Borrowed(instance), cfg, None)
     }
 
     fn with_instance(
         net: &Network,
-        instance: std::borrow::Cow<'i, RoutingInstance>,
+        instance: Cow<'i, RoutingInstance>,
         cfg: &RouterConfig,
         cache: Option<SharedCodewordCache>,
     ) -> Result<Self, CoreError> {
-        instance.validate()?;
-        if instance.n != net.n() {
-            return Err(CoreError::invalid("instance size != network size"));
-        }
-        // Both engines scatter codeword symbols through *every* node as a
-        // relay, so they are defined only on the complete topology; on a
-        // sparse graph the whole routed stack (and everything built on it)
-        // reports infeasibility instead of silently dropping frames.
-        if !net.topology().is_complete() {
-            return Err(CoreError::infeasible(
-                "super-message routing requires the complete topology (K_n): the \
-                 scatter/gather pattern uses every node as a relay"
-                    .to_string(),
-            ));
-        }
-        let engine = match cfg.mode {
-            RoutingMode::Unit => {
-                EngineSession::Unit(unit::UnitSession::new(net, instance, cfg)?.with_cache(cache))
-            }
-            RoutingMode::CoverFree => EngineSession::CoverFree(
-                coverfree::CfSession::new(net, instance, cfg)?.with_cache(cache),
-            ),
-            // Auto probes the cover-free margin first (all its infeasibility
-            // checks live in parameter derivation, before any round), and
-            // falls back to unit scheduling while keeping ownership of the
-            // instance.
-            RoutingMode::Auto => match coverfree::derive_params(net, &instance, cfg) {
-                Ok(params) => EngineSession::CoverFree(
-                    coverfree::CfSession::from_params(net, instance, cfg, params)?
-                        .with_cache(cache),
-                ),
-                Err(CoreError::Infeasible { .. }) => EngineSession::Unit(
-                    unit::UnitSession::new(net, instance, cfg)?.with_cache(cache),
-                ),
-                Err(e) => return Err(e),
-            },
-        };
-        Ok(Self { engine })
+        let (used, engine) = plan(net, &instance, cfg, cfg.mode)?;
+        Ok(Self {
+            packs: PackSession::new(net, instance, cfg, cache, used, engine),
+        })
     }
 
     /// Advances at most one `exchange`; returns `Some(output)` once the
@@ -392,36 +347,20 @@ impl<'i> RouteSession<'i> {
     ///
     /// Propagates engine errors ([`CoreError`]).
     pub fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
-        match &mut self.engine {
-            EngineSession::Unit(s) => s.step(net),
-            EngineSession::CoverFree(s) => s.step(net),
-        }
+        self.packs.step(net)
     }
 
-    /// Serializes the session's dynamic state (engine discriminant, the
+    /// Serializes the session's dynamic state: engine discriminant, the
     /// instance, the cursor into the work list, relay holdings, and decoded
-    /// chunks), quiescing any in-flight event-path work to the current step
-    /// boundary first. The session remains valid; continuing to step it is
-    /// bit-identical to never having snapshotted.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible, but returns `Result` so future engines with
-    /// non-quiesceable state can decline.
-    pub(crate) fn snapshot(&mut self, net: &mut Network, enc: &mut Enc) -> Result<(), CoreError> {
-        match &mut self.engine {
-            EngineSession::Unit(s) => {
-                enc.put_u8(0);
-                s.instance_ref().snapshot(enc);
-                s.snapshot_state(net, enc);
-            }
-            EngineSession::CoverFree(s) => {
-                enc.put_u8(1);
-                s.instance_ref().snapshot(enc);
-                s.snapshot_state(net, enc);
-            }
-        }
-        Ok(())
+    /// chunks. A session is always exactly between two steps, so there is
+    /// nothing to settle first.
+    pub(crate) fn snapshot(&self, enc: &mut Enc) {
+        enc.put_u8(match self.packs.used {
+            EngineUsed::Unit => 0,
+            EngineUsed::CoverFree => 1,
+        });
+        self.packs.instance.snapshot(enc);
+        self.packs.snapshot_state(enc);
     }
 
     /// Reopens a session from state written by [`RouteSession::snapshot`].
@@ -440,27 +379,71 @@ impl<'i> RouteSession<'i> {
         cache: Option<SharedCodewordCache>,
         dec: &mut Dec<'_>,
     ) -> Result<RouteSession<'static>, CoreError> {
-        let tag = dec.get_u8()?;
-        let instance = RoutingInstance::restore(dec)?;
-        instance.validate()?;
-        if instance.n != net.n() {
-            return Err(CoreError::invalid(
-                "snapshot: instance size != network size",
-            ));
-        }
-        if !net.topology().is_complete() {
-            return Err(CoreError::infeasible(
-                "super-message routing requires the complete topology (K_n)".to_string(),
-            ));
-        }
-        let engine = match tag {
-            0 => EngineSession::Unit(unit::UnitSession::restore(net, instance, cfg, cache, dec)?),
-            1 => EngineSession::CoverFree(coverfree::CfSession::restore(
-                net, instance, cfg, cache, dec,
-            )?),
+        let mode = match dec.get_u8()? {
+            0 => RoutingMode::Unit,
+            1 => RoutingMode::CoverFree,
             t => return Err(CoreError::invalid(format!("snapshot: engine tag {t}"))),
         };
-        Ok(RouteSession { engine })
+        let instance = RoutingInstance::restore(dec)?;
+        let (used, engine) = plan(net, &instance, cfg, mode)?;
+        let mut packs = PackSession::new(net, Cow::Owned(instance), cfg, cache, used, engine);
+        packs.restore(net, dec)?;
+        Ok(RouteSession { packs })
+    }
+}
+
+/// Validates `instance` against the network and plans it with the engine
+/// `mode` selects. `None` is the plan of a zero-message instance: nothing
+/// is encoded, scattered or decoded, so no margin, family or bandwidth
+/// constraint applies and the first step returns a well-formed empty output
+/// without running a round.
+fn plan(
+    net: &Network,
+    instance: &RoutingInstance,
+    cfg: &RouterConfig,
+    mode: RoutingMode,
+) -> Result<(EngineUsed, Option<Box<dyn PackEngine>>), CoreError> {
+    instance.validate()?;
+    if instance.n != net.n() {
+        return Err(CoreError::invalid("instance size != network size"));
+    }
+    // Both engines scatter codeword symbols through *every* node as a
+    // relay, so they are defined only on the complete topology; on a
+    // sparse graph the whole routed stack (and everything built on it)
+    // reports infeasibility instead of silently dropping frames.
+    if !net.topology().is_complete() {
+        return Err(CoreError::infeasible(
+            "super-message routing requires the complete topology (K_n): the \
+             scatter/gather pattern uses every node as a relay"
+                .to_string(),
+        ));
+    }
+    if !(2..=8).contains(&cfg.symbol_bits) {
+        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
+    }
+    if instance.messages.is_empty() {
+        let used = match mode {
+            RoutingMode::CoverFree => EngineUsed::CoverFree,
+            RoutingMode::Unit | RoutingMode::Auto => EngineUsed::Unit,
+        };
+        return Ok((used, None));
+    }
+    let unit = || -> Result<(EngineUsed, Option<Box<dyn PackEngine>>), CoreError> {
+        let engine = unit::UnitEngine::new(net, instance, cfg)?;
+        Ok((EngineUsed::Unit, Some(Box::new(engine))))
+    };
+    match mode {
+        RoutingMode::Unit => unit(),
+        // Auto probes the cover-free margin first (all its infeasibility
+        // checks live in plan derivation, before any round) and falls back
+        // to unit scheduling.
+        RoutingMode::CoverFree | RoutingMode::Auto => {
+            match coverfree::CfEngine::new(net, instance, cfg) {
+                Ok(engine) => Ok((EngineUsed::CoverFree, Some(Box::new(engine)))),
+                Err(CoreError::Infeasible { .. }) if mode == RoutingMode::Auto => unit(),
+                Err(e) => Err(e),
+            }
+        }
     }
 }
 
@@ -503,40 +486,398 @@ pub fn route_serial(
     route(net, instance, &cfg)
 }
 
-/// An engine's instance handle: borrowed (the zero-copy [`route`] path) or
-/// behind an `Arc` so event-driven background jobs can hold the instance
-/// across packs. Owned instances move behind the `Arc` for free; a borrowed
-/// instance is cloned only when event mode actually needs owned data.
-pub(crate) enum Inst<'i> {
-    Borrowed(&'i RoutingInstance),
-    Shared(std::sync::Arc<RoutingInstance>),
+/// Code and wire geometry of a planned instance, derived the same way by
+/// both engines once each has fixed its codeword length and redundancy.
+pub(crate) struct PackShape {
+    pub(crate) code: ReedSolomon,
+    /// Codeword length: relay positions per codeword.
+    pub(crate) l: usize,
+    /// Payload bits per chunk.
+    pub(crate) cap_bits: usize,
+    /// Chunks per message.
+    pub(crate) chunks: usize,
+    /// Wire slot width: symbol + validity bit.
+    pub(crate) slot: usize,
+    /// Work units sharing one round pair (the `B`-fold speedup of Lemma
+    /// 2.9 / Theorem 4.1).
+    pub(crate) lanes: usize,
+    pub(crate) symbol_bits: u32,
 }
 
-impl std::ops::Deref for Inst<'_> {
-    type Target = RoutingInstance;
-
-    fn deref(&self) -> &RoutingInstance {
-        match self {
-            Inst::Borrowed(i) => i,
-            Inst::Shared(i) => i,
+impl PackShape {
+    /// The wire slot width (symbol + validity bit), or why the network
+    /// cannot carry one. Checked before an engine sizes anything else.
+    pub(crate) fn wire_slot(net: &Network, cfg: &RouterConfig) -> Result<usize, CoreError> {
+        let slot = cfg.symbol_bits as usize + 1;
+        if net.bandwidth() < slot {
+            return Err(CoreError::infeasible(format!(
+                "bandwidth {} < wire slot {slot} (symbol + validity bit)",
+                net.bandwidth(),
+            )));
         }
+        Ok(slot)
+    }
+
+    /// The shape for `[l, k_rs]` Reed–Solomon codewords over the configured
+    /// field, on `slot`-bit wire slots ([`PackShape::wire_slot`]).
+    pub(crate) fn new(
+        net: &Network,
+        instance: &RoutingInstance,
+        cfg: &RouterConfig,
+        slot: usize,
+        l: usize,
+        k_rs: usize,
+    ) -> Result<Self, CoreError> {
+        let code = ReedSolomon::new(cfg.symbol_bits, l, k_rs)
+            .map_err(|e| CoreError::infeasible(format!("RS construction: {e}")))?;
+        let cap_bits = k_rs * cfg.symbol_bits as usize;
+        Ok(Self {
+            code,
+            l,
+            cap_bits,
+            chunks: instance.payload_bits.div_ceil(cap_bits).max(1),
+            slot,
+            lanes: (net.bandwidth() / slot).max(1),
+            symbol_bits: cfg.symbol_bits,
+        })
     }
 }
 
-impl<'i> Inst<'i> {
-    pub(crate) fn from_cow(cow: Cow<'i, RoutingInstance>, event: bool) -> Self {
-        match cow {
-            Cow::Owned(i) => Inst::Shared(std::sync::Arc::new(i)),
-            Cow::Borrowed(i) if event => Inst::Shared(std::sync::Arc::new(i.clone())),
-            Cow::Borrowed(i) => Inst::Borrowed(i),
+/// What an engine call sees of the session: the instance, the current pack
+/// — a range into the engine's work list, at most `lanes` long — and the
+/// rayon fan-out switch ([`RouterConfig::parallel`]).
+pub(crate) struct PackCtx<'a> {
+    pub(crate) instance: &'a RoutingInstance,
+    pub(crate) pack: Range<usize>,
+    pub(crate) parallel: bool,
+}
+
+/// A pack's codeword symbols, indexed as the engine that encoded them
+/// likes; the session only carries them from round A to the relay gather.
+pub(crate) type PackCodewords = Vec<Vec<Vec<u16>>>;
+
+/// One decoded chunk, keyed `(target, msg_idx, chunk)` so folding is
+/// order-independent; `None` when the decoder gave up.
+pub(crate) type DecodedUnit = ((usize, usize, usize), Option<BitVec>);
+
+/// A routing engine reduced to what differs between the two: its plan and
+/// the four pure functions of one pack. [`PackSession`] drives them and
+/// never asks which engine it is serving.
+pub(crate) trait PackEngine {
+    fn shape(&self) -> &PackShape;
+
+    /// Work units in the whole session; a pack is up to `lanes` consecutive
+    /// ones.
+    fn work_len(&self) -> usize;
+
+    /// [`RoutingReport::stages`].
+    fn stages(&self) -> usize;
+
+    /// Block count and row offsets of the [`RelayGrid`] that
+    /// [`PackEngine::gather`] fills for `pack` — a function of the plan
+    /// alone, which is what lets a restored grid be checked against it.
+    fn grid_rows(&self, pack: &Range<usize>) -> (usize, Vec<usize>);
+
+    /// Round A: encodes the pack's codewords (cache-aware) and builds the
+    /// scatter traffic in ascending `(from, to)` order.
+    fn build_round_a(
+        &self,
+        ctx: &PackCtx<'_>,
+        cache: Option<&SharedCodewordCache>,
+        net: &mut Network,
+    ) -> Result<(PackCodewords, Traffic), CoreError>;
+
+    /// What the relays hold after round A, one sentinel-filled block per
+    /// [`PackEngine::grid_rows`] block.
+    fn gather(
+        &self,
+        ctx: &PackCtx<'_>,
+        codewords: &PackCodewords,
+        delivery: &Delivery,
+    ) -> Vec<Vec<u16>>;
+
+    /// Round B: the relays' forward traffic. A frame is sent even when the
+    /// relay holds nothing (validity bit clear) — the wire behavior the
+    /// adversary model and the goldens observe.
+    fn build_round_b(&self, ctx: &PackCtx<'_>, relay: &RelayGrid, net: &mut Network) -> Traffic;
+
+    /// Erasure-decodes the pack at its targets.
+    fn decode_pack(
+        &self,
+        ctx: &PackCtx<'_>,
+        relay: &RelayGrid,
+        delivery: &Delivery,
+    ) -> Vec<DecodedUnit>;
+}
+
+/// Which half of a pack the session will execute next.
+enum Phase {
+    /// Scatter codeword symbols to relays.
+    RoundA,
+    /// Relays forward to targets, holding what they gathered after round A.
+    RoundB { relay: RelayGrid },
+}
+
+/// The two-round scatter/gather loop both engines share, as a resumable
+/// session: every [`PackSession::step`] executes exactly one `exchange`
+/// (round A or round B of the current pack); the step that completes the
+/// final pack also assembles the output. Within a step the engine fans the
+/// pack's encode, gather and decode out across threads; results are always
+/// folded in deterministic work-unit order, so the parallel path is
+/// bit-identical to [`route_serial`].
+pub(crate) struct PackSession<'i> {
+    instance: Cow<'i, RoutingInstance>,
+    used: EngineUsed,
+    /// `None` for a zero-message instance (see [`plan`]).
+    engine: Option<Box<dyn PackEngine>>,
+    parallel: bool,
+    cache: Option<SharedCodewordCache>,
+    /// Adversarial symbols per codeword the chosen code absorbs
+    /// (`2·⌊αn⌋ + slack` at construction; `usize::MAX` when nothing is
+    /// decoded). Re-validated every step against the network's *current*
+    /// budget — see [`check_budget`].
+    e_allow: usize,
+    extra_error_slack: usize,
+    /// Start of the current pack within the engine's work list.
+    pack_start: usize,
+    phase: Phase,
+    /// Decoded chunks per `(target, msg_idx)`, zero-filled until their pack
+    /// has run; ordered so output assembly never iterates a hash map.
+    chunk_store: BTreeMap<(usize, usize), Vec<BitVec>>,
+    delivered: DeliveredMaps,
+    decode_failures: usize,
+    rounds_before: u64,
+    /// Set once the output has been assembled; stepping again is an error
+    /// (the drained state could otherwise masquerade as an empty result).
+    finished: bool,
+}
+
+impl<'i> PackSession<'i> {
+    /// No rounds run until the first [`PackSession::step`].
+    fn new(
+        net: &Network,
+        instance: Cow<'i, RoutingInstance>,
+        cfg: &RouterConfig,
+        cache: Option<SharedCodewordCache>,
+        used: EngineUsed,
+        engine: Option<Box<dyn PackEngine>>,
+    ) -> Self {
+        let mut delivered: DeliveredMaps = vec![BTreeMap::new(); instance.n];
+        // Local deliveries (target == src) never touch the network.
+        for msg in &instance.messages {
+            if msg.targets.contains(&msg.src) {
+                delivered[msg.src].insert((msg.src, msg.slot), msg.payload.clone());
+            }
+        }
+        let e_allow = match engine {
+            Some(_) => absorbed_error_budget(net, cfg.extra_error_slack),
+            None => usize::MAX,
+        };
+        Self {
+            instance,
+            used,
+            engine,
+            parallel: cfg.parallel,
+            cache,
+            e_allow,
+            extra_error_slack: cfg.extra_error_slack,
+            pack_start: 0,
+            phase: Phase::RoundA,
+            chunk_store: BTreeMap::new(),
+            delivered,
+            decode_failures: 0,
+            rounds_before: net.rounds(),
+            finished: false,
         }
     }
 
-    pub(crate) fn shared(&self) -> std::sync::Arc<RoutingInstance> {
-        match self {
-            Inst::Shared(i) => i.clone(),
-            Inst::Borrowed(_) => unreachable!("event mode always holds a shared instance"),
+    /// The engine, if it has work left at `pack_start`, and the pack there.
+    /// Takes the fields rather than `&self` so [`PackSession::step`] can
+    /// keep the engine borrowed while it moves the cursor.
+    fn pack_at(
+        engine: Option<&dyn PackEngine>,
+        pack_start: usize,
+    ) -> Option<(&dyn PackEngine, Range<usize>)> {
+        let engine = engine?;
+        let end = (pack_start + engine.shape().lanes).min(engine.work_len());
+        (pack_start < end).then_some((engine, pack_start..end))
+    }
+
+    /// Advances one exchange; `Some(output)` when the final pack is done.
+    fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
+        if self.finished {
+            return Err(CoreError::invalid(
+                "routing session stepped after completion",
+            ));
         }
+        let Some((engine, pack)) = Self::pack_at(self.engine.as_deref(), self.pack_start) else {
+            return Ok(Some(self.finish(net)));
+        };
+        check_budget(net, self.e_allow, self.extra_error_slack)?;
+        let ctx = PackCtx {
+            instance: &self.instance,
+            pack,
+            parallel: self.parallel,
+        };
+        match std::mem::replace(&mut self.phase, Phase::RoundA) {
+            Phase::RoundA => {
+                let (codewords, traffic) = engine.build_round_a(&ctx, self.cache.as_ref(), net)?;
+                let delivery = net.exchange(traffic);
+                let blocks = engine.gather(&ctx, &codewords, &delivery);
+                net.reclaim(delivery);
+                let (_, row_offsets) = engine.grid_rows(&ctx.pack);
+                self.phase = Phase::RoundB {
+                    relay: RelayGrid::from_blocks(blocks, row_offsets),
+                };
+            }
+            Phase::RoundB { relay } => {
+                let traffic = engine.build_round_b(&ctx, &relay, net);
+                let delivery = net.exchange(traffic);
+                let decoded = engine.decode_pack(&ctx, &relay, &delivery);
+                net.reclaim(delivery);
+                let shape = engine.shape();
+                let (chunks, cap_bits) = (shape.chunks, shape.cap_bits);
+                self.pack_start += shape.lanes;
+                for ((x, mi, chunk), bits) in decoded {
+                    if bits.is_none() {
+                        self.decode_failures += 1;
+                    }
+                    // Keyed writes, so the fold is order-independent.
+                    self.chunk_store
+                        .entry((x, mi))
+                        .or_insert_with(|| vec![BitVec::zeros(cap_bits); chunks])[chunk] =
+                        bits.unwrap_or_else(|| BitVec::zeros(cap_bits));
+                }
+                if self.pack_start >= engine.work_len() {
+                    return Ok(Some(self.finish(net)));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Assembles the chunked payloads into the final output.
+    fn finish(&mut self, net: &Network) -> RoutingOutput {
+        self.finished = true;
+        let mut delivered = std::mem::take(&mut self.delivered);
+        for ((x, mi), chunks) in std::mem::take(&mut self.chunk_store) {
+            let msg = &self.instance.messages[mi];
+            let mut full = BitVec::concat(chunks.iter());
+            full.truncate(msg.payload.len());
+            delivered[x].insert((msg.src, msg.slot), full);
+        }
+        let (stages, chunks) = self
+            .engine
+            .as_deref()
+            .map_or((0, 0), |e| (e.stages(), e.shape().chunks));
+        RoutingOutput {
+            delivered,
+            report: RoutingReport {
+                engine: self.used,
+                rounds: net.rounds() - self.rounds_before,
+                stages,
+                chunks,
+                decode_failures: self.decode_failures,
+            },
+        }
+    }
+
+    /// Serializes everything [`PackSession::new`] cannot re-derive.
+    fn snapshot_state(&self, enc: &mut Enc) {
+        enc.put_usize(self.e_allow);
+        enc.put_usize(self.pack_start);
+        match &self.phase {
+            Phase::RoundA => enc.put_u8(0),
+            Phase::RoundB { relay } => {
+                enc.put_u8(1);
+                relay.snapshot(enc);
+            }
+        }
+        let entries: Vec<(&(usize, usize), &Vec<BitVec>)> = self.chunk_store.iter().collect();
+        enc.put_seq(&entries, |e, ((x, mi), chunks)| {
+            e.put_usize(*x);
+            e.put_usize(*mi);
+            e.put_seq(chunks, |e, b| e.put_bits(b));
+        });
+        snapshot_delivered(&self.delivered, enc);
+        enc.put_usize(self.decode_failures);
+        enc.put_u64(self.rounds_before);
+        enc.put_bool(self.finished);
+    }
+
+    /// Overlays the dynamic state written by
+    /// [`PackSession::snapshot_state`] onto a freshly planned session (same
+    /// plan, schedule, family and code — all deterministic functions of the
+    /// instance and config). Every index a later [`PackSession::step`] or
+    /// `finish` follows is checked here against the rebuilt plan, so a
+    /// structurally valid but inconsistent snapshot is an error now rather
+    /// than a panic later.
+    fn restore(&mut self, net: &Network, dec: &mut Dec<'_>) -> Result<(), CoreError> {
+        let bad = |what: &str| CoreError::invalid(format!("snapshot: {what}"));
+        let e_allow = dec.get_usize()?;
+        if e_allow != self.e_allow {
+            return Err(CoreError::invalid(format!(
+                "snapshot: absorbed error budget drifted across restore \
+                 (saved {e_allow}, rebuilt {})",
+                self.e_allow
+            )));
+        }
+        let (work_len, lanes, chunks, cap_bits) =
+            self.engine.as_deref().map_or((0, 1, 0, 0), |e| {
+                let shape = e.shape();
+                (e.work_len(), shape.lanes, shape.chunks, shape.cap_bits)
+            });
+        self.pack_start = dec.get_usize()?;
+        if !self.pack_start.is_multiple_of(lanes)
+            || self.pack_start > work_len.next_multiple_of(lanes)
+        {
+            return Err(bad("pack cursor off the work list"));
+        }
+        let pack = Self::pack_at(self.engine.as_deref(), self.pack_start);
+        self.phase = match (dec.get_u8()?, pack) {
+            (0, _) => Phase::RoundA,
+            (1, Some((engine, pack))) => {
+                let (blocks, row_offsets) = engine.grid_rows(&pack);
+                Phase::RoundB {
+                    relay: RelayGrid::restore(dec, blocks, row_offsets)?,
+                }
+            }
+            (1, None) => return Err(bad("round B past the last pack")),
+            (t, _) => return Err(bad(&format!("phase tag {t}"))),
+        };
+        let entries = dec.get_seq(24, |d| {
+            let x = d.get_usize()?;
+            let mi = d.get_usize()?;
+            let stored = d.get_seq(8, Dec::get_bits)?;
+            Ok(((x, mi), stored))
+        })?;
+        self.chunk_store = BTreeMap::new();
+        let mut last = None;
+        for ((x, mi), stored) in entries {
+            if last.is_some_and(|p| p >= (x, mi)) {
+                return Err(bad("chunk store out of order"));
+            }
+            last = Some((x, mi));
+            let fits = x < self.instance.n
+                && mi < self.instance.messages.len()
+                && stored.len() == chunks
+                && stored.iter().all(|b| b.len() == cap_bits);
+            if !fits {
+                return Err(bad("chunk store entry does not fit the plan"));
+            }
+            self.chunk_store.insert((x, mi), stored);
+        }
+        self.delivered = restore_delivered(dec)?;
+        if self.delivered.len() != self.instance.n {
+            return Err(bad("delivered table size mismatch"));
+        }
+        self.decode_failures = dec.get_usize()?;
+        self.rounds_before = dec.get_u64()?;
+        if self.rounds_before > net.rounds() {
+            return Err(bad("session starts after the network's clock"));
+        }
+        self.finished = dec.get_bool()?;
+        Ok(())
     }
 }
 
@@ -856,32 +1197,32 @@ impl RelayGrid {
         (s != Self::ABSENT).then_some(s)
     }
 
-    /// Serializes the grid (a mid-pack snapshot holds one between round A
-    /// and round B).
+    /// Serializes the held symbols (a mid-pack snapshot holds a grid between
+    /// round A and round B). The row offsets are the plan's, not state.
     pub(crate) fn snapshot(&self, enc: &mut Enc) {
-        enc.put_seq(&self.row_offsets, |e, &o| e.put_usize(o));
         enc.put_seq(&self.syms, |e, &s| e.put_u16(s));
     }
 
-    /// Decodes a grid written by [`RelayGrid::snapshot`].
-    pub(crate) fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let row_offsets = dec.get_seq(8, Dec::get_usize)?;
-        let monotonic_from_zero = row_offsets.first().is_none_or(|&o| o == 0)
-            && row_offsets.windows(2).all(|w| w[0] <= w[1]);
-        if !monotonic_from_zero {
-            return Err(SnapError::corrupt(
-                "relay grid offsets not monotonic from 0",
-            ));
-        }
-        let syms = dec.get_seq(2, Dec::get_u16)?;
-        let stride = row_offsets.last().copied().unwrap_or(0);
-        if stride > 0 && !syms.len().is_multiple_of(stride) {
+    /// Decodes a grid written by [`RelayGrid::snapshot`] into the `blocks` ×
+    /// `row_offsets` shape the rebuilt plan expects, so every in-shape
+    /// [`RelayGrid::get`] stays in bounds.
+    pub(crate) fn restore(
+        dec: &mut Dec<'_>,
+        blocks: usize,
+        row_offsets: Vec<usize>,
+    ) -> Result<Self, SnapError> {
+        let grid = Self {
+            syms: dec.get_seq(2, Dec::get_u16)?,
+            row_offsets,
+        };
+        if grid.syms.len() != blocks * grid.stride() {
             return Err(SnapError::corrupt(format!(
-                "relay grid of {} symbols not a multiple of stride {stride}",
-                syms.len()
+                "relay grid of {} symbols, the plan holds {blocks} blocks of {}",
+                grid.syms.len(),
+                grid.stride()
             )));
         }
-        Ok(Self { syms, row_offsets })
+        Ok(grid)
     }
 }
 
@@ -928,21 +1269,6 @@ pub(crate) fn restore_delivered(dec: &mut Dec<'_>) -> Result<DeliveredMaps, Snap
         out.push(map);
     }
     Ok(out)
-}
-
-/// The placeholder code for a zero-message session (nothing is encoded or
-/// decoded, so only the symbol width must be representable), plus its wire
-/// slot width. Shared by both engines' empty-instance guards.
-pub(crate) fn empty_instance_code(
-    cfg: &RouterConfig,
-) -> Result<(bdclique_codes::ReedSolomon, usize), CoreError> {
-    let m = cfg.symbol_bits;
-    if !(2..=8).contains(&m) {
-        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
-    }
-    let code = bdclique_codes::ReedSolomon::new(m, 2, 1)
-        .map_err(|e| CoreError::invalid(format!("RS construction: {e}")))?;
-    Ok((code, m as usize + 1))
 }
 
 #[cfg(test)]
@@ -1127,6 +1453,186 @@ mod tests {
                 "{mode:?} must refuse a sparse topology"
             );
             assert_eq!(net.rounds(), 0, "no round may run on the error path");
+        }
+    }
+
+    /// Both engines at a shape with two lanes, several chunks and at least
+    /// two packs, under an adaptive flipper inside the decode margin.
+    fn checkpoint_cases() -> Vec<(RouterConfig, RoutingInstance)> {
+        let instance = |n: usize, k: usize, payload_bits: usize| RoutingInstance {
+            n,
+            payload_bits,
+            messages: (0..n)
+                .flat_map(|u| (0..k).map(move |j| (u, j)))
+                .map(|(u, j)| SuperMessage {
+                    src: u,
+                    slot: j,
+                    payload: BitVec::from_fn(payload_bits, |i| (i * 7 + u + 3 * j) % 5 < 2),
+                    targets: vec![(u + j * 9 + 1) % n],
+                })
+                .collect(),
+        };
+        [
+            (RoutingMode::Unit, instance(16, 3, 100)),
+            (RoutingMode::CoverFree, instance(256, 2, 400)),
+        ]
+        .into_iter()
+        .map(|(mode, inst)| {
+            let cfg = RouterConfig {
+                mode,
+                ..RouterConfig::default()
+            };
+            (cfg, inst)
+        })
+        .collect()
+    }
+
+    fn attacked_net(n: usize) -> Network {
+        use bdclique_adversary::{adaptive::GreedyLoad, Payload};
+        let adversary = Adversary::adaptive(GreedyLoad::new(Payload::Flip, 0x5eed));
+        Network::new(n, 18, 1.2 / n as f64, adversary)
+    }
+
+    fn session_bytes(session: &RouteSession<'_>) -> Vec<u8> {
+        let mut enc = Enc::new();
+        session.snapshot(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn reopen(
+        net: &Network,
+        cfg: &RouterConfig,
+        bytes: &[u8],
+    ) -> Result<RouteSession<'static>, CoreError> {
+        let mut dec = Dec::new(bytes);
+        let session = RouteSession::restore(net, cfg, None, &mut dec)?;
+        dec.finish()?;
+        Ok(session)
+    }
+
+    /// A session restored from its own bytes at any step boundary finishes
+    /// exactly like the uninterrupted run, and re-encodes byte-identically.
+    #[test]
+    fn restored_session_resumes_identically_at_every_step() {
+        for (cfg, inst) in checkpoint_cases() {
+            let mode = cfg.mode;
+            let mut net = attacked_net(inst.n);
+            let want = route(&mut net, &inst, &cfg).unwrap();
+            let want_stats = *net.stats();
+            assert!(want_stats.edges_corrupted > 0, "{mode:?}: adversary idle");
+            assert!(want.report.chunks >= 2, "{mode:?}: single chunk");
+            let steps = want.report.rounds as usize;
+            assert!(steps >= 4, "{mode:?}: needs two packs, ran {steps} rounds");
+
+            for crash in 0..steps {
+                let mut net = attacked_net(inst.n);
+                let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+                for _ in 0..crash {
+                    assert!(session.step(&mut net).unwrap().is_none());
+                }
+                let bytes = session_bytes(&session);
+                drop(session);
+                let mut resumed = reopen(&net, &cfg, &bytes).unwrap();
+                assert_eq!(session_bytes(&resumed), bytes, "{mode:?} @ {crash}");
+                let got = loop {
+                    if let Some(out) = resumed.step(&mut net).unwrap() {
+                        break out;
+                    }
+                };
+                assert_eq!(got.delivered, want.delivered, "{mode:?} @ {crash}");
+                assert_eq!(got.report, want.report, "{mode:?} @ {crash}");
+                assert_eq!(*net.stats(), want_stats, "{mode:?} @ {crash}");
+            }
+        }
+    }
+
+    /// A structurally valid snapshot whose indices do not fit the rebuilt
+    /// plan is refused at restore — it used to be accepted and panic a
+    /// later step (`RelayGrid::get`, `slot_entry[chunk]`, `delivered[x]`).
+    #[test]
+    fn restore_refuses_state_that_does_not_fit_the_plan() {
+        for (cfg, inst) in checkpoint_cases() {
+            let mode = cfg.mode;
+            let mut net = attacked_net(inst.n);
+            let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+            // Into round B of the second pack: a relay grid is held and the
+            // first pack's chunks are in the store.
+            for _ in 0..3 {
+                assert!(session.step(&mut net).unwrap().is_none());
+            }
+            let good = session_bytes(&session);
+            let lanes = 2;
+            let work_len = session.packs.engine.as_deref().unwrap().work_len();
+            assert_eq!(session.packs.pack_start, lanes);
+            assert!(!session.packs.chunk_store.is_empty());
+
+            let grid = |s: &mut PackSession<'_>, keep: fn(&RelayGrid) -> usize| match &mut s.phase {
+                Phase::RoundB { relay } => {
+                    let keep = keep(relay);
+                    relay.syms.truncate(keep);
+                }
+                Phase::RoundA => panic!("expected a held relay grid"),
+            };
+            type Tamper<'a> = Box<dyn Fn(&mut PackSession<'_>) + 'a>;
+            let n = inst.n;
+            let num_msgs = inst.messages.len();
+            let cases: Vec<(&str, Tamper<'_>)> = vec![
+                ("empty grid", Box::new(|s| grid(s, |_| 0))),
+                (
+                    "grid one row short",
+                    Box::new(|s| {
+                        grid(s, |g| {
+                            let rows = g.row_offsets.len() - 1;
+                            g.syms.len() - (g.row_offsets[rows] - g.row_offsets[rows - 1])
+                        })
+                    }),
+                ),
+                ("cursor off by one", Box::new(|s| s.pack_start += 1)),
+                (
+                    "cursor past the end, mid-pack",
+                    Box::new(move |s| s.pack_start = work_len.next_multiple_of(lanes)),
+                ),
+                (
+                    "cursor past the end, between packs",
+                    Box::new(move |s| {
+                        s.phase = Phase::RoundA;
+                        s.pack_start = work_len.next_multiple_of(lanes) + lanes;
+                    }),
+                ),
+                (
+                    "chunk vector one short",
+                    Box::new(|s| {
+                        s.chunk_store.values_mut().next().unwrap().pop();
+                    }),
+                ),
+                (
+                    "target index = n",
+                    Box::new(move |s| {
+                        let stored = s.chunk_store.values().next().unwrap().clone();
+                        s.chunk_store.insert((n, 0), stored);
+                    }),
+                ),
+                (
+                    "message index past the instance",
+                    Box::new(move |s| {
+                        let stored = s.chunk_store.values().next().unwrap().clone();
+                        s.chunk_store.insert((0, num_msgs), stored);
+                    }),
+                ),
+            ];
+            for (what, tamper) in cases {
+                let mut doctored = reopen(&net, &cfg, &good).unwrap();
+                tamper(&mut doctored.packs);
+                let bad = session_bytes(&doctored);
+                assert_ne!(bad, good, "{mode:?}: {what} changed nothing");
+                let err = reopen(&net, &cfg, &bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("{mode:?}: {what} must be refused"));
+                assert!(
+                    matches!(err, CoreError::InvalidInput { .. }),
+                    "{what}: {err}"
+                );
+            }
         }
     }
 

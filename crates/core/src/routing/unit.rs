@@ -14,64 +14,43 @@
 //! multiple stages and payload chunks run in parallel inside a single round
 //! pair — the `B`-fold speedup of Lemma 2.9 / Theorem 4.1.
 //!
-//! # Stage-parallel execution
+//! # What this module is
+//!
+//! The engine's *plan* — `schedule_stages`, the code sized for the
+//! network's fault budget, and the `(stage, chunk)` work list — plus the
+//! four pure functions of one pack behind `PackEngine`: build the scatter
+//! traffic, gather what the relays hold, build the forward traffic, decode.
+//! The loop that runs them, the chunk store, checkpoints and output
+//! assembly are `PackSession`'s, shared with [`super::coverfree`].
 //!
 //! Each `(stage, chunk)` work unit is independent: it encodes its own
 //! codewords, scatters and gathers its own frames, and decodes its own
-//! payload chunk. The session exploits that per pack — the round-A
-//! codeword encoding and the round-B erasure decoding fan out across the
-//! rayon thread pool ([`RouterConfig::parallel`]), while the network
-//! exchanges and the frame materialization stay strictly sequential (rounds
-//! are the unit of synchrony; frame buffers come from the network's
+//! payload chunk. So per pack the round-A codeword encoding, the relay
+//! gather, the round-B forward planning and the erasure decoding fan out
+//! across the rayon thread pool ([`RouterConfig::parallel`]), while the
+//! network exchanges and the frame materialization stay strictly sequential
+//! (rounds are the unit of synchrony; frame buffers come from the network's
 //! [`bdclique_netsim::Network::frame_buffer`] arena). Results are always
-//! folded in deterministic work-unit order, so the parallel path is
-//! bit-identical to [`route_unit_serial`] — the same contract `compile`
-//! keeps with `compile_serial`.
+//! collected in work-unit order, so the parallel path is bit-identical to
+//! [`super::route_serial`] — the same contract `compile` keeps with
+//! `compile_serial`.
 //!
 //! Codewords are encoded *lazily*, per pack, instead of for the whole
 //! instance up front: a `k ≈ √n` wave at `n = 4096` has ~260k messages, and
 //! materializing all their codewords before round 0 would pin
 //! `messages × chunks × L` symbols for the whole session.
-//!
-//! # Event-driven pack execution
-//!
-//! With [`RouterConfig::event_driven`] the lockstep "one pack at a time"
-//! barrier is broken while the *virtual* round structure stays intact.
-//! Every pack `p` owns two virtual rounds (`rounds_before + 2p` for the
-//! scatter, `+ 2p + 1` for the forward); the session:
-//!
-//! * **prefetches round A** — codeword encoding and frame assembly for
-//!   upcoming packs run as [`crate::exec`] jobs ahead of the clock, each
-//!   producing an arena-free [`Traffic`] batch that is posted onto a
-//!   [`MessageBus`] tagged with its virtual delivery time and drained only
-//!   when the network clock reaches it;
-//! * **decodes round B asynchronously** — the delivered frames of a
-//!   finished pack move into a background decode job whose results fold
-//!   into the chunk store later (bounded in-flight window, fully drained
-//!   before output assembly).
-//!
-//! So round-B decode of early stages overlaps round-A encode of late
-//! stages, and exchanges — the only part the mobile adversary observes —
-//! stay strictly serialized in virtual-round order. Frames are assembled in
-//! the same ascending `(src, relay)` order with the same contents, so wire
-//! behavior, stats, history digests, and outputs are bit-identical to the
-//! lockstep path (`tests/event_identity.rs` pins this across the protocol
-//! matrix, including under budget aborts and mid-run adversary switches).
 
 use super::{
-    absorbed_error_budget, check_budget, empty_instance_code, encode_chunks, lane_symbol,
-    map_units, payload_chunk, EngineUsed, Inst, RelayGrid, RouterConfig, RoutingInstance,
-    RoutingOutput, RoutingReport, SharedCodewordCache,
+    absorbed_error_budget, encode_chunks, lane_symbol, map_units, payload_chunk, DecodedUnit,
+    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RouterConfig, RoutingInstance,
+    SharedCodewordCache,
 };
 use crate::error::CoreError;
-use crate::exec::{self, Job};
 use bdclique_bits::BitVec;
-use bdclique_codes::{BitCode, ReedSolomon};
-use bdclique_netsim::{Delivery, FramePool, MessageBus, Network, Traffic};
-use bdclique_snapshot::{Dec, Enc};
-use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::Arc;
+use bdclique_codes::BitCode;
+use bdclique_netsim::{Delivery, Network, Traffic};
+use std::collections::HashSet;
+use std::ops::Range;
 
 /// First-fit stage coloring: same-source or shared-target messages never
 /// share a stage; each message takes the smallest stage where its source
@@ -130,85 +109,10 @@ pub(crate) fn schedule_stages(instance: &RoutingInstance) -> Vec<usize> {
     stage_of
 }
 
-struct UnitParams {
-    /// Relay count = codeword length.
-    l: usize,
-    /// The code.
-    code: ReedSolomon,
-    /// Payload bits per chunk.
-    cap_bits: usize,
-    /// Chunks per message.
-    chunks: usize,
-    /// Wire slot width: symbol + validity bit.
-    slot: usize,
-    /// Parallel lanes per round pair.
-    lanes: usize,
-}
-
-impl UnitParams {
-    /// Parameters for the zero-message instance: nothing is ever encoded,
-    /// scattered, or decoded, so no decode-margin or bandwidth constraint
-    /// applies (see [`empty_instance_code`]).
-    fn empty(cfg: &RouterConfig) -> Result<Self, CoreError> {
-        let (code, slot) = empty_instance_code(cfg)?;
-        Ok(Self {
-            l: 2,
-            code,
-            cap_bits: cfg.symbol_bits as usize,
-            chunks: 0,
-            slot,
-            lanes: 1,
-        })
-    }
-}
-
-fn derive_params(
-    net: &Network,
-    instance: &RoutingInstance,
-    cfg: &RouterConfig,
-) -> Result<UnitParams, CoreError> {
-    let m = cfg.symbol_bits;
-    if !(2..=8).contains(&m) {
-        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
-    }
-    let slot = m as usize + 1;
-    if net.bandwidth() < slot {
-        return Err(CoreError::infeasible(format!(
-            "bandwidth {} < wire slot {} (symbol + validity bit)",
-            net.bandwidth(),
-            slot
-        )));
-    }
-    let l = instance.n.min((1usize << m) - 1);
-    let e_allow = absorbed_error_budget(net, cfg.extra_error_slack);
-    if l <= 2 * e_allow {
-        return Err(CoreError::infeasible(format!(
-            "relay count {l} cannot absorb 2·({e_allow}) adversarial symbols"
-        )));
-    }
-    let k_rs = l - 2 * e_allow;
-    let code = ReedSolomon::new(m, l, k_rs)
-        .map_err(|e| CoreError::infeasible(format!("RS construction: {e}")))?;
-    let cap_bits = k_rs * m as usize;
-    let chunks = instance.payload_bits.div_ceil(cap_bits).max(1);
-    let lanes = (net.bandwidth() / slot).max(1);
-    Ok(UnitParams {
-        l,
-        code,
-        cap_bits,
-        chunks,
-        slot,
-        lanes,
-    })
-}
-
-/// The session's immutable routing plan — code parameters, stage coloring,
-/// and work list — separated from the mutable run state so the event path
-/// can share one copy with its background jobs (`Arc`), while the lockstep
-/// path reads through the same pointer at zero cost.
-struct UnitPlan {
-    params: UnitParams,
-    symbol_bits: u32,
+/// The unit engine's immutable routing plan: code parameters, stage
+/// coloring, and work list.
+pub(crate) struct UnitEngine {
+    shape: PackShape,
     num_stages: usize,
     /// Message indices per stage.
     stage_msgs: Vec<Vec<usize>>,
@@ -220,309 +124,34 @@ struct UnitPlan {
     work: Vec<(usize, usize)>,
 }
 
-/// Which half of a stage/chunk pack the session will execute next.
-enum UnitPhase {
-    /// Scatter codeword symbols to relays.
-    RoundA,
-    /// Relays forward to targets, holding the [`RelayGrid`] gathered after
-    /// round A: one contiguous `w`-major buffer addressed
-    /// `(w, lane, pos)` where `pos` indexes the lane's stage message list
-    /// (rows are ragged — per-lane offsets are prefix sums of the pack's
-    /// stage sizes).
-    RoundB { relay: RelayGrid },
-}
-
-/// What one round-A prefetch job produces: the pack's codeword symbols and
-/// its fully assembled traffic batch.
-type EncodeResult = Result<(Vec<Vec<Vec<u16>>>, Traffic), CoreError>;
-
-/// One decoded unit: `((target, msg_idx, chunk), bits, decode_failed)`.
-type DecodedUnit = ((usize, usize, usize), Option<BitVec>, bool);
-
-/// What one background decode job produces: the decoded units plus the
-/// consumed delivery, handed back for main-thread arena reclaim.
-type DecodeBatch = (Vec<DecodedUnit>, Delivery);
-
-/// How many round-A packs are encoded ahead of the virtual clock. Two keeps
-/// one batch always cooking while the current one is on the wire, without
-/// pinning more than one spare traffic matrix.
-const PREFETCH_PACKS: usize = 2;
-
-/// Decode jobs allowed in flight before the oldest is folded; bounds how
-/// many deliveries a session keeps alive at once.
-const DECODES_IN_FLIGHT: usize = 2;
-
-/// Per-session event-executor state (see the module docs).
-struct EventState {
-    /// Staging area for prefetched round-A batches, keyed by virtual time.
-    bus: MessageBus,
-    /// `(pack_start, job)` for dispatched round-A prefetches, pack order.
-    encodes: VecDeque<(usize, Job<EncodeResult>)>,
-    /// Frontier of dispatched prefetches (next `pack_start` to hand out).
-    next_dispatch: usize,
-    /// In-flight decode jobs, pack order.
-    decodes: VecDeque<Job<DecodeBatch>>,
-    /// Network shape for building arena-free traffic off-thread.
-    n: usize,
-    bandwidth: usize,
-    /// `Sync` free-list of frame buffers shared with the prefetch jobs: the
-    /// network's `FrameArena` is not `Sync`, so off-thread round-A assembly
-    /// used to allocate every frame fresh — the pool recycles the session's
-    /// own delivered frames into the next prefetch instead.
-    pool: Arc<FramePool>,
-}
-
-/// The unit engine as a resumable session: every [`UnitSession::step`]
-/// executes exactly one `exchange` (round A or round B of the current
-/// stage/chunk pack); the step that completes the final pack also assembles
-/// the output. The round-for-round wire behavior is identical to the former
-/// monolithic loop; within a step, the per-pack encode and decode fan out
-/// across threads, and with [`RouterConfig::event_driven`] they additionally
-/// overlap *across* packs (see the module docs).
-pub(crate) struct UnitSession<'i> {
-    /// Borrowed for the zero-copy [`super::route`] path, shared when a
-    /// protocol session hands a wave over (or event mode needs owned data).
-    instance: Inst<'i>,
-    plan: Arc<UnitPlan>,
-    /// Fan per-pack encode/decode out over rayon ([`RouterConfig::parallel`]).
-    parallel: bool,
-    /// Optional shared codeword cache ([`super::RouteSession::new_cached`]);
-    /// `None` keeps the plain lazy per-pack encode path.
-    cache: Option<SharedCodewordCache>,
-    /// Adversarial symbols per codeword the chosen code absorbs
-    /// (`2·⌊αn⌋ + slack` at construction; `usize::MAX` for the empty
-    /// instance, which decodes nothing). Re-validated every step against the
-    /// network's *current* budget — see [`check_budget`].
-    e_allow: usize,
-    extra_error_slack: usize,
-    /// Start of the current pack within `plan.work`.
-    pack_start: usize,
-    phase: UnitPhase,
-    /// Accumulated decoded chunks per (target, msg_idx); ordered so output
-    /// assembly never iterates a hash map.
-    chunk_store: std::collections::BTreeMap<(usize, usize), Vec<Option<BitVec>>>,
-    delivered: Vec<BTreeMap<(usize, usize), BitVec>>,
-    decode_failures: usize,
-    rounds_before: u64,
-    /// Set once the output has been assembled; stepping again is an error
-    /// (the drained state could otherwise masquerade as an empty result).
-    finished: bool,
-    /// `Some` when running on the event-driven pack executor.
-    event: Option<EventState>,
-}
-
-/// Encodes one pack's codewords and materializes its round-A traffic in
-/// ascending `(src, relay)` order. The single builder behind both the
-/// lockstep path (frames drawn from the network arena) and the event-mode
-/// prefetch jobs (arena-free zeroed buffers) — a zeroed arena buffer and
-/// `BitVec::zeros` are indistinguishable on the wire, so the two paths
-/// cannot drift apart.
-fn build_round_a(
-    instance: &RoutingInstance,
-    plan: &UnitPlan,
-    cache: Option<&SharedCodewordCache>,
-    parallel: bool,
-    pack: &[(usize, usize)],
-    mut traffic: Traffic,
-    mut frame_buffer: impl FnMut(usize) -> BitVec,
-) -> EncodeResult {
-    let params = &plan.params;
-    // ---- Encode: every lane's stage messages. Chunk extraction is a
-    // cheap block copy; the encode itself is the hot part and fans out
-    // per lane, with cache probe/insert batched outside the fan-out.
-    let jobs: Vec<Vec<BitVec>> = pack
-        .iter()
-        .map(|&(stage, chunk)| {
-            plan.stage_msgs[stage]
-                .iter()
-                .map(|&mi| payload_chunk(&instance.messages[mi].payload, chunk, params.cap_bits))
-                .collect()
-        })
-        .collect();
-    let lane_syms = encode_chunks(parallel, &params.code, cache, jobs)?;
-
-    // ---- Materialize round-A frames in ascending (src, relay) order.
-    // A frame (src, w) carries one slot per active lane; sources active
-    // in several lanes of the pack share the frame at distinct offsets.
-    let mut by_src: Vec<(usize, usize, usize)> = Vec::new(); // (src, lane, pos)
-    for (lane, &(stage, _)) in pack.iter().enumerate() {
-        for &(src, pos) in &plan.stage_src[stage] {
-            by_src.push((src, lane, pos));
-        }
-    }
-    by_src.sort_unstable();
-    for group in by_src.chunk_by(|a, b| a.0 == b.0) {
-        let src = group[0].0;
-        for w in 0..params.l {
-            if w == src {
-                continue; // the source is its own relay for position src
-            }
-            let mut frame = frame_buffer(params.lanes * params.slot);
-            for &(_, lane, pos) in group {
-                frame.set(lane * params.slot, true); // validity
-                frame.write_uint(
-                    lane * params.slot + 1,
-                    plan.symbol_bits,
-                    lane_syms[lane][pos][w] as u64,
-                );
-            }
-            traffic.send(src, w, frame);
-        }
-    }
-    Ok((lane_syms, traffic))
-}
-
-/// Decodes one pack at its targets, one unit per `(lane, message, target)`,
-/// fanned out via [`map_units`]. Shared by the lockstep path (decode right
-/// after the exchange) and the event-mode background jobs (decode while
-/// later packs are already on the wire); results are keyed
-/// `(target, msg_idx, chunk)` so folding is order-independent.
-fn decode_pack(
-    instance: &RoutingInstance,
-    plan: &UnitPlan,
-    parallel: bool,
-    pack: &[(usize, usize)],
-    relay: &RelayGrid,
-    delivery: &Delivery,
-) -> Vec<DecodedUnit> {
-    let params = &plan.params;
-    let mut units: Vec<(usize, usize, usize, usize)> = Vec::new(); // (lane, chunk, pos, x)
-    for (lane, &(stage, chunk)) in pack.iter().enumerate() {
-        for (pos, &mi) in plan.stage_msgs[stage].iter().enumerate() {
-            let msg = &instance.messages[mi];
-            for &x in &msg.targets {
-                if x != msg.src {
-                    units.push((lane, chunk, pos, x));
-                }
-            }
-        }
-    }
-    map_units(parallel, units, |(lane, chunk, pos, x)| {
-        let mut received = vec![0u16; params.l];
-        let mut erasures = vec![false; params.l];
-        for w in 0..params.l {
-            let val = if w == x {
-                relay.get(w, lane, pos)
-            } else {
-                delivery
-                    .received(x, w)
-                    .and_then(|f| lane_symbol(f, lane, params.slot, plan.symbol_bits))
-            };
-            match val {
-                Some(sym) => received[w] = sym,
-                None => erasures[w] = true,
-            }
-        }
-        let (stage, _) = pack[lane];
-        let mi = plan.stage_msgs[stage][pos];
-        match params
-            .code
-            .decode_bits(&received, &erasures, params.cap_bits)
-        {
-            Ok(bits) => ((x, mi, chunk), Some(bits), false),
-            Err(_) => ((x, mi, chunk), None, true),
-        }
-    })
-}
-
-/// One relay's view after round A, as a flat sentinel-filled block: its
-/// own-source symbols plus whatever its inbox carried for each lane.
-fn gather_relay(
-    plan: &UnitPlan,
-    w: usize,
-    pack: &[(usize, usize)],
-    lane_offsets: &[usize],
-    lane_syms: &[Vec<Vec<u16>>],
-    delivery: &Delivery,
-) -> Vec<u16> {
-    let mut block = vec![RelayGrid::ABSENT; *lane_offsets.last().unwrap_or(&0)];
-    for (lane, &(stage, _)) in pack.iter().enumerate() {
-        // The source keeps its own symbol for position src — no frame.
-        if let Ok(i) = plan.stage_src[stage].binary_search_by_key(&w, |e| e.0) {
-            let pos = plan.stage_src[stage][i].1;
-            block[lane_offsets[lane] + pos] = lane_syms[lane][pos][w];
-        }
-    }
-    for (src, frame) in delivery.inbox_of(w) {
-        for (lane, &(stage, _)) in pack.iter().enumerate() {
-            let Ok(i) = plan.stage_src[stage].binary_search_by_key(&src, |e| e.0) else {
-                continue;
-            };
-            let pos = plan.stage_src[stage][i].1;
-            if let Some(sym) = lane_symbol(frame, lane, plan.params.slot, plan.symbol_bits) {
-                block[lane_offsets[lane] + pos] = sym;
-            }
-        }
-    }
-    block
-}
-
-impl<'i> UnitSession<'i> {
-    /// Validates parameters and schedules stages. No rounds run until the
-    /// first [`UnitSession::step`]; codewords are encoded lazily, per pack.
+impl UnitEngine {
+    /// Sizes the code for the network's current fault budget and schedules
+    /// the stages.
     pub(crate) fn new(
         net: &Network,
-        instance: Cow<'i, RoutingInstance>,
+        instance: &RoutingInstance,
         cfg: &RouterConfig,
     ) -> Result<Self, CoreError> {
-        let n = instance.n;
-        if n != net.n() {
-            return Err(CoreError::invalid("instance size != network size"));
-        }
-        if instance.messages.is_empty() {
-            // Zero messages: the first step returns a well-formed empty
-            // output without running a round — no feasibility constraint
-            // can apply to an instance that routes nothing.
-            let params = UnitParams::empty(cfg)?;
-            return Ok(Self {
-                instance: Inst::from_cow(instance, false),
-                plan: Arc::new(UnitPlan {
-                    params,
-                    symbol_bits: cfg.symbol_bits,
-                    num_stages: 0,
-                    stage_msgs: Vec::new(),
-                    stage_src: Vec::new(),
-                    work: Vec::new(),
-                }),
-                parallel: cfg.parallel,
-                cache: None,
-                e_allow: usize::MAX,
-                extra_error_slack: cfg.extra_error_slack,
-                pack_start: 0,
-                phase: UnitPhase::RoundA,
-                chunk_store: Default::default(),
-                delivered: vec![BTreeMap::new(); n],
-                decode_failures: 0,
-                rounds_before: net.rounds(),
-                finished: false,
-                event: None,
-            });
-        }
-        let params = derive_params(net, &instance, cfg)?;
+        let slot = PackShape::wire_slot(net, cfg)?;
+        let l = instance.n.min((1usize << cfg.symbol_bits) - 1);
         let e_allow = absorbed_error_budget(net, cfg.extra_error_slack);
-        let stage_of = schedule_stages(&instance);
+        if l <= 2 * e_allow {
+            return Err(CoreError::infeasible(format!(
+                "relay count {l} cannot absorb 2·({e_allow}) adversarial symbols"
+            )));
+        }
+        let shape = PackShape::new(net, instance, cfg, slot, l, l - 2 * e_allow)?;
+
+        let stage_of = schedule_stages(instance);
         let num_stages = stage_of.iter().map(|&s| s + 1).max().unwrap_or(0);
-
-        let mut delivered: Vec<BTreeMap<(usize, usize), BitVec>> = vec![BTreeMap::new(); n];
-        // Local deliveries (target == src) never touch the network.
-        for msg in &instance.messages {
-            if msg.targets.contains(&msg.src) {
-                delivered[msg.src].insert((msg.src, msg.slot), msg.payload.clone());
-            }
-        }
-
-        let mut work: Vec<(usize, usize)> = Vec::new();
-        for s in 0..num_stages {
-            for c in 0..params.chunks {
-                work.push((s, c));
-            }
-        }
-
+        let work = (0..num_stages)
+            .flat_map(|s| (0..shape.chunks).map(move |c| (s, c)))
+            .collect();
         let mut stage_msgs: Vec<Vec<usize>> = vec![Vec::new(); num_stages];
         for (idx, &s) in stage_of.iter().enumerate() {
             stage_msgs[s].push(idx);
         }
-        let stage_src: Vec<Vec<(usize, usize)>> = stage_msgs
+        let stage_src = stage_msgs
             .iter()
             .map(|msgs| {
                 let mut by_src: Vec<(usize, usize)> = msgs
@@ -534,207 +163,156 @@ impl<'i> UnitSession<'i> {
                 by_src
             })
             .collect();
-
         Ok(Self {
-            instance: Inst::from_cow(instance, cfg.event_driven),
-            plan: Arc::new(UnitPlan {
-                params,
-                symbol_bits: cfg.symbol_bits,
-                num_stages,
-                stage_msgs,
-                stage_src,
-                work,
-            }),
-            parallel: cfg.parallel,
-            cache: None,
-            e_allow,
-            extra_error_slack: cfg.extra_error_slack,
-            pack_start: 0,
-            phase: UnitPhase::RoundA,
-            chunk_store: Default::default(),
-            delivered,
-            decode_failures: 0,
-            rounds_before: net.rounds(),
-            finished: false,
-            event: cfg.event_driven.then(|| EventState {
-                bus: MessageBus::new(),
-                encodes: VecDeque::new(),
-                next_dispatch: 0,
-                decodes: VecDeque::new(),
-                n,
-                bandwidth: net.bandwidth(),
-                pool: Arc::new(FramePool::new()),
-            }),
+            shape,
+            num_stages,
+            stage_msgs,
+            stage_src,
+            work,
         })
     }
 
-    /// Attaches a shared codeword cache (a no-op handle change: encoding is
-    /// deterministic, so cached and uncached sessions are bit-identical).
-    pub(crate) fn with_cache(mut self, cache: Option<SharedCodewordCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    fn pack(&self) -> &[(usize, usize)] {
-        let end = (self.pack_start + self.plan.params.lanes).min(self.plan.work.len());
-        &self.plan.work[self.pack_start..end]
-    }
-
-    /// Dispatches round-A prefetch jobs until [`PREFETCH_PACKS`] are in
-    /// flight (or the work list is exhausted). Each job encodes its pack and
-    /// assembles an arena-free traffic batch off-thread.
-    fn dispatch_prefetch(&mut self) {
-        let Some(ev) = &mut self.event else { return };
-        let lanes = self.plan.params.lanes;
-        while ev.encodes.len() < PREFETCH_PACKS && ev.next_dispatch < self.plan.work.len() {
-            let pack_start = ev.next_dispatch;
-            ev.next_dispatch += lanes;
-            let instance = self.instance.shared();
-            let plan = self.plan.clone();
-            let cache = self.cache.clone();
-            let parallel = self.parallel;
-            let (n, bandwidth) = (ev.n, ev.bandwidth);
-            let pool = ev.pool.clone();
-            let job = exec::spawn(move || {
-                let end = (pack_start + plan.params.lanes).min(plan.work.len());
-                let pack = &plan.work[pack_start..end];
-                // Frame buffers come from the shared pool (zeroed, so
-                // indistinguishable from `BitVec::zeros`), batched through a
-                // taker to keep lock traffic off the per-frame path.
-                let mut taker = pool.taker();
-                build_round_a(
-                    &instance,
-                    &plan,
-                    cache.as_ref(),
-                    parallel,
-                    pack,
-                    Traffic::new(n, bandwidth),
-                    |len| taker.take(len),
-                )
-            });
-            ev.encodes.push_back((pack_start, job));
-        }
-    }
-
-    /// Folds a decoded batch into the chunk store — pure keyed writes, so
-    /// the fold is order-independent across packs.
-    fn fold_decoded(&mut self, decoded: Vec<DecodedUnit>) {
-        let (chunks, cap_bits) = (self.plan.params.chunks, self.plan.params.cap_bits);
-        for ((x, mi, chunk), bits, failed) in decoded {
-            if failed {
-                self.decode_failures += 1;
+    /// One relay's view after round A, as a flat sentinel-filled block: its
+    /// own-source symbols plus whatever its inbox carried for each lane.
+    fn gather_relay(
+        &self,
+        w: usize,
+        pack: &[(usize, usize)],
+        lane_offsets: &[usize],
+        lane_syms: &PackCodewords,
+        delivery: &Delivery,
+    ) -> Vec<u16> {
+        let mut block = vec![RelayGrid::ABSENT; *lane_offsets.last().unwrap_or(&0)];
+        for (lane, &(stage, _)) in pack.iter().enumerate() {
+            // The source keeps its own symbol for position src — no frame.
+            if let Ok(i) = self.stage_src[stage].binary_search_by_key(&w, |e| e.0) {
+                let pos = self.stage_src[stage][i].1;
+                block[lane_offsets[lane] + pos] = lane_syms[lane][pos][w];
             }
-            let slot_entry = self
-                .chunk_store
-                .entry((x, mi))
-                .or_insert_with(|| vec![None; chunks]);
-            slot_entry[chunk] = Some(bits.unwrap_or_else(|| BitVec::zeros(cap_bits)));
         }
+        for (src, frame) in delivery.inbox_of(w) {
+            for (lane, &(stage, _)) in pack.iter().enumerate() {
+                let Ok(i) = self.stage_src[stage].binary_search_by_key(&src, |e| e.0) else {
+                    continue;
+                };
+                let pos = self.stage_src[stage][i].1;
+                if let Some(sym) = lane_symbol(frame, lane, self.shape.slot, self.shape.symbol_bits)
+                {
+                    block[lane_offsets[lane] + pos] = sym;
+                }
+            }
+        }
+        block
+    }
+}
+
+impl PackEngine for UnitEngine {
+    fn shape(&self) -> &PackShape {
+        &self.shape
     }
 
-    /// Joins in-flight decode jobs (all of them, or down to the in-flight
-    /// cap), folding their results and reclaiming their deliveries.
-    fn drain_decodes(&mut self, net: &mut Network, down_to: usize) {
-        while self
-            .event
-            .as_ref()
-            .is_some_and(|ev| ev.decodes.len() > down_to)
-        {
-            let job = self
-                .event
-                .as_mut()
-                .and_then(|ev| ev.decodes.pop_front())
-                .expect("checked non-empty");
-            let (decoded, delivery) = job.join();
-            // Frames feed the `Sync` pool (for the next prefetch job), the
-            // sparse tables go back to the arena as usual.
-            let pool = self.event.as_ref().expect("event mode").pool.clone();
-            net.reclaim_split(delivery, &pool);
-            self.fold_decoded(decoded);
-        }
+    fn work_len(&self) -> usize {
+        self.work.len()
     }
 
-    /// Round A: per-lane codeword encoding (parallel, cache-aware), frame
-    /// materialization from the arena, exchange, and the relay gather
-    /// (parallel per relay). In event mode the encode and frame assembly
-    /// were prefetched off-thread; the batch is pulled from the message bus
-    /// at the network's current virtual time.
-    fn step_round_a(&mut self, net: &mut Network) -> Result<RelayGrid, CoreError> {
-        let pack: Vec<(usize, usize)> = self.pack().to_vec();
+    fn stages(&self) -> usize {
+        self.num_stages
+    }
 
-        let (lane_syms, traffic) = if self.event.is_some() {
-            self.dispatch_prefetch();
-            let ev = self.event.as_mut().expect("event mode");
-            let (start, job) = ev
-                .encodes
-                .pop_front()
-                .expect("prefetch covers current pack");
-            debug_assert_eq!(start, self.pack_start, "prefetch FIFO tracks the clock");
-            let (lane_syms, batch) = job.join()?;
-            // Through the bus: tagged with this pack's virtual delivery
-            // time, drained at the network's clock — delivery order is the
-            // virtual-time order no matter when the batch was produced.
-            let vtime = net.virtual_time();
-            debug_assert_eq!(
-                vtime,
-                self.rounds_before + 2 * (self.pack_start / self.plan.params.lanes) as u64,
-                "pack round-A virtual time"
-            );
-            ev.bus.post(vtime, batch);
-            let traffic = ev.bus.take(vtime).expect("batch staged for current vtime");
-            (lane_syms, traffic)
-        } else {
-            let traffic = net.traffic();
-            build_round_a(
-                &self.instance,
-                &self.plan,
-                self.cache.as_ref(),
-                self.parallel,
-                &pack,
-                traffic,
-                |len| net.frame_buffer(len),
-            )?
-        };
-        let delivery = net.exchange(traffic);
-
-        // ---- Relay gather into the flat grid: one contiguous sentinel-
-        // filled block per relay `w` (rows = lanes, ragged widths = stage
-        // sizes, shared prefix-sum offsets). Each relay's inbox walk is
-        // independent, so the blocks fan out and concatenate in `w` order.
-        let mut lane_offsets: Vec<usize> = Vec::with_capacity(pack.len() + 1);
+    /// One block per relay `w`; rows are the pack's lanes, ragged — per-lane
+    /// offsets are prefix sums of the pack's stage sizes — and addressed
+    /// `(w, lane, pos)` where `pos` indexes the lane's stage message list.
+    fn grid_rows(&self, pack: &Range<usize>) -> (usize, Vec<usize>) {
+        let mut lane_offsets = Vec::with_capacity(pack.len() + 1);
         lane_offsets.push(0);
-        for &(stage, _) in &pack {
-            lane_offsets.push(lane_offsets.last().unwrap() + self.plan.stage_msgs[stage].len());
+        for &(stage, _) in &self.work[pack.clone()] {
+            lane_offsets.push(lane_offsets.last().unwrap() + self.stage_msgs[stage].len());
         }
-        let offsets_ref = &lane_offsets;
-        let plan = &*self.plan;
-        let l = plan.params.l;
-        let blocks: Vec<Vec<u16>> = map_units(self.parallel, (0..l).collect::<Vec<_>>(), |w| {
-            gather_relay(plan, w, &pack, offsets_ref, &lane_syms, &delivery)
-        });
-        net.reclaim(delivery);
-        Ok(RelayGrid::from_blocks(blocks, lane_offsets))
+        (self.shape.l, lane_offsets)
     }
 
-    /// Round B: per-relay forward planning (parallel), frame
-    /// materialization, exchange, and per-(lane, message, target) erasure
-    /// decoding — inline on the lockstep path, as a background job (joined
-    /// later) in event mode.
-    fn step_round_b(&mut self, net: &mut Network, relay: RelayGrid) -> Result<(), CoreError> {
-        let params = &self.plan.params;
-        let pack: Vec<(usize, usize)> = self.pack().to_vec();
+    fn build_round_a(
+        &self,
+        ctx: &PackCtx<'_>,
+        cache: Option<&SharedCodewordCache>,
+        net: &mut Network,
+    ) -> Result<(PackCodewords, Traffic), CoreError> {
+        let shape = &self.shape;
+        let pack = &self.work[ctx.pack.clone()];
+        let mut traffic = net.traffic();
+        // ---- Encode: every lane's stage messages. Chunk extraction is a
+        // cheap block copy; the encode itself is the hot part and fans out
+        // per lane, with cache probe/insert batched outside the fan-out.
+        let jobs: Vec<Vec<BitVec>> = pack
+            .iter()
+            .map(|&(stage, chunk)| {
+                self.stage_msgs[stage]
+                    .iter()
+                    .map(|&mi| {
+                        payload_chunk(&ctx.instance.messages[mi].payload, chunk, shape.cap_bits)
+                    })
+                    .collect()
+            })
+            .collect();
+        let lane_syms = encode_chunks(ctx.parallel, &shape.code, cache, jobs)?;
 
+        // ---- Materialize round-A frames in ascending (src, relay) order.
+        // A frame (src, w) carries one slot per active lane; sources active
+        // in several lanes of the pack share the frame at distinct offsets.
+        let mut by_src: Vec<(usize, usize, usize)> = Vec::new(); // (src, lane, pos)
+        for (lane, &(stage, _)) in pack.iter().enumerate() {
+            for &(src, pos) in &self.stage_src[stage] {
+                by_src.push((src, lane, pos));
+            }
+        }
+        by_src.sort_unstable();
+        for group in by_src.chunk_by(|a, b| a.0 == b.0) {
+            let src = group[0].0;
+            for w in 0..shape.l {
+                if w == src {
+                    continue; // the source is its own relay for position src
+                }
+                let mut frame = net.frame_buffer(shape.lanes * shape.slot);
+                for &(_, lane, pos) in group {
+                    frame.set(lane * shape.slot, true); // validity
+                    frame.write_uint(
+                        lane * shape.slot + 1,
+                        shape.symbol_bits,
+                        lane_syms[lane][pos][w] as u64,
+                    );
+                }
+                traffic.send(src, w, frame);
+            }
+        }
+        Ok((lane_syms, traffic))
+    }
+
+    /// Each relay's inbox walk is independent, so the blocks fan out and
+    /// come back in `w` order.
+    fn gather(
+        &self,
+        ctx: &PackCtx<'_>,
+        lane_syms: &PackCodewords,
+        delivery: &Delivery,
+    ) -> Vec<Vec<u16>> {
+        let pack = &self.work[ctx.pack.clone()];
+        let (_, lane_offsets) = self.grid_rows(&ctx.pack);
+        map_units(ctx.parallel, (0..self.shape.l).collect(), |w| {
+            self.gather_relay(w, pack, &lane_offsets, lane_syms, delivery)
+        })
+    }
+
+    fn build_round_b(&self, ctx: &PackCtx<'_>, relay: &RelayGrid, net: &mut Network) -> Traffic {
+        let shape = &self.shape;
+        let pack = &self.work[ctx.pack.clone()];
         // ---- Plan each relay's forwards: (target, lane, symbol) sorted by
-        // (target, lane). A forward frame is sent even when the relay holds
-        // nothing (validity bit clear) — the wire behavior of the original
-        // engine, which the adversary model and the goldens observe.
-        let (plan, instance) = (&*self.plan, &*self.instance);
+        // (target, lane), one relay per fan-out unit.
         let plans: Vec<Vec<(u32, u32, Option<u16>)>> =
-            map_units(self.parallel, (0..params.l).collect::<Vec<_>>(), |w| {
+            map_units(ctx.parallel, (0..shape.l).collect(), |w| {
                 let mut out: Vec<(u32, u32, Option<u16>)> = Vec::new();
                 for (lane, &(stage, _)) in pack.iter().enumerate() {
-                    for (pos, &mi) in plan.stage_msgs[stage].iter().enumerate() {
-                        let msg = &instance.messages[mi];
+                    for (pos, &mi) in self.stage_msgs[stage].iter().enumerate() {
+                        let msg = &ctx.instance.messages[mi];
                         for &x in &msg.targets {
                             if x == msg.src || x == w {
                                 continue; // local delivery / own-relay read
@@ -752,13 +330,13 @@ impl<'i> UnitSession<'i> {
         for (w, plan) in plans.iter().enumerate() {
             for group in plan.chunk_by(|a, b| a.0 == b.0) {
                 let x = group[0].0 as usize;
-                let mut frame = net.frame_buffer(params.lanes * params.slot);
+                let mut frame = net.frame_buffer(shape.lanes * shape.slot);
                 for &(_, lane, val) in group {
                     if let Some(sym) = val {
-                        frame.set(lane as usize * params.slot, true);
+                        frame.set(lane as usize * shape.slot, true);
                         frame.write_uint(
-                            lane as usize * params.slot + 1,
-                            self.plan.symbol_bits,
+                            lane as usize * shape.slot + 1,
+                            shape.symbol_bits,
                             sym as u64,
                         );
                     }
@@ -766,250 +344,70 @@ impl<'i> UnitSession<'i> {
                 traffic.send(w, x, frame);
             }
         }
-        let delivery = net.exchange(traffic);
-
-        if self.event.is_some() {
-            // ---- Event mode: the decode moves off-thread; its results fold
-            // in later (keyed writes — order-independent), its delivery is
-            // reclaimed at join time.
-            let instance = self.instance.shared();
-            let plan = self.plan.clone();
-            let parallel = self.parallel;
-            let job = exec::spawn(move || {
-                let decoded = decode_pack(&instance, &plan, parallel, &pack, &relay, &delivery);
-                (decoded, delivery)
-            });
-            self.event
-                .as_mut()
-                .expect("event mode")
-                .decodes
-                .push_back(job);
-            self.drain_decodes(net, DECODES_IN_FLIGHT);
-        } else {
-            let decoded = decode_pack(
-                &self.instance,
-                &self.plan,
-                self.parallel,
-                &pack,
-                &relay,
-                &delivery,
-            );
-            net.reclaim(delivery);
-            self.fold_decoded(decoded);
-        }
-        Ok(())
+        traffic
     }
 
-    /// Advances one exchange; `Some(output)` when the final pack is done.
-    pub(crate) fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
-        if self.finished {
-            return Err(CoreError::invalid(
-                "routing session stepped after completion",
-            ));
-        }
-        if self.pack_start >= self.plan.work.len() {
-            return Ok(Some(self.finish(net)));
-        }
-        check_budget(net, self.e_allow, self.extra_error_slack)?;
-        match std::mem::replace(&mut self.phase, UnitPhase::RoundA) {
-            UnitPhase::RoundA => {
-                let relay = self.step_round_a(net)?;
-                self.phase = UnitPhase::RoundB { relay };
-                Ok(None)
-            }
-            UnitPhase::RoundB { relay } => {
-                self.step_round_b(net, relay)?;
-                self.pack_start += self.plan.params.lanes;
-                self.phase = UnitPhase::RoundA;
-                if self.pack_start >= self.plan.work.len() {
-                    return Ok(Some(self.finish(net)));
+    /// One unit per `(lane, message, target)`.
+    fn decode_pack(
+        &self,
+        ctx: &PackCtx<'_>,
+        relay: &RelayGrid,
+        delivery: &Delivery,
+    ) -> Vec<DecodedUnit> {
+        let shape = &self.shape;
+        let pack = &self.work[ctx.pack.clone()];
+        let mut units: Vec<(usize, usize, usize, usize)> = Vec::new(); // (lane, chunk, pos, x)
+        for (lane, &(stage, chunk)) in pack.iter().enumerate() {
+            for (pos, &mi) in self.stage_msgs[stage].iter().enumerate() {
+                let msg = &ctx.instance.messages[mi];
+                for &x in &msg.targets {
+                    if x != msg.src {
+                        units.push((lane, chunk, pos, x));
+                    }
                 }
-                Ok(None)
             }
         }
-    }
-
-    /// The engine's instance, for [`super::RouteSession::snapshot`].
-    pub(crate) fn instance_ref(&self) -> &RoutingInstance {
-        &self.instance
-    }
-
-    /// The dispatch frontier the event executor must sit at when the
-    /// session is exactly between two steps in the current phase.
-    fn quiesced_dispatch(&self) -> usize {
-        self.pack_start
-            + match self.phase {
-                UnitPhase::RoundA => 0,
-                UnitPhase::RoundB { .. } => self.plan.params.lanes,
+        map_units(ctx.parallel, units, |(lane, chunk, pos, x)| {
+            let mut received = vec![0u16; shape.l];
+            let mut erasures = vec![false; shape.l];
+            for w in 0..shape.l {
+                let val = if w == x {
+                    relay.get(w, lane, pos)
+                } else {
+                    delivery
+                        .received(x, w)
+                        .and_then(|f| lane_symbol(f, lane, shape.slot, shape.symbol_bits))
+                };
+                match val {
+                    Some(sym) => received[w] = sym,
+                    None => erasures[w] = true,
+                }
             }
+            let (stage, _) = pack[lane];
+            let mi = self.stage_msgs[stage][pos];
+            let bits = shape.code.decode_bits(&received, &erasures, shape.cap_bits);
+            ((x, mi, chunk), bits.ok())
+        })
     }
-
-    /// Quiesces event-path work to the current step boundary: joins every
-    /// background decode (the fold is order-independent, so folding early
-    /// is invisible), discards prefetched round-A encodes (encoding is
-    /// pure — re-running it is bit-identical), and rewinds the dispatch
-    /// frontier so stepping on re-dispatches them.
-    fn quiesce(&mut self, net: &mut Network) {
-        if self.event.is_none() {
-            return;
-        }
-        self.drain_decodes(net, 0);
-        let next = self.quiesced_dispatch();
-        let ev = self.event.as_mut().expect("event mode");
-        ev.encodes.clear();
-        ev.next_dispatch = next;
-    }
-
-    /// Serializes the session's dynamic state (everything `new` cannot
-    /// re-derive), quiescing first; see [`super::RouteSession::snapshot`].
-    pub(crate) fn snapshot_state(&mut self, net: &mut Network, enc: &mut Enc) {
-        self.quiesce(net);
-        enc.put_usize(self.e_allow);
-        enc.put_usize(self.pack_start);
-        match &self.phase {
-            UnitPhase::RoundA => enc.put_u8(0),
-            UnitPhase::RoundB { relay } => {
-                enc.put_u8(1);
-                relay.snapshot(enc);
-            }
-        }
-        type ChunkEntries<'a> = Vec<(&'a (usize, usize), &'a Vec<Option<BitVec>>)>;
-        let entries: ChunkEntries<'_> = self.chunk_store.iter().collect();
-        enc.put_seq(&entries, |e, ((x, mi), chunks)| {
-            e.put_usize(*x);
-            e.put_usize(*mi);
-            e.put_seq(chunks, |e, c| e.put_opt(c.as_ref(), |e, b| e.put_bits(b)));
-        });
-        super::snapshot_delivered(&self.delivered, enc);
-        enc.put_usize(self.decode_failures);
-        enc.put_u64(self.rounds_before);
-        enc.put_bool(self.finished);
-    }
-
-    /// Rebuilds a session from `new` (same plan, schedule, and code — all
-    /// deterministic functions of the instance and config) and overlays the
-    /// dynamic state written by [`UnitSession::snapshot_state`].
-    pub(crate) fn restore(
-        net: &Network,
-        instance: RoutingInstance,
-        cfg: &RouterConfig,
-        cache: Option<SharedCodewordCache>,
-        dec: &mut Dec<'_>,
-    ) -> Result<UnitSession<'static>, CoreError> {
-        let mut s = UnitSession::new(net, Cow::Owned(instance), cfg)?.with_cache(cache);
-        let e_allow = dec.get_usize()?;
-        if e_allow != s.e_allow {
-            return Err(CoreError::invalid(format!(
-                "snapshot: absorbed error budget drifted across restore \
-                 (saved {e_allow}, rebuilt {})",
-                s.e_allow
-            )));
-        }
-        s.pack_start = dec.get_usize()?;
-        s.phase = match dec.get_u8()? {
-            0 => UnitPhase::RoundA,
-            1 => UnitPhase::RoundB {
-                relay: RelayGrid::restore(dec)?,
-            },
-            t => return Err(CoreError::invalid(format!("snapshot: unit phase tag {t}"))),
-        };
-        let entries = dec.get_seq(17, |d| {
-            let x = d.get_usize()?;
-            let mi = d.get_usize()?;
-            let chunks = d.get_seq(1, |d| d.get_opt(Dec::get_bits))?;
-            Ok(((x, mi), chunks))
-        })?;
-        let mut last = None;
-        s.chunk_store = Default::default();
-        for ((x, mi), chunks) in entries {
-            if last.is_some_and(|p| p >= (x, mi)) {
-                return Err(CoreError::invalid("snapshot: chunk store out of order"));
-            }
-            last = Some((x, mi));
-            s.chunk_store.insert((x, mi), chunks);
-        }
-        s.delivered = super::restore_delivered(dec)?;
-        if s.delivered.len() != s.instance.n {
-            return Err(CoreError::invalid(
-                "snapshot: delivered table size mismatch",
-            ));
-        }
-        s.decode_failures = dec.get_usize()?;
-        s.rounds_before = dec.get_u64()?;
-        s.finished = dec.get_bool()?;
-        let next = s.quiesced_dispatch();
-        if let Some(ev) = &mut s.event {
-            ev.next_dispatch = next;
-        }
-        Ok(s)
-    }
-
-    /// Assembles the chunked payloads into the final output. Event mode
-    /// drains every outstanding decode job first.
-    fn finish(&mut self, net: &mut Network) -> RoutingOutput {
-        self.drain_decodes(net, 0);
-        self.finished = true;
-        let mut delivered = std::mem::take(&mut self.delivered);
-        for ((x, mi), chunks) in std::mem::take(&mut self.chunk_store) {
-            let msg = &self.instance.messages[mi];
-            let mut full = BitVec::new();
-            for c in chunks {
-                full.extend_bits(&c.unwrap_or_else(|| BitVec::zeros(self.plan.params.cap_bits)));
-            }
-            full.truncate(msg.payload.len());
-            delivered[x].insert((msg.src, msg.slot), full);
-        }
-        RoutingOutput {
-            delivered,
-            report: RoutingReport {
-                engine: EngineUsed::Unit,
-                rounds: net.rounds() - self.rounds_before,
-                stages: self.plan.num_stages,
-                chunks: self.plan.params.chunks,
-                decode_failures: self.decode_failures,
-            },
-        }
-    }
-}
-
-/// Runs the unit engine to completion. See the module docs.
-pub fn route_unit(
-    net: &mut Network,
-    instance: &RoutingInstance,
-    cfg: &RouterConfig,
-) -> Result<RoutingOutput, CoreError> {
-    let mut session = UnitSession::new(net, Cow::Borrowed(instance), cfg)?;
-    loop {
-        if let Some(out) = session.step(net)? {
-            return Ok(out);
-        }
-    }
-}
-
-/// [`route_unit`] on one thread: the bit-identity oracle for the
-/// stage-parallel path (regression- and property-tested in
-/// `tests/stage_parallel.rs`).
-///
-/// # Errors
-///
-/// As [`route_unit`].
-pub fn route_unit_serial(
-    net: &mut Network,
-    instance: &RoutingInstance,
-    cfg: &RouterConfig,
-) -> Result<RoutingOutput, CoreError> {
-    let cfg = RouterConfig {
-        parallel: false,
-        ..cfg.clone()
-    };
-    route_unit(net, instance, &cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::SuperMessage;
+    use crate::routing::{route, RoutingMode, SuperMessage};
     use bdclique_netsim::Adversary;
+
+    /// [`route`] pinned to this engine.
+    fn unit_route(
+        net: &mut Network,
+        inst: &RoutingInstance,
+    ) -> Result<crate::routing::RoutingOutput, CoreError> {
+        let cfg = RouterConfig {
+            mode: RoutingMode::Unit,
+            ..RouterConfig::default()
+        };
+        route(net, inst, &cfg)
+    }
 
     fn instance(
         n: usize,
@@ -1160,7 +558,7 @@ mod tests {
     fn fault_free_roundtrip_single_message() {
         let mut net = Network::new(8, 9, 0.0, Adversary::none());
         let inst = instance(8, 12, vec![(2, 0, vec![5, 6])]);
-        let out = route_unit(&mut net, &inst, &RouterConfig::default()).unwrap();
+        let out = unit_route(&mut net, &inst).unwrap();
         assert_eq!(
             out.delivered[5].get(&(2, 0)),
             Some(&inst.messages[0].payload)
@@ -1178,7 +576,7 @@ mod tests {
         let mut net = Network::new(8, 9, 0.0, Adversary::none());
         // capacity per chunk: (7 - 2) symbols * 8 bits = 40 bits (slack 1).
         let inst = instance(8, 100, vec![(0, 0, vec![7])]);
-        let out = route_unit(&mut net, &inst, &RouterConfig::default()).unwrap();
+        let out = unit_route(&mut net, &inst).unwrap();
         assert_eq!(
             out.delivered[7].get(&(0, 0)),
             Some(&inst.messages[0].payload)
@@ -1190,7 +588,7 @@ mod tests {
     fn self_target_is_local_and_free() {
         let mut net = Network::new(8, 9, 0.0, Adversary::none());
         let inst = instance(8, 8, vec![(3, 0, vec![3])]);
-        let out = route_unit(&mut net, &inst, &RouterConfig::default()).unwrap();
+        let out = unit_route(&mut net, &inst).unwrap();
         assert_eq!(
             out.delivered[3].get(&(3, 0)),
             Some(&inst.messages[0].payload)
@@ -1207,7 +605,7 @@ mod tests {
             8,
             vec![(0, 0, vec![1]), (0, 1, vec![2])], // same src: 2 stages
         );
-        let out = route_unit(&mut wide, &inst, &RouterConfig::default()).unwrap();
+        let out = unit_route(&mut wide, &inst).unwrap();
         assert_eq!(out.report.rounds, 2, "two stages share one round pair");
         assert_eq!(
             out.delivered[1].get(&(0, 0)),
@@ -1225,78 +623,8 @@ mod tests {
         let mut net = Network::new(8, 9, 0.45, Adversary::none());
         let inst = instance(8, 8, vec![(0, 0, vec![1])]);
         assert!(matches!(
-            route_unit(&mut net, &inst, &RouterConfig::default()),
+            unit_route(&mut net, &inst),
             Err(CoreError::Infeasible { .. })
         ));
-    }
-
-    /// The event-driven executor is bit-identical to the lockstep path on
-    /// the unit engine: same outputs, same rounds, same stats, same
-    /// corruption history — across single- and multi-pack, multi-chunk,
-    /// multi-target, and adversarial instances.
-    #[test]
-    fn event_driven_matches_lockstep() {
-        use bdclique_adversary::adaptive::GreedyLoad;
-        use bdclique_adversary::Payload;
-
-        let cases: Vec<(usize, usize, f64, RoutingInstance)> = vec![
-            (8, 9, 0.0, instance(8, 12, vec![(2, 0, vec![5, 6])])),
-            (8, 9, 0.0, instance(8, 100, vec![(0, 0, vec![7])])),
-            (
-                8,
-                18,
-                0.0,
-                instance(8, 8, vec![(0, 0, vec![1]), (0, 1, vec![2])]),
-            ),
-            (
-                16,
-                18,
-                1.2 / 16.0,
-                instance(
-                    16,
-                    40,
-                    (0..48)
-                        .map(|i| (i % 16, i / 16, vec![(i * 7 + 3) % 16]))
-                        .collect(),
-                ),
-            ),
-        ];
-        for (case, (n, bw, alpha, inst)) in cases.into_iter().enumerate() {
-            let run = |event: bool| {
-                let adversary = if alpha > 0.0 {
-                    Adversary::adaptive(GreedyLoad::new(Payload::Flip, 0xe0 + case as u64))
-                } else {
-                    Adversary::none()
-                };
-                let mut net = Network::new(n, bw, alpha, adversary);
-                let cfg = RouterConfig {
-                    mode: crate::routing::RoutingMode::Unit,
-                    event_driven: event,
-                    ..RouterConfig::default()
-                };
-                let out = route_unit(&mut net, &inst, &cfg).unwrap();
-                let corrupted: Vec<_> = net
-                    .history()
-                    .records()
-                    .iter()
-                    .map(|r| (r.round, r.corrupted.clone(), r.frames, r.bits))
-                    .collect();
-                let stats = *net.stats();
-                (out, stats, corrupted)
-            };
-            let (lock_out, lock_stats, lock_hist) = run(false);
-            let (ev_out, ev_stats, ev_hist) = run(true);
-            assert_eq!(lock_stats, ev_stats, "case {case}: stats");
-            assert_eq!(lock_hist, ev_hist, "case {case}: round history");
-            assert_eq!(lock_out.report, ev_out.report, "case {case}: report");
-            for (x, (a, b)) in lock_out
-                .delivered
-                .iter()
-                .zip(ev_out.delivered.iter())
-                .enumerate()
-            {
-                assert_eq!(a, b, "case {case}: delivered payloads at node {x}");
-            }
-        }
     }
 }

@@ -124,17 +124,16 @@ fn unit_engine_wave_n4096_completes() {
     }
 }
 
-/// The event-driven executor at full `n = 65536` network width: a k = 2
-/// unit wave with segment-local targets. A complete det-sqrt trial at this
-/// width would need ~4.3 × 10⁹ instance messages (the ROADMAP's open
-/// per-pack-checkpointing item), so the smoke pins what the executor
-/// itself must survive at this scale — plan construction, message-bus
-/// posting at virtual delivery times, the prefetch/decode pipeline, and
-/// arena traffic — on one routed wave. `#[ignore]`d even in release; CI
-/// runs it explicitly (`-- --ignored`) in the large-n smoke step.
+/// The unit engine at full `n = 65536` network width: a k = 2 wave with
+/// segment-local targets. A complete det-sqrt trial at this width would
+/// need ~4.3 × 10⁹ instance messages (the ROADMAP's open
+/// per-pack-checkpointing item), so the smoke pins what one routed wave
+/// must survive at this scale — plan construction, per-pack encode and
+/// decode, and arena traffic. `#[ignore]`d even in release; CI runs it
+/// explicitly (`-- --ignored`) in the large-n smoke step.
 #[test]
 #[ignore = "release-gated in CI: minutes at n = 65536"]
-fn event_unit_wave_n65536_completes() {
+fn unit_wave_n65536_completes() {
     use bdclique_core::routing::RoutingMode;
     let n = 65536;
     let k = 2;
@@ -155,7 +154,6 @@ fn event_unit_wave_n65536_completes() {
     let mut net = Network::new(n, 18, 0.0, Adversary::none());
     let cfg = RouterConfig {
         mode: RoutingMode::Unit,
-        event_driven: true,
         ..Default::default()
     };
     let out = route(&mut net, &instance, &cfg).unwrap();

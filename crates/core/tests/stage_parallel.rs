@@ -1,8 +1,8 @@
 //! Bit-identity, edge-case, and determinism tests for the stage-parallel
 //! routing engines (PR 5):
 //!
-//! * parallel `route_unit` / `route_coverfree` == the `_serial` oracles —
-//!   delivered payloads, report, and every network stat — across backends
+//! * parallel `route` == the `route_serial` oracle, `mode` pinned to each
+//!   engine — delivered payloads, report, and every network stat — across backends
 //!   (instances small enough to auto-densify and large-sparse ones), random
 //!   α, and an active adaptive adversary;
 //! * the counter-based scheduler never exceeds the greedy coloring bound
@@ -19,10 +19,9 @@
 use bdclique_adversary::adaptive::GreedyLoad;
 use bdclique_adversary::Payload;
 use bdclique_bits::BitVec;
-use bdclique_core::routing::coverfree::{route_coverfree, route_coverfree_serial};
-use bdclique_core::routing::unit::{route_unit, route_unit_serial};
 use bdclique_core::routing::{
-    route, RouteSession, RouterConfig, RoutingInstance, RoutingMode, RoutingOutput, SuperMessage,
+    route, route_serial, RouteSession, RouterConfig, RoutingInstance, RoutingMode, RoutingOutput,
+    SuperMessage,
 };
 use bdclique_core::CoreError;
 use bdclique_netsim::{Adversary, Network};
@@ -115,8 +114,8 @@ proptest! {
 
         let mut net_par = attacked_net(n, alpha, seed ^ 0xad);
         let mut net_ser = attacked_net(n, alpha, seed ^ 0xad);
-        let par = route_unit(&mut net_par, &inst, &cfg);
-        let ser = route_unit_serial(&mut net_ser, &inst, &cfg);
+        let par = route(&mut net_par, &inst, &cfg);
+        let ser = route_serial(&mut net_ser, &inst, &cfg);
         match (par, ser) {
             (Ok(par), Ok(ser)) => prop_assert_eq!(
                 fingerprint(&net_par, &par),
@@ -140,8 +139,8 @@ proptest! {
         let cfg = RouterConfig { mode: RoutingMode::CoverFree, ..Default::default() };
         let mut net_par = attacked_net(n, 0.0, seed);
         let mut net_ser = attacked_net(n, 0.0, seed);
-        let par = route_coverfree(&mut net_par, &inst, &cfg);
-        let ser = route_coverfree_serial(&mut net_ser, &inst, &cfg);
+        let par = route(&mut net_par, &inst, &cfg);
+        let ser = route_serial(&mut net_ser, &inst, &cfg);
         match (par, ser) {
             (Ok(par), Ok(ser)) => prop_assert_eq!(
                 fingerprint(&net_par, &par),
@@ -170,7 +169,7 @@ proptest! {
         let delta = inst.max_source_multiplicity().max(inst.max_target_multiplicity());
         let mut net = Network::new(n, 9, 0.0, Adversary::none());
         let cfg = RouterConfig { mode: RoutingMode::Unit, ..Default::default() };
-        let out = route_unit(&mut net, &inst, &cfg).unwrap();
+        let out = route(&mut net, &inst, &cfg).unwrap();
         prop_assert!(
             out.report.stages < 2 * delta,
             "{} stages > 2·{} − 1", out.report.stages, delta
@@ -275,7 +274,7 @@ fn raised_budget_mid_session_is_refused() {
 /// pinned to literal values, so any latent dependence on hash iteration
 /// order (the PR 4 LDC `fetch_instance` bug class) fails this test in some
 /// process instead of shipping silently. Captured from the stage-parallel
-/// engine; `route_unit_serial` must reproduce it exactly.
+/// engine; `route_serial` must reproduce it exactly.
 #[test]
 fn unit_engine_cross_run_golden() {
     let n = 16;
@@ -284,7 +283,7 @@ fn unit_engine_cross_run_golden() {
         mode: RoutingMode::Unit,
         ..Default::default()
     };
-    for route_fn in [route_unit, route_unit_serial] {
+    for route_fn in [route, route_serial] {
         let mut net = attacked_net(n, 1.2 / n as f64, 0xfeed);
         let out = route_fn(&mut net, &inst, &cfg).unwrap();
         let (rounds, bits, frames, corrupted, stages, failures, payload) = fingerprint(&net, &out);

@@ -1,5 +1,5 @@
 // lint-fixture-as: crates/codes/src/fixture.rs
-//! Known-bad: a raw thread outside core::exec and the rayon shim.
+//! Known-bad: a raw thread outside the rayon shim.
 
 use std::thread;
 

@@ -1,5 +1,5 @@
-// lint-fixture-as: crates/core/src/exec.rs
-//! The sanctioned home: core::exec owns the worker pool.
+// lint-fixture-as: crates/shims/rayon/src/lib.rs
+//! The sanctioned home: the rayon shim owns the fan-out threads.
 
 use std::thread;
 

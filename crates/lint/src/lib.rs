@@ -1,7 +1,7 @@
 //! `bdclique-lint`: dependency-free determinism & concurrency lints for
 //! the bdclique workspace.
 //!
-//! The bit-identity guarantees this reproduction makes (event vs lockstep
+//! The bit-identity guarantees this reproduction makes (parallel vs serial
 //! execution, checkpoint/resume identity, coordinate-derived seed streams)
 //! rest on invariants the compiler cannot see: no process-random hash
 //! iteration in schedule-computing code, no wall-clock or OS-entropy

@@ -14,8 +14,9 @@
 //!   unvalidated `n·n` snapshot length aborting on allocation.
 //! * **unsafe-needs-safety-comment** — `unsafe` is denied outside
 //!   `crates/shims`, and inside them requires an adjacent `// SAFETY:`.
-//! * **no-raw-spawn** — background threads outside `core::exec` and the
-//!   rayon shim escape drop-safety and snapshot quiescing.
+//! * **no-raw-spawn** — a background thread outside the rayon shim's
+//!   scoped fan-out can outlive the round that started it, so a snapshot
+//!   taken between two steps would no longer describe the whole run.
 //!
 //! The analysis is deliberately lightweight — token patterns plus
 //! file-local type taint, not full type inference. False positives are
@@ -63,8 +64,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-raw-spawn",
-        "std::thread::spawn only inside core::exec and the rayon shim, so background work \
-         stays drop-safe and snapshot-quiescable",
+        "std::thread::spawn only inside the rayon shim, so no work outlives the step that \
+         started it and a snapshot between two steps describes the whole run",
     ),
 ];
 
@@ -1088,8 +1089,6 @@ fn no_raw_spawn(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     if allowed {
         return;
     }
-    // core::exec is the sanctioned worker pool.
-    let is_exec = ctx.scope.crate_name.as_deref() == Some("core");
     let toks = ctx.toks;
     for i in 0..toks.len() {
         if ctx.mask[i] {
@@ -1114,27 +1113,14 @@ fn no_raw_spawn(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
         if !(via_path || via_builder) {
             continue;
         }
-        if is_exec && ctx.exec_file() {
-            continue;
-        }
         out.push(
             ctx.finding(
                 "no-raw-spawn",
                 toks[i].line,
-                "raw `thread::spawn` outside core::exec and the rayon shim: background work \
-             must be drop-safe and quiescable for snapshots — submit jobs to \
-             bdclique_core::exec instead"
+                "raw `thread::spawn` outside the rayon shim: work must not outlive the step \
+             that started it — fan out through rayon (`map_units`) instead"
                     .to_string(),
             ),
         );
-    }
-}
-
-impl Ctx<'_> {
-    /// Is this the sanctioned worker-pool file? Matches on the *effective*
-    /// path tail so fixtures can opt in via the directive.
-    fn exec_file(&self) -> bool {
-        let eff = fixture_path(self.comments).unwrap_or_else(|| self.path.to_string());
-        eff == "crates/core/src/exec.rs"
     }
 }

@@ -99,7 +99,7 @@ fn raw_spawn_fires_on_bad_quiet_in_exec() {
         "thread::spawn and Builder::spawn must both fire: {bad:?}"
     );
     let good = lint_fixture("no_raw_spawn/good.rs");
-    assert!(good.is_empty(), "core::exec may spawn: {good:?}");
+    assert!(good.is_empty(), "the rayon shim may spawn: {good:?}");
 }
 
 #[test]

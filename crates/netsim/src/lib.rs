@@ -50,10 +50,8 @@
 //! ```
 
 mod adversary;
-mod bus;
 mod history;
 mod network;
-mod pool;
 pub mod seed;
 mod stats;
 mod store;
@@ -64,10 +62,8 @@ pub use adversary::{
     AdaptiveScope, AdaptiveStrategy, Adversary, AdversaryView, CorruptionScope, Corruptor,
     EdgePlan, EdgeSet,
 };
-pub use bus::MessageBus;
 pub use history::{History, HistoryMode, RoundRecord};
 pub use network::{Network, NetworkError, PublishedLog};
-pub use pool::{FramePool, PoolTaker};
 pub use seed::SeedStream;
 pub use stats::NetStats;
 pub use store::Backend;

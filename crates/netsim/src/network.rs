@@ -2,7 +2,6 @@
 
 use crate::adversary::Adversary;
 use crate::history::{History, HistoryMode};
-use crate::pool::FramePool;
 use crate::stats::NetStats;
 use crate::store::FrameArena;
 use crate::topology::Topology;
@@ -306,11 +305,9 @@ impl Network {
 
     /// The network's **virtual clock**: the virtual time of the next
     /// exchange. Identical to [`Network::rounds`] — each delivery advances
-    /// the clock by one — but named for event-driven executors, which tag
-    /// frame batches with the virtual time at which they must be exchanged
-    /// (see [`crate::MessageBus`]). Adversary budgets, history digests, and
-    /// observer round views are all anchored to this clock, never to the
-    /// wall-clock order in which batches were produced.
+    /// the clock by one — under the name driver-side round views report it
+    /// by. Adversary budgets, history digests, and observer round views are
+    /// all anchored to this clock, never to host time.
     pub fn virtual_time(&self) -> u64 {
         self.round
     }
@@ -341,15 +338,6 @@ impl Network {
     /// their allocator traffic substantially by reclaiming.
     pub fn reclaim(&mut self, delivery: Delivery) {
         delivery.recycle_into(&mut self.arena);
-    }
-
-    /// Like [`Network::reclaim`], but frame buffers go to `pool` — a `Sync`
-    /// free-list reachable from executor worker threads — while the tables
-    /// still return to the network arena. This is how event-driven
-    /// executors recirculate buffers into prefetch jobs that build rounds
-    /// off the protocol thread (where the arena is unreachable).
-    pub fn reclaim_split(&mut self, delivery: Delivery, pool: &FramePool) {
-        delivery.recycle_split(&mut self.arena, pool);
     }
 
     /// Publishes protocol-internal randomness to *adaptive* adversaries

@@ -1,6 +1,5 @@
 //! Per-round message matrices: what nodes intend to send, and what arrives.
 
-use crate::pool::FramePool;
 use crate::store::{Backend, FrameArena, FrameStore, DENSE_SWITCH_DIVISOR};
 use crate::topology::Topology;
 use bdclique_bits::BitVec;
@@ -552,25 +551,6 @@ impl Delivery {
             DeliveryRepr::Dense(frames) => arena.put_matrix(frames),
             DeliveryRepr::Sparse(cols) => {
                 for col in cols {
-                    arena.put_table(col);
-                }
-            }
-        }
-    }
-
-    /// Splits the reclamation: frame buffers go to the `Sync` `pool`
-    /// (reachable from executor worker threads), tables to the
-    /// single-threaded `arena` — the
-    /// [`crate::Network::reclaim_split`] implementation.
-    pub(crate) fn recycle_split(self, arena: &mut FrameArena, pool: &FramePool) {
-        match self.repr {
-            DeliveryRepr::Dense(mut frames) => {
-                pool.put_all(frames.iter_mut().filter_map(Option::take));
-                arena.put_matrix(frames);
-            }
-            DeliveryRepr::Sparse(cols) => {
-                for mut col in cols {
-                    pool.put_all(col.drain(..).map(|(_, bits)| bits));
                     arena.put_table(col);
                 }
             }

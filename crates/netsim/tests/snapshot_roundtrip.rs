@@ -5,7 +5,7 @@
 //! rejected with an error, never a panic or a silently wrong value.
 
 use bdclique_bits::BitVec;
-use bdclique_netsim::{Backend, MessageBus, SeedStream, Topology, Traffic};
+use bdclique_netsim::{Backend, SeedStream, Topology, Traffic};
 use bdclique_snapshot::{Dec, Enc};
 use proptest::prelude::*;
 
@@ -101,28 +101,6 @@ proptest! {
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         let _ = decode_traffic(&bytes); // must return, not panic
-    }
-
-    /// The message bus round-trips byte-identically: batches restore in
-    /// ascending virtual-time order with their traffic intact.
-    #[test]
-    fn bus_roundtrip_is_byte_identical(
-        n in 2usize..8,
-        vtimes in prop::collection::btree_set(0u64..64, 0..6),
-        ops in prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..10),
-    ) {
-        let mut bus = MessageBus::new();
-        for (k, &vtime) in vtimes.iter().enumerate() {
-            let slice = &ops[ops.len().min(k)..];
-            bus.post(vtime, build_traffic(n, 9, Backend::Sparse, slice));
-        }
-        let bytes = encode(|e| bus.snapshot(e));
-        let mut dec = Dec::new(&bytes);
-        let restored = MessageBus::restore(&mut dec, None).expect("well-formed");
-        dec.finish().expect("fully consumed");
-        prop_assert_eq!(restored.earliest(), bus.earliest());
-        let again = encode(|e| restored.snapshot(e));
-        prop_assert_eq!(bytes, again);
     }
 
     /// Topologies round-trip byte-identically across every generator

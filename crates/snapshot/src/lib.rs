@@ -39,8 +39,11 @@ pub const MAGIC: [u8; 4] = *b"BDCS";
 /// Current snapshot format version. Bump on any layout change; [`Dec`]
 /// rejects mismatched versions instead of misparsing them. Version 2 holds
 /// each det-hypercube node state as one bit string (version 1: a sequence
-/// of per-message strings).
-pub const VERSION: u16 = 2;
+/// of per-message strings). Version 3 has one routing-session layout for
+/// both engines: zero-filled chunk-store entries (version 2's unit engine
+/// wrote optional ones) and relay grids without their row offsets, which
+/// the rebuilt plan supplies.
+pub const VERSION: u16 = 3;
 
 /// Decode failure: the bytes do not describe a valid snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -56,7 +56,7 @@ fn main() {
                 Step::Done(_) => unreachable!("finished before the crash point"),
             }
         }
-        let bytes = snapshot_run(&mut net, session.as_mut()).expect("snapshot");
+        let bytes = snapshot_run(&net, session.as_ref()).expect("snapshot");
         std::fs::write(&path, &bytes).expect("write checkpoint");
         println!(
             "checkpointed at round {} ({} bytes) -> {}",

@@ -1,8 +1,8 @@
 //! Crash-injection identity tests for the checkpoint/resume subsystem.
 //!
 //! The contract under test: `snapshot_run` taken between two session steps,
-//! followed by dropping **all** process state (network, session, event-path
-//! workers) and `restore_run` from the bytes alone, yields an execution
+//! followed by dropping **all** process state (network, session) and
+//! `restore_run` from the bytes alone, yields an execution
 //! bit-identical to the uninterrupted one — same output payloads (FNV-1a),
 //! same round count, same `NetStats`, same per-round adversary corruption
 //! history. Additionally, taking a snapshot must not perturb the run it was
@@ -128,15 +128,13 @@ fn cases() -> Vec<Case> {
             seed: 71,
             crash_at: &[0, 1, 7, 15],
         },
-        // The stage-parallel unit engine with the event-driven pack
-        // executor: the crash lands while prefetched encode jobs are in
-        // flight, exercising the quiesce-to-pack-boundary rule.
+        // The unit engine forced (Auto never picks it for a wave this
+        // small): crashes land both between packs and mid-pack, with the
+        // relay grid in the snapshot.
         Case {
-            label: "det-sqrt/event-unit",
+            label: "det-sqrt/unit",
             proto: Box::new(DetSqrt::new(RouterConfig {
                 mode: RoutingMode::Unit,
-                parallel: true,
-                event_driven: true,
                 ..Default::default()
             })),
             n: 16,
@@ -257,7 +255,7 @@ fn resumed_runs_are_bit_identical_for_all_protocols() {
                 "{} finished before crash round {crash}",
                 case.label
             );
-            let bytes = snapshot_run(&mut net, session.as_mut())
+            let bytes = snapshot_run(&net, session.as_ref())
                 .unwrap_or_else(|e| panic!("{} snapshot at {crash}: {e}", case.label));
 
             // The run the snapshot was taken from continues unperturbed.
@@ -279,7 +277,7 @@ fn resumed_runs_are_bit_identical_for_all_protocols() {
             assert_eq!(net2.rounds(), crash, "{} at {crash}: clock", case.label);
 
             // Snapshot of the restored pair reproduces the bytes exactly.
-            let bytes2 = snapshot_run(&mut net2, session2.as_mut()).unwrap();
+            let bytes2 = snapshot_run(&net2, session2.as_ref()).unwrap();
             assert_eq!(
                 bytes, bytes2,
                 "{} at {crash}: re-snapshot is not byte-identical",
@@ -355,11 +353,11 @@ fn take2_ldc_crash_window_is_divergence_free() {
             step_to_round(session.as_mut(), &mut net, crash),
             "finished before crash round {crash}"
         );
-        let bytes = snapshot_run(&mut net, session.as_mut()).unwrap();
+        let bytes = snapshot_run(&net, session.as_ref()).unwrap();
 
         // Advance the live run WINDOW rounds past the crash point.
         assert!(step_to_round(session.as_mut(), &mut net, crash + WINDOW));
-        let bytes_live = snapshot_run(&mut net, session.as_mut()).unwrap();
+        let bytes_live = snapshot_run(&net, session.as_ref()).unwrap();
         drop(session);
         drop(net);
 
@@ -367,7 +365,7 @@ fn take2_ldc_crash_window_is_divergence_free() {
         let (mut net2, mut session2) =
             restore_run(&bytes, fresh_adversary(&case), case.proto.as_ref(), &inst).unwrap();
         assert!(step_to_round(session2.as_mut(), &mut net2, crash + WINDOW));
-        let bytes_res = snapshot_run(&mut net2, session2.as_mut()).unwrap();
+        let bytes_res = snapshot_run(&net2, session2.as_ref()).unwrap();
         assert_eq!(
             bytes_live, bytes_res,
             "trajectories diverged within {WINDOW} rounds of the crash at {crash}"
@@ -385,7 +383,7 @@ fn round_budget_composes_with_restore() {
     let (inst, mut net) = setup(case);
     let mut session = case.proto.session(&net, &inst).unwrap();
     assert!(step_to_round(session.as_mut(), &mut net, 7));
-    let bytes = snapshot_run(&mut net, session.as_mut()).unwrap();
+    let bytes = snapshot_run(&net, session.as_ref()).unwrap();
     drop(session);
     drop(net);
 
@@ -425,7 +423,7 @@ fn corrupt_snapshots_are_rejected() {
     let (inst, mut net) = setup(case);
     let mut session = case.proto.session(&net, &inst).unwrap();
     assert!(step_to_round(session.as_mut(), &mut net, 5));
-    let bytes = snapshot_run(&mut net, session.as_mut()).unwrap();
+    let bytes = snapshot_run(&net, session.as_ref()).unwrap();
     drop(session);
 
     // Truncations at the header, early, middle, and one-byte-short.
@@ -453,7 +451,7 @@ fn corrupt_snapshots_are_rejected() {
 
 /// A det-hypercube state row announcing the wrong bit length is refused at
 /// restore (not by a slice panic iterations later), and so is a document of
-/// the previous format version, whose rows were per-message sequences.
+/// either earlier format version.
 #[test]
 fn hypercube_state_row_length_and_format_version_are_validated() {
     let all = cases();
@@ -461,13 +459,13 @@ fn hypercube_state_row_length_and_format_version_are_validated() {
     let (inst, mut net) = setup(case);
     let mut session = case.proto.session(&net, &inst).unwrap();
     assert!(step_to_round(session.as_mut(), &mut net, 3));
-    let bytes = snapshot_run(&mut net, session.as_mut()).unwrap();
+    let bytes = snapshot_run(&net, session.as_ref()).unwrap();
     assert!(restore_run(&bytes, fresh_adversary(case), case.proto.as_ref(), &inst).is_ok());
 
     // The session section closes the document: the iteration (u64), then
     // per node a bit length (u64) and the packed bits.
     let mut section = bdclique_snapshot::Enc::new();
-    session.snapshot(&mut net, &mut section).unwrap();
+    session.snapshot(&mut section).unwrap();
     let row_len_at = bytes.len() - section.bytes().len() + 8;
     let row_bits = (case.n * case.b) as u64;
     assert_eq!(bytes[row_len_at..row_len_at + 8], row_bits.to_le_bytes());
@@ -482,7 +480,15 @@ fn hypercube_state_row_length_and_format_version_are_validated() {
         assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
     }
 
-    let mut v1 = bytes.clone();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    assert!(restore_run(&v1, fresh_adversary(case), case.proto.as_ref(), &inst).is_err());
+    // Versions 1 (per-message rows) and 2 (two chunk-store encodings, relay
+    // grids carrying their own offsets) are refused by the header check.
+    assert_eq!(bytes[4..6], bdclique_snapshot::VERSION.to_le_bytes());
+    for old in [1u16, 2] {
+        let mut doc = bytes.clone();
+        doc[4..6].copy_from_slice(&old.to_le_bytes());
+        let err = restore_run(&doc, fresh_adversary(case), case.proto.as_ref(), &inst)
+            .err()
+            .unwrap_or_else(|| panic!("a version-{old} document must be refused"));
+        assert!(err.to_string().contains(&format!("version {old}")), "{err}");
+    }
 }
