@@ -11,11 +11,11 @@
 //!
 //! Bare scenario names (`tables t1r3 frontier`) are accepted as shorthand
 //! for `--scenario`; `route` expands to `route-margin` + `route-engines`.
-//! `--trials N` overrides the `BDC_TRIALS` environment variable (default
-//! 5); scenarios apply their historical per-suite scaling (e.g. `codes`
-//! runs `8 × N`). `--json PATH` additionally writes every selected
-//! scenario's cells, aggregates, seeds, and wall times as one JSON document
-//! (schema documented in the README).
+//! `--trials N` sets the base trial count (default 5); scenarios apply
+//! their historical per-suite scaling (e.g. `codes` runs `8 × N`).
+//! `--json PATH` additionally writes every selected scenario's cells,
+//! aggregates, seeds, and wall times as one JSON document (schema
+//! documented in the README).
 //!
 //! `--checkpoint-dir D [--checkpoint-every R]` checkpoints every trial's
 //! full execution state into `D` every `R` rounds (atomic write-then-
@@ -27,12 +27,11 @@
 
 use bdclique_bench::checkpoint::CheckpointConfig;
 use bdclique_bench::experiments;
+use bdclique_bench::merge;
 use bdclique_bench::scenario::{self, RunConfig, ScenarioResult};
-use bdclique_bench::{merge, trajectory};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: tables [--scenario NAME]... [--trials N] [--json PATH] \
-                    [--append-trajectory PATH] [--trajectory-gate] \
                     [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
                     [--shard I/M] [--trace] [--list] [NAME]...\n\
                     \u{20}      tables --merge OUT.json SHARD.json...";
@@ -45,11 +44,6 @@ struct Args {
     scenarios: Vec<String>,
     trials: Option<usize>,
     json: Option<String>,
-    /// Append this run's per-cell `secs`/`mean_rounds` to the trajectory
-    /// ledger at PATH and diff against the previous same-runner entry.
-    trajectory: Option<String>,
-    /// Make a trajectory gate violation fail the process (CI mode).
-    trajectory_gate: bool,
     /// Checkpoint trial cells into this directory and resume from any
     /// checkpoints an interrupted earlier run left there.
     checkpoint_dir: Option<String>,
@@ -86,8 +80,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         scenarios: Vec::new(),
         trials: None,
         json: None,
-        trajectory: None,
-        trajectory_gate: false,
         checkpoint_dir: None,
         checkpoint_every: None,
         shard: None,
@@ -111,11 +103,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                 let path = raw.next().ok_or("--json requires a path")?;
                 args.json = Some(path);
             }
-            "--append-trajectory" => {
-                let path = raw.next().ok_or("--append-trajectory requires a path")?;
-                args.trajectory = Some(path);
-            }
-            "--trajectory-gate" => args.trajectory_gate = true,
             "--checkpoint-dir" => {
                 let dir = raw.next().ok_or("--checkpoint-dir requires a path")?;
                 args.checkpoint_dir = Some(dir);
@@ -245,14 +232,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trials = args
-        .trials
-        .or_else(|| {
-            std::env::var("BDC_TRIALS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(5usize);
+    let trials = args.trials.unwrap_or(5usize);
 
     println!("bdclique experiment suite (base trials per config: {trials})");
     println!("paper: Fischer-Parter, PODC 2025 (arXiv:2505.05735)");
@@ -314,40 +294,6 @@ fn main() -> ExitCode {
             results.iter().map(|r| r.cells.len()).sum::<usize>(),
             scenario::SCHEMA
         );
-    }
-
-    if let Some(path) = args.trajectory {
-        let runner = std::env::var("BDC_RUNNER").unwrap_or_else(|_| "local".to_string());
-        let entry = trajectory::entry_from_results(&scenario::git_describe(), &runner, &results);
-        let entries = match trajectory::append(std::path::Path::new(&path), entry) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("failed to append trajectory {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "appended trajectory entry #{} (runner '{runner}') to {path}",
-            entries.len()
-        );
-        let violations = trajectory::check_latest(&entries);
-        for v in &violations {
-            eprintln!("trajectory gate: {v}");
-        }
-        if violations.is_empty() {
-            println!("trajectory gate: ok (±20% vs previous '{runner}' entry)");
-        } else if args.trajectory_gate {
-            eprintln!(
-                "trajectory gate FAILED: {} violation(s) vs previous '{runner}' entry",
-                violations.len()
-            );
-            return ExitCode::FAILURE;
-        } else {
-            println!(
-                "trajectory gate: {} warning(s) (pass --trajectory-gate to make this fatal)",
-                violations.len()
-            );
-        }
     }
     ExitCode::SUCCESS
 }

@@ -22,15 +22,12 @@
 //! Each checkpoint records the wall-clock seconds consumed by all previous
 //! segments. A resumed cell reports `secs` as the **sum of segments** —
 //! the time the computation actually cost across interruptions — which is
-//! what flows into the trajectory ledger.
+//! what the scenario JSON's per-cell `secs` carries.
 
-use crate::{AdversarySpec, TopologySpec, Trial, TrialSeeds};
+use crate::{Trial, TrialSeeds, TrialSpec};
 use bdclique_core::protocols::{AllToAllProtocol, Step};
-use bdclique_core::{restore_run, snapshot_run, AllToAllInstance, CoreError};
-use bdclique_netsim::Network;
+use bdclique_core::{restore_run, snapshot_run, CoreError};
 use bdclique_snapshot::{Dec, Enc, SnapError};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -106,57 +103,35 @@ fn io_err(what: &str, path: &Path, e: &io::Error) -> CoreError {
 /// wall-clock seconds prior segments consumed (zero for a fresh run); the
 /// caller folds that into its own timing.
 ///
-/// The instance, network, and adversary are derived from `seeds` exactly as
-/// in [`crate::run_trial_seeded_traced_on`], so the outcome is
-/// bit-identical to the uncheckpointed runner.
+/// The instance, network, and adversary come from [`TrialSpec::build`], the
+/// constructor [`crate::run_trial`] uses, so the outcome is bit-identical to
+/// the uncheckpointed runner.
 ///
 /// # Errors
 ///
 /// Propagates protocol errors, and reports unreadable or corrupt
 /// checkpoint files as [`CoreError`] (never silently restarting from
 /// round 0 — a bad resume must be loud).
-#[allow(clippy::too_many_arguments)]
 pub fn run_trial_checkpointed(
     proto: &dyn AllToAllProtocol,
-    topology: TopologySpec,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
+    spec: &TrialSpec,
     seeds: TrialSeeds,
     cfg: &CheckpointConfig,
     key: &str,
 ) -> Result<(Trial, f64), CoreError> {
     let start = Instant::now();
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
-    // Mirror the uncheckpointed runner exactly: the instance always comes
-    // off the same RNG stream, and the fresh-network path is byte-identical
-    // to `run_trial_seeded_traced_on`.
-    let (inst, fresh) = if topology.is_complete() {
-        let inst = AllToAllInstance::random(n, b, &mut rng);
-        (inst, None)
-    } else {
-        let topo = topology.build(n);
-        let inst = AllToAllInstance::random_on(&topo, b, &mut rng);
-        (inst, Some(topo))
-    };
+    let (inst, fresh) = spec.build(seeds);
     let path = cfg.path_for(key);
     let (prior_secs, mut net, mut session) = match fs::read(&path) {
         Ok(bytes) => {
             let (secs, payload) = decode_wrapper(&bytes).map_err(CoreError::from)?;
-            let (net, session) = restore_run(payload, spec.build(seeds.adversary), proto, &inst)?;
+            let adversary = spec.adversary.build(seeds.adversary);
+            let (net, session) = restore_run(payload, adversary, proto, &inst)?;
             (secs, net, session)
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let net = match fresh {
-                None => Network::new(n, bandwidth, alpha, spec.build(seeds.adversary)),
-                Some(topo) => {
-                    Network::on_topology(topo, bandwidth, alpha, spec.build(seeds.adversary))
-                }
-            };
-            let session = proto.session(&net, &inst)?;
-            (0.0, net, session)
+            let session = proto.session(&fresh, &inst)?;
+            (0.0, fresh, session)
         }
         Err(e) => return Err(io_err("read", &path, &e)),
     };
@@ -177,21 +152,18 @@ pub fn run_trial_checkpointed(
     // is harmless — the next run of this key resumes at the final rounds
     // and completes immediately with the same deterministic output.
     let _ = fs::remove_file(&path);
-    let trial = Trial {
-        errors: inst.count_errors(&out),
-        rounds: net.rounds(),
-        bits_sent: net.stats().bits_sent,
-        edges_corrupted: net.stats().edges_corrupted,
-        peak_fault_degree: net.stats().peak_fault_degree,
-    };
-    Ok((trial, prior_secs))
+    Ok((Trial::score(&inst, &net, &out), prior_secs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_trial_seeded;
+    use crate::{run_trial, AdversarySpec};
     use bdclique_core::protocols::RelayReplication;
+
+    fn spec() -> TrialSpec {
+        TrialSpec::clique(16, 2, 9, 0.25, AdversarySpec::RandomMatchingsFlip)
+    }
 
     fn temp_cfg(tag: &str, every: u64) -> CheckpointConfig {
         CheckpointConfig {
@@ -207,30 +179,10 @@ mod tests {
         let proto = RelayReplication { copies: 3 };
         let seeds = TrialSeeds::derive(11);
         let cfg = temp_cfg("fresh", 1);
-        let (trial, prior) = run_trial_checkpointed(
-            &proto,
-            TopologySpec::Complete,
-            16,
-            2,
-            9,
-            0.25,
-            AdversarySpec::RandomMatchingsFlip,
-            seeds,
-            &cfg,
-            "unit-fresh",
-        )
-        .unwrap();
+        let (trial, prior) =
+            run_trial_checkpointed(&proto, &spec(), seeds, &cfg, "unit-fresh").unwrap();
         assert_eq!(prior, 0.0);
-        let plain = run_trial_seeded(
-            &proto,
-            16,
-            2,
-            9,
-            0.25,
-            AdversarySpec::RandomMatchingsFlip,
-            seeds,
-        )
-        .unwrap();
+        let plain = run_trial(&proto, &spec(), seeds, None).unwrap();
         assert_eq!(trial, plain);
         assert!(
             !cfg.path_for("unit-fresh").exists(),
@@ -250,14 +202,7 @@ mod tests {
         let key = "unit-resume";
         // Segment 1: run manually to round 2, checkpoint, "crash".
         {
-            let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
-            let inst = AllToAllInstance::random(16, 2, &mut rng);
-            let mut net = Network::new(
-                16,
-                9,
-                0.25,
-                AdversarySpec::RandomMatchingsFlip.build(seeds.adversary),
-            );
+            let (inst, mut net) = spec().build(seeds);
             let mut session = proto.session(&net, &inst).unwrap();
             while net.rounds() < 2 {
                 assert!(matches!(session.step(&mut net).unwrap(), Step::Running));
@@ -266,30 +211,9 @@ mod tests {
             write_atomic(&cfg.path_for(key), &encode_wrapper(1.5, &payload)).unwrap();
         }
         // Segment 2: the checkpointed runner picks the file up.
-        let (trial, prior) = run_trial_checkpointed(
-            &proto,
-            TopologySpec::Complete,
-            16,
-            2,
-            9,
-            0.25,
-            AdversarySpec::RandomMatchingsFlip,
-            seeds,
-            &cfg,
-            key,
-        )
-        .unwrap();
+        let (trial, prior) = run_trial_checkpointed(&proto, &spec(), seeds, &cfg, key).unwrap();
         assert_eq!(prior, 1.5, "prior segment seconds must carry over");
-        let plain = run_trial_seeded(
-            &proto,
-            16,
-            2,
-            9,
-            0.25,
-            AdversarySpec::RandomMatchingsFlip,
-            seeds,
-        )
-        .unwrap();
+        let plain = run_trial(&proto, &spec(), seeds, None).unwrap();
         assert_eq!(trial, plain, "resumed trial must be bit-identical");
         assert!(!cfg.path_for(key).exists());
         let _ = fs::remove_dir_all(&cfg.dir);
@@ -309,18 +233,7 @@ mod tests {
             ("empty", Vec::new()),
         ] {
             fs::write(cfg.path_for(name), &bytes).unwrap();
-            let err = run_trial_checkpointed(
-                &proto,
-                TopologySpec::Complete,
-                16,
-                2,
-                9,
-                0.25,
-                AdversarySpec::RandomMatchingsFlip,
-                seeds,
-                &cfg,
-                name,
-            );
+            let err = run_trial_checkpointed(&proto, &spec(), seeds, &cfg, name);
             assert!(err.is_err(), "{name} must be rejected");
         }
         let _ = fs::remove_dir_all(&cfg.dir);

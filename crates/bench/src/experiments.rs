@@ -1,17 +1,15 @@
-//! The experiment suite: one declarative [`Scenario`] per experiment id of
-//! `DESIGN.md`, all executed by the [`crate::scenario`] engine.
+//! The experiment suite: one declarative [`Scenario`] per experiment id
+//! (`T1.R1` … `S.TOPO`, named in each builder's doc comment), all executed
+//! by the [`crate::scenario`] engine.
 //!
 //! Every builder here turns a hand-tuned experiment into a grid of cells —
 //! the engine owns seeding, parallelism, table rendering, and JSON
-//! emission. The legacy `Table`-returning wrappers (`table1_row1` …) are
-//! kept as the stable names `DESIGN.md` references; `EXPERIMENTS.md`
-//! records measured outcomes against the paper's claims.
+//! emission.
 
 use crate::scenario::{
-    run, run_trials, Cell, CellCtx, CellKind, ProtocolFactory, RegistryEntry, Scenario, TrialJob,
-    Value,
+    run_trials, Cell, CellCtx, CellKind, ProtocolFactory, RegistryEntry, Scenario, TrialJob, Value,
 };
-use crate::{AdversarySpec, Aggregate, Table, TopologySpec};
+use crate::{AdversarySpec, Aggregate, TopologySpec};
 use bdclique_bits::BitVec;
 use bdclique_codes::{ConcatenatedCode, Ldc, ReedSolomon, RepetitionCode, RmLdc, SymbolCode};
 use bdclique_core::cc::{MaxTwoPhase, SumAll, Transpose};
@@ -1068,8 +1066,8 @@ pub fn querypath(trials: usize) -> Scenario {
 
 /// `S.LARGE-N` — storage-layer scaling smoke: a full DetSqrt trial at
 /// `n = 1024` on the sparse traffic substrate. The per-cell `secs` column
-/// keeps substrate regressions visible in the rendered tables and the JSON
-/// perf trajectory.
+/// keeps substrate regressions visible in the rendered tables and the
+/// scenario JSON.
 pub fn largen(_trials: usize) -> Scenario {
     fn present(_job: &TrialJob, agg: &Aggregate) -> Vec<(&'static str, Value)> {
         if agg.completed == 0 {
@@ -1223,7 +1221,7 @@ pub fn alpha_largen(_trials: usize) -> Scenario {
         // so Auto would burn the whole family-construction probe per wave
         // only to fall back). This cell is the CI wall-clock regression
         // gate, release-gated with a wall-clock budget; its per-cell `secs`
-        // lands in the BENCH artifact and the trajectory ledger.
+        // lands in the BENCH artifact.
         (
             "det-sqrt",
             factory(|_| {
@@ -1566,82 +1564,4 @@ pub fn topologies(trials: usize) -> Scenario {
         ],
         cells,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy `Table`-returning wrappers: the stable experiment-id names that
-// `DESIGN.md` references, now thin shims over the scenario engine.
-// ---------------------------------------------------------------------------
-
-/// `T1.R1` rendered as a table (engine-backed).
-pub fn table1_row1(trials: usize) -> Table {
-    run(&t1r1(trials)).table()
-}
-
-/// `T1.R2` rendered as a table (engine-backed).
-pub fn table1_row2(trials: usize) -> Table {
-    run(&t1r2(trials)).table()
-}
-
-/// `T1.R3` rendered as a table (engine-backed).
-pub fn table1_row3(trials: usize) -> Table {
-    run(&t1r3(trials)).table()
-}
-
-/// `T1.R4` rendered as a table (engine-backed).
-pub fn table1_row4(trials: usize) -> Table {
-    run(&t1r4(trials)).table()
-}
-
-/// `F.ROUTE` — both routing tables (engine-backed).
-pub fn routing_threshold() -> Vec<Table> {
-    vec![
-        run(&route_margin(1)).table(),
-        run(&route_engines(1)).table(),
-    ]
-}
-
-/// `F.MATCH` rendered as a table (engine-backed).
-pub fn matching_separation(trials: usize) -> Table {
-    run(&matching(trials)).table()
-}
-
-/// `F.FREE` rendered as a table (engine-backed).
-pub fn frontier(trials: usize) -> Table {
-    run(&frontier_scenario(trials)).table()
-}
-
-/// `F.COMPILE` rendered as a table (engine-backed).
-pub fn compiler_overhead() -> Table {
-    run(&compiler(1)).table()
-}
-
-/// `A.CODE` rendered as a table (engine-backed; runs `8 × trials`).
-pub fn ablation_codes(trials: usize) -> Table {
-    run(&codes(trials)).table()
-}
-
-/// `A.LDC` rendered as a table (engine-backed; runs `4 × trials`).
-pub fn ablation_ldc(trials: usize) -> Table {
-    run(&ldc(trials)).table()
-}
-
-/// `A.SKETCH` rendered as a table (engine-backed; runs `20 × trials`).
-pub fn ablation_sketch(trials: usize) -> Table {
-    run(&sketch(trials)).table()
-}
-
-/// `A.CFREE` rendered as a table (engine-backed).
-pub fn ablation_coverfree() -> Table {
-    run(&cfree(1)).table()
-}
-
-/// `A.QUERYPATH` rendered as a table (engine-backed).
-pub fn ablation_querypath(trials: usize) -> Table {
-    run(&querypath(trials)).table()
-}
-
-/// `S.LARGE-N` rendered as a table (engine-backed).
-pub fn large_n_smoke() -> Table {
-    run(&largen(1)).table()
 }

@@ -2,9 +2,9 @@
 //! benches: protocol/adversary factories, trial execution, the declarative
 //! [`scenario`] engine, and plain-text table rendering.
 //!
-//! `DESIGN.md` maps every experiment id (`T1.R1` … `A.SKETCH`) to the
-//! functions in [`crate::experiments`]; `EXPERIMENTS.md` records the
-//! measured outcomes against the paper's claims.
+//! Every experiment id (`T1.R1` … `A.SKETCH`) is one scenario builder in
+//! [`crate::experiments`], named in its doc comment; the `tables` binary
+//! regenerates the measured outcomes to hold against the paper's claims.
 //!
 //! # Seeding discipline
 //!
@@ -20,9 +20,9 @@
 
 pub mod checkpoint;
 pub mod experiments;
+pub mod json;
 pub mod merge;
 pub mod scenario;
-pub mod trajectory;
 
 use bdclique_adversary::adaptive::{GreedyLoad, RushingRandom, TargetNode};
 use bdclique_adversary::corruptors::PayloadCorruptor;
@@ -31,13 +31,12 @@ use bdclique_adversary::plans::{
     RotatingMatching, RotatingStar,
 };
 use bdclique_adversary::Payload;
-use bdclique_core::driver::{RoundDelta, RoundObserver, RoundTrace};
+use bdclique_core::driver::{RoundObserver, RoundTrace};
 use bdclique_core::protocols::AllToAllProtocol;
-use bdclique_core::{AllToAllInstance, CoreError, Driver};
+use bdclique_core::{AllToAllInstance, AllToAllOutput, CoreError, Driver};
 use bdclique_netsim::{Adversary, Network, SeedStream, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Which adversary to attach to a trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,131 +290,106 @@ pub struct Trial {
     pub peak_fault_degree: usize,
 }
 
-/// Runs one trial of `proto` on a fresh network, deriving decorrelated
-/// component seeds from `seed` (see [`TrialSeeds::derive`]).
-///
-/// # Errors
-///
-/// Propagates protocol parameter errors ([`CoreError`]).
-pub fn run_trial(
-    proto: &dyn AllToAllProtocol,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
-    seed: u64,
-) -> Result<Trial, CoreError> {
-    run_trial_seeded(
-        proto,
-        n,
-        b,
-        bandwidth,
-        alpha,
-        spec,
-        TrialSeeds::derive(seed),
-    )
+impl Trial {
+    /// Scores a finished run: `out` against the instance, cost counters off
+    /// the network.
+    pub fn score(inst: &AllToAllInstance, net: &Network, out: &AllToAllOutput) -> Self {
+        let stats = net.stats();
+        Self {
+            errors: inst.count_errors(out),
+            rounds: net.rounds(),
+            bits_sent: stats.bits_sent,
+            edges_corrupted: stats.edges_corrupted,
+            peak_fault_degree: stats.peak_fault_degree,
+        }
+    }
 }
 
-/// Runs one trial with explicit per-component seeds.
-///
-/// # Errors
-///
-/// Propagates protocol parameter errors ([`CoreError`]).
-pub fn run_trial_seeded(
-    proto: &dyn AllToAllProtocol,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
-    seeds: TrialSeeds,
-) -> Result<Trial, CoreError> {
-    run_trial_seeded_traced(proto, n, b, bandwidth, alpha, spec, seeds, false)
-        .map(|(trial, _)| trial)
+/// The coordinates of one trial besides its protocol and seeds: which graph,
+/// how big, and against whom.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialSpec {
+    /// Communication graph.
+    pub topology: TopologySpec,
+    /// Nodes.
+    pub n: usize,
+    /// Message bits per ordered pair.
+    pub b: usize,
+    /// Link bandwidth `B` in bits.
+    pub bandwidth: usize,
+    /// Fault fraction α (degree budget `⌊αn⌋`, degree-relative off the
+    /// clique).
+    pub alpha: f64,
+    /// Attached adversary.
+    pub adversary: AdversarySpec,
 }
 
-/// Runs one trial, optionally recording the per-round stat deltas through a
-/// [`RoundTrace`] observer on the session [`Driver`]. Observers never touch
-/// protocol or adversary randomness, so the [`Trial`] fields are identical
-/// with tracing on or off (the session-regression suite covers this).
-///
-/// # Errors
-///
-/// Propagates protocol parameter errors ([`CoreError`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial_seeded_traced(
-    proto: &dyn AllToAllProtocol,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
-    seeds: TrialSeeds,
-    trace: bool,
-) -> Result<(Trial, Option<Vec<RoundDelta>>), CoreError> {
-    run_trial_seeded_traced_on(
-        proto,
-        TopologySpec::Complete,
-        n,
-        b,
-        bandwidth,
-        alpha,
-        spec,
-        seeds,
-        trace,
-    )
+impl TrialSpec {
+    /// A trial on the complete graph `K_n`.
+    pub fn clique(
+        n: usize,
+        b: usize,
+        bandwidth: usize,
+        alpha: f64,
+        adversary: AdversarySpec,
+    ) -> Self {
+        Self {
+            topology: TopologySpec::Complete,
+            n,
+            b,
+            bandwidth,
+            alpha,
+            adversary,
+        }
+    }
+
+    /// Draws the trial's instance from `seeds.instance` and opens its
+    /// network with the adversary built from `seeds.adversary` — the one
+    /// place seeds become an `(instance, network)` pair, so every runner,
+    /// checkpointed or not, faces the same trial. The clique path is
+    /// [`AllToAllInstance::random`] + [`Network::new`]; sparse topologies
+    /// mask the instance to the edge set and open the network with
+    /// [`Network::on_topology`], under the degree-relative budget
+    /// `⌊α·(deg(v)+1)⌋`.
+    pub fn build(&self, seeds: TrialSeeds) -> (AllToAllInstance, Network) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
+        let adversary = self.adversary.build(seeds.adversary);
+        if self.topology.is_complete() {
+            let inst = AllToAllInstance::random(self.n, self.b, &mut rng);
+            let net = Network::new(self.n, self.bandwidth, self.alpha, adversary);
+            (inst, net)
+        } else {
+            let topo = self.topology.build(self.n);
+            let inst = AllToAllInstance::random_on(&topo, self.b, &mut rng);
+            let net = Network::on_topology(topo, self.bandwidth, self.alpha, adversary);
+            (inst, net)
+        }
+    }
 }
 
-/// [`run_trial_seeded_traced`] on an explicit topology. The clique path is
-/// byte-for-byte the historical one ([`AllToAllInstance::random`] +
-/// [`Network::new`]); sparse topologies mask the instance to the edge set
-/// and open the network with [`Network::on_topology`], under the
-/// degree-relative budget `⌊α·(deg(v)+1)⌋`.
+/// Runs one trial of `proto` on a fresh network, under the session
+/// [`Driver`] — with `trace` as its one observer when given, recording the
+/// per-round stat deltas. Observers never touch protocol or adversary
+/// randomness, so the [`Trial`] is identical with tracing on or off (the
+/// session-regression suite covers this).
 ///
 /// # Errors
 ///
 /// Propagates protocol parameter errors ([`CoreError`]), including
 /// `Infeasible` from clique-only protocols on sparse graphs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial_seeded_traced_on(
+pub fn run_trial(
     proto: &dyn AllToAllProtocol,
-    topology: TopologySpec,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
+    spec: &TrialSpec,
     seeds: TrialSeeds,
-    trace: bool,
-) -> Result<(Trial, Option<Vec<RoundDelta>>), CoreError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
-    let (inst, mut net) = if topology.is_complete() {
-        let inst = AllToAllInstance::random(n, b, &mut rng);
-        let net = Network::new(n, bandwidth, alpha, spec.build(seeds.adversary));
-        (inst, net)
-    } else {
-        let topo = topology.build(n);
-        let inst = AllToAllInstance::random_on(&topo, b, &mut rng);
-        let net = Network::on_topology(topo, bandwidth, alpha, spec.build(seeds.adversary));
-        (inst, net)
-    };
-    let (out, frames) = if trace {
-        let mut tracer = RoundTrace::new();
-        let mut observers: [&mut dyn RoundObserver; 1] = [&mut tracer];
-        let out = Driver::with_observers(&mut observers).run(proto, &mut net, &inst)?;
-        (out, Some(tracer.frames))
-    } else {
-        (proto.run(&mut net, &inst)?, None)
-    };
-    let trial = Trial {
-        errors: inst.count_errors(&out),
-        rounds: net.rounds(),
-        bits_sent: net.stats().bits_sent,
-        edges_corrupted: net.stats().edges_corrupted,
-        peak_fault_degree: net.stats().peak_fault_degree,
-    };
-    Ok((trial, frames))
+    trace: Option<&mut RoundTrace>,
+) -> Result<Trial, CoreError> {
+    let (inst, mut net) = spec.build(seeds);
+    let mut observers: Vec<&mut dyn RoundObserver> = Vec::new();
+    if let Some(trace) = trace {
+        observers.push(trace);
+    }
+    let out = Driver::with_observers(&mut observers).run(proto, &mut net, &inst)?;
+    Ok(Trial::score(&inst, &net, &out))
 }
 
 /// Aggregates several trials of the same configuration.
@@ -447,60 +421,6 @@ pub struct Aggregate {
     /// Trials that failed with any other protocol error (excluded from the
     /// means; nonzero here flags a configuration bug, not a protocol loss).
     pub failed: usize,
-}
-
-/// Runs `trials` trials **in parallel** and aggregates.
-///
-/// Trial `t` draws its root seed from `stream.fork_u64(t)` and then splits
-/// it into independent instance/adversary/protocol seeds
-/// ([`TrialSeeds::derive`]), so trials never share a random stream and
-/// growing `trials` extends the seed sequence without reshuffling earlier
-/// trials. Trials fan out across cores and the results are folded in trial
-/// order, making the output bit-identical to [`aggregate_serial`] (covered
-/// by a regression test).
-// The argument list *is* the cell coordinate tuple; bundling it would just
-// rename the same eight values.
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate(
-    proto: &dyn AllToAllProtocol,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
-    trials: usize,
-    stream: SeedStream,
-) -> Aggregate {
-    let results: Vec<Result<Trial, CoreError>> = (0..trials)
-        .into_par_iter()
-        .map(|t| {
-            let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
-            run_trial_seeded(proto, n, b, bandwidth, alpha, spec, seeds)
-        })
-        .collect();
-    fold_trials(trials, results)
-}
-
-/// Serial reference implementation of [`aggregate`]: same seeds, same fold,
-/// one thread. Kept public as the determinism oracle.
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_serial(
-    proto: &dyn AllToAllProtocol,
-    n: usize,
-    b: usize,
-    bandwidth: usize,
-    alpha: f64,
-    spec: AdversarySpec,
-    trials: usize,
-    stream: SeedStream,
-) -> Aggregate {
-    let results: Vec<Result<Trial, CoreError>> = (0..trials)
-        .map(|t| {
-            let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
-            run_trial_seeded(proto, n, b, bandwidth, alpha, spec, seeds)
-        })
-        .collect();
-    fold_trials(trials, results)
 }
 
 /// Folds per-trial results (in trial order) into an [`Aggregate`]. The fold
@@ -606,7 +526,8 @@ mod tests {
 
     #[test]
     fn trial_runs_fault_free() {
-        let t = run_trial(&NaiveExchange, 8, 1, 9, 0.0, AdversarySpec::None, 1).unwrap();
+        let spec = TrialSpec::clique(8, 1, 9, 0.0, AdversarySpec::None);
+        let t = run_trial(&NaiveExchange, &spec, TrialSeeds::derive(1), None).unwrap();
         assert_eq!(t.errors, 0);
         assert_eq!(t.rounds, 1);
         assert_eq!(t.peak_fault_degree, 0);
@@ -622,48 +543,6 @@ mod tests {
             assert_ne!(s.instance, s.adversary, "root {root}");
             assert_ne!(s.instance, s.protocol, "root {root}");
             assert_ne!(s.adversary, s.protocol, "root {root}");
-        }
-    }
-
-    #[test]
-    fn aggregate_counts_perfect_trials() {
-        let stream = SeedStream::from_label("test:aggregate");
-        let agg = aggregate(&NaiveExchange, 8, 1, 9, 0.0, AdversarySpec::None, 3, stream);
-        assert_eq!(agg.perfect, 3);
-        assert_eq!(agg.completed, 3);
-        assert_eq!(agg.total_errors, 0);
-    }
-
-    /// The parallel fan-out must be invisible in the results: every field of
-    /// the [`Aggregate`] is bit-identical to the serial fold for the same
-    /// seed set, across clean and adversarial configurations.
-    #[test]
-    fn parallel_aggregate_is_bit_identical_to_serial() {
-        use bdclique_core::protocols::DetSqrt;
-        let configs: &[(AdversarySpec, f64)] = &[
-            (AdversarySpec::None, 0.0),
-            (AdversarySpec::GreedyFlip, 0.07),
-            (AdversarySpec::RushingRandom, 0.07),
-            (AdversarySpec::RandomMatchingsFlip, 0.07),
-        ];
-        for &(spec, alpha) in configs {
-            let stream = SeedStream::from_label("test:par-vs-serial");
-            let par = aggregate(&DetSqrt::default(), 16, 1, 9, alpha, spec, 8, stream);
-            let ser = aggregate_serial(&DetSqrt::default(), 16, 1, 9, alpha, spec, 8, stream);
-            assert_eq!(
-                par, ser,
-                "spec {spec:?} diverged between parallel and serial"
-            );
-            // f64 equality above is exact; double-check the bit patterns to
-            // rule out a PartialEq that tolerates representation drift.
-            assert_eq!(
-                par.mean_rounds.map(f64::to_bits),
-                ser.mean_rounds.map(f64::to_bits)
-            );
-            assert_eq!(
-                par.mean_corrupted.map(f64::to_bits),
-                ser.mean_corrupted.map(f64::to_bits)
-            );
         }
     }
 
@@ -751,37 +630,27 @@ mod tests {
     /// corrupts — the budget `⌊0.9·9⌋ = 8` covers the full degree.
     #[test]
     fn sparse_trial_runs_on_random_regular() {
-        let topo = TopologySpec::RandomRegular { d: 8, seed: 21 };
+        let clean_spec = TrialSpec {
+            topology: TopologySpec::RandomRegular { d: 8, seed: 21 },
+            n: 32,
+            b: 2,
+            bandwidth: 18,
+            alpha: 0.0,
+            adversary: AdversarySpec::None,
+        };
         let seeds = TrialSeeds::derive(3);
-        let (clean, _) = run_trial_seeded_traced_on(
-            &NaiveExchange,
-            topo,
-            32,
-            2,
-            18,
-            0.0,
-            AdversarySpec::None,
-            seeds,
-            false,
-        )
-        .unwrap();
+        let clean = run_trial(&NaiveExchange, &clean_spec, seeds, None).unwrap();
         assert_eq!(clean.errors, 0);
         assert_eq!(clean.rounds, 1);
-        let (eclipsed, _) = run_trial_seeded_traced_on(
-            &NaiveExchange,
-            topo,
-            32,
-            2,
-            18,
-            0.9,
-            AdversarySpec::Eclipse {
+        let eclipse_spec = TrialSpec {
+            alpha: 0.9,
+            adversary: AdversarySpec::Eclipse {
                 target: 0,
                 rounds: 64,
             },
-            seeds,
-            false,
-        )
-        .unwrap();
+            ..clean_spec
+        };
+        let eclipsed = run_trial(&NaiveExchange, &eclipse_spec, seeds, None).unwrap();
         assert!(eclipsed.edges_corrupted > 0, "eclipse must close on d=8");
         assert!(eclipsed.errors > 0);
     }
@@ -791,18 +660,11 @@ mod tests {
     #[test]
     fn clique_only_protocol_is_infeasible_on_sparse() {
         use bdclique_core::protocols::DetSqrt;
-        let err = run_trial_seeded_traced_on(
-            &DetSqrt::default(),
-            TopologySpec::RandomRegular { d: 8, seed: 21 },
-            16,
-            1,
-            9,
-            0.0,
-            AdversarySpec::None,
-            TrialSeeds::derive(4),
-            false,
-        )
-        .unwrap_err();
+        let spec = TrialSpec {
+            topology: TopologySpec::RandomRegular { d: 8, seed: 21 },
+            ..TrialSpec::clique(16, 1, 9, 0.0, AdversarySpec::None)
+        };
+        let err = run_trial(&DetSqrt::default(), &spec, TrialSeeds::derive(4), None).unwrap_err();
         assert!(matches!(err, CoreError::Infeasible { .. }));
     }
 
@@ -825,23 +687,16 @@ mod tests {
     #[test]
     fn traced_trial_sees_burst_windows() {
         use bdclique_core::protocols::RelayReplication;
-        let spec = AdversarySpec::BurstFlip {
+        let burst = AdversarySpec::BurstFlip {
             period: 3,
             burst: 1,
         };
+        let spec = TrialSpec::clique(16, 2, 9, 0.25, burst);
+        let proto = RelayReplication { copies: 3 };
         let seeds = TrialSeeds::derive(5);
-        let (trial, frames) = run_trial_seeded_traced(
-            &RelayReplication { copies: 3 },
-            16,
-            2,
-            9,
-            0.25,
-            spec,
-            seeds,
-            true,
-        )
-        .unwrap();
-        let frames = frames.expect("trace requested");
+        let mut trace = RoundTrace::new();
+        let trial = run_trial(&proto, &spec, seeds, Some(&mut trace)).unwrap();
+        let frames = trace.frames;
         assert_eq!(frames.len() as u64, trial.rounds);
         for frame in &frames {
             let active = frame.round % 3 == 0;
@@ -853,8 +708,7 @@ mod tests {
             );
         }
         // Tracing must not perturb the trial outcome.
-        let untracked =
-            run_trial_seeded(&RelayReplication { copies: 3 }, 16, 2, 9, 0.25, spec, seeds).unwrap();
+        let untracked = run_trial(&proto, &spec, seeds, None).unwrap();
         assert_eq!(trial, untracked);
     }
 }

@@ -9,11 +9,11 @@
 //! single-machine run (cell *order* follows shard order; consumers key
 //! cells by their seed, which is unique per cell).
 //!
-//! The reader is the same hand-rolled JSON parser the trajectory ledger
-//! uses ([`crate::trajectory::parse_json`]) — the workspace has no serde.
+//! The reader is the crate's hand-rolled JSON parser
+//! ([`crate::json::parse_json`]) — the workspace has no serde.
 
+use crate::json::{parse_json, quote, Json};
 use crate::scenario::SCHEMA;
-use crate::trajectory::{parse_json, Json};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -31,23 +31,7 @@ fn render_json(v: &Json, out: &mut String) {
         Json::Num(v) => {
             let _ = write!(out, "{v}");
         }
-        Json::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
+        Json::Str(s) => out.push_str(&quote(s)),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -64,7 +48,7 @@ fn render_json(v: &Json, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                render_json(&Json::Str(key.clone()), out);
+                out.push_str(&quote(key));
                 out.push(':');
                 render_json(value, out);
             }
@@ -92,8 +76,9 @@ struct MergedScenario {
 /// # Errors
 ///
 /// A human-readable message on unparsable input, schema mismatch,
-/// inconsistent `base_trials`, or a cell seed appearing in two shards
-/// (overlapping shards indicate a mis-specified `--shard` split).
+/// inconsistent `base_trials`, a cell whose `seed` is missing or not a
+/// string, or a cell seed appearing in two shards (overlapping shards
+/// indicate a mis-specified `--shard` split).
 pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
     if inputs.is_empty() {
         return Err("nothing to merge".to_string());
@@ -110,10 +95,7 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
         }
         let trials = doc
             .get("base_trials")
-            .and_then(|v| match v {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            })
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("{label}: missing base_trials"))?;
         match base_trials {
             None => {
@@ -134,17 +116,11 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
         for scenario in scenarios {
             let name = scenario
                 .get("name")
-                .and_then(|v| match v {
-                    Json::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
+                .and_then(Json::as_str)
                 .ok_or_else(|| format!("{label}: scenario without a name"))?;
             let wall = scenario
                 .get("wall_secs")
-                .and_then(|v| match v {
-                    Json::Num(n) => Some(*n),
-                    _ => None,
-                })
+                .and_then(Json::as_f64)
                 .unwrap_or(0.0);
             let Some(Json::Arr(cells)) = scenario.get("cells") else {
                 return Err(format!("{label}: scenario {name} without cells"));
@@ -153,7 +129,7 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
                 Some(slot) => slot,
                 None => {
                     merged.push(MergedScenario {
-                        name: name.clone(),
+                        name: name.to_string(),
                         title: scenario.get("title").cloned().unwrap_or(Json::Null),
                         wall_secs: 0.0,
                         cells: Vec::new(),
@@ -164,13 +140,16 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
             };
             slot.wall_secs += wall;
             for cell in cells {
-                if let Some(Json::Str(seed)) = cell.get("seed") {
-                    if !slot.seen_seeds.insert(seed.clone()) {
-                        return Err(format!(
-                            "{label}: scenario {name} cell seed {seed} already \
-                             merged from an earlier shard (overlapping --shard split?)"
-                        ));
-                    }
+                // Cells are keyed by seed: without one the overlap check
+                // below would have nothing to compare.
+                let seed = cell.get("seed").and_then(Json::as_str).ok_or_else(|| {
+                    format!("{label}: scenario {name} has a cell without a string seed")
+                })?;
+                if !slot.seen_seeds.insert(seed.to_string()) {
+                    return Err(format!(
+                        "{label}: scenario {name} cell seed {seed} already \
+                         merged from an earlier shard (overlapping --shard split?)"
+                    ));
                 }
                 slot.cells.push(cell.clone());
             }
@@ -178,7 +157,7 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
     }
     let mut out = String::new();
     out.push_str("{\"schema\":");
-    render_json(&Json::Str(SCHEMA.to_string()), &mut out);
+    out.push_str(&quote(SCHEMA));
     out.push_str(",\"generator\":");
     render_json(&generator, &mut out);
     out.push_str(",\"git\":");
@@ -194,7 +173,7 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        render_json(&Json::Str(scenario.name.clone()), &mut out);
+        out.push_str(&quote(&scenario.name));
         out.push_str(",\"title\":");
         render_json(&scenario.title, &mut out);
         let _ = write!(out, ",\"wall_secs\":");
@@ -312,6 +291,28 @@ mod tests {
         assert!(merge_documents(&[("x".to_string(), "{}".to_string())]).is_err());
         assert!(merge_documents(&[("x".to_string(), "not json".to_string())]).is_err());
         assert!(merge_documents(&[]).is_err());
+    }
+
+    /// A cell whose seed is absent or not a string cannot be deduplicated,
+    /// so two shards carrying it must not merge into a document holding it
+    /// twice: the merge refuses, naming the shard and the scenario.
+    #[test]
+    fn merge_rejects_cells_without_a_string_seed() {
+        for seed_field in ["\"seed\":7,", ""] {
+            let doc = format!(
+                "{{\"schema\":\"{SCHEMA}\",\"base_trials\":1,\"scenarios\":[{{\"name\":\"s\",\
+                 \"title\":\"t\",\"wall_secs\":0,\"cells\":[{{{seed_field}\"metrics\":{{}}}}]}}]}}"
+            );
+            let err = merge_documents(&[
+                ("shard-a".to_string(), doc.clone()),
+                ("shard-b".to_string(), doc),
+            ])
+            .unwrap_err();
+            assert!(
+                err.contains("shard-a") && err.contains("scenario s"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //!   protocol seeds ([`TrialSeeds`]). Changing any single coordinate
 //!   changes the cell's entire stream; no two cells share randomness.
 //! * **Backends** — one run renders as an aligned-text [`Table`] and/or
-//!   serializes to JSON ([`emit_json`]) for the machine-readable perf
-//!   trajectory. The JSON schema is documented in the README
+//!   serializes to JSON ([`emit_json`]) for machine consumers (CI checks,
+//!   `tables --merge`). The JSON schema is documented in the README
 //!   ("Scenario engine" section) and versioned via [`SCHEMA`].
 
 use crate::checkpoint::{run_trial_checkpointed, CheckpointConfig};
+use crate::json::quote;
 use crate::{
-    fold_trials, run_trial_seeded_traced_on, AdversarySpec, Aggregate, Table, TopologySpec,
-    TrialSeeds,
+    fold_trials, run_trial, AdversarySpec, Aggregate, Table, TopologySpec, TrialSeeds, TrialSpec,
 };
-use bdclique_core::driver::RoundDelta;
+use bdclique_core::driver::{RoundDelta, RoundTrace};
 use bdclique_core::protocols::AllToAllProtocol;
 use bdclique_core::routing::{shared_codeword_cache, CodewordCache};
 use bdclique_core::CoreError;
@@ -121,7 +121,7 @@ impl Value {
             Value::I64(v) => v.to_string(),
             Value::Float { v, .. } if v.is_finite() => format!("{v}"),
             Value::Float { .. } | Value::Missing => "null".to_string(),
-            Value::Str(s) => json_string(s),
+            Value::Str(s) => quote(s),
             Value::Rate { ok, of } => format!("{{\"ok\":{ok},\"of\":{of}}}"),
         }
     }
@@ -195,6 +195,21 @@ pub struct TrialJob {
     /// the cell result's `round_trace` JSON section. Tracing never perturbs
     /// the trial outcomes — observers only read stat deltas.
     pub trace: bool,
+}
+
+impl TrialJob {
+    /// The job's trial coordinates — what [`run_trial`] needs besides the
+    /// protocol and the seeds.
+    pub fn spec(&self) -> TrialSpec {
+        TrialSpec {
+            topology: self.topology,
+            n: self.n,
+            b: self.b,
+            bandwidth: self.bandwidth,
+            alpha: self.alpha,
+            adversary: self.adversary,
+        }
+    }
 }
 
 /// What a cell executes.
@@ -383,8 +398,8 @@ impl ScenarioResult {
             .collect();
         format!(
             "{{\"name\":{name},\"title\":{title},\"wall_secs\":{wall},\"cells\":[{cells}]}}",
-            name = json_string(self.name),
-            title = json_string(&self.title),
+            name = quote(self.name),
+            title = quote(&self.title),
             wall = json_f64(self.wall_secs),
             cells = cells.join(",")
         )
@@ -472,16 +487,11 @@ fn run_cell(scenario: &str, cell: &Cell, cfg: &RunConfig) -> CellResult {
     let mut prior_secs = 0.0;
     let (metrics, aggregate, round_trace) = match &cell.kind {
         CellKind::Trials(job) => {
-            let (agg, trace, (hits, misses)) = match &cfg.checkpoint {
-                None => run_trials_traced(job, &stream, parallel),
-                Some(ckpt) => {
-                    let key = format!("{scenario}-{:016x}", stream.seed());
-                    let (agg, prior, cache) =
-                        run_trials_checkpointed(job, &stream, parallel, ckpt, &key);
-                    prior_secs = prior;
-                    (agg, None, cache)
-                }
-            };
+            let cell_key = format!("{scenario}-{:016x}", stream.seed());
+            let ckpt = cfg.checkpoint.as_ref().map(|c| (c, cell_key.as_str()));
+            let (agg, trace, (hits, misses), prior) =
+                run_trials_traced(job, &stream, parallel, ckpt);
+            prior_secs = prior;
             let mut metrics = (job.present)(job, &agg);
             // Cross-trial codeword-cache effectiveness; counters only
             // (content is correctness-neutral), and excluded from
@@ -499,60 +509,9 @@ fn run_cell(scenario: &str, cell: &Cell, cfg: &RunConfig) -> CellResult {
         round_trace,
         seed: stream.seed(),
         // A resumed cell reports the sum of its wall-clock segments: what
-        // the computation cost across interruptions, which is what the
-        // trajectory ledger should gate on.
+        // the computation cost across interruptions.
         secs: start.elapsed().as_secs_f64() + prior_secs,
     }
-}
-
-/// The checkpointing counterpart of [`run_trials_traced`]: every trial runs
-/// through [`run_trial_checkpointed`] under its own deterministic file key
-/// (`<cell key>-t<trial>`), resuming from leftover checkpoints of an
-/// interrupted earlier run. Returns the fold, the summed prior-segment
-/// seconds across resumed trials, and the cell's codeword-cache counters.
-/// Per-round tracing is not supported here — a resumed trial has no round 0
-/// to trace.
-fn run_trials_checkpointed(
-    job: &TrialJob,
-    stream: &SeedStream,
-    parallel: bool,
-    ckpt: &CheckpointConfig,
-    cell_key: &str,
-) -> (Aggregate, f64, (u64, u64)) {
-    let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
-    let one = |t: usize| {
-        let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
-        let mut proto = (job.protocol)(seeds.protocol);
-        proto.attach_codeword_cache(cache.clone());
-        run_trial_checkpointed(
-            proto.as_ref(),
-            job.topology,
-            job.n,
-            job.b,
-            job.bandwidth,
-            job.alpha,
-            job.adversary,
-            seeds,
-            ckpt,
-            &format!("{cell_key}-t{t}"),
-        )
-    };
-    let results: Vec<Result<(crate::Trial, f64), CoreError>> = if parallel {
-        (0..job.trials).into_par_iter().map(one).collect()
-    } else {
-        (0..job.trials).map(one).collect()
-    };
-    let prior_secs: f64 = results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .map(|(_, prior)| *prior)
-        .sum();
-    let agg = fold_trials(
-        job.trials,
-        results.into_iter().map(|r| r.map(|(t, _)| t)).collect(),
-    );
-    let cache_stats = cache.lock().expect("codeword cache poisoned").stats();
-    (agg, prior_secs, cache_stats)
 }
 
 /// Runs one trial cell's trials (parallel or serial) and folds in trial
@@ -560,14 +519,21 @@ fn run_trials_checkpointed(
 /// fault-tolerance frontier): fork the cell stream per sweep point and pass
 /// the fork here, so every sweep point owns a distinct seed sequence.
 pub fn run_trials(job: &TrialJob, stream: &SeedStream, parallel: bool) -> Aggregate {
-    run_trials_traced(job, stream, parallel).0
+    run_trials_traced(job, stream, parallel, None).0
 }
 
 /// [`run_trials`] plus trial 0's per-round trace when [`TrialJob::trace`]
-/// is set, plus the cell's codeword-cache `(hits, misses)`. Tracing rides
-/// along on trial 0 only — observers read stat deltas, never randomness —
-/// so the folded [`Aggregate`] is bit-identical with tracing on or off,
-/// parallel or serial.
+/// is set, the cell's codeword-cache `(hits, misses)`, and the wall-clock
+/// seconds earlier segments of resumed trials consumed. Tracing rides along
+/// on trial 0 only — observers read stat deltas, never randomness — so the
+/// folded [`Aggregate`] is bit-identical with tracing on or off, parallel
+/// or serial.
+///
+/// With `ckpt = Some((config, cell key))` every trial instead runs through
+/// [`run_trial_checkpointed`] under its own deterministic file key
+/// (`<cell key>-t<trial>`), resuming from leftover checkpoints of an
+/// interrupted earlier run; per-round tracing is skipped there — a resumed
+/// trial has no round 0 to trace.
 ///
 /// One [`CodewordCache`] spans **all the cell's trials**: every trial's
 /// protocol gets the shared handle via
@@ -581,26 +547,29 @@ pub fn run_trials_traced(
     job: &TrialJob,
     stream: &SeedStream,
     parallel: bool,
-) -> (Aggregate, Option<Vec<RoundDelta>>, (u64, u64)) {
+    ckpt: Option<(&CheckpointConfig, &str)>,
+) -> (Aggregate, Option<Vec<RoundDelta>>, (u64, u64), f64) {
     let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
-    let one = |t: usize| {
+    let spec = job.spec();
+    let one = |t: usize| -> Result<(crate::Trial, Option<Vec<RoundDelta>>, f64), CoreError> {
         let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
         let mut proto = (job.protocol)(seeds.protocol);
         proto.attach_codeword_cache(cache.clone());
-        run_trial_seeded_traced_on(
-            proto.as_ref(),
-            job.topology,
-            job.n,
-            job.b,
-            job.bandwidth,
-            job.alpha,
-            job.adversary,
-            seeds,
-            job.trace && t == 0,
-        )
+        match ckpt {
+            None => {
+                let mut trace = (job.trace && t == 0).then(RoundTrace::new);
+                let trial = run_trial(proto.as_ref(), &spec, seeds, trace.as_mut())?;
+                Ok((trial, trace.map(|trace| trace.frames), 0.0))
+            }
+            Some((cfg, cell_key)) => {
+                let key = format!("{cell_key}-t{t}");
+                let (trial, prior) =
+                    run_trial_checkpointed(proto.as_ref(), &spec, seeds, cfg, &key)?;
+                Ok((trial, None, prior))
+            }
+        }
     };
-    type TracedTrial = Result<(crate::Trial, Option<Vec<RoundDelta>>), CoreError>;
-    let mut results: Vec<TracedTrial> = if parallel {
+    let mut results: Vec<_> = if parallel {
         (0..job.trials).into_par_iter().map(one).collect()
     } else {
         (0..job.trials).map(one).collect()
@@ -608,16 +577,21 @@ pub fn run_trials_traced(
     let round_trace = results
         .first_mut()
         .and_then(|r| r.as_mut().ok())
-        .and_then(|(_, trace)| trace.take());
+        .and_then(|(_, trace, _)| trace.take());
+    let prior_secs = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|(_, _, prior)| *prior)
+        .sum();
     let agg = fold_trials(
         job.trials,
         results
             .into_iter()
-            .map(|r| r.map(|(trial, _)| trial))
+            .map(|r| r.map(|(trial, _, _)| trial))
             .collect(),
     );
     let cache_stats = cache.lock().expect("codeword cache poisoned").stats();
-    (agg, round_trace, cache_stats)
+    (agg, round_trace, cache_stats, prior_secs)
 }
 
 /// Serializes finished scenario runs as one self-describing JSON document:
@@ -631,16 +605,16 @@ pub fn emit_json(results: &[ScenarioResult], base_trials: usize) -> String {
     format!(
         "{{\"schema\":{schema},\"generator\":{generator},\"git\":{git},\
          \"base_trials\":{base_trials},\"scenarios\":[{scenarios}]}}",
-        schema = json_string(SCHEMA),
-        generator = json_string(concat!("bdclique-bench ", env!("CARGO_PKG_VERSION"))),
-        git = json_string(&git_describe()),
+        schema = quote(SCHEMA),
+        generator = quote(concat!("bdclique-bench ", env!("CARGO_PKG_VERSION"))),
+        git = quote(&git_describe()),
         scenarios = scenarios.join(",")
     )
 }
 
 /// Best-effort `git describe` of the working tree, for provenance metadata;
 /// `"unknown"` outside a git checkout.
-pub fn git_describe() -> String {
+fn git_describe() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--tags"])
         .output()
@@ -692,7 +666,7 @@ fn aggregate_json(agg: &Aggregate) -> String {
 
 fn json_object<'a>(fields: impl Iterator<Item = &'a (&'static str, Value)>) -> String {
     let body: Vec<String> = fields
-        .map(|(key, value)| format!("{}:{}", json_string(key), value.to_json()))
+        .map(|(key, value)| format!("{}:{}", quote(key), value.to_json()))
         .collect();
     format!("{{{}}}", body.join(","))
 }
@@ -707,25 +681,6 @@ fn json_f64(v: f64) -> String {
 
 fn json_opt_f64(v: Option<f64>) -> String {
     v.map_or("null".to_string(), json_f64)
-}
-
-/// Escapes and quotes a JSON string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -751,8 +706,8 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

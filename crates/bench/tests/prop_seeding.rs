@@ -2,7 +2,7 @@
 //! seed-stream distinctness across cell coordinates, and the `⌊αn⌋` degree
 //! budget.
 
-use bdclique_bench::{run_trial_seeded, AdversarySpec, TrialSeeds};
+use bdclique_bench::{run_trial, AdversarySpec, TrialSeeds, TrialSpec};
 use bdclique_core::protocols::RelayReplication;
 use bdclique_netsim::SeedStream;
 use proptest::prelude::*;
@@ -37,13 +37,13 @@ proptest! {
         a in 0usize..64,
         b in 0usize..64,
     ) {
-        let spec = spec_for(n, which, a, b);
         // Budget ≥ 1 so the fixed-degree non-adaptive plans stay legal.
         let alpha = 1.5 / n as f64;
+        let spec = TrialSpec::clique(n, 1, 18, alpha, spec_for(n, which, a, b));
         let seeds = TrialSeeds::derive(root);
         let proto = RelayReplication { copies: 3 };
-        let first = run_trial_seeded(&proto, n, 1, 18, alpha, spec, seeds);
-        let second = run_trial_seeded(&proto, n, 1, 18, alpha, spec, seeds);
+        let first = run_trial(&proto, &spec, seeds, None);
+        let second = run_trial(&proto, &spec, seeds, None);
         prop_assert_eq!(first.unwrap(), second.unwrap());
     }
 
@@ -91,9 +91,8 @@ proptest! {
         let budget = (alpha * n as f64).floor() as usize;
         prop_assume!(budget >= 1);
         let proto = RelayReplication { copies: 3 };
-        let trial =
-            run_trial_seeded(&proto, n, 1, 18, alpha, spec, TrialSeeds::derive(root));
-        let trial = trial.unwrap();
+        let trial_spec = TrialSpec::clique(n, 1, 18, alpha, spec);
+        let trial = run_trial(&proto, &trial_spec, TrialSeeds::derive(root), None).unwrap();
         prop_assert!(
             trial.peak_fault_degree <= budget,
             "spec {:?} used degree {} with budget {} (n = {}, alpha = {})",

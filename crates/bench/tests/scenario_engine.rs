@@ -117,12 +117,12 @@ fn any_single_coordinate_change_changes_the_seed_stream() {
 fn mini_grid(trials: usize) -> Scenario {
     let mut cells = Vec::new();
     for n in [8usize, 16] {
-        for adversary in [AdversarySpec::None, AdversarySpec::GreedyFlip] {
-            let alpha = if adversary == AdversarySpec::None {
-                0.0
-            } else {
-                0.2
-            };
+        for (adversary, alpha) in [
+            (AdversarySpec::None, 0.0),
+            (AdversarySpec::GreedyFlip, 0.2),
+            (AdversarySpec::RushingRandom, 0.07),
+            (AdversarySpec::RandomMatchingsFlip, 0.07),
+        ] {
             cells.push(Cell {
                 coords: vec![
                     ("n", Value::u(n)),
@@ -165,8 +165,8 @@ fn parallel_run_matches_serial_oracle() {
     }
 }
 
-/// Re-running the same spec replays the same seeds and results (the JSON
-/// perf trajectory is comparable across runs).
+/// Re-running the same spec replays the same seeds and results (the
+/// scenario JSON is comparable across runs).
 #[test]
 fn reruns_are_reproducible() {
     let first = scenario::run(&mini_grid(3));
@@ -296,7 +296,7 @@ fn tracing_is_outcome_invisible_and_partitions_rounds() {
 /// from `same_outcome`).
 #[test]
 fn shared_codeword_cache_is_outcome_neutral() {
-    use bdclique_bench::{fold_trials, run_trial_seeded_traced, TrialSeeds};
+    use bdclique_bench::{fold_trials, run_trial, TrialSeeds};
     use bdclique_core::routing::RouterConfig;
 
     let cell = with_job(|job| {
@@ -311,7 +311,8 @@ fn shared_codeword_cache_is_outcome_neutral() {
     };
     let stream = cell.stream("cache-identity");
 
-    let (cached, _trace, (hits, misses)) = scenario::run_trials_traced(job, &stream, false);
+    let (cached, _trace, (hits, misses), _prior) =
+        scenario::run_trials_traced(job, &stream, false, None);
     assert!(
         hits + misses > 0,
         "det-sqrt encodes Reed–Solomon codewords; the cell cache must be consulted"
@@ -322,17 +323,7 @@ fn shared_codeword_cache_is_outcome_neutral() {
         .map(|t| {
             let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
             let proto = (job.protocol)(seeds.protocol);
-            run_trial_seeded_traced(
-                proto.as_ref(),
-                job.n,
-                job.b,
-                job.bandwidth,
-                job.alpha,
-                job.adversary,
-                seeds,
-                false,
-            )
-            .map(|(trial, _)| trial)
+            run_trial(proto.as_ref(), &job.spec(), seeds, None)
         })
         .collect();
     let uncached = fold_trials(job.trials, results);

@@ -4,8 +4,8 @@
 //! Lemma 2.1 of the paper invokes the Justesen code — a binary code with
 //! constant rate and constant relative distance. Justesen's specific inner
 //! ensemble only pays off asymptotically; this concatenation is the same
-//! object class at simulation scale (see `DESIGN.md`, substitution 2):
-//! rate `k_o / (2 n_o)` and design distance `4 (n_o - k_o + 1)` bits.
+//! object class at simulation scale: rate `k_o / (2 n_o)` and design
+//! distance `4 (n_o - k_o + 1)` bits.
 
 use crate::error::CodeError;
 use crate::hamming::HammingCode;

@@ -4,7 +4,8 @@
 //! needs the non-adaptive `DecodeIndices(i, R)` / `LDCDecode(x, i, R)`
 //! interface. This module defines that interface ([`Ldc`]) and a 2-query
 //! Hadamard instantiation for unit-test scale; [`crate::RmLdc`] provides the
-//! production instantiation (see `DESIGN.md`, substitution 1).
+//! production instantiation (Reed–Muller line queries in place of the
+//! paper's Kopparty–Meir–Ron-Zewi–Saraf code).
 
 use crate::error::CodeError;
 use bdclique_hash::SharedRandomness;

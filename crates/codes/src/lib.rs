@@ -10,14 +10,15 @@
 //! * [`HammingCode`] — the extended Hamming `[8,4,4]` binary code used as an
 //!   inner code,
 //! * [`ConcatenatedCode`] — a Justesen-style binary code with constant rate
-//!   and distance (RS outer ∘ Hamming inner), standing in for Lemma 2.1
-//!   (see `DESIGN.md`, substitution 2),
+//!   and distance (RS outer ∘ Hamming inner), standing in for Lemma 2.1's
+//!   Justesen code (same object class — constant rate and relative
+//!   distance — at simulation scale),
 //! * [`RepetitionCode`] — the trivial baseline code for ablations,
 //! * [`Ldc`] implementations — [`HadamardLdc`] (2 queries, exponential
 //!   length; unit-test scale) and [`RmLdc`] (bivariate Reed–Muller with
 //!   non-adaptive line queries and majority amplification), standing in for
-//!   the Kopparty–Meir–Ron-Zewi–Saraf LDC of Lemma 2.2 (see `DESIGN.md`,
-//!   substitution 1).
+//!   the Kopparty–Meir–Ron-Zewi–Saraf LDC of Lemma 2.2 (the compiler is
+//!   parametric in the LDC and only needs the non-adaptive interface).
 //!
 //! All codes implement the common [`SymbolCode`] trait so the routing layer
 //! can swap them, and LDCs implement [`Ldc`] with the paper's

@@ -1,8 +1,10 @@
 //! Bivariate Reed–Muller locally decodable code with line queries.
 //!
 //! This is the production LDC standing in for the
-//! Kopparty–Meir–Ron-Zewi–Saraf code of Lemma 2.2 (see `DESIGN.md`,
-//! substitution 1). The message is interpreted as the evaluations of a
+//! Kopparty–Meir–Ron-Zewi–Saraf code of Lemma 2.2: that code's
+//! subpolynomial query count only pays off asymptotically, while the
+//! compiler needs nothing but a non-adaptive `(q, δ, ε)`-LDC, which
+//! Reed–Muller line queries give at simulation scale. The message is interpreted as the evaluations of a
 //! bivariate polynomial `f` of total degree ≤ `d` on the *principal lattice*
 //! `{(x_i, y_j) : i + j ≤ d}`; the codeword is the evaluation of `f` on the
 //! whole plane GF(q)². Decoding position `p` queries the `q` points of

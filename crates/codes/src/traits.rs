@@ -8,7 +8,7 @@ use bdclique_bits::BitVec;
 /// Implementors: [`crate::ReedSolomon`], [`crate::HammingCode`],
 /// [`crate::ConcatenatedCode`], [`crate::RepetitionCode`]. The routing layer
 /// is generic over this trait so experiments can swap codes (ablation
-/// `A.CODE` in `DESIGN.md`).
+/// `A.CODE`, the bench's `codes` scenario).
 pub trait SymbolCode {
     /// Message length in symbols.
     fn message_len(&self) -> usize;

@@ -15,7 +15,7 @@
 //! thread pool and fold the results back **in node order** — bit-identical
 //! to the serial oracles [`compile_serial`] / [`run_fault_free_serial`]
 //! (covered by a regression test, the same pattern as
-//! `bdclique_bench::aggregate` vs `aggregate_serial`). The network rounds
+//! `bdclique_bench::scenario::run` vs `run_serial`). The network rounds
 //! themselves stay strictly sequential: rounds are the unit of synchrony in
 //! the model.
 //!
@@ -261,7 +261,7 @@ mod tests {
     /// The thread fan-out must be invisible: every output bit and the round
     /// count match the serial oracle exactly, across heterogeneous
     /// algorithms, protocols, and an active adversary — the same contract
-    /// `bdclique_bench::aggregate` keeps with `aggregate_serial`.
+    /// `bdclique_bench::scenario::run` keeps with `run_serial`.
     #[test]
     fn parallel_compile_is_bit_identical_to_serial() {
         let n = 16usize;

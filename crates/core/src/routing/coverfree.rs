@@ -26,7 +26,7 @@
 //! decode. The loop that runs them, the chunk store, checkpoints and output
 //! assembly are `PackSession`'s, shared with [`super::unit`]; the
 //! per-pack encode, gather and decode fan out across threads exactly like
-//! the unit engine's ([`RouterConfig::parallel`]).
+//! the unit engine's ([`super::RouterConfig::parallel`]).
 //!
 //! Frame assembly keeps no table keyed by edge: each round collects one
 //! entry per `(edge, lane)` slot it writes — in loop order, with an absent
@@ -37,8 +37,8 @@
 
 use super::{
     absorbed_error_budget, encode_chunks, lane_symbol, map_units, payload_chunk, DecodedUnit,
-    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RouterConfig, RoutingInstance,
-    SharedCodewordCache,
+    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache,
+    SYMBOL_BITS,
 };
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
@@ -64,32 +64,34 @@ pub(crate) struct CfEngine {
     uniq_targets: Vec<Vec<usize>>,
 }
 
+/// Maximum acceptable verified cover fraction δ of the family.
+const CF_DELTA: f64 = 0.5;
+
+/// Seed-retry budget for the verified family construction.
+const CF_SEED_TRIES: u64 = 64;
+
 impl CfEngine {
     /// Builds the family and validates the decode margin. Infeasible
     /// parameter combinations are rejected here, before any round, which is
     /// what lets [`super::RoutingMode::Auto`] fall back cleanly.
-    pub(crate) fn new(
-        net: &Network,
-        instance: &RoutingInstance,
-        cfg: &RouterConfig,
-    ) -> Result<Self, CoreError> {
+    pub(crate) fn new(net: &Network, instance: &RoutingInstance) -> Result<Self, CoreError> {
         let n = instance.n;
-        let slot = PackShape::wire_slot(net, cfg)?;
+        let slot = PackShape::wire_slot(net)?;
         let k_src = instance.max_source_multiplicity();
         let k_tgt = instance.max_target_multiplicity();
         let k = k_src.max(k_tgt).max(1);
 
-        // Group size controls the per-group collision probability (~(k-1)/group
-        // per other set); default keeps the expected cover fraction near 1/8.
-        let group = cfg
-            .cf_group_size
-            .unwrap_or((8 * k.saturating_sub(1)).max(4));
-        if group < 2 || n / group == 0 {
+        // Ground-group size (elements per group; the receiver-set size is
+        // `n / group`). It controls the per-group collision probability
+        // (~(k-1)/group per other set); this keeps the expected cover
+        // fraction near 1/8.
+        let group = (8 * k.saturating_sub(1)).max(4);
+        if n < group {
             return Err(CoreError::infeasible(format!(
                 "group size {group} invalid for n = {n}"
             )));
         }
-        let l = (n / group).min((1usize << cfg.symbol_bits) - 1);
+        let l = (n / group).min((1usize << SYMBOL_BITS) - 1);
         if l < 2 {
             return Err(CoreError::infeasible(format!(
                 "receiver sets of size {l} are too small"
@@ -127,7 +129,7 @@ impl CfEngine {
             r: k.saturating_sub(1),
             set_size: l,
         };
-        let family = CoverFreeFamily::build(params, &h, cfg.cf_delta, 0xbdc11e, cfg.cf_seed_tries)
+        let family = CoverFreeFamily::build(params, &h, CF_DELTA, 0xbdc11e, CF_SEED_TRIES)
             .map_err(|e| CoreError::infeasible(format!("cover-free family: {e}")))?;
         let num_msgs = instance.messages.len();
         let sets: Vec<Vec<u32>> = (0..num_msgs).map(|i| family.set(i)).collect();
@@ -166,20 +168,13 @@ impl CfEngine {
         // Decode margin: per codeword, adversarial errors ≤ ⌊αn⌋ per round (at
         // the source in round 1, at the target in round 2) + slack; filtered
         // positions are known erasures. Need 2e + f < L - k_rs + 1.
-        let e_allow = absorbed_error_budget(net, cfg.extra_error_slack);
+        let e_allow = absorbed_error_budget(net);
         if l <= 2 * e_allow + worst_erasures {
             return Err(CoreError::infeasible(format!(
                 "cover-free margin fails: L = {l}, need > 2·{e_allow} + {worst_erasures} erasures"
             )));
         }
-        let shape = PackShape::new(
-            net,
-            instance,
-            cfg,
-            slot,
-            l,
-            l - 2 * e_allow - worst_erasures,
-        )?;
+        let shape = PackShape::new(net, instance, slot, l, l - 2 * e_allow - worst_erasures)?;
         Ok(Self {
             shape,
             sets,
@@ -406,7 +401,7 @@ impl PackEngine for CfEngine {
                     } else {
                         delivery
                             .received(w, msg.src)
-                            .and_then(|f| lane_symbol(f, lane, shape.slot, shape.symbol_bits))
+                            .and_then(|f| lane_symbol(f, lane, shape.slot))
                     };
                     val.unwrap_or(RelayGrid::ABSENT)
                 })
@@ -463,7 +458,7 @@ impl PackEngine for CfEngine {
                 } else {
                     delivery
                         .received(v, w)
-                        .and_then(|f| lane_symbol(f, lane, shape.slot, shape.symbol_bits))
+                        .and_then(|f| lane_symbol(f, lane, shape.slot))
                 };
                 match val {
                     Some(sym) => received[pos] = sym,
@@ -479,7 +474,7 @@ impl PackEngine for CfEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{route, Phase, RouteSession, RoutingMode, SuperMessage};
+    use crate::routing::{route, Phase, RouteSession, RouterConfig, RoutingMode, SuperMessage};
     use bdclique_netsim::Adversary;
     use std::collections::BTreeMap;
 
@@ -644,7 +639,7 @@ mod tests {
         let inst = instance(n, 400, msgs);
         let mut net = Network::new(n, 18, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
         net.set_history_mode(bdclique_netsim::HistoryMode::Full);
-        let engine = CfEngine::new(&net, &inst, &cf_cfg()).unwrap();
+        let engine = CfEngine::new(&net, &inst).unwrap();
         let mut session = RouteSession::borrowed(&net, &inst, &cf_cfg()).unwrap();
         assert_eq!(engine.shape.lanes, 2);
         let chunks = engine.shape.chunks;

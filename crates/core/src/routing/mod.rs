@@ -197,20 +197,6 @@ pub struct RouterConfig {
     /// the serial path (`false` — the oracle behind [`route_serial`]);
     /// network rounds themselves stay strictly sequential either way.
     pub parallel: bool,
-    /// Bits per Reed–Solomon symbol (field GF(2^m)); the wire slot is one
-    /// bit wider (a validity flag).
-    pub symbol_bits: u32,
-    /// Extra error-correction slack added on top of the `2·⌊αn⌋` worst-case
-    /// adversarial symbol corruptions.
-    pub extra_error_slack: usize,
-    /// Cover-free engine: ground-group size (elements per group); the
-    /// receiver-set size is `n / group_size`. `None` picks
-    /// `max(4, 2·k)` where `k` is the instance's multiplicity.
-    pub cf_group_size: Option<usize>,
-    /// Cover-free engine: maximum acceptable verified cover fraction δ.
-    pub cf_delta: f64,
-    /// Cover-free engine: seed-retry budget for the verified construction.
-    pub cf_seed_tries: u64,
 }
 
 impl Default for RouterConfig {
@@ -218,14 +204,17 @@ impl Default for RouterConfig {
         Self {
             mode: RoutingMode::Auto,
             parallel: true,
-            symbol_bits: 8,
-            extra_error_slack: 1,
-            cf_group_size: None,
-            cf_delta: 0.5,
-            cf_seed_tries: 64,
         }
     }
 }
+
+/// Bits per Reed–Solomon symbol (field GF(2^8)); the wire slot is one bit
+/// wider (a validity flag).
+pub(crate) const SYMBOL_BITS: u32 = 8;
+
+/// Error-correction slack added on top of the `2·⌊αn⌋` worst-case
+/// adversarial symbol corruptions.
+const EXTRA_ERROR_SLACK: usize = 1;
 
 /// Which engine actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,7 +322,7 @@ impl<'i> RouteSession<'i> {
         cfg: &RouterConfig,
         cache: Option<SharedCodewordCache>,
     ) -> Result<Self, CoreError> {
-        let (used, engine) = plan(net, &instance, cfg, cfg.mode)?;
+        let (used, engine) = plan(net, &instance, cfg.mode)?;
         Ok(Self {
             packs: PackSession::new(net, instance, cfg, cache, used, engine),
         })
@@ -385,7 +374,7 @@ impl<'i> RouteSession<'i> {
             t => return Err(CoreError::invalid(format!("snapshot: engine tag {t}"))),
         };
         let instance = RoutingInstance::restore(dec)?;
-        let (used, engine) = plan(net, &instance, cfg, mode)?;
+        let (used, engine) = plan(net, &instance, mode)?;
         let mut packs = PackSession::new(net, Cow::Owned(instance), cfg, cache, used, engine);
         packs.restore(net, dec)?;
         Ok(RouteSession { packs })
@@ -400,7 +389,6 @@ impl<'i> RouteSession<'i> {
 fn plan(
     net: &Network,
     instance: &RoutingInstance,
-    cfg: &RouterConfig,
     mode: RoutingMode,
 ) -> Result<(EngineUsed, Option<Box<dyn PackEngine>>), CoreError> {
     instance.validate()?;
@@ -418,9 +406,6 @@ fn plan(
                 .to_string(),
         ));
     }
-    if !(2..=8).contains(&cfg.symbol_bits) {
-        return Err(CoreError::invalid("symbol_bits must be in 2..=8"));
-    }
     if instance.messages.is_empty() {
         let used = match mode {
             RoutingMode::CoverFree => EngineUsed::CoverFree,
@@ -429,7 +414,7 @@ fn plan(
         return Ok((used, None));
     }
     let unit = || -> Result<(EngineUsed, Option<Box<dyn PackEngine>>), CoreError> {
-        let engine = unit::UnitEngine::new(net, instance, cfg)?;
+        let engine = unit::UnitEngine::new(net, instance)?;
         Ok((EngineUsed::Unit, Some(Box::new(engine))))
     };
     match mode {
@@ -438,7 +423,7 @@ fn plan(
         // checks live in plan derivation, before any round) and falls back
         // to unit scheduling.
         RoutingMode::CoverFree | RoutingMode::Auto => {
-            match coverfree::CfEngine::new(net, instance, cfg) {
+            match coverfree::CfEngine::new(net, instance) {
                 Ok(engine) => Ok((EngineUsed::CoverFree, Some(Box::new(engine)))),
                 Err(CoreError::Infeasible { .. }) if mode == RoutingMode::Auto => unit(),
                 Err(e) => Err(e),
@@ -501,14 +486,13 @@ pub(crate) struct PackShape {
     /// Work units sharing one round pair (the `B`-fold speedup of Lemma
     /// 2.9 / Theorem 4.1).
     pub(crate) lanes: usize,
-    pub(crate) symbol_bits: u32,
 }
 
 impl PackShape {
     /// The wire slot width (symbol + validity bit), or why the network
     /// cannot carry one. Checked before an engine sizes anything else.
-    pub(crate) fn wire_slot(net: &Network, cfg: &RouterConfig) -> Result<usize, CoreError> {
-        let slot = cfg.symbol_bits as usize + 1;
+    pub(crate) fn wire_slot(net: &Network) -> Result<usize, CoreError> {
+        let slot = SYMBOL_BITS as usize + 1;
         if net.bandwidth() < slot {
             return Err(CoreError::infeasible(format!(
                 "bandwidth {} < wire slot {slot} (symbol + validity bit)",
@@ -518,19 +502,18 @@ impl PackShape {
         Ok(slot)
     }
 
-    /// The shape for `[l, k_rs]` Reed–Solomon codewords over the configured
-    /// field, on `slot`-bit wire slots ([`PackShape::wire_slot`]).
+    /// The shape for `[l, k_rs]` Reed–Solomon codewords over GF(2^8), on
+    /// `slot`-bit wire slots ([`PackShape::wire_slot`]).
     pub(crate) fn new(
         net: &Network,
         instance: &RoutingInstance,
-        cfg: &RouterConfig,
         slot: usize,
         l: usize,
         k_rs: usize,
     ) -> Result<Self, CoreError> {
-        let code = ReedSolomon::new(cfg.symbol_bits, l, k_rs)
+        let code = ReedSolomon::new(SYMBOL_BITS, l, k_rs)
             .map_err(|e| CoreError::infeasible(format!("RS construction: {e}")))?;
-        let cap_bits = k_rs * cfg.symbol_bits as usize;
+        let cap_bits = k_rs * SYMBOL_BITS as usize;
         Ok(Self {
             code,
             l,
@@ -538,7 +521,6 @@ impl PackShape {
             chunks: instance.payload_bits.div_ceil(cap_bits).max(1),
             slot,
             lanes: (net.bandwidth() / slot).max(1),
-            symbol_bits: cfg.symbol_bits,
         })
     }
 }
@@ -637,7 +619,6 @@ pub(crate) struct PackSession<'i> {
     /// decoded). Re-validated every step against the network's *current*
     /// budget — see [`check_budget`].
     e_allow: usize,
-    extra_error_slack: usize,
     /// Start of the current pack within the engine's work list.
     pack_start: usize,
     phase: Phase,
@@ -670,7 +651,7 @@ impl<'i> PackSession<'i> {
             }
         }
         let e_allow = match engine {
-            Some(_) => absorbed_error_budget(net, cfg.extra_error_slack),
+            Some(_) => absorbed_error_budget(net),
             None => usize::MAX,
         };
         Self {
@@ -680,7 +661,6 @@ impl<'i> PackSession<'i> {
             parallel: cfg.parallel,
             cache,
             e_allow,
-            extra_error_slack: cfg.extra_error_slack,
             pack_start: 0,
             phase: Phase::RoundA,
             chunk_store: BTreeMap::new(),
@@ -713,7 +693,7 @@ impl<'i> PackSession<'i> {
         let Some((engine, pack)) = Self::pack_at(self.engine.as_deref(), self.pack_start) else {
             return Ok(Some(self.finish(net)));
         };
-        check_budget(net, self.e_allow, self.extra_error_slack)?;
+        check_budget(net, self.e_allow)?;
         let ctx = PackCtx {
             instance: &self.instance,
             pack,
@@ -901,25 +881,20 @@ where
 
 /// Reads lane `lane`'s symbol out of a wire frame, `None` when the frame is
 /// too short or its validity bit is clear. Shared wire format of both
-/// engines: `lanes` slots of `slot = symbol_bits + 1` bits, validity first.
-pub(crate) fn lane_symbol(
-    frame: &bdclique_bits::BitVec,
-    lane: usize,
-    slot: usize,
-    symbol_bits: u32,
-) -> Option<u16> {
+/// engines: `lanes` slots of `slot = SYMBOL_BITS + 1` bits, validity first.
+pub(crate) fn lane_symbol(frame: &bdclique_bits::BitVec, lane: usize, slot: usize) -> Option<u16> {
     (frame.len() >= (lane + 1) * slot && frame.get(lane * slot))
-        .then(|| frame.read_uint(lane * slot + 1, symbol_bits) as u16)
+        .then(|| frame.read_uint(lane * slot + 1, SYMBOL_BITS) as u16)
 }
 
 /// Adversarial symbols per codeword a session must absorb at the network's
 /// *current* fault budget: `2·⌊αn⌋` (one budget's worth per round of the
-/// two-round scatter/gather) plus the configured slack. The single
+/// two-round scatter/gather) plus [`EXTRA_ERROR_SLACK`]. The single
 /// definition both engines size their codes from at construction **and**
 /// [`check_budget`] re-evaluates on every step — keeping them one function
 /// is what makes the mid-session re-validation trustworthy.
-pub(crate) fn absorbed_error_budget(net: &Network, slack: usize) -> usize {
-    2 * net.fault_budget() + slack
+pub(crate) fn absorbed_error_budget(net: &Network) -> usize {
+    2 * net.fault_budget() + EXTRA_ERROR_SLACK
 }
 
 /// Decode margins are fixed at session construction from the then-current
@@ -928,8 +903,8 @@ pub(crate) fn absorbed_error_budget(net: &Network, slack: usize) -> usize {
 /// would silently undershoot the decoding radius, so both engines
 /// re-validate it before every exchange and refuse to continue once it has
 /// grown past the `e_allow` symbols their code absorbs.
-pub(crate) fn check_budget(net: &Network, e_allow: usize, slack: usize) -> Result<(), CoreError> {
-    let e_now = absorbed_error_budget(net, slack);
+pub(crate) fn check_budget(net: &Network, e_allow: usize) -> Result<(), CoreError> {
+    let e_now = absorbed_error_budget(net);
     if e_now > e_allow {
         return Err(CoreError::infeasible(format!(
             "fault budget grew mid-session: the code absorbs {e_allow} adversarial symbols \

@@ -10,7 +10,7 @@
 //! against a decoding radius of `(L - k)/2` chosen as `2⌊αn⌋ + slack`;
 //! suppressed frames are decoded as erasures.
 //!
-//! When the network bandwidth exceeds one wire slot (`symbol_bits + 1`),
+//! When the network bandwidth exceeds one wire slot (`SYMBOL_BITS + 1`),
 //! multiple stages and payload chunks run in parallel inside a single round
 //! pair — the `B`-fold speedup of Lemma 2.9 / Theorem 4.1.
 //!
@@ -27,7 +27,7 @@
 //! codewords, scatters and gathers its own frames, and decodes its own
 //! payload chunk. So per pack the round-A codeword encoding, the relay
 //! gather, the round-B forward planning and the erasure decoding fan out
-//! across the rayon thread pool ([`RouterConfig::parallel`]), while the
+//! across the rayon thread pool ([`super::RouterConfig::parallel`]), while the
 //! network exchanges and the frame materialization stay strictly sequential
 //! (rounds are the unit of synchrony; frame buffers come from the network's
 //! [`bdclique_netsim::Network::frame_buffer`] arena). Results are always
@@ -42,8 +42,8 @@
 
 use super::{
     absorbed_error_budget, encode_chunks, lane_symbol, map_units, payload_chunk, DecodedUnit,
-    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RouterConfig, RoutingInstance,
-    SharedCodewordCache,
+    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache,
+    SYMBOL_BITS,
 };
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
@@ -127,20 +127,16 @@ pub(crate) struct UnitEngine {
 impl UnitEngine {
     /// Sizes the code for the network's current fault budget and schedules
     /// the stages.
-    pub(crate) fn new(
-        net: &Network,
-        instance: &RoutingInstance,
-        cfg: &RouterConfig,
-    ) -> Result<Self, CoreError> {
-        let slot = PackShape::wire_slot(net, cfg)?;
-        let l = instance.n.min((1usize << cfg.symbol_bits) - 1);
-        let e_allow = absorbed_error_budget(net, cfg.extra_error_slack);
+    pub(crate) fn new(net: &Network, instance: &RoutingInstance) -> Result<Self, CoreError> {
+        let slot = PackShape::wire_slot(net)?;
+        let l = instance.n.min((1usize << SYMBOL_BITS) - 1);
+        let e_allow = absorbed_error_budget(net);
         if l <= 2 * e_allow {
             return Err(CoreError::infeasible(format!(
                 "relay count {l} cannot absorb 2·({e_allow}) adversarial symbols"
             )));
         }
-        let shape = PackShape::new(net, instance, cfg, slot, l, l - 2 * e_allow)?;
+        let shape = PackShape::new(net, instance, slot, l, l - 2 * e_allow)?;
 
         let stage_of = schedule_stages(instance);
         let num_stages = stage_of.iter().map(|&s| s + 1).max().unwrap_or(0);
@@ -196,8 +192,7 @@ impl UnitEngine {
                     continue;
                 };
                 let pos = self.stage_src[stage][i].1;
-                if let Some(sym) = lane_symbol(frame, lane, self.shape.slot, self.shape.symbol_bits)
-                {
+                if let Some(sym) = lane_symbol(frame, lane, self.shape.slot) {
                     block[lane_offsets[lane] + pos] = sym;
                 }
             }
@@ -277,7 +272,7 @@ impl PackEngine for UnitEngine {
                     frame.set(lane * shape.slot, true); // validity
                     frame.write_uint(
                         lane * shape.slot + 1,
-                        shape.symbol_bits,
+                        SYMBOL_BITS,
                         lane_syms[lane][pos][w] as u64,
                     );
                 }
@@ -334,11 +329,7 @@ impl PackEngine for UnitEngine {
                 for &(_, lane, val) in group {
                     if let Some(sym) = val {
                         frame.set(lane as usize * shape.slot, true);
-                        frame.write_uint(
-                            lane as usize * shape.slot + 1,
-                            shape.symbol_bits,
-                            sym as u64,
-                        );
+                        frame.write_uint(lane as usize * shape.slot + 1, SYMBOL_BITS, sym as u64);
                     }
                 }
                 traffic.send(w, x, frame);
@@ -376,7 +367,7 @@ impl PackEngine for UnitEngine {
                 } else {
                     delivery
                         .received(x, w)
-                        .and_then(|f| lane_symbol(f, lane, shape.slot, shape.symbol_bits))
+                        .and_then(|f| lane_symbol(f, lane, shape.slot))
                 };
                 match val {
                     Some(sym) => received[w] = sym,
@@ -394,7 +385,7 @@ impl PackEngine for UnitEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{route, RoutingMode, SuperMessage};
+    use crate::routing::{route, RouterConfig, RoutingMode, SuperMessage};
     use bdclique_netsim::Adversary;
 
     /// [`route`] pinned to this engine.

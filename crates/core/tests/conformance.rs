@@ -34,10 +34,12 @@ fn iteration_packs(n: usize, bandwidth: usize, alpha: f64, i: usize) -> u64 {
             })
             .collect(),
     };
-    let cfg = RouterConfig::default();
     let mut net = Network::new(n, bandwidth, alpha, Adversary::none());
-    let report = route(&mut net, &shape, &cfg).unwrap().report;
-    let lanes = bandwidth / (cfg.symbol_bits as usize + 1);
+    let report = route(&mut net, &shape, &RouterConfig::default())
+        .unwrap()
+        .report;
+    // The router's wire slot: an 8-bit symbol plus its validity bit.
+    let lanes = bandwidth / 9;
     let packs = (report.stages * report.chunks).div_ceil(lanes) as u64;
     assert_eq!(report.rounds, 2 * packs, "Thm 4.1: two rounds per pack");
     packs

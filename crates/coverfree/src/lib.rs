@@ -10,13 +10,12 @@
 //!
 //! **Construction** (the paper's randomized construction): partition `[N]`
 //! into `L` consecutive groups and let every set pick one uniform element
-//! per group. **Derandomization substitute** (see `DESIGN.md`,
-//! substitution 3): instead of Harris' deterministic LLL we verify the
-//! constructed family against `H` and retry over a fixed public seed
-//! sequence; all nodes run the identical procedure and therefore compute the
-//! identical family with no communication. The expected number of tries is
-//! `O(1)` by the paper's union bound; the verifier makes the procedure
-//! Las-Vegas-deterministic.
+//! per group. **Derandomization substitute**: instead of Harris'
+//! deterministic LLL we verify the constructed family against `H` and retry
+//! over a fixed public seed sequence; all nodes run the identical procedure
+//! and therefore compute the identical family with no communication. The
+//! expected number of tries is `O(1)` by the paper's union bound; the
+//! verifier makes the procedure Las-Vegas-deterministic.
 
 // Dense linear-algebra and protocol code walks several same-length arrays
 // by explicit index; clippy's iterator rewrites would obscure the paper's

@@ -17,9 +17,7 @@ use bdclique::core::protocols::{
 use bdclique::core::routing::{RouterConfig, RoutingMode};
 use bdclique::core::{restore_run, snapshot_run, AllToAllInstance, AllToAllOutput, CoreError};
 use bdclique::netsim::{Adversary, Network};
-use bdclique_bench::{AdversarySpec, TrialSeeds};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use bdclique_bench::{AdversarySpec, TrialSeeds, TrialSpec};
 
 /// One checkpointed execution: protocol × network × adversary × seed.
 struct Case {
@@ -149,16 +147,8 @@ fn cases() -> Vec<Case> {
 }
 
 fn setup(case: &Case) -> (AllToAllInstance, Network) {
-    let seeds = TrialSeeds::derive(case.seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
-    let inst = AllToAllInstance::random(case.n, case.b, &mut rng);
-    let net = Network::new(
-        case.n,
-        case.bandwidth,
-        case.alpha,
-        case.spec.build(seeds.adversary),
-    );
-    (inst, net)
+    TrialSpec::clique(case.n, case.b, case.bandwidth, case.alpha, case.spec)
+        .build(TrialSeeds::derive(case.seed))
 }
 
 fn fresh_adversary(case: &Case) -> Adversary {

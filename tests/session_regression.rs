@@ -24,9 +24,7 @@ use bdclique::core::protocols::{
 };
 use bdclique::core::{AllToAllInstance, CoreError};
 use bdclique::netsim::Network;
-use bdclique_bench::{run_trial, AdversarySpec, Trial, TrialSeeds};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use bdclique_bench::{run_trial, AdversarySpec, Trial, TrialSeeds, TrialSpec};
 
 /// One golden case: protocol × network × adversary × seed.
 struct Golden {
@@ -199,17 +197,14 @@ fn cases() -> Vec<Golden> {
     ]
 }
 
+fn trial_spec(case: &Golden) -> TrialSpec {
+    TrialSpec::clique(case.n, case.b, case.bandwidth, case.alpha, case.spec)
+}
+
 fn run_case(case: &Golden) -> Trial {
-    run_trial(
-        case.proto.as_ref(),
-        case.n,
-        case.b,
-        case.bandwidth,
-        case.alpha,
-        case.spec,
-        case.seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", case.label))
+    let seeds = TrialSeeds::derive(case.seed);
+    run_trial(case.proto.as_ref(), &trial_spec(case), seeds, None)
+        .unwrap_or_else(|e| panic!("{}: {e}", case.label))
 }
 
 /// `run()` via the default `step()` loop reproduces the pre-redesign
@@ -229,19 +224,10 @@ fn run_matches_pre_redesign_goldens() {
     }
 }
 
-/// Builds the (instance, network) pair exactly as `run_trial` does, so the
+/// The (instance, network) pair `run_trial` builds for this case, so the
 /// manual-stepping executions below face the identical adversary.
 fn trial_setup(case: &Golden) -> (AllToAllInstance, Network) {
-    let seeds = TrialSeeds::derive(case.seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
-    let inst = AllToAllInstance::random(case.n, case.b, &mut rng);
-    let net = Network::new(
-        case.n,
-        case.bandwidth,
-        case.alpha,
-        case.spec.build(seeds.adversary),
-    );
-    (inst, net)
+    trial_spec(case).build(TrialSeeds::derive(case.seed))
 }
 
 /// Property: for every protocol, a hand-driven `step()` loop and a
