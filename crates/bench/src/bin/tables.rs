@@ -15,7 +15,9 @@
 //! their historical per-suite scaling (e.g. `codes` runs `8 × N`).
 //! `--json PATH` additionally writes every selected scenario's cells,
 //! aggregates, seeds, and wall times as one JSON document (schema
-//! documented in the README).
+//! documented in `bdclique_bench::scenario`). `--check` holds every
+//! selected scenario to its own `expect` clauses and exits nonzero with one
+//! line per violation (scenario, coordinates, seed).
 //!
 //! `--checkpoint-dir D [--checkpoint-every R]` checkpoints every trial's
 //! full execution state into `D` every `R` rounds (atomic write-then-
@@ -23,23 +25,27 @@
 //! interrupted trial from its latest checkpoint, bit-identically to an
 //! uninterrupted run. `--shard I/M` runs only the cells whose seed falls in
 //! shard `I` of `M`, and `tables --merge OUT.json SHARD.json...` folds the
-//! shard documents back into one.
+//! shard documents back into one. `tables --same A.json B.json` is the
+//! identity compare between two runs of one grid (golden vs resumed, full
+//! vs merged): same cells, same coordinates, aggregates and deterministic
+//! metrics.
 
 use bdclique_bench::checkpoint::CheckpointConfig;
-use bdclique_bench::experiments;
-use bdclique_bench::merge;
-use bdclique_bench::scenario::{self, RunConfig, ScenarioResult};
+use bdclique_bench::scenario::{self, RunConfig, Scenario, ScenarioResult};
+use bdclique_bench::{expect, experiments, merge};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: tables [--scenario NAME]... [--trials N] [--json PATH] \
+const USAGE: &str = "usage: tables [--scenario NAME]... [--trials N] [--json PATH] [--check] \
                     [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
                     [--shard I/M] [--trace] [--list] [NAME]...\n\
-                    \u{20}      tables --merge OUT.json SHARD.json...";
+                    \u{20}      tables --merge OUT.json SHARD.json...\n\
+                    \u{20}      tables --same A.json B.json";
 
 /// How often (in rounds) checkpointed trials capture state when
 /// `--checkpoint-every` is not given.
 const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
+#[derive(Default)]
 struct Args {
     scenarios: Vec<String>,
     trials: Option<usize>,
@@ -55,6 +61,10 @@ struct Args {
     /// Merge mode: fold the shard JSON documents named by the bare
     /// arguments into one document at this path, then exit.
     merge_out: Option<String>,
+    /// Compare mode: the two documents to hold identical, then exit.
+    same: Option<(String, String)>,
+    /// Hold each scenario's result to its `expect` clauses.
+    check: bool,
     trace: bool,
     list: bool,
     help: bool,
@@ -75,53 +85,38 @@ fn parse_shard(s: &str) -> Result<(usize, usize), String> {
     Ok((index, modulus))
 }
 
-fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        scenarios: Vec::new(),
-        trials: None,
-        json: None,
-        checkpoint_dir: None,
-        checkpoint_every: None,
-        shard: None,
-        merge_out: None,
-        trace: false,
-        list: false,
-        help: false,
-    };
-    let mut raw = raw.peekable();
+fn parse_args(mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
+    /// The value following `flag`, or "`flag` requires `what`".
+    fn value(
+        raw: &mut impl Iterator<Item = String>,
+        flag: &str,
+        what: &str,
+    ) -> Result<String, String> {
+        raw.next().ok_or_else(|| format!("{flag} requires {what}"))
+    }
+    let mut args = Args::default();
     while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--scenario" => {
-                let name = raw.next().ok_or("--scenario requires a name")?;
-                args.scenarios.push(name);
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--scenario" => args.scenarios.push(value(&mut raw, flag, "a name")?),
             "--trials" => {
-                let n = raw.next().ok_or("--trials requires a count")?;
+                let n = value(&mut raw, flag, "a count")?;
                 args.trials = Some(n.parse().map_err(|_| format!("bad trial count: {n}"))?);
             }
-            "--json" => {
-                let path = raw.next().ok_or("--json requires a path")?;
-                args.json = Some(path);
-            }
-            "--checkpoint-dir" => {
-                let dir = raw.next().ok_or("--checkpoint-dir requires a path")?;
-                args.checkpoint_dir = Some(dir);
-            }
+            "--json" => args.json = Some(value(&mut raw, flag, "a path")?),
+            "--checkpoint-dir" => args.checkpoint_dir = Some(value(&mut raw, flag, "a path")?),
             "--checkpoint-every" => {
-                let n = raw
-                    .next()
-                    .ok_or("--checkpoint-every requires a round count")?;
-                args.checkpoint_every =
-                    Some(n.parse().map_err(|_| format!("bad round count: {n}"))?);
+                let n = value(&mut raw, flag, "a round count")?;
+                let every = n.parse().map_err(|_| format!("bad round count: {n}"))?;
+                args.checkpoint_every = Some(every);
             }
-            "--shard" => {
-                let spec = raw.next().ok_or("--shard requires I/M")?;
-                args.shard = Some(parse_shard(&spec)?);
+            "--shard" => args.shard = Some(parse_shard(&value(&mut raw, flag, "I/M")?)?),
+            "--merge" => args.merge_out = Some(value(&mut raw, flag, "an output path")?),
+            "--same" => {
+                let mut doc = || value(&mut raw, flag, "two documents");
+                args.same = Some((doc()?, doc()?));
             }
-            "--merge" => {
-                let path = raw.next().ok_or("--merge requires an output path")?;
-                args.merge_out = Some(path);
-            }
+            "--check" => args.check = true,
             "--trace" => args.trace = true,
             "--list" => args.list = true,
             "--help" | "-h" => args.help = true,
@@ -134,105 +129,102 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.checkpoint_every.is_some() && args.checkpoint_dir.is_none() {
         return Err("--checkpoint-every requires --checkpoint-dir".to_string());
     }
+    if args.trace && args.checkpoint_dir.is_some() {
+        // Checkpointed cells skip tracing: the run would emit
+        // `round_trace: null` everywhere, silently.
+        return Err("--trace cannot be combined with --checkpoint-dir".to_string());
+    }
     Ok(args)
+}
+
+fn read_document(path: &str) -> Result<(String, String), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
+    Ok((path.to_string(), text))
 }
 
 /// `--merge OUT.json shard0.json shard1.json …`: fold shard documents into
 /// one and exit without running any scenario.
-fn run_merge(out_path: &str, inputs: &[String]) -> ExitCode {
+fn run_merge(out_path: &str, inputs: &[String]) -> Result<(), String> {
     if inputs.is_empty() {
-        eprintln!("--merge needs at least one shard document\n{USAGE}");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "--merge needs at least one shard document\n{USAGE}"
+        ));
     }
-    let mut docs = Vec::new();
-    for path in inputs {
-        match std::fs::read_to_string(path) {
-            Ok(text) => docs.push((path.clone(), text)),
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match merge::merge_documents(&docs) {
-        Ok(merged) => {
-            if let Err(e) = std::fs::write(out_path, &merged) {
-                eprintln!("failed to write {out_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("merged {} shard document(s) into {out_path}", docs.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("merge failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let docs: Vec<_> = inputs
+        .iter()
+        .map(|p| read_document(p))
+        .collect::<Result<_, _>>()?;
+    let merged = merge::merge_documents(&docs).map_err(|e| format!("merge failed: {e}"))?;
+    std::fs::write(out_path, &merged).map_err(|e| format!("failed to write {out_path}: {e}"))?;
+    println!("merged {} shard document(s) into {out_path}", docs.len());
+    Ok(())
 }
 
-/// Expands selection shorthands (`all`, empty, `route`) against the
-/// registry; errors on unknown names so typos don't silently run nothing.
-fn select(requested: &[String]) -> Result<Vec<&'static str>, String> {
-    let known: Vec<&'static str> = experiments::registry()
-        .iter()
-        .map(|entry| entry.name)
-        .collect();
+/// `--same A.json B.json`: the identity compare, one line per difference.
+fn run_same(a: &str, b: &str) -> Result<(), String> {
+    let (a, b) = (read_document(a)?, read_document(b)?);
+    let cells = merge::same_documents((&a.0, &a.1), (&b.0, &b.1)).map_err(|d| d.join("\n"))?;
+    println!("OK: {cells} cells identical across {} / {}", a.0, b.0);
+    Ok(())
+}
+
+/// Builds the requested scenarios, expanding the selection shorthands
+/// (`all`, empty, `route`); errors on unknown names so typos don't silently
+/// run nothing.
+fn select(requested: &[String], trials: usize) -> Result<Vec<Scenario>, String> {
     if requested.is_empty() || requested.iter().any(|r| r == "all") {
-        return Ok(known);
+        return Ok(experiments::registry(trials));
     }
     let mut selected = Vec::new();
     for name in requested {
-        match name.as_str() {
-            "route" => selected.extend(["route-margin", "route-engines"]),
-            other => match known.iter().find(|k| **k == other) {
-                Some(k) => selected.push(*k),
-                None => {
-                    return Err(format!(
-                        "unknown scenario '{other}'; try --list (known: {})",
-                        known.join(", ")
-                    ))
-                }
-            },
+        let names = match name.as_str() {
+            "route" => vec!["route-margin", "route-engines"],
+            other => vec![other],
+        };
+        for name in names {
+            selected.push(experiments::build_scenario(name, trials).ok_or_else(|| {
+                let known: Vec<_> = experiments::registry(0).iter().map(|s| s.name).collect();
+                format!(
+                    "unknown scenario '{name}'; try --list (known: {})",
+                    known.join(", ")
+                )
+            })?);
         }
     }
     Ok(selected)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
+    match parse_args(std::env::args().skip(1)).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+fn run(args: Args) -> Result<(), String> {
     if args.help {
         println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-
+    let trials = args.trials.unwrap_or(5usize);
     if args.list {
         println!("available scenarios:");
-        for entry in experiments::registry() {
-            println!("  {:<14} {}", entry.name, entry.about);
+        for spec in experiments::registry(trials) {
+            println!("  {:<14} {}", spec.name, spec.about);
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-
     if let Some(out_path) = &args.merge_out {
         // In merge mode the bare arguments are shard document paths.
         return run_merge(out_path, &args.scenarios);
     }
-
-    let selected = match select(&args.scenarios) {
-        Ok(selected) => selected,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let trials = args.trials.unwrap_or(5usize);
+    if let Some((a, b)) = &args.same {
+        return run_same(a, b);
+    }
+    let selected = select(&args.scenarios, trials)?;
 
     println!("bdclique experiment suite (base trials per config: {trials})");
     println!("paper: Fischer-Parter, PODC 2025 (arXiv:2505.05735)");
@@ -257,9 +249,8 @@ fn main() -> ExitCode {
     }
 
     let mut results: Vec<ScenarioResult> = Vec::new();
-    for name in selected {
-        let mut spec =
-            experiments::build_scenario(name, trials).expect("registry names are always buildable");
+    let mut violations: Vec<String> = Vec::new();
+    for mut spec in selected {
         if args.trace {
             // Force per-round tracing (trial 0) on every trial cell of the
             // selected scenarios; scenarios like `schedules` opt in anyway.
@@ -273,21 +264,22 @@ fn main() -> ExitCode {
             }
             if traced == 0 {
                 eprintln!(
-                    "note: --trace has no effect on '{name}' (custom-measurement cells only)"
+                    "note: --trace has no effect on '{}' (custom-measurement cells only)",
+                    spec.name
                 );
             }
         }
         let result = scenario::run_configured(&spec, &run_cfg);
         println!("{}", result.table().render());
+        if args.check {
+            violations.extend(expect::check(&spec.expect, &result));
+        }
         results.push(result);
     }
 
     if let Some(path) = args.json {
         let doc = scenario::emit_json(&results, trials);
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, &doc).map_err(|e| format!("failed to write {path}: {e}"))?;
         println!(
             "wrote {path}: {} scenarios, {} cells ({})",
             results.len(),
@@ -295,5 +287,50 @@ fn main() -> ExitCode {
             scenario::SCHEMA
         );
     }
-    ExitCode::SUCCESS
+    if args.check {
+        // After the JSON is on disk, so a failing CI step still uploads it.
+        if !violations.is_empty() {
+            return Err(format!("--check failed:\n{}", violations.join("\n")));
+        }
+        println!(
+            "--check: every expectation of {} scenario(s) holds",
+            results.len()
+        );
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parse_args_rejects_contradictory_flags() {
+        let err = parse(&["--trace", "--checkpoint-dir", "D"]).err().unwrap();
+        assert!(err.contains("--trace cannot be combined"), "{err}");
+        assert!(parse(&["--checkpoint-every", "4"]).is_err());
+        // Each alone is fine.
+        assert!(parse(&["--trace", "schedules"]).unwrap().trace);
+        assert!(parse(&["--checkpoint-dir", "D"])
+            .unwrap()
+            .checkpoint_dir
+            .is_some());
+    }
+
+    #[test]
+    fn parse_args_reads_check_and_same() {
+        let args = parse(&["--scenario", "topologies", "--check"]).unwrap();
+        assert!(args.check && args.same.is_none());
+        assert_eq!(args.scenarios, vec!["topologies"]);
+        let args = parse(&["--same", "a.json", "b.json"]).unwrap();
+        assert_eq!(
+            args.same,
+            Some(("a.json".to_string(), "b.json".to_string()))
+        );
+        assert!(parse(&["--same", "a.json"]).is_err());
+    }
 }

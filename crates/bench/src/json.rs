@@ -1,10 +1,11 @@
-//! The bench's hand-rolled JSON: one string escaper for the emitters and a
-//! minimal reader for `tables --merge`.
+//! The bench's hand-rolled JSON: one string escaper for the emitters, and a
+//! minimal reader and re-renderer ([`Json::render`]) for `tables --merge` / `--same`.
 //!
 //! The workspace has no serde. The reader handles exactly the JSON subset
 //! the bench emits (objects, arrays, strings with the escapes [`quote`]
 //! produces plus `\u`, numbers, `true`/`false`/`null`) and rejects
-//! everything else loudly.
+//! everything else — including nesting deeper than [`MAX_DEPTH`] — with an
+//! `Err`, never a panic (property-tested in `tests/json_totality.rs`).
 
 use std::fmt::Write as _;
 
@@ -71,17 +72,31 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Renders the tree back to text. Numbers that are exact integers print
+    /// without a fractional part; object field order is preserved from the
+    /// source document.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        render_into(self, &mut out);
+        out
+    }
 }
+
+/// Deepest array/object nesting [`parse_json`] accepts: more than ten times
+/// what scenario-v1 emits, and far below what the recursive reader's stack
+/// holds.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document (rejecting trailing garbage).
 ///
 /// # Errors
 ///
-/// A position-tagged message on malformed input.
+/// A position-tagged message on malformed or too deeply nested input.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -105,11 +120,22 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_list(bytes, pos, b'}', |pos| {
+            skip_ws(bytes, pos);
+            let key = parse_string(bytes, pos)?;
+            expect(bytes, pos, b':')?;
+            Ok((key, parse_value(bytes, pos, depth + 1)?))
+        })
+        .map(Json::Obj),
+        Some(b'[') => {
+            parse_list(bytes, pos, b']', |pos| parse_value(bytes, pos, depth + 1)).map(Json::Arr)
+        }
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -194,49 +220,68 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
+/// The comma-separated list grammar arrays and objects share: `pos` is on
+/// the opening bracket, `item` reads one element, `close` ends the list.
+fn parse_list<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    close: u8,
+    mut item: impl FnMut(&mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    *pos += 1;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
+    if bytes.get(*pos) == Some(&close) {
         *pos += 1;
-        return Ok(Json::Arr(items));
+        return Ok(items);
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(item(pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b']') => {
+            Some(c) if *c == close => {
                 *pos += 1;
-                return Ok(Json::Arr(items));
+                return Ok(items);
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            _ => return Err(format!("expected ',' or '{}' at byte {pos}", close as char)),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        fields.push((key, parse_value(bytes, pos)?));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
+fn render_into(v: &Json, out: &mut String) {
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(v) if !v.is_finite() => out.push_str("null"),
+        Json::Num(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
+            let _ = write!(out, "{}", *v as i64);
+        }
+        Json::Num(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Json::Str(s) => out.push_str(&quote(s)),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_into(item, out);
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            out.push(']');
+        }
+        Json::Obj(fields) => {
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&quote(key));
+                out.push(':');
+                render_into(value, out);
+            }
+            out.push('}');
         }
     }
 }
@@ -255,6 +300,19 @@ mod tests {
         assert_eq!(a[2], Json::Str("x\"\\\nA".to_string()));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
+    }
+
+    /// The `tables --merge deep.json` crash: two million `[` used to
+    /// overflow the stack (SIGABRT) instead of returning `Err`.
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse_json(&over).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        assert!(parse_json(&"[".repeat(2_000_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(2_000_000)).is_err());
     }
 
     #[test]

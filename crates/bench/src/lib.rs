@@ -14,11 +14,10 @@
 //! stream that hashes the full cell coordinates (scenario name, protocol,
 //! adversary, `n`, `b`, bandwidth, α), so no two experiment cells replay
 //! each other's random streams and no component within a trial can be
-//! correlated with another. An earlier revision fed the *same* seed to the
-//! instance RNG and the adversary and reused seeds `1000 + t` across every
-//! cell; the scenario engine fixes that at the architecture level.
+//! correlated with another.
 
 pub mod checkpoint;
+pub mod expect;
 pub mod experiments;
 pub mod json;
 pub mod merge;

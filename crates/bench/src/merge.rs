@@ -1,60 +1,71 @@
-//! Folding sharded scenario documents back into one.
+//! Operations on finished scenario-v1 documents: folding shards back into
+//! one, and the identity compare between two runs.
 //!
 //! `tables --shard i/m` runs the cells whose seed-stream state falls in
 //! shard `i` of `m` and emits a normal scenario-v1 JSON document holding
-//! just those cells. This module implements the inverse: given every
-//! shard's document, [`merge_documents`] reassembles one document carrying
-//! the union of the cells, scenario by scenario — the machine-readable
-//! output of a fleet run is indistinguishable in content from a
-//! single-machine run (cell *order* follows shard order; consumers key
-//! cells by their seed, which is unique per cell).
+//! just those cells. [`merge_documents`] is the inverse: given every
+//! shard's document it reassembles one document carrying the union of the
+//! cells, scenario by scenario — the machine-readable output of a fleet run
+//! is indistinguishable in content from a single-machine run (cell *order*
+//! follows shard order; consumers key cells by their seed, which is unique
+//! per cell). [`same_documents`] is how that claim, and the
+//! killed-and-resumed == uninterrupted claim, are checked (`tables --same`).
 //!
 //! The reader is the crate's hand-rolled JSON parser
 //! ([`crate::json::parse_json`]) — the workspace has no serde.
 
-use crate::json::{parse_json, quote, Json};
-use crate::scenario::SCHEMA;
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use crate::json::{parse_json, Json};
+use crate::scenario::{NONDETERMINISTIC_METRICS, SCHEMA};
+use std::collections::{BTreeMap, HashSet};
 
-/// Renders a parsed [`Json`] tree back to text. Numbers that are exact
-/// integers print without a fractional part; object field order is
-/// preserved from the source document.
-fn render_json(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(v) if !v.is_finite() => out.push_str("null"),
-        Json::Num(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => {
-            let _ = write!(out, "{}", *v as i64);
-        }
-        Json::Num(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Json::Str(s) => out.push_str(&quote(s)),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (key, value)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&quote(key));
-                out.push(':');
-                render_json(value, out);
-            }
-            out.push('}');
-        }
+/// One scenario of a parsed document: name, the scenario object, its cells.
+type ScenarioView<'a> = (&'a str, &'a Json, &'a [Json]);
+
+/// Parses a document and checks its schema.
+fn parse_document(label: &str, text: &str) -> Result<Json, String> {
+    let doc = parse_json(text).map_err(|e| format!("{label}: {e}"))?;
+    match doc.get("schema") {
+        Some(Json::Str(s)) if s == SCHEMA => Ok(doc),
+        other => Err(format!("{label}: schema is {other:?}, expected {SCHEMA:?}")),
     }
+}
+
+/// The scenarios of a parsed document, each with its name and cell array.
+fn scenarios_of<'a>(label: &str, doc: &'a Json) -> Result<Vec<ScenarioView<'a>>, String> {
+    let Some(Json::Arr(scenarios)) = doc.get("scenarios") else {
+        return Err(format!("{label}: missing scenarios array"));
+    };
+    let view = |scenario: &'a Json| {
+        let name = scenario
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{label}: scenario without a name"))?;
+        match scenario.get("cells") {
+            Some(Json::Arr(cells)) => Ok((name, scenario, cells.as_slice())),
+            _ => Err(format!("{label}: scenario {name} without cells")),
+        }
+    };
+    scenarios.iter().map(view).collect()
+}
+
+/// A cell's seed — its identity within a scenario; without one neither the
+/// overlap check nor the identity compare has anything to key on.
+fn seed_of<'a>(label: &str, scenario: &str, cell: &'a Json) -> Result<&'a str, String> {
+    let seed = cell.get("seed").and_then(Json::as_str);
+    seed.ok_or_else(|| format!("{label}: scenario {scenario} has a cell without a string seed"))
+}
+
+fn field(v: &Json, key: &str) -> Json {
+    v.get(key).cloned().unwrap_or(Json::Null)
+}
+
+fn object(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// One scenario being reassembled across shards.
@@ -63,7 +74,6 @@ struct MergedScenario {
     title: Json,
     wall_secs: f64,
     cells: Vec<Json>,
-    seen_seeds: HashSet<String>,
 }
 
 /// Merges shard documents (as `(label, text)` pairs — the label names the
@@ -80,115 +90,136 @@ struct MergedScenario {
 /// string, or a cell seed appearing in two shards (overlapping shards
 /// indicate a mis-specified `--shard` split).
 pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
-    if inputs.is_empty() {
-        return Err("nothing to merge".to_string());
-    }
-    let mut base_trials: Option<f64> = None;
-    let mut generator = Json::Null;
-    let mut git = Json::Null;
+    let mut header: Option<(f64, Json, Json)> = None;
     let mut merged: Vec<MergedScenario> = Vec::new();
+    let mut seen = HashSet::new();
     for (label, text) in inputs {
-        let doc = parse_json(text).map_err(|e| format!("{label}: {e}"))?;
-        match doc.get("schema") {
-            Some(Json::Str(s)) if s == SCHEMA => {}
-            other => return Err(format!("{label}: schema is {other:?}, expected {SCHEMA:?}")),
-        }
+        let doc = parse_document(label, text)?;
         let trials = doc
             .get("base_trials")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{label}: missing base_trials"))?;
-        match base_trials {
-            None => {
-                base_trials = Some(trials);
-                generator = doc.get("generator").cloned().unwrap_or(Json::Null);
-                git = doc.get("git").cloned().unwrap_or(Json::Null);
-            }
-            Some(first) if first != trials => {
-                return Err(format!(
-                    "{label}: base_trials {trials} != {first} from the first shard"
-                ))
-            }
-            Some(_) => {}
+        let (first, ..) =
+            header.get_or_insert_with(|| (trials, field(&doc, "generator"), field(&doc, "git")));
+        if *first != trials {
+            return Err(format!(
+                "{label}: base_trials {trials} != {first} from the first shard"
+            ));
         }
-        let Some(Json::Arr(scenarios)) = doc.get("scenarios") else {
-            return Err(format!("{label}: missing scenarios array"));
-        };
-        for scenario in scenarios {
-            let name = scenario
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{label}: scenario without a name"))?;
-            let wall = scenario
-                .get("wall_secs")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            let Some(Json::Arr(cells)) = scenario.get("cells") else {
-                return Err(format!("{label}: scenario {name} without cells"));
-            };
-            let slot = match merged.iter_mut().find(|m| m.name == name) {
-                Some(slot) => slot,
-                None => {
+        for (name, scenario, cells) in scenarios_of(label, &doc)? {
+            let at = merged
+                .iter()
+                .position(|m| m.name == name)
+                .unwrap_or_else(|| {
                     merged.push(MergedScenario {
                         name: name.to_string(),
-                        title: scenario.get("title").cloned().unwrap_or(Json::Null),
+                        title: field(scenario, "title"),
                         wall_secs: 0.0,
                         cells: Vec::new(),
-                        seen_seeds: HashSet::new(),
                     });
-                    merged.last_mut().expect("just pushed")
-                }
-            };
-            slot.wall_secs += wall;
+                    merged.len() - 1
+                });
+            let wall = scenario.get("wall_secs").and_then(Json::as_f64);
+            merged[at].wall_secs += wall.unwrap_or(0.0);
             for cell in cells {
-                // Cells are keyed by seed: without one the overlap check
-                // below would have nothing to compare.
-                let seed = cell.get("seed").and_then(Json::as_str).ok_or_else(|| {
-                    format!("{label}: scenario {name} has a cell without a string seed")
-                })?;
-                if !slot.seen_seeds.insert(seed.to_string()) {
+                let seed = seed_of(label, name, cell)?;
+                if !seen.insert((name.to_string(), seed.to_string())) {
                     return Err(format!(
                         "{label}: scenario {name} cell seed {seed} already \
                          merged from an earlier shard (overlapping --shard split?)"
                     ));
                 }
-                slot.cells.push(cell.clone());
+                merged[at].cells.push(cell.clone());
             }
         }
     }
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    out.push_str(&quote(SCHEMA));
-    out.push_str(",\"generator\":");
-    render_json(&generator, &mut out);
-    out.push_str(",\"git\":");
-    render_json(&git, &mut out);
-    let _ = write!(
-        out,
-        ",\"base_trials\":{},\"merged_from\":{},\"scenarios\":[",
-        base_trials.unwrap_or(0.0) as i64,
-        inputs.len()
-    );
-    for (i, scenario) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        out.push_str(&quote(&scenario.name));
-        out.push_str(",\"title\":");
-        render_json(&scenario.title, &mut out);
-        let _ = write!(out, ",\"wall_secs\":");
-        render_json(&Json::Num(scenario.wall_secs), &mut out);
-        out.push_str(",\"cells\":[");
-        for (j, cell) in scenario.cells.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    let (base_trials, generator, git) = header.ok_or("nothing to merge")?;
+    let scenarios = merged.into_iter().map(|m| {
+        object(vec![
+            ("name", Json::Str(m.name)),
+            ("title", m.title),
+            ("wall_secs", Json::Num(m.wall_secs)),
+            ("cells", Json::Arr(m.cells)),
+        ])
+    });
+    let doc = object(vec![
+        ("schema", Json::Str(SCHEMA.to_string())),
+        ("generator", generator),
+        ("git", git),
+        ("base_trials", Json::Num(base_trials.trunc())),
+        ("merged_from", Json::Num(inputs.len() as f64)),
+        ("scenarios", Json::Arr(scenarios.collect())),
+    ]);
+    Ok(doc.render())
+}
+
+/// What a cell must reproduce exactly, keyed by `(scenario, seed)`: its
+/// coordinates, its aggregate, and its metrics minus the
+/// [`NONDETERMINISTIC_METRICS`]. `secs`, `wall_secs`, `git` and cell order
+/// are free to differ.
+fn identity_index(label: &str, text: &str) -> Result<BTreeMap<(String, String), Json>, String> {
+    let doc = parse_document(label, text)?;
+    let mut index = BTreeMap::new();
+    for (name, _, cells) in scenarios_of(label, &doc)? {
+        for cell in cells {
+            let seed = seed_of(label, name, cell)?;
+            let metrics = match field(cell, "metrics") {
+                Json::Obj(mut fields) => {
+                    fields.retain(|(key, _)| !NONDETERMINISTIC_METRICS.contains(&key.as_str()));
+                    Json::Obj(fields)
+                }
+                other => other,
+            };
+            let content = Json::Arr(vec![
+                field(cell, "coords"),
+                field(cell, "aggregate"),
+                metrics,
+            ]);
+            if index
+                .insert((name.to_string(), seed.to_string()), content)
+                .is_some()
+            {
+                return Err(format!("{label}: duplicate cell ({name}, {seed})"));
             }
-            render_json(cell, &mut out);
         }
-        out.push_str("]}");
     }
-    out.push_str("]}");
-    Ok(out)
+    Ok(index)
+}
+
+/// The identity compare between two runs of the same grid — golden vs
+/// killed-and-resumed, full vs sharded-and-merged: both documents must hold
+/// the same `(scenario, seed)` cells, each exactly once, with identical
+/// coordinates, aggregates and deterministic metrics. Returns the number of
+/// cells compared.
+///
+/// # Errors
+///
+/// One line per difference (or the single reason a document is unusable),
+/// each naming the document label, scenario and seed.
+pub fn same_documents(a: (&str, &str), b: (&str, &str)) -> Result<usize, Vec<String>> {
+    let ((a, a_text), (b, b_text)) = (a, b);
+    let left = identity_index(a, a_text).map_err(|e| vec![e])?;
+    let right = identity_index(b, b_text).map_err(|e| vec![e])?;
+    let mut diffs = Vec::new();
+    for (key @ (name, seed), mine) in &left {
+        match right.get(key) {
+            None => diffs.push(format!("{b}: no cell ({name}, {seed}) — {a} has one")),
+            Some(theirs) if theirs != mine => diffs.push(format!(
+                "cell ({name}, {seed}) diverged:\n  {a}: {}\n  {b}: {}",
+                mine.render(),
+                theirs.render()
+            )),
+            Some(_) => {}
+        }
+    }
+    for (name, seed) in right.keys().filter(|key| !left.contains_key(key)) {
+        diffs.push(format!("{a}: no cell ({name}, {seed}) — {b} has one"));
+    }
+    if diffs.is_empty() {
+        Ok(left.len())
+    } else {
+        Err(diffs)
+    }
 }
 
 #[cfg(test)]
@@ -201,13 +232,14 @@ mod tests {
         Scenario {
             name: "merge-test",
             title: "merge test".into(),
-            headers: vec!["k", "twice"],
+            columns: vec!["twice"],
             cells: (0..cells)
                 .map(|k| Cell {
                     coords: vec![("k", Value::u(k))],
                     kind: CellKind::Custom(Arc::new(move |_ctx| vec![("twice", Value::u(2 * k))])),
                 })
                 .collect(),
+            ..Scenario::default()
         }
     }
 
@@ -231,8 +263,7 @@ mod tests {
                     Some(Json::Str(s)) => s.clone(),
                     _ => panic!("cell without seed"),
                 };
-                let mut body = String::new();
-                render_json(c.get("metrics").unwrap(), &mut body);
+                let body = c.get("metrics").unwrap().render();
                 out.push((name.clone(), seed, body));
             }
         }
@@ -319,10 +350,99 @@ mod tests {
     fn render_json_round_trips_through_the_parser() {
         let source = r#"{"a":[1,2.5,null,true,"x\"y"],"b":{"c":-3}}"#;
         let parsed = parse_json(source).unwrap();
-        let mut rendered = String::new();
-        render_json(&parsed, &mut rendered);
+        let rendered = parsed.render();
         assert_eq!(parse_json(&rendered).unwrap(), parsed);
         // Integer-valued floats print as integers.
         assert!(rendered.contains("[1,2.5,null"), "{rendered}");
+    }
+
+    /// `tables --same`: wall clocks, `git` and the cache counters are free
+    /// to differ; any seeded-deterministic field, a missing cell or a
+    /// duplicated `(scenario, seed)` is a named difference.
+    #[test]
+    fn same_documents_ignores_timing_and_names_every_difference() {
+        use crate::scenario::TrialJob;
+        use crate::{AdversarySpec, TopologySpec};
+        let spec = Scenario {
+            name: "same-test",
+            columns: vec!["rounds", "errors"],
+            cells: [8usize, 12]
+                .into_iter()
+                .map(|n| Cell {
+                    coords: vec![("n", Value::u(n))],
+                    kind: CellKind::Trials(TrialJob {
+                        protocol: Arc::new(|_| Box::new(bdclique_core::protocols::NaiveExchange)),
+                        protocol_key: "naive",
+                        adversary: AdversarySpec::GreedyFlip,
+                        topology: TopologySpec::Complete,
+                        n,
+                        b: 1,
+                        bandwidth: 9,
+                        alpha: 0.3,
+                        trials: 2,
+                        trace: false,
+                    }),
+                })
+                .collect(),
+            ..Scenario::default()
+        };
+        let golden = run_configured(&spec, &RunConfig::default());
+        let golden_doc = emit_json(std::slice::from_ref(&golden), 2);
+        let same = |other: &str| same_documents(("golden", &golden_doc), ("other", other));
+
+        let mut retimed = golden.clone();
+        retimed.wall_secs += 9.0;
+        retimed.cells.reverse();
+        for cell in &mut retimed.cells {
+            cell.secs += 1.5;
+            for (key, value) in &mut cell.metrics {
+                if NONDETERMINISTIC_METRICS.contains(key) {
+                    *value = Value::U64(99);
+                }
+            }
+        }
+        let retimed_doc = emit_json(&[retimed], 2).replace("\"git\":\"", "\"git\":\"elsewhere-");
+        assert_ne!(retimed_doc, golden_doc);
+        assert_eq!(same(&retimed_doc), Ok(2));
+
+        let mut wrong = golden.clone();
+        wrong.cells[0].aggregate.as_mut().unwrap().total_errors += 1;
+        let diffs = same(&emit_json(&[wrong], 2)).unwrap_err();
+        let seed = format!("{:#018x}", golden.cells[0].seed);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(
+            diffs[0].contains(&format!("(same-test, {seed}) diverged")),
+            "{diffs:?}"
+        );
+
+        let mut wrong_metric = golden.clone();
+        wrong_metric.cells[1].metrics[0].1 = Value::f1(77.0);
+        assert_eq!(same(&emit_json(&[wrong_metric], 2)).unwrap_err().len(), 1);
+
+        let mut short = golden.clone();
+        short.cells.remove(0);
+        let short_doc = emit_json(&[short], 2);
+        let diffs = same(&short_doc).unwrap_err();
+        assert!(
+            diffs[0].contains(&format!("other: no cell (same-test, {seed})")),
+            "{diffs:?}"
+        );
+        // …in either direction.
+        let diffs = same_documents(("short", &short_doc), ("golden", &golden_doc)).unwrap_err();
+        assert!(
+            diffs[0].contains(&format!("short: no cell (same-test, {seed})")),
+            "{diffs:?}"
+        );
+
+        let mut doubled = golden.clone();
+        doubled.cells.push(golden.cells[0].clone());
+        let diffs = same(&emit_json(&[doubled], 2)).unwrap_err();
+        assert!(
+            diffs[0].contains(&format!("other: duplicate cell (same-test, {seed})")),
+            "{diffs:?}"
+        );
+
+        assert!(same("not json").is_err());
+        assert!(same("{\"schema\":\"other\",\"scenarios\":[]}").is_err());
     }
 }

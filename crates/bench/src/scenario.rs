@@ -5,8 +5,9 @@
 //! [`AdversarySpec`] × `n` × `b` × bandwidth × α × trials, executed by the
 //! engine and folded into an [`Aggregate`]) or a **custom measurement**
 //! (routing sweeps, code ablations, …) that receives a seed stream and
-//! returns metrics. The engine owns everything the hand-rolled experiment
-//! loops used to duplicate:
+//! returns metrics. A scenario also carries what must hold of its result:
+//! [`Scenario::expect`], evaluated by [`crate::expect::check`]. The engine
+//! owns everything the hand-rolled experiment loops used to duplicate:
 //!
 //! * **Parallelism** — independent cells fan out across cores, and the
 //!   trials inside a cell fan out again; [`run_serial`] is the bit-identity
@@ -16,12 +17,47 @@
 //!   stream by index and splits it into independent instance / adversary /
 //!   protocol seeds ([`TrialSeeds`]). Changing any single coordinate
 //!   changes the cell's entire stream; no two cells share randomness.
+//! * **Columns** — a table's leading columns are the cells' coordinates,
+//!   and a trial cell's metrics are the [`Scenario::columns`] that name an
+//!   aggregate column (`rounds`, `perfect`, `errors`, …), in that order;
+//!   builders restate neither.
 //! * **Backends** — one run renders as an aligned-text [`Table`] and/or
-//!   serializes to JSON ([`emit_json`]) for machine consumers (CI checks,
-//!   `tables --merge`). The JSON schema is documented in the README
-//!   ("Scenario engine" section) and versioned via [`SCHEMA`].
+//!   serializes to JSON ([`emit_json`]) for machine consumers
+//!   (`tables --merge` / `--same`).
+//!
+//! # The scenario-v1 document
+//!
+//! `tables --json PATH` writes one document, versioned via [`SCHEMA`]:
+//!
+//! ```json
+//! {"schema": "bdclique-bench/scenario-v1", "generator": "bdclique-bench 0.1.0",
+//!  "git": "<git describe --always --dirty>", "base_trials": 5,
+//!  "scenarios": [
+//!    {"name": "t1r4", "title": "…", "wall_secs": 1.2,
+//!     "cells": [
+//!       {"coords": {"n": 64, "budget": 4},
+//!        "seed": "0x…16 hex digits…", "secs": 0.3,
+//!        "aggregate": {"trials": 5, "completed": 5, "perfect": 5,
+//!                      "total_errors": 0, "mean_rounds": 16.0,
+//!                      "mean_corrupted": 48.2, "mean_bits": 134000.0,
+//!                      "max_fault_degree": 4, "infeasible": 0, "failed": 0},
+//!        "round_trace": [{"round": 0, "frames": 4032, "bits": 72576,
+//!                         "corrupted_edges": 96, "corrupted_frames": 192}],
+//!        "metrics": {"rounds": 16.0, "perfect": {"ok": 5, "of": 5}}}]}]}
+//! ```
+//!
+//! `aggregate` is `null` for custom cells; means are `null` (rendered
+//! `n/a`) when no trial completed — a zero-trial or all-infeasible cell
+//! never prints `0/0` or `NaN`. `round_trace` is trial 0's per-round
+//! stat-delta sequence for cells with [`TrialJob::trace`] on (the
+//! `schedules` scenario, or the CLI's `--trace`), `null` otherwise. Every
+//! trial cell's metrics end with the [`NONDETERMINISTIC_METRICS`]: counters
+//! of the per-cell codeword cache, which depend on trial interleaving and
+//! are excluded from every identity compare. A merged document
+//! ([`crate::merge::merge_documents`]) adds `merged_from`.
 
 use crate::checkpoint::{run_trial_checkpointed, CheckpointConfig};
+use crate::expect::Expectation;
 use crate::json::quote;
 use crate::{
     fold_trials, run_trial, AdversarySpec, Aggregate, Table, TopologySpec, TrialSeeds, TrialSpec,
@@ -38,6 +74,15 @@ use std::time::Instant;
 
 /// JSON schema identifier emitted at the top of every document.
 pub const SCHEMA: &str = "bdclique-bench/scenario-v1";
+
+/// The trial-cell metrics that are **not** a function of the seeds: the
+/// per-cell codeword cache's hit / miss counters. Trials racing on the
+/// shared cache reorder probe/insert interleavings (and a resumed trial
+/// skips already-done encodes), so the *counters* differ between parallel,
+/// serial and resumed runs even though the cached content — and therefore
+/// every outcome the aggregate folds — is bit-identical. The one exclusion
+/// list [`CellResult::same_outcome`] and `tables --same` both read.
+pub const NONDETERMINISTIC_METRICS: [&str; 2] = ["cache_hits", "cache_misses"];
 
 /// A coordinate or metric value: typed for JSON, formatted for tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,9 +209,6 @@ pub struct CellCtx {
 /// honor `ctx.parallel`.
 pub type CustomJob = Arc<dyn Fn(&CellCtx) -> Vec<(&'static str, Value)> + Send + Sync>;
 
-/// Maps a finished trial aggregate to the cell's row metrics.
-pub type Presenter = fn(&TrialJob, &Aggregate) -> Vec<(&'static str, Value)>;
-
 /// The trial-grid flavor of a cell: the engine runs `trials` seeded trials
 /// of `protocol` against `adversary` and folds them.
 pub struct TrialJob {
@@ -189,8 +231,6 @@ pub struct TrialJob {
     pub alpha: f64,
     /// Trials to run.
     pub trials: usize,
-    /// Metric projection for the table row / JSON metrics map.
-    pub present: Presenter,
     /// Record trial 0's per-round stat deltas (driver `RoundTrace`) into
     /// the cell result's `round_trace` JSON section. Tracing never perturbs
     /// the trial outcomes — observers only read stat deltas.
@@ -209,6 +249,24 @@ impl TrialJob {
             alpha: self.alpha,
             adversary: self.adversary,
         }
+    }
+
+    /// The aggregate column a header names, if it names one — the single
+    /// header → column table behind every trial cell's metrics. `errors`
+    /// reads `failed` when nothing completed because trials failed (the
+    /// `largen` / `xlargen` smoke rows), so a broken cell never shows `0`.
+    pub fn column(&self, header: &str, agg: &Aggregate) -> Option<Value> {
+        Some(match header {
+            "rounds" => Value::opt_f1(agg.mean_rounds),
+            "rounds/log2(n)" => Value::opt_f1(agg.mean_rounds.map(|r| r / (self.n as f64).log2())),
+            "perfect" => Value::rate(agg.perfect, agg.completed),
+            "errors" if agg.completed == 0 && agg.failed > 0 => Value::s("failed"),
+            "errors" => Value::u(agg.total_errors),
+            "corrupted/trial" => Value::opt_f1(agg.mean_corrupted),
+            "bits sent" | "bits/trial" => Value::opt_f1(agg.mean_bits),
+            "infeasible" => Value::u(agg.infeasible),
+            _ => return None,
+        })
     }
 }
 
@@ -261,29 +319,29 @@ impl Cell {
     }
 }
 
-/// A named scenario in the suite registry
-/// ([`crate::experiments::registry`]).
-pub struct RegistryEntry {
-    /// Registry name (CLI `--scenario` argument).
+/// A declarative experiment: a title, column headers, the cell grid, and
+/// what must hold of the result. The suite's scenarios are listed by
+/// [`crate::experiments::registry`].
+#[derive(Default)]
+pub struct Scenario {
+    /// Registry name (CLI `--scenario` argument, and the root of every
+    /// cell's seed derivation).
     pub name: &'static str,
     /// One-line description for `--list`.
     pub about: &'static str,
-    /// Builds the scenario from a base trial count (builders apply their
-    /// own historical scaling).
-    pub build: fn(usize) -> Scenario,
-}
-
-/// A declarative experiment: a title, column headers, and the cell grid.
-pub struct Scenario {
-    /// Registry name (also the root of every cell's seed derivation).
-    pub name: &'static str,
     /// Table title.
     pub title: String,
-    /// Column headers; each resolves against cell coordinates, then metrics,
-    /// then the built-in `secs` (per-cell wall time).
-    pub headers: Vec<&'static str>,
+    /// Column headers after the coordinate columns (which the engine takes
+    /// from the first cell — a scenario's cells share their coordinate
+    /// names). Each names a metric (for trial cells: a header
+    /// [`TrialJob::column`] knows) or the built-in `secs` (per-cell wall
+    /// time).
+    pub columns: Vec<&'static str>,
     /// The grid.
     pub cells: Vec<Cell>,
+    /// Expectations `tables --check` and the tier-1 suite hold the result
+    /// to ([`crate::expect::check`]).
+    pub expect: Vec<Expectation>,
 }
 
 /// A finished cell: coordinates, metrics, and provenance.
@@ -291,7 +349,8 @@ pub struct Scenario {
 pub struct CellResult {
     /// The cell's coordinates, as specified.
     pub coords: Vec<(&'static str, Value)>,
-    /// Metrics produced by the presenter / custom job.
+    /// Metrics: the aggregate columns [`Scenario::columns`] names, or the
+    /// custom job's return value.
     pub metrics: Vec<(&'static str, Value)>,
     /// The folded aggregate (trial cells only).
     pub aggregate: Option<Aggregate>,
@@ -316,18 +375,13 @@ impl CellResult {
             .or_else(|| (header == "secs").then(|| Value::f1(self.secs)))
     }
 
-    /// Seed-and-timing-independent equality, used by the determinism oracle.
-    ///
-    /// The per-cell codeword-cache counters (`cache_hits` / `cache_misses`)
-    /// are excluded: trials racing on the shared cache reorder probe/insert
-    /// interleavings, so the *counters* differ between parallel and serial
-    /// runs even though the cached content — and therefore every outcome the
-    /// aggregate folds — is bit-identical.
+    /// Seed-and-timing-independent equality, used by the determinism oracle
+    /// (everything but `secs` and the [`NONDETERMINISTIC_METRICS`]).
     pub fn same_outcome(&self, other: &CellResult) -> bool {
         let deterministic = |metrics: &[(&'static str, Value)]| -> Vec<(&'static str, Value)> {
             metrics
                 .iter()
-                .filter(|(key, _)| *key != "cache_hits" && *key != "cache_misses")
+                .filter(|(key, _)| !NONDETERMINISTIC_METRICS.contains(key))
                 .cloned()
                 .collect()
         };
@@ -463,41 +517,52 @@ pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
     let cells: Vec<CellResult> = if cfg.serial {
         selected
             .iter()
-            .map(|cell| run_cell(spec.name, cell, cfg))
+            .map(|cell| run_cell(spec, cell, cfg))
             .collect()
     } else {
         (0..selected.len())
             .into_par_iter()
-            .map(|i| run_cell(spec.name, selected[i], cfg))
+            .map(|i| run_cell(spec, selected[i], cfg))
             .collect()
     };
+    let coords = spec.cells.first().map_or(&[][..], |cell| &cell.coords);
     ScenarioResult {
         name: spec.name,
         title: spec.title.clone(),
-        headers: spec.headers.clone(),
+        headers: coords
+            .iter()
+            .map(|(key, _)| *key)
+            .chain(spec.columns.iter().copied())
+            .collect(),
         cells,
         wall_secs: start.elapsed().as_secs_f64(),
     }
 }
 
-fn run_cell(scenario: &str, cell: &Cell, cfg: &RunConfig) -> CellResult {
-    let stream = cell.stream(scenario);
+fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
+    let stream = cell.stream(spec.name);
     let parallel = !cfg.serial;
     let start = Instant::now();
     let mut prior_secs = 0.0;
     let (metrics, aggregate, round_trace) = match &cell.kind {
         CellKind::Trials(job) => {
-            let cell_key = format!("{scenario}-{:016x}", stream.seed());
+            let cell_key = format!("{}-{:016x}", spec.name, stream.seed());
             let ckpt = cfg.checkpoint.as_ref().map(|c| (c, cell_key.as_str()));
             let (agg, trace, (hits, misses), prior) =
                 run_trials_traced(job, &stream, parallel, ckpt);
             prior_secs = prior;
-            let mut metrics = (job.present)(job, &agg);
+            let mut metrics: Vec<(&'static str, Value)> = spec
+                .columns
+                .iter()
+                .filter_map(|header| Some((*header, job.column(header, &agg)?)))
+                .collect();
             // Cross-trial codeword-cache effectiveness; counters only
-            // (content is correctness-neutral), and excluded from
-            // `same_outcome` — see there.
-            metrics.push(("cache_hits", Value::U64(hits)));
-            metrics.push(("cache_misses", Value::U64(misses)));
+            // (content is correctness-neutral).
+            metrics.extend(
+                NONDETERMINISTIC_METRICS
+                    .into_iter()
+                    .zip([hits, misses].map(Value::U64)),
+            );
             (metrics, Some(agg), trace)
         }
         CellKind::Custom(job) => (job(&CellCtx { stream, parallel }), None, None),
@@ -632,10 +697,9 @@ fn round_trace_json(frames: &[RoundDelta]) -> String {
         .iter()
         .map(|f| {
             format!(
-                "{{\"round\":{},\"vtime\":{},\"frames\":{},\"bits\":{},\"corrupted_edges\":{},\
+                "{{\"round\":{},\"frames\":{},\"bits\":{},\"corrupted_edges\":{},\
                  \"corrupted_frames\":{}}}",
                 f.round,
-                f.vtime,
                 f.stats.frames_sent,
                 f.stats.bits_sent,
                 f.stats.edges_corrupted,
@@ -731,13 +795,14 @@ mod tests {
         let spec = Scenario {
             name: "test-custom",
             title: "custom".into(),
-            headers: vec!["k", "seed_lo"],
+            columns: vec!["seed_lo"],
             cells: vec![Cell {
                 coords: vec![("k", Value::u(7))],
                 kind: CellKind::Custom(Arc::new(|ctx: &CellCtx| {
                     vec![("seed_lo", Value::U64(ctx.stream.seed() & 0xff))]
                 })),
             }],
+            ..Scenario::default()
         };
         let out = run(&spec);
         assert_eq!(out.cells.len(), 1);

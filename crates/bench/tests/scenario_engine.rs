@@ -3,20 +3,12 @@
 //! registry, and JSON well-formedness.
 
 use bdclique_bench::scenario::{self, Cell, CellKind, ProtocolFactory, Scenario, TrialJob, Value};
-use bdclique_bench::{AdversarySpec, Aggregate, TopologySpec};
+use bdclique_bench::{AdversarySpec, TopologySpec};
 use bdclique_core::protocols::{DetSqrt, NaiveExchange};
 use std::sync::Arc;
 
 fn naive_factory() -> ProtocolFactory {
     Arc::new(|_seed| Box::new(NaiveExchange))
-}
-
-fn present_basic(_job: &TrialJob, agg: &Aggregate) -> Vec<(&'static str, Value)> {
-    vec![
-        ("rounds", Value::opt_f1(agg.mean_rounds)),
-        ("perfect", Value::rate(agg.perfect, agg.completed)),
-        ("errors", Value::u(agg.total_errors)),
-    ]
 }
 
 fn base_cell() -> Cell {
@@ -32,7 +24,6 @@ fn base_cell() -> Cell {
             bandwidth: 9,
             alpha: 0.0,
             trials: 3,
-            present: present_basic,
             trace: false,
         }),
     }
@@ -138,7 +129,6 @@ fn mini_grid(trials: usize) -> Scenario {
                     bandwidth: 18,
                     alpha,
                     trials,
-                    present: present_basic,
                     trace: true,
                 }),
             });
@@ -147,8 +137,9 @@ fn mini_grid(trials: usize) -> Scenario {
     Scenario {
         name: "mini-grid",
         title: "engine test grid".into(),
-        headers: vec!["n", "adversary", "rounds", "perfect", "errors"],
+        columns: vec!["rounds", "perfect", "errors"],
         cells,
+        ..Scenario::default()
     }
 }
 
@@ -182,8 +173,9 @@ fn zero_trial_cell_renders_na() {
     let spec = Scenario {
         name: "zero-trials",
         title: "zero".into(),
-        headers: vec!["n", "adversary", "rounds", "perfect", "errors"],
+        columns: vec!["rounds", "perfect", "errors"],
         cells: vec![with_job(|j| j.trials = 0)],
+        ..Scenario::default()
     };
     let out = scenario::run(&spec);
     let agg = out.cells[0].aggregate.as_ref().unwrap();
@@ -196,22 +188,28 @@ fn zero_trial_cell_renders_na() {
     assert!(!rendered.contains("NaN"), "got: {rendered}");
 }
 
-/// Every registry entry builds a non-empty grid under a unique name, and
-/// every declared header resolves (pure construction — nothing runs).
+/// Every registry scenario is a non-empty grid under a unique name with a
+/// `--list` description, and its cells do not collide in seed space (pure
+/// construction — nothing runs).
 #[test]
 fn registry_builds_unique_nonempty_scenarios() {
-    let entries = bdclique_bench::experiments::registry();
-    assert_eq!(entries.len(), 20);
-    let mut names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+    let suite = bdclique_bench::experiments::registry(1);
+    assert_eq!(suite.len(), 20);
+    let mut names: Vec<&str> = suite.iter().map(|s| s.name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), entries.len(), "registry names must be unique");
-    for entry in &entries {
-        let spec = (entry.build)(1);
-        assert_eq!(spec.name, entry.name);
-        assert!(!spec.cells.is_empty(), "{} has no cells", entry.name);
-        assert!(!spec.headers.is_empty(), "{} has no headers", entry.name);
-        // Cells within one scenario must not collide in seed space.
+    assert_eq!(names.len(), suite.len(), "registry names must be unique");
+    for spec in &suite {
+        assert!(!spec.about.is_empty(), "{} has no description", spec.name);
+        assert!(!spec.cells.is_empty(), "{} has no cells", spec.name);
+        assert!(!spec.columns.is_empty(), "{} has no columns", spec.name);
+        // The coordinate headers come from the first cell: all must agree.
+        let keys = |c: &Cell| c.coords.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        assert!(
+            spec.cells.iter().all(|c| keys(c) == keys(&spec.cells[0])),
+            "{} cells disagree on coordinate names",
+            spec.name
+        );
         let mut seeds: Vec<u64> = spec
             .cells
             .iter()
@@ -219,12 +217,7 @@ fn registry_builds_unique_nonempty_scenarios() {
             .collect();
         seeds.sort_unstable();
         seeds.dedup();
-        assert_eq!(
-            seeds.len(),
-            spec.cells.len(),
-            "{} cells collide",
-            entry.name
-        );
+        assert_eq!(seeds.len(), spec.cells.len(), "{} cells collide", spec.name);
     }
 }
 
@@ -247,7 +240,8 @@ fn emitted_json_is_well_formed() {
         "\"seed\":\"0x",
         // mini_grid traces: the per-round section must be present with its
         // per-round delta fields.
-        "\"round_trace\":[{\"round\":0,",
+        "\"round_trace\":[{\"round\":0,\"frames\":",
+        "\"bits\":",
         "\"corrupted_edges\":",
         "\"corrupted_frames\":",
     ] {

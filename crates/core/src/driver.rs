@@ -22,13 +22,6 @@ pub struct RoundDelta {
     /// equals the absolute network round when the session starts on a fresh
     /// network).
     pub round: u64,
-    /// Absolute **virtual time** of the completed round
-    /// ([`Network::virtual_time`] when the round started): `round` plus the
-    /// network's round count at session start. Interleaved or resumed
-    /// sessions sharing one network correlate their traces on this axis —
-    /// two deltas with equal `vtime` describe the same wire round,
-    /// whatever each session calls it locally.
-    pub vtime: u64,
     /// Stat deltas for exactly this round ([`NetStats::delta_since`]);
     /// `peak_fault_degree` carries the cumulative peak, not a per-round
     /// value.
@@ -140,7 +133,6 @@ impl<'d, 'o> Driver<'d, 'o> {
             if net.rounds() - start > round {
                 let delta = RoundDelta {
                     round,
-                    vtime: start + round,
                     stats: net.stats().delta_since(&before),
                 };
                 for obs in self.observers.iter_mut() {
@@ -426,24 +418,32 @@ mod tests {
         NaiveExchange.run(&mut net, &inst).unwrap(); // rounds 0..3 consumed
         assert_eq!(net.rounds(), 3);
 
+        /// Records the network's absolute round count at every round end.
+        #[derive(Default)]
+        struct NetClock(Vec<u64>);
+        impl RoundObserver for NetClock {
+            fn on_round_end(&mut self, net: &Network, _: &RoundDelta) -> Result<(), CoreError> {
+                self.0.push(net.rounds());
+                Ok(())
+            }
+        }
+
         // A budget of 3 covers the SECOND run in full…
         let mut budget = RoundBudget::new(3);
         let mut trace = RoundTrace::new();
-        let mut observers: [&mut dyn RoundObserver; 2] = [&mut budget, &mut trace];
+        let mut clock = NetClock::default();
+        let mut observers: [&mut dyn RoundObserver; 3] = [&mut budget, &mut trace, &mut clock];
         Driver::with_observers(&mut observers)
             .run(&NaiveExchange, &mut net, &inst)
             .unwrap();
         assert_eq!(net.rounds(), 6);
-        // …and the trace restarts at session round 0, while `vtime` keeps
-        // counting on the shared network's absolute clock.
+        // …and the trace restarts at session round 0, while `net.rounds()`
+        // keeps counting on the shared network's absolute clock.
         assert_eq!(
             trace.frames.iter().map(|f| f.round).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert_eq!(
-            trace.frames.iter().map(|f| f.vtime).collect::<Vec<_>>(),
-            vec![3, 4, 5]
-        );
+        assert_eq!(clock.0, vec![4, 5, 6]);
 
         // A budget of 2 cuts a third run after exactly 2 more rounds.
         let mut budget = RoundBudget::new(2);

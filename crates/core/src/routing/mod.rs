@@ -31,7 +31,7 @@
 //! serial whatever the host does between them; the only host parallelism is
 //! the rayon fan-out *inside* a pack ([`RouterConfig::parallel`]). An
 //! executor that overlapped packs across rounds was built, measured slower
-//! on every shape tried, and removed — see the README's "One pack pipeline".
+//! on every shape tried, and removed — see CHANGES.md (PR 13) for the numbers.
 
 pub mod coverfree;
 pub mod unit;

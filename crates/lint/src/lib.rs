@@ -9,8 +9,15 @@
 //! threads. This crate enforces them with a lightweight Rust lexer and a
 //! token-pattern rule engine — see [`rules::RULES`] for the catalog.
 //!
-//! Run it with `cargo run -p bdclique-lint`; see the README's "Static
-//! analysis" section for the suppression syntax.
+//! Run it with `cargo run -p bdclique-lint`; the [`rules`] module docs give
+//! the suppression syntax. Run it **before** trusting the identity oracles
+//! (`stage_parallel`, `session_regression`, the cross-run goldens): those
+//! compare two executions *within one process*, so a per-process-random
+//! iteration order can agree with itself all the way through CI and still
+//! diverge across processes in a sharded run — the lint is the
+//! cross-process half of the argument. Prefer restructuring (`BTreeMap`,
+//! sort-before-iterate, `get_len`) over suppressing; a suppression's reason
+//! should say why the order (or size) cannot matter.
 
 pub mod lexer;
 pub mod report;

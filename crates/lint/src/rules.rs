@@ -50,7 +50,7 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-wallclock-nondeterminism",
         "forbid SystemTime / Instant::now / thread_rng / from_entropy outside bench timing \
-         and the shims — schedules must derive from seeds and virtual time only",
+         and the shims — schedules must derive from seeds and the round counter only",
     ),
     (
         "validate-before-alloc",
@@ -800,7 +800,7 @@ fn no_wallclock(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
                 format!(
                     "{what}: identical inputs must produce identical schedules on every \
                      process; derive randomness from SeedStream and time from \
-                     Network::virtual_time (timing belongs in crates/bench)"
+                     Network::rounds (timing belongs in crates/bench)"
                 ),
             ));
         }

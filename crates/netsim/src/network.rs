@@ -303,15 +303,6 @@ impl Network {
         self.round
     }
 
-    /// The network's **virtual clock**: the virtual time of the next
-    /// exchange. Identical to [`Network::rounds`] — each delivery advances
-    /// the clock by one — under the name driver-side round views report it
-    /// by. Adversary budgets, history digests, and observer round views are
-    /// all anchored to this clock, never to host time.
-    pub fn virtual_time(&self) -> u64 {
-        self.round
-    }
-
     /// Accounting snapshot.
     pub fn stats(&self) -> &NetStats {
         &self.stats

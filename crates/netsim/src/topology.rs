@@ -25,6 +25,19 @@
 //! a topology is reproducible from its cell coordinates exactly like every
 //! other random component of a trial. The randomized generators retry
 //! (deterministically) until the sampled graph is simple and connected.
+//!
+//! # Writing code that does not assume `K_n`
+//!
+//! Iterate [`Topology::neighbors`] (or hold the network's topology handle
+//! across steps) instead of `0..n` minus `v`; gate sessions that need
+//! all-pairs reachability on [`Topology::is_complete`] and report the
+//! protocol layer's `Infeasible` error otherwise; derive adversarial
+//! budgets from [`Topology::budget_of`] rather than `⌊αn⌋`. Frames queued
+//! across a non-edge are rejected, so neither protocols nor adversary
+//! rewrites can cheat the graph. The clique path is unchanged, not merely
+//! equivalent: [`Topology::complete`] iterates neighbors in the historical
+//! ascending order (pinned for all seven protocols by
+//! `core/tests/clique_equivalence.rs`).
 
 use crate::seed::SeedStream;
 use bdclique_snapshot::{Dec, Enc, SnapError};

@@ -1,6 +1,6 @@
 //! A custom experiment on the scenario engine: sweep the fault fraction α
-//! for two protocols and emit both the rendered table and the JSON
-//! document the perf trajectory consumes.
+//! for two protocols, hold the result to an `expect` clause, and emit both
+//! the rendered table and the scenario-v1 JSON document.
 //!
 //! ```sh
 //! cargo run --release --example scenario_sweep
@@ -11,20 +11,11 @@
 //! coordinates, cells run in parallel, and each trial splits its seed into
 //! independent instance / adversary / protocol streams.
 
+use bdclique_bench::expect::{self, Clause, Expectation};
 use bdclique_bench::scenario::{self, Cell, CellKind, Scenario, TrialJob, Value};
-use bdclique_bench::{AdversarySpec, Aggregate, TopologySpec};
+use bdclique_bench::{AdversarySpec, TopologySpec};
 use bdclique_core::protocols::{DetHypercube, DetSqrt};
 use std::sync::Arc;
-
-fn present(job: &TrialJob, agg: &Aggregate) -> Vec<(&'static str, Value)> {
-    vec![
-        ("alpha", Value::f3(job.alpha)),
-        ("rounds", Value::opt_f1(agg.mean_rounds)),
-        ("perfect", Value::rate(agg.perfect, agg.completed)),
-        ("errors", Value::u(agg.total_errors)),
-        ("infeasible", Value::u(agg.infeasible)),
-    ]
-}
 
 fn main() {
     let n = 64usize;
@@ -46,8 +37,13 @@ fn main() {
         ),
     ] {
         for budget in [0usize, 1, 2, 4] {
+            let alpha = (budget as f64 + 0.2) / n as f64;
             cells.push(Cell {
-                coords: vec![("protocol", Value::s(label)), ("budget", Value::u(budget))],
+                coords: vec![
+                    ("protocol", Value::s(label)),
+                    ("budget", Value::u(budget)),
+                    ("alpha", Value::f3(alpha)),
+                ],
                 kind: CellKind::Trials(TrialJob {
                     protocol: protocol.clone(),
                     protocol_key: label,
@@ -56,9 +52,8 @@ fn main() {
                     n,
                     b: 1,
                     bandwidth: 18,
-                    alpha: (budget as f64 + 0.2) / n as f64,
+                    alpha,
                     trials,
-                    present,
                     trace: false,
                 }),
             });
@@ -67,21 +62,21 @@ fn main() {
     let spec = Scenario {
         name: "alpha-sweep-demo",
         title: format!("alpha sweep, n = {n}, adaptive greedy flip"),
-        headers: vec![
-            "protocol",
-            "budget",
-            "alpha",
-            "rounds",
-            "perfect",
-            "errors",
-            "infeasible",
-            "secs",
-        ],
+        columns: vec!["rounds", "perfect", "errors", "infeasible", "secs"],
         cells,
+        // Hold the sweep to a claim `scenario::run` + `expect::check` verify:
+        // det-hypercube tolerates every budget here with zero errors.
+        expect: vec![Expectation::on(
+            &[("protocol", "det-hypercube")],
+            vec![Clause::Completed, Clause::ZeroErrors],
+        )],
+        ..Scenario::default()
     };
 
     let result = scenario::run(&spec);
     println!("{}", result.table().render());
+    let violations = expect::check(&spec.expect, &result);
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
 
     let json = scenario::emit_json(&[result], trials);
     let preview: String = json.chars().take(240).collect();
