@@ -633,6 +633,43 @@ mod tests {
         assert!(!sel.edges_on(1, &topo, 0.9).is_empty());
     }
 
+    /// On `K_n` every plan's `edges_on` is its `edges` at `⌊αn⌋` — the
+    /// property that lets the simulator call `edges_on` on every topology.
+    #[test]
+    fn edges_on_the_clique_is_edges_at_floor_alpha_n() {
+        fn check(name: &str, mut plan: impl EdgePlan) {
+            for n in [2usize, 3, 5, 8, 9, 16] {
+                let topo = Topology::complete(n);
+                for alpha in [0.0, 0.1, 0.25, 0.5, 0.9] {
+                    let budget = (alpha * n as f64).floor() as usize;
+                    for round in 0..6 {
+                        assert_eq!(
+                            plan.edges_on(round, &topo, alpha),
+                            plan.edges(round, n, budget),
+                            "{name}: n = {n}, alpha = {alpha}, round = {round}"
+                        );
+                    }
+                }
+            }
+        }
+        let camp = EclipseCamp {
+            target: 1,
+            rounds: 4,
+        };
+        let cut = PartitionCut { cut_seed: 5 };
+        check("NoFaults", NoFaults);
+        check("RandomMatchings", RandomMatchings::new(7));
+        check("RotatingMatching", RotatingMatching::new());
+        check("RotatingStar", RotatingStar { victim: 1 });
+        check("RelayPathHunter", RelayPathHunter { src: 0, dst: 1 });
+        check("EclipseCamp", camp);
+        check("PartitionCut", cut);
+        check("FixedEdges", FixedEdges::new(vec![vec![(0, 1)], vec![]]));
+        check("RoundSelective", RoundSelective::new(camp, 3, vec![0, 2]));
+        check("Burst", Burst::new(cut, 4, 2));
+        check("Alternate", Alternate::new(camp, cut, 1, 2));
+    }
+
     #[test]
     fn fixed_edges_cycle() {
         let mut plan = FixedEdges::new(vec![vec![(0, 1)], vec![(2, 3)]]);

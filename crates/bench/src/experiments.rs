@@ -1272,6 +1272,8 @@ pub fn topologies(trials: usize) -> Scenario {
             // The eclipse — only realizable under degree-relative budgets
             // on a sparse graph — corrupts.
             Expectation::on(&[("adversary", "nbd-eclipse")], vec![Clause::Corrupted]),
+            // So does the camped cut: every crossing edge fits the budgets.
+            Expectation::on(&[("adversary", "nbd-partition")], vec![Clause::Corrupted]),
             // The clique-only router lands in the infeasible column, not
             // the error column.
             Expectation::on(&[("protocol", "nonadaptive")], vec![Clause::Infeasible]),

@@ -1,6 +1,6 @@
-//! Shared experiment harness for the `tables` binary and the Criterion
-//! benches: protocol/adversary factories, trial execution, the declarative
-//! [`scenario`] engine, and plain-text table rendering.
+//! Shared experiment harness behind the `tables` binary: protocol/adversary
+//! factories, trial execution, the declarative [`scenario`] engine, and
+//! plain-text table rendering.
 //!
 //! Every experiment id (`T1.R1` … `A.SKETCH`) is one scenario builder in
 //! [`crate::experiments`], named in its doc comment; the `tables` binary
@@ -345,24 +345,17 @@ impl TrialSpec {
     /// Draws the trial's instance from `seeds.instance` and opens its
     /// network with the adversary built from `seeds.adversary` — the one
     /// place seeds become an `(instance, network)` pair, so every runner,
-    /// checkpointed or not, faces the same trial. The clique path is
-    /// [`AllToAllInstance::random`] + [`Network::new`]; sparse topologies
-    /// mask the instance to the edge set and open the network with
-    /// [`Network::on_topology`], under the degree-relative budget
-    /// `⌊α·(deg(v)+1)⌋`.
+    /// checkpointed or not, faces the same trial. The instance is masked to
+    /// the topology's edge set (on `K_n`, nothing is masked) and the
+    /// network runs under the degree-relative budget `⌊α·(deg(v)+1)⌋`
+    /// (on `K_n`, `⌊αn⌋`).
     pub fn build(&self, seeds: TrialSeeds) -> (AllToAllInstance, Network) {
         let mut rng = ChaCha8Rng::seed_from_u64(seeds.instance);
         let adversary = self.adversary.build(seeds.adversary);
-        if self.topology.is_complete() {
-            let inst = AllToAllInstance::random(self.n, self.b, &mut rng);
-            let net = Network::new(self.n, self.bandwidth, self.alpha, adversary);
-            (inst, net)
-        } else {
-            let topo = self.topology.build(self.n);
-            let inst = AllToAllInstance::random_on(&topo, self.b, &mut rng);
-            let net = Network::on_topology(topo, self.bandwidth, self.alpha, adversary);
-            (inst, net)
-        }
+        let topo = self.topology.build(self.n);
+        let inst = AllToAllInstance::random_on(&topo, self.b, &mut rng);
+        let net = Network::on_topology(topo, self.bandwidth, self.alpha, adversary);
+        (inst, net)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The `AllToAllComm` problem (Definition 1 of the paper).
 
 use bdclique_bits::BitVec;
-use bdclique_snapshot::{Dec, Enc, Restore, SnapError, Snapshot};
+use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::Rng;
 
 /// An instance of `AllToAllComm`: node `u` holds a `B`-bit message `m_{u,v}`
@@ -63,9 +63,10 @@ impl AllToAllInstance {
     /// when `(u, v)` is an edge (or `u = v`), and all-zeros otherwise — the
     /// natural all-to-all workload on a sparse graph, where non-adjacent
     /// pairs have nothing to exchange and a receiver may assume the zero
-    /// message for them. On [`bdclique_netsim::Topology::complete`] this is
-    /// distributed exactly like [`AllToAllInstance::random`] (every pair is
-    /// an edge), though the draw order differs.
+    /// message for them. On [`bdclique_netsim::Topology::complete`] every
+    /// pair is an edge and the draws happen in the same row-major order, so
+    /// the result equals [`AllToAllInstance::random`] from the same RNG
+    /// state.
     pub fn random_on(topo: &bdclique_netsim::Topology, b: usize, rng: &mut impl Rng) -> Self {
         let n = topo.n();
         let messages = (0..n * n)
@@ -157,19 +158,21 @@ impl AllToAllOutput {
     pub fn n(&self) -> usize {
         self.n
     }
-}
 
-impl Snapshot for AllToAllOutput {
-    fn snapshot(&self, enc: &mut Enc) {
+    /// Serializes every receiver's beliefs so far.
+    pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.n);
         for slot in &self.received {
             enc.put_opt(slot.as_ref(), |e, bits| e.put_bits(bits));
         }
     }
-}
 
-impl Restore for AllToAllOutput {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
+    /// Rebuilds an output serialized by [`AllToAllOutput::snapshot`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncated or corrupt input.
+    pub fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let n = dec.get_usize()?;
         let cells = n
             .checked_mul(n)
@@ -201,6 +204,18 @@ mod tests {
         assert_eq!(inst.n(), 5);
         assert_eq!(inst.b(), 3);
         assert_eq!(inst.outgoing_concat(2).len(), 15);
+    }
+
+    /// What lets `TrialSpec::build` draw every instance through `random_on`
+    /// with the clique seed streams unchanged.
+    #[test]
+    fn random_on_the_clique_is_random() {
+        for (n, b, seed) in [(2, 1, 0), (5, 3, 1), (8, 7, 2)] {
+            let plain = AllToAllInstance::random(n, b, &mut ChaCha8Rng::seed_from_u64(seed));
+            let topo = bdclique_netsim::Topology::complete(n);
+            let on = AllToAllInstance::random_on(&topo, b, &mut ChaCha8Rng::seed_from_u64(seed));
+            assert_eq!(plain, on, "n = {n}, b = {b}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use bdclique_codes::{Ldc, RmLdc};
 use bdclique_hash::{KWiseHashFamily, SharedRandomness};
 use bdclique_netsim::Network;
 use bdclique_sketch::{RecoverySketch, SketchShape};
-use bdclique_snapshot::{Dec, Enc, Restore, SnapError, Snapshot};
+use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;

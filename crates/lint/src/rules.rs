@@ -105,8 +105,6 @@ pub enum Kind {
     Src,
     /// Integration tests under `tests/`.
     Tests,
-    /// Benchmarks under `benches/`.
-    Benches,
     /// Examples under `examples/`.
     Examples,
     /// Anything else (build scripts, stray files).
@@ -131,7 +129,6 @@ pub fn classify(rel: &str) -> FileScope {
     let kind_of = |dir: &str| match dir {
         "src" => Kind::Src,
         "tests" => Kind::Tests,
-        "benches" => Kind::Benches,
         "examples" => Kind::Examples,
         _ => Kind::Other,
     };

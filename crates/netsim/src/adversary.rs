@@ -13,7 +13,7 @@
 //! matrix clone, and nothing at all for frames it only reads.
 
 use crate::history::History;
-use crate::network::PublishedLog;
+use crate::network::{NetworkError, PublishedLog};
 use crate::topology::Topology;
 use crate::traffic::Traffic;
 use bdclique_bits::BitVec;
@@ -204,19 +204,23 @@ impl IntendedOverlay {
 /// The signature is the enforcement: the plan sees only the round index and
 /// the topology, never traffic or randomness.
 pub trait EdgePlan {
-    /// The fault set for round `round`; must have `max_degree() ≤ budget`.
+    /// The fault set for round `round` on `K_n`; must have
+    /// `max_degree() ≤ budget`. The simulator reaches this only through
+    /// [`EdgePlan::edges_on`].
     fn edges(&mut self, round: u64, n: usize, budget: usize) -> EdgeSet;
 
-    /// Topology-aware variant, consulted on *sparse* graphs (the clique
-    /// keeps the legacy [`EdgePlan::edges`] path verbatim). The returned
-    /// set must lie inside the topology's edge set and respect every
-    /// node's budget `⌊α·(deg(v)+1)⌋`; the simulator validates both.
+    /// The method the simulator calls, every round, on every topology —
+    /// the clique included. The returned set must lie inside the
+    /// topology's edge set and respect every node's budget
+    /// `⌊α·(deg(v)+1)⌋`; the simulator validates both.
     ///
-    /// The default falls back to [`EdgePlan::edges`] with the
-    /// clique-equivalent advisory budget `⌊αn⌋`, so clique-oriented plans
-    /// fail sparse validation loudly ([`crate::NetworkError`]) instead of
-    /// silently camping on wires that do not exist. Plans that are
-    /// meaningful off the clique (eclipse, partition) override this.
+    /// The default delegates to [`EdgePlan::edges`] with `⌊αn⌋`, which on
+    /// `K_n` is exactly every node's budget; on a sparse graph it is only
+    /// advisory, so clique-oriented plans fail validation loudly
+    /// ([`crate::NetworkError`]) instead of silently camping on wires that
+    /// do not exist. Plans that are meaningful off the clique (eclipse,
+    /// partition) override this, and must agree with their own `edges` on
+    /// [`Topology::complete`].
     fn edges_on(&mut self, round: u64, topo: &Topology, alpha: f64) -> EdgeSet {
         let advisory = (alpha * topo.n() as f64).floor() as usize;
         self.edges(round, topo.n(), advisory)
@@ -569,11 +573,9 @@ impl Adversary {
 
     /// Runs one round of corruption; returns `(edge set used, frames touched)`.
     ///
-    /// On the clique, non-adaptive plans go through the legacy
-    /// [`EdgePlan::edges`] path with the uniform `⌊αn⌋` check — bit-for-bit
-    /// the pre-topology pipeline. On sparse graphs, plans go through
-    /// [`EdgePlan::edges_on`] and the returned set is validated for
-    /// topology membership and per-node budgets `⌊α·(deg(v)+1)⌋`.
+    /// Non-adaptive plans go through [`EdgePlan::edges_on`] and the
+    /// returned set is validated for topology membership and per-node
+    /// budgets `⌊α·(deg(v)+1)⌋` — on `K_n`, every pair and `⌊αn⌋`.
     pub(crate) fn act(
         &mut self,
         round: u64,
@@ -582,50 +584,28 @@ impl Adversary {
         history: &History,
         topo: &Topology,
         alpha: f64,
-    ) -> Result<(EdgeSet, u64), crate::network::NetworkError> {
+    ) -> Result<(EdgeSet, u64), NetworkError> {
         let n = traffic.n();
         let empty_history = History::default();
         let empty_published = PublishedLog::default();
         match &mut self.kind {
             Kind::None => Ok((EdgeSet::new(n), 0)),
             Kind::NonAdaptive { plan, corruptor } => {
-                let edges = if topo.is_complete() {
-                    let budget = (alpha * n as f64).floor() as usize;
-                    let edges = plan.edges(round, n, budget);
-                    if edges.max_degree() > budget {
-                        return Err(crate::network::NetworkError::BudgetExceeded {
+                let edges = plan.edges_on(round, topo, alpha);
+                if let Some((from, to)) = edges.iter().find(|&(u, v)| !topo.contains(u, v)) {
+                    return Err(NetworkError::EdgeOffTopology { round, from, to });
+                }
+                for node in 0..n {
+                    let budget = topo.budget_of(node, alpha);
+                    if edges.degree(node) > budget {
+                        return Err(NetworkError::BudgetExceeded {
                             round,
-                            degree: edges.max_degree(),
+                            node,
+                            degree: edges.degree(node),
                             budget,
                         });
                     }
-                    edges
-                } else {
-                    let edges = plan.edges_on(round, topo, alpha);
-                    let mut claimed: Vec<(usize, usize)> = edges.iter().collect();
-                    claimed.sort_unstable();
-                    for (u, v) in claimed {
-                        if !topo.contains(u, v) {
-                            return Err(crate::network::NetworkError::EdgeOffTopology {
-                                round,
-                                from: u,
-                                to: v,
-                            });
-                        }
-                    }
-                    for v in 0..n {
-                        let budget = topo.budget_of(v, alpha);
-                        if edges.degree(v) > budget {
-                            return Err(crate::network::NetworkError::NodeBudgetExceeded {
-                                round,
-                                node: v,
-                                degree: edges.degree(v),
-                                budget,
-                            });
-                        }
-                    }
-                    edges
-                };
+                }
                 let view = AdversaryView {
                     round,
                     // Non-adaptive adversaries never see randomness.

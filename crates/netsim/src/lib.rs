@@ -27,13 +27,15 @@
 //!
 //! # Storage layer
 //!
-//! A round's frame matrix lives in a [`Backend`]-selected store: sparse
-//! per-sender adjacency rows by default, auto-densifying to the flat matrix
-//! at load factor ≥ 1/16. Deliveries expose per-receiver iteration
-//! ([`Delivery::inbox_of`]) so receiving costs `O(frames)` rather than
-//! `O(n)` probes per node, and the [`Network`] recycles tables and frame
-//! buffers across rounds ([`Network::reclaim`], [`Network::frame_buffer`]).
-//! This is what scales experiments from `n = 64` to `n ≥ 4096`.
+//! A round's frame matrix lives in one of two stores, selected by load
+//! factor and by nothing else: sparse per-sender adjacency rows until the
+//! round holds `n²/16` frames, the flat matrix from then on. Deliveries
+//! expose per-receiver iteration ([`Delivery::inbox_of`]) so receiving
+//! costs `O(frames)` rather than `O(n)` probes per node, and the
+//! [`Network`] recycles tables, the matrix buffer, and as many frame
+//! buffers as a round draws across rounds ([`Network::reclaim`],
+//! [`Network::frame_buffer`]). This is what scales experiments from
+//! `n = 64` to `n ≥ 4096`.
 //!
 //! # Examples
 //!
@@ -66,6 +68,5 @@ pub use history::{History, HistoryMode, RoundRecord};
 pub use network::{Network, NetworkError, PublishedLog};
 pub use seed::SeedStream;
 pub use stats::NetStats;
-pub use store::Backend;
 pub use topology::Topology;
 pub use traffic::{Delivery, Inbox, Traffic};

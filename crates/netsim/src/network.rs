@@ -7,7 +7,7 @@ use crate::store::FrameArena;
 use crate::topology::Topology;
 use crate::traffic::{Delivery, Traffic};
 use bdclique_bits::BitVec;
-use bdclique_snapshot::{Dec, Enc, Restore, SnapError, Snapshot};
+use bdclique_snapshot::{Dec, Enc, SnapError};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -87,19 +87,22 @@ impl PublishedLog {
 /// Errors surfaced by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetworkError {
-    /// A non-adaptive plan produced an edge set above the degree budget —
-    /// the simulated model forbids this, so the run is invalid.
+    /// A non-adaptive plan exceeded some node's degree budget
+    /// `⌊α·(deg(v)+1)⌋` (`⌊αn⌋` on the clique) — the simulated model
+    /// forbids this, so the run is invalid.
     BudgetExceeded {
         /// Round in which the violation occurred.
         round: u64,
-        /// Offending faulty degree.
+        /// The lowest-id node whose budget was exceeded.
+        node: usize,
+        /// Offending faulty degree at that node.
         degree: usize,
-        /// Allowed budget `⌊αn⌋`.
+        /// Allowed budget `⌊α·(deg(node)+1)⌋`.
         budget: usize,
     },
-    /// On a sparse topology, a non-adaptive plan claimed an edge the graph
-    /// does not have — the mobile adversary camps on *wires*, so a pair
-    /// without a wire cannot be corrupted.
+    /// A non-adaptive plan claimed an edge the graph does not have — the
+    /// mobile adversary camps on *wires*, so a pair without a wire cannot
+    /// be corrupted.
     EdgeOffTopology {
         /// Round in which the violation occurred.
         round: u64,
@@ -108,37 +111,12 @@ pub enum NetworkError {
         /// Offending pair, normalized `from < to`.
         to: usize,
     },
-    /// On a sparse topology, a non-adaptive plan exceeded some node's
-    /// topology-relative budget `⌊α·(deg(v)+1)⌋`.
-    NodeBudgetExceeded {
-        /// Round in which the violation occurred.
-        round: u64,
-        /// The node whose budget was exceeded.
-        node: usize,
-        /// Offending faulty degree at that node.
-        degree: usize,
-        /// Allowed budget `⌊α·(deg(node)+1)⌋`.
-        budget: usize,
-    },
 }
 
 impl fmt::Display for NetworkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetworkError::BudgetExceeded {
-                round,
-                degree,
-                budget,
-            } => write!(
-                f,
-                "adversary exceeded degree budget in round {round}: {degree} > {budget}"
-            ),
-            NetworkError::EdgeOffTopology { round, from, to } => write!(
-                f,
-                "adversary claimed edge {{{from},{to}}} in round {round}, \
-                 but the topology has no such edge"
-            ),
-            NetworkError::NodeBudgetExceeded {
                 round,
                 node,
                 degree,
@@ -147,6 +125,11 @@ impl fmt::Display for NetworkError {
                 f,
                 "adversary exceeded node {node}'s degree budget in round \
                  {round}: {degree} > {budget}"
+            ),
+            NetworkError::EdgeOffTopology { round, from, to } => write!(
+                f,
+                "adversary claimed edge {{{from},{to}}} in round {round}, \
+                 but the topology has no such edge"
             ),
         }
     }
@@ -454,12 +437,7 @@ impl Network {
         let stats = NetStats::restore(dec)?;
         let published = PublishedLog::restore(dec)?;
         let topology = Arc::new(topology);
-        let topo_opt = if topology.is_complete() {
-            None
-        } else {
-            Some(&topology)
-        };
-        let history = History::restore(dec, topo_opt)?;
+        let history = History::restore(dec, Some(&topology))?;
         let adv_state = dec.get_bytes()?.to_vec();
         adversary.load_state(&adv_state)?;
         Ok(Self {
@@ -566,6 +544,7 @@ mod tests {
             net.try_exchange(t),
             Err(NetworkError::BudgetExceeded {
                 round: 0,
+                node: 0,
                 degree: 3,
                 budget: 1
             })
@@ -671,18 +650,55 @@ mod tests {
     fn reclaim_recycles_tables_and_frames_across_rounds() {
         let mut net = Network::new(8, 4, 0.0, Adversary::none());
         let mut t = net.traffic();
-        t.send(0, 1, BitVec::from_bools(&[true]));
-        t.send(3, 5, BitVec::from_bools(&[false, true]));
+        for (from, to) in [(0, 1), (3, 5)] {
+            let mut frame = net.frame_buffer(2);
+            frame.set(0, true);
+            t.send(from, to, frame);
+        }
         let d = net.exchange(t);
         net.reclaim(d);
         let (tables, frames) = net.arena.pooled();
         assert!(tables >= 8, "row and inbox tables must be pooled");
-        assert!(frames >= 2, "reclaimed frame buffers must be pooled");
+        assert_eq!(frames, 2, "the round's drawn buffers must be pooled");
         // A pooled buffer comes back zeroed at the requested length.
         let buf = net.frame_buffer(3);
         assert_eq!(buf, BitVec::zeros(3));
         let (_, frames_after) = net.arena.pooled();
         assert_eq!(frames_after, frames - 1, "frame_buffer draws from the pool");
+    }
+
+    /// The frame pool holds what rounds draw, not everything they reclaim.
+    #[test]
+    fn frame_pool_is_bounded_by_what_a_round_draws() {
+        let n = 8;
+        let round = |net: &mut Network, draw: usize| {
+            let mut t = net.traffic();
+            let mut sent = 0;
+            for u in 0..n {
+                for v in (0..n).filter(|&v| v != u) {
+                    let frame = if sent < draw {
+                        net.frame_buffer(1)
+                    } else {
+                        BitVec::zeros(1)
+                    };
+                    t.send(u, v, frame);
+                    sent += 1;
+                }
+            }
+            let d = net.exchange(t);
+            net.reclaim(d);
+        };
+        // A sender that never draws: 56 frames reclaimed per round, none kept.
+        let mut net = Network::new(n, 4, 0.0, Adversary::none());
+        for _ in 0..5 {
+            round(&mut net, 0);
+            assert_eq!(net.arena.pooled().1, 0, "nothing drawn, nothing pooled");
+        }
+        // A sender drawing 10 of its 56 frames per round keeps at most 10.
+        for _ in 0..5 {
+            round(&mut net, 10);
+            assert_eq!(net.arena.pooled().1, 10);
+        }
     }
 
     #[test]
@@ -818,7 +834,7 @@ mod tests {
         let t = net.traffic();
         assert_eq!(
             net.try_exchange(t),
-            Err(NetworkError::NodeBudgetExceeded {
+            Err(NetworkError::BudgetExceeded {
                 round: 0,
                 node: 0,
                 degree: 2,

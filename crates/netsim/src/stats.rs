@@ -1,6 +1,6 @@
 //! Round and bit accounting — the quantities the benchmark harness reports.
 
-use bdclique_snapshot::{Dec, Enc, Restore, SnapError, Snapshot};
+use bdclique_snapshot::{Dec, Enc, SnapError};
 
 /// Cumulative statistics of a [`crate::Network`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,10 +51,9 @@ impl NetStats {
             intended_snapshots: self.intended_snapshots - earlier.intended_snapshots,
         }
     }
-}
 
-impl Snapshot for NetStats {
-    fn snapshot(&self, enc: &mut Enc) {
+    /// Serializes the counters.
+    pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_u64(self.rounds);
         enc.put_u64(self.bits_sent);
         enc.put_u64(self.frames_sent);
@@ -63,10 +62,13 @@ impl Snapshot for NetStats {
         enc.put_usize(self.peak_fault_degree);
         enc.put_u64(self.intended_snapshots);
     }
-}
 
-impl Restore for NetStats {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
+    /// Rebuilds counters serialized by [`NetStats::snapshot`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncated input.
+    pub fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(NetStats {
             rounds: dec.get_u64()?,
             bits_sent: dec.get_u64()?,

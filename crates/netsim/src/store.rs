@@ -1,4 +1,4 @@
-//! Frame storage backends and the cross-round allocation arena.
+//! The two frame-store representations and the cross-round allocation arena.
 //!
 //! One round of clique traffic is logically an `n × n` matrix of optional
 //! frames, but the paper's protocols are *sparse* most rounds: the √n-relay
@@ -16,28 +16,23 @@
 //!   `O(frames)` memory, `O(log deg)` lookups, and ascending-id iteration
 //!   that keeps every consumer deterministic.
 //!
-//! [`crate::Traffic`] starts sparse and **auto-densifies** when the load
-//! factor crosses [`DENSE_SWITCH_DIVISOR`] (frames ≥ n²/16), so callers never
-//! choose a backend; benches and tests can pin one via
-//! [`crate::Traffic::with_backend`].
+//! [`crate::Traffic`] starts sparse and **densifies** when the load factor
+//! crosses [`DENSE_SWITCH_DIVISOR`] (frames ≥ n²/16). The load factor is the
+//! only selector: nothing can pin a representation. Both stay because each
+//! wins on its side of the switch and the benchmark has a workload on each:
+//! never densifying costs the full-load `naive-stream` and
+//! `hypercube-matchings` rounds a third or more of their `trial_s`, while
+//! the routed rounds of `sqrt-clean` sit below the threshold and stay
+//! `O(frames)` (the measured pairs are in ROADMAP.md).
 //!
 //! [`FrameArena`] amortizes the remaining per-round allocations across
-//! rounds: emptied adjacency tables (with their capacity), reclaimed frame
-//! `BitVec` buffers, and the dense matrix buffer itself are pooled on the
-//! owning [`crate::Network`] and reissued instead of reallocated.
+//! rounds: emptied adjacency tables (with their capacity), the dense matrix
+//! buffer itself, and as many reclaimed frame `BitVec` buffers as a round
+//! has ever drawn are pooled on the owning [`crate::Network`] and reissued
+//! instead of reallocated.
 
 use bdclique_bits::BitVec;
 use bdclique_snapshot::{Dec, Enc, SnapError};
-
-/// Which concrete representation a [`crate::Traffic`] or
-/// [`crate::Delivery`] currently uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Row-major `n × n` matrix of optional frames.
-    Dense,
-    /// Per-sender sorted adjacency rows.
-    Sparse,
-}
 
 /// Auto-switch threshold: a sparse store densifies once
 /// `frame_count · DENSE_SWITCH_DIVISOR ≥ n²` (load factor ≥ 1/16). Below it
@@ -50,12 +45,6 @@ pub const DENSE_SWITCH_DIVISOR: u64 = 16;
 /// Upper bound on pooled adjacency tables (rows + inbox columns of one
 /// round are at most `2n`; the cap just bounds a pathological caller).
 const MAX_POOLED_TABLES: usize = 1 << 16;
-/// Upper bound on pooled frame buffers. Sized for the stage-parallel unit
-/// router's scatter rounds, which queue one frame per (source, relay) pair —
-/// about `n · L ≈ 2²⁰` frames per round at `n = 4096`, `L = 255`. The pool
-/// only ever holds what one round actually allocated, so small networks
-/// never grow near the cap.
-const MAX_POOLED_FRAMES: usize = 1 << 22;
 /// Upper bound on pooled dense matrix buffers: one for the traffic being
 /// built plus one for the delivery still being consumed.
 const MAX_POOLED_MATRICES: usize = 2;
@@ -77,6 +66,13 @@ pub(crate) struct FrameArena {
     /// `n²` fresh slots — at `n = 4096` that allocation alone is ~0.5 GiB
     /// per densified round.
     matrices: Vec<Vec<Option<BitVec>>>,
+    /// [`FrameArena::take_frame`] calls since the last round boundary.
+    drawn: usize,
+    /// The most frame buffers any one round drew — the frame pool's
+    /// capacity. Senders that build frames without drawing (the naive
+    /// exchange, det-hypercube's direct engine) leave it at zero, so their
+    /// reclaimed frames are freed rather than hoarded.
+    demand: usize,
 }
 
 impl FrameArena {
@@ -100,15 +96,17 @@ impl FrameArena {
         }
     }
 
-    /// Returns a frame buffer to the pool.
+    /// Returns a frame buffer to the pool, which keeps no more than one
+    /// round has ever drawn.
     pub(crate) fn put_frame(&mut self, frame: BitVec) {
-        if self.frames.len() < MAX_POOLED_FRAMES {
+        if self.frames.len() < self.demand {
             self.frames.push(frame);
         }
     }
 
     /// A zeroed frame buffer of `len` bits, recycled when possible.
     pub(crate) fn take_frame(&mut self, len: usize) -> BitVec {
+        self.drawn += 1;
         match self.frames.pop() {
             Some(mut buf) => {
                 buf.reset_zeros(len);
@@ -118,19 +116,21 @@ impl FrameArena {
         }
     }
 
-    /// Drains another arena's pools into this one (up to the caps) — how a
-    /// round's [`crate::Traffic`]-local recycling rejoins the network-wide
-    /// arena at exchange time.
+    /// Round boundary: folds the frames drawn for the round being exchanged
+    /// into the pool's capacity, before that round's delivery is reclaimed.
+    pub(crate) fn close_round(&mut self) {
+        self.demand = self.demand.max(self.drawn);
+        self.drawn = 0;
+    }
+
+    /// Drains a round-local arena's tables and matrix buffers into this one
+    /// (up to the caps) — how a [`crate::Traffic`]'s recycling rejoins the
+    /// network-wide arena at exchange time. A round-local arena draws no
+    /// frames, so it pools none.
     pub(crate) fn absorb(&mut self, mut other: FrameArena) {
         while self.tables.len() < MAX_POOLED_TABLES {
             match other.tables.pop() {
                 Some(t) => self.tables.push(t),
-                None => break,
-            }
-        }
-        while self.frames.len() < MAX_POOLED_FRAMES {
-            match other.frames.pop() {
-                Some(f) => self.frames.push(f),
                 None => break,
             }
         }
@@ -197,10 +197,6 @@ pub(crate) enum FrameStore {
 }
 
 impl FrameStore {
-    pub(crate) fn new_dense(n: usize) -> Self {
-        FrameStore::Dense(vec![None; n * n])
-    }
-
     pub(crate) fn new_sparse(n: usize) -> Self {
         FrameStore::Sparse(vec![AdjTable::new(); n])
     }
@@ -210,11 +206,8 @@ impl FrameStore {
         FrameStore::Sparse(arena.take_tables(n))
     }
 
-    pub(crate) fn backend(&self) -> Backend {
-        match self {
-            FrameStore::Dense(_) => Backend::Dense,
-            FrameStore::Sparse(_) => Backend::Sparse,
-        }
+    pub(crate) fn is_sparse(&self) -> bool {
+        matches!(self, FrameStore::Sparse(_))
     }
 
     pub(crate) fn get(&self, n: usize, from: usize, to: usize) -> Option<&BitVec> {
@@ -287,24 +280,17 @@ impl FrameStore {
         }
     }
 
-    /// Converts sparse rows into the dense matrix (the auto-switch path).
-    /// The spent row tables go back to the arena when one is supplied, and
-    /// the matrix buffer is drawn from the arena's matrix pool.
-    pub(crate) fn densify(&mut self, n: usize, mut arena: Option<&mut FrameArena>) {
+    /// Converts sparse rows into the dense matrix (the load-factor switch).
+    /// The spent row tables go back to the arena, and the matrix buffer is
+    /// drawn from the arena's matrix pool.
+    pub(crate) fn densify(&mut self, n: usize, arena: &mut FrameArena) {
         if let FrameStore::Sparse(rows) = self {
-            let mut frames = match arena.as_deref_mut() {
-                Some(a) => a.take_matrix(n),
-                None => vec![None; n * n],
-            };
-            for (from, row) in rows.iter_mut().enumerate() {
+            let mut frames = arena.take_matrix(n);
+            for (from, mut row) in rows.drain(..).enumerate() {
                 for (to, b) in row.drain(..) {
                     frames[from * n + to as usize] = Some(b);
                 }
-            }
-            if let Some(a) = arena {
-                for row in rows.drain(..) {
-                    a.put_table(row);
-                }
+                arena.put_table(row);
             }
             *self = FrameStore::Dense(frames);
         }
@@ -382,8 +368,9 @@ impl FrameStore {
     }
 
     /// Approximate heap bytes held by the store (matrix slots / adjacency
-    /// entries plus frame blocks) — the quantity the storage-layer bench
-    /// compares across backends.
+    /// entries plus frame blocks) — what the benchmark's
+    /// `netsim.store_bytes_per_frame_*` probes read on each side of the
+    /// switch.
     pub(crate) fn heap_bytes(&self) -> usize {
         let frame_bytes = |b: &BitVec| std::mem::size_of::<BitVec>() + b.len().div_ceil(64) * 8;
         match self {
@@ -420,10 +407,25 @@ mod tests {
         BitVec::from_bools(bits)
     }
 
+    fn new_dense(n: usize) -> FrameStore {
+        FrameStore::Dense(vec![None; n * n])
+    }
+
+    /// An arena whose frame pool may hold `demand` buffers: one round drew
+    /// that many.
+    fn arena_with_demand(demand: usize) -> FrameArena {
+        let mut arena = FrameArena::default();
+        for _ in 0..demand {
+            arena.take_frame(1);
+        }
+        arena.close_round();
+        arena
+    }
+
     #[test]
     fn sparse_and_dense_agree_on_replace_get() {
         let n = 5;
-        let mut dense = FrameStore::new_dense(n);
+        let mut dense = new_dense(n);
         let mut sparse = FrameStore::new_sparse(n);
         let ops: &[(usize, usize, Option<&[bool]>)] = &[
             (0, 3, Some(&[true, false])),
@@ -449,7 +451,7 @@ mod tests {
     #[test]
     fn for_each_is_ascending_and_identical_across_backends() {
         let n = 4;
-        let mut dense = FrameStore::new_dense(n);
+        let mut dense = new_dense(n);
         let mut sparse = FrameStore::new_sparse(n);
         for &(f, t) in &[(3usize, 0usize), (1, 2), (0, 3), (1, 0)] {
             let b = bv(&[f % 2 == 0, t % 2 == 0]);
@@ -476,8 +478,8 @@ mod tests {
         let mut store = FrameStore::new_sparse_in(n, &mut arena);
         store.replace(n, 1, 2, Some(bv(&[true])));
         store.replace(n, 3, 0, Some(bv(&[false, true])));
-        store.densify(n, Some(&mut arena));
-        assert_eq!(store.backend(), Backend::Dense);
+        store.densify(n, &mut arena);
+        assert!(!store.is_sparse());
         assert_eq!(store.get(n, 1, 2), Some(&bv(&[true])));
         assert_eq!(store.get(n, 3, 0), Some(&bv(&[false, true])));
         assert_eq!(store.get(n, 0, 1), None);
@@ -487,7 +489,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_frames_from_tables_and_matrices() {
-        let mut arena = FrameArena::default();
+        let mut arena = arena_with_demand(2);
         arena.put_table(vec![(7, bv(&[true, true, true]))]);
         let (tables, frames) = arena.pooled();
         assert_eq!((tables, frames), (1, 1));
@@ -503,7 +505,7 @@ mod tests {
     #[test]
     fn matrix_buffers_recycle_through_the_arena() {
         let n = 4;
-        let mut arena = FrameArena::default();
+        let mut arena = arena_with_demand(2);
         // A harvested matrix is retained (frames pooled, slots cleared)…
         arena.put_matrix(vec![None, Some(bv(&[true])), None, Some(bv(&[false]))]);
         assert_eq!(arena.pooled_matrices(), 1);
@@ -524,8 +526,8 @@ mod tests {
         arena.put_matrix(reused);
         let mut store = FrameStore::new_sparse(n);
         store.replace(n, 1, 2, Some(bv(&[true])));
-        store.densify(n, Some(&mut arena));
-        assert_eq!(store.backend(), Backend::Dense);
+        store.densify(n, &mut arena);
+        assert!(!store.is_sparse());
         assert_eq!(
             arena.pooled_matrices(),
             0,
@@ -538,7 +540,7 @@ mod tests {
     fn sparse_heap_bytes_tracks_occupancy_not_n_squared() {
         let n = 64;
         let mut sparse = FrameStore::new_sparse(n);
-        let mut dense = FrameStore::new_dense(n);
+        let mut dense = new_dense(n);
         for f in 0..n {
             sparse.replace(n, f, (f + 1) % n, Some(bv(&[true])));
             dense.replace(n, f, (f + 1) % n, Some(bv(&[true])));

@@ -10,21 +10,34 @@
 //!
 //! # Representations
 //!
-//! The clique is stored as a marker (`O(1)` memory at any `n`, and the
-//! `K_n` fast paths throughout the simulator key off
-//! [`Topology::is_complete`]); every other graph stores sorted adjacency
-//! rows (`O(edges)` memory, ascending deterministic iteration — the same
-//! discipline as the sparse [`Traffic`](crate::Traffic) backend). Sparse
-//! topologies may additionally cap individual edges below the network-wide
-//! bandwidth `B` ([`Topology::with_edge_cap`]).
+//! The clique is stored as a marker (`O(1)` memory at any `n`); every
+//! other graph stores sorted adjacency rows (`O(edges)` memory, ascending
+//! deterministic iteration — the same discipline as the sparse
+//! [`Traffic`](crate::Traffic) rows). `K_n` is otherwise an ordinary
+//! topology: the adversary is validated, and trials are built, on one path
+//! for every graph. [`Topology::is_complete`] remains for the `O(1)`
+//! shortcuts (no per-frame membership probe on the clique) and for
+//! protocols that need all-pairs reachability.
 //!
 //! # Generators
 //!
-//! All generators are pure functions of their parameters (and, for the
-//! randomized ones, a `u64` seed threaded through [`SeedStream`] forks), so
-//! a topology is reproducible from its cell coordinates exactly like every
-//! other random component of a trial. The randomized generators retry
-//! (deterministically) until the sampled graph is simple and connected.
+//! [`Topology::complete`], [`Topology::hypercube`] and
+//! [`Topology::random_regular`] are the graphs the scenarios measure;
+//! [`Topology::ring`] is the smallest sparse graph, for tests, and
+//! [`Topology::from_edges`] builds anything else. All are pure functions
+//! of their parameters (and, for `random_regular`, a `u64` seed threaded
+//! through [`SeedStream`] forks, retried deterministically until the
+//! sample is connected), so a topology is reproducible from its cell
+//! coordinates exactly like every other random component of a trial.
+//!
+//! The layer stops at what is measured on purpose. Four of the seven
+//! protocols run on the Thm 4.1 router and answer `Infeasible` off `K_n`,
+//! and a multi-hop engine after Bafna–Minzer (arXiv 2501.00337) does not
+//! fit behind the existing `PackSession`: every pack is exactly two
+//! `exchange` calls (`Phase::RoundA` / `Phase::RoundB`), the decode margin
+//! is `2·⌊αn⌋ + 1` from the clique-global `fault_budget()`, and
+//! `RoutingOutput` has nowhere to report the doomed-node set that
+//! almost-everywhere transmission needs.
 //!
 //! # Writing code that does not assume `K_n`
 //!
@@ -41,12 +54,11 @@
 
 use crate::seed::SeedStream;
 use bdclique_snapshot::{Dec, Enc, SnapError};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// An undirected communication graph on `n` nodes.
 ///
-/// Cheap to share: `Network` and `Traffic` hold it behind an [`Arc`].
+/// Cheap to share: `Network` and `Traffic` hold it behind an
+/// [`Arc`](std::sync::Arc).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
@@ -62,9 +74,6 @@ enum Repr {
         adj: Vec<Vec<u32>>,
         edge_count: usize,
         max_degree: usize,
-        /// Per-edge bandwidth caps (bits per round, normalized keys
-        /// `u < v`); edges absent here carry the network-wide `B`.
-        caps: BTreeMap<(u32, u32), u32>,
     },
 }
 
@@ -107,40 +116,7 @@ impl Topology {
                 adj,
                 edge_count: edge_count / 2,
                 max_degree,
-                caps: BTreeMap::new(),
             },
-        }
-    }
-
-    /// Caps one edge's bandwidth below the network-wide `B` (bits per
-    /// round). Only meaningful on sparse topologies; the edge must exist.
-    #[must_use]
-    pub fn with_edge_cap(mut self, u: usize, v: usize, bits: usize) -> Self {
-        assert!(self.contains(u, v), "({u}, {v}) is not an edge");
-        assert!(bits > 0, "edge cap must be positive");
-        match &mut self.repr {
-            Repr::Complete => panic!("per-edge caps require a sparse topology"),
-            Repr::Sparse { caps, .. } => {
-                let key = (u.min(v) as u32, u.max(v) as u32);
-                caps.insert(key, bits as u32);
-            }
-        }
-        self
-    }
-
-    /// The edge's bandwidth cap in bits per round, if one was set with
-    /// [`Topology::with_edge_cap`].
-    #[must_use]
-    pub fn edge_cap(&self, u: usize, v: usize) -> Option<usize> {
-        match &self.repr {
-            Repr::Complete => None,
-            Repr::Sparse { caps, .. } => {
-                if caps.is_empty() {
-                    return None; // common case: no per-edge caps at all
-                }
-                let key = (u.min(v) as u32, u.max(v) as u32);
-                caps.get(&key).map(|&bits| bits as usize)
-            }
         }
     }
 
@@ -167,25 +143,6 @@ impl Topology {
     pub fn ring(n: usize) -> Self {
         assert!(n >= 3, "a ring needs at least 3 nodes");
         Self::from_edges(n, (0..n).map(|u| (u, (u + 1) % n)))
-    }
-
-    /// The 2D torus (`rows × cols` grid with wraparound). Degree ≤ 4
-    /// (duplicate wrap edges on 2-wide dimensions collapse).
-    #[must_use]
-    pub fn torus2d(rows: usize, cols: usize) -> Self {
-        assert!(rows >= 2 && cols >= 2, "torus needs both dimensions >= 2");
-        let at = move |r: usize, c: usize| r * cols + c;
-        Self::from_edges(
-            rows * cols,
-            (0..rows).flat_map(move |r| {
-                (0..cols).flat_map(move |c| {
-                    [
-                        (at(r, c), at((r + 1) % rows, c)),
-                        (at(r, c), at(r, (c + 1) % cols)),
-                    ]
-                })
-            }),
-        )
     }
 
     /// A random simple connected `d`-regular graph — the constant-degree
@@ -258,98 +215,6 @@ impl Topology {
         panic!("random_regular(n = {n}, d = {d}) failed to sample a connected graph");
     }
 
-    /// A Watts–Strogatz small world: a ring lattice where every node links
-    /// its `k` nearest neighbours on each side, with each edge rewired to a
-    /// uniform endpoint with probability 10% — resampled (deterministically
-    /// in `seed`) until connected. Requires `1 ≤ k` and `2k + 1 ≤ n`.
-    #[must_use]
-    pub fn small_world(n: usize, k: usize, seed: u64) -> Self {
-        assert!(k >= 1 && 2 * k < n, "small world needs 1 <= k and 2k < n");
-        let stream = SeedStream::new(seed).fork("small-world");
-        for attempt in 0..10_000u64 {
-            let mut rng = Rng64::new(stream.fork_u64(attempt).seed());
-            let mut edges: Vec<(usize, usize)> = (0..n)
-                .flat_map(|u| (1..=k).map(move |j| (u, (u + j) % n)))
-                .collect();
-            let mut present: std::collections::HashSet<(usize, usize)> =
-                edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-            for edge in edges.iter_mut() {
-                if rng.below(10) != 0 {
-                    continue; // keep with probability 90%
-                }
-                let (u, old) = *edge;
-                let mut w = rng.below(n);
-                let mut tries = 0;
-                while (w == u || present.contains(&(u.min(w), u.max(w)))) && tries < 4 * n {
-                    w = rng.below(n);
-                    tries += 1;
-                }
-                if w == u || present.contains(&(u.min(w), u.max(w))) {
-                    continue; // node saturated: keep the lattice edge
-                }
-                present.remove(&(u.min(old), u.max(old)));
-                present.insert((u.min(w), u.max(w)));
-                *edge = (u, w);
-            }
-            let topo = Self::from_edges(n, edges);
-            if topo.is_connected() {
-                return topo;
-            }
-        }
-        panic!("small_world(n = {n}, k = {k}) failed to sample a connected graph");
-    }
-
-    /// A scale-free graph via seeded preferential attachment
-    /// (Barabási–Albert): nodes join one at a time and attach `m` edges to
-    /// existing nodes sampled proportionally to their current degree, so
-    /// early nodes become hubs and the degree distribution is heavy-tailed.
-    /// Resampled (deterministically in `seed`) until simple and connected,
-    /// like [`Topology::random_regular`]. Requires `1 ≤ m < n`.
-    #[must_use]
-    pub fn scale_free(n: usize, m: usize, seed: u64) -> Self {
-        assert!(m >= 1 && m < n, "attachment degree must be in 1..n");
-        let stream = SeedStream::new(seed).fork("scale-free");
-        for attempt in 0..10_000u64 {
-            let mut rng = Rng64::new(stream.fork_u64(attempt).seed());
-            // Seed core: a clique on the first m + 1 nodes, so every
-            // arrival has m distinct attachment targets available.
-            let mut edges: Vec<(usize, usize)> = (0..=m)
-                .flat_map(|u| (u + 1..=m).map(move |v| (u, v)))
-                .collect();
-            // Degree-proportional sampling by drawing a uniform edge
-            // endpoint: each node appears in `targets` once per incident
-            // edge, the classic O(1)-per-draw preferential attachment.
-            let mut targets: Vec<usize> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
-            for u in m + 1..n {
-                let mut chosen = Vec::with_capacity(m);
-                let mut tries = 0;
-                while chosen.len() < m && tries < 100 * (m + 1) {
-                    tries += 1;
-                    let v = targets[rng.below(targets.len())];
-                    if !chosen.contains(&v) {
-                        chosen.push(v);
-                    }
-                }
-                if chosen.len() < m {
-                    break; // resample the whole graph on the next attempt
-                }
-                for &v in &chosen {
-                    edges.push((u, v));
-                    targets.push(u);
-                    targets.push(v);
-                }
-            }
-            if edges.len() < m * (m + 1) / 2 + (n - m - 1) * m {
-                continue;
-            }
-            let topo = Self::from_edges(n, edges);
-            if topo.is_connected() {
-                return topo;
-            }
-        }
-        panic!("scale_free(n = {n}, m = {m}) failed to sample a connected graph");
-    }
-
     // ---- accessors ----
 
     /// Number of nodes.
@@ -358,9 +223,9 @@ impl Topology {
         self.n
     }
 
-    /// `true` exactly for [`Topology::complete`] — the `K_n` fast paths
-    /// (and every bit-compatibility guarantee with the pre-topology
-    /// simulator) key off this.
+    /// `true` exactly for [`Topology::complete`] — what clique-only
+    /// protocols gate on, and what lets traffic skip per-frame membership
+    /// probes.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         matches!(self.repr, Repr::Complete)
@@ -463,31 +328,18 @@ impl Topology {
         count == self.n
     }
 
-    /// Shared handle, for threading one topology through `Network`,
-    /// `Traffic`, and adversary scopes without copies.
-    #[must_use]
-    pub fn into_shared(self) -> Arc<Self> {
-        Arc::new(self)
-    }
-
     /// Serializes the graph: the clique as its `O(1)` marker, sparse graphs
-    /// as the ascending normalized edge list plus per-edge caps.
+    /// as the ascending normalized edge list.
     pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.n);
         match &self.repr {
             Repr::Complete => enc.put_u8(0),
-            Repr::Sparse { caps, .. } => {
+            Repr::Sparse { .. } => {
                 enc.put_u8(1);
                 enc.put_usize(self.edge_count());
                 for (u, v) in self.edges() {
                     enc.put_u32(u as u32);
                     enc.put_u32(v as u32);
-                }
-                enc.put_usize(caps.len());
-                for (&(u, v), &bits) in caps {
-                    enc.put_u32(u);
-                    enc.put_u32(v);
-                    enc.put_u32(bits);
                 }
             }
         }
@@ -523,26 +375,15 @@ impl Topology {
                     }
                     edges.push((u, v));
                 }
-                let mut topo = Self::from_edges(n, edges);
-                let cap_count = dec.get_len(12)?;
-                for _ in 0..cap_count {
-                    let u = dec.get_u32()? as usize;
-                    let v = dec.get_u32()? as usize;
-                    let bits = dec.get_u32()? as usize;
-                    if !topo.contains(u, v) || bits == 0 {
-                        return Err(SnapError::corrupt("topology edge cap invalid"));
-                    }
-                    topo = topo.with_edge_cap(u, v, bits);
-                }
-                Ok(topo)
+                Ok(Self::from_edges(n, edges))
             }
             t => Err(SnapError::corrupt(format!("topology tag {t}"))),
         }
     }
 }
 
-/// A tiny splitmix64-counter RNG for the graph generators — netsim has no
-/// RNG dependency, and the generators only need uniform indices.
+/// A tiny splitmix64-counter RNG for [`Topology::random_regular`] — netsim
+/// has no RNG dependency, and the sampler only needs uniform indices.
 struct Rng64 {
     state: u64,
 }
@@ -608,15 +449,6 @@ mod tests {
         let r = Topology::ring(6);
         assert_eq!(r.edge_count(), 6);
         assert!(r.contains(5, 0) && !r.contains(0, 2));
-        let t = Topology::torus2d(3, 4);
-        assert_eq!(t.n(), 12);
-        for v in 0..12 {
-            assert_eq!(t.degree(v), 4);
-        }
-        assert!(t.is_connected());
-        // 2-wide dimension: wrap edges collapse, degree drops to 3.
-        let narrow = Topology::torus2d(2, 4);
-        assert_eq!(narrow.degree(0), 3);
     }
 
     #[test]
@@ -629,24 +461,6 @@ mod tests {
         }
         assert!(a.is_connected());
         assert_ne!(a, Topology::random_regular(16, 4, 8));
-    }
-
-    #[test]
-    fn small_world_is_connected_and_seeded() {
-        let a = Topology::small_world(24, 2, 3);
-        assert_eq!(a, Topology::small_world(24, 2, 3));
-        assert!(a.is_connected());
-        // Degrees stay near 2k; total degree is exactly preserved by
-        // rewiring (each rewire moves one endpoint).
-        let total: usize = (0..24).map(|v| a.degree(v)).sum();
-        assert_eq!(total, 2 * a.edge_count());
-    }
-
-    #[test]
-    fn edge_caps() {
-        let t = Topology::from_edges(4, [(0, 1), (1, 2)]).with_edge_cap(0, 1, 5);
-        assert_eq!(t.edge_cap(1, 0), Some(5));
-        assert_eq!(t.edge_cap(1, 2), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-round message matrices: what nodes intend to send, and what arrives.
 
-use crate::store::{Backend, FrameArena, FrameStore, DENSE_SWITCH_DIVISOR};
+use crate::store::{FrameArena, FrameStore, DENSE_SWITCH_DIVISOR};
 use crate::topology::Topology;
 use bdclique_bits::BitVec;
 use bdclique_snapshot::{Dec, Enc, SnapError};
@@ -10,11 +10,10 @@ use std::sync::Arc;
 ///
 /// Logically an `n × n` matrix of optional frames (a frame is at most
 /// `bandwidth` bits; self-loops are not part of the clique and are
-/// rejected), physically a [`Backend`]-selected frame store: rounds start
-/// on the sparse per-sender adjacency backend and **auto-densify** once the
-/// load factor reaches `1/16` (`frame_count ≥ n²/16`), so sparse protocol
-/// rounds cost `O(frames)` while full-matrix rounds keep the flat-matrix
-/// representation they had before the storage layer existed.
+/// rejected), physically one of two frame stores selected by load factor:
+/// rounds start on sparse per-sender adjacency rows and **densify** once
+/// `frame_count ≥ n²/16`, so sparse protocol rounds cost `O(frames)` while
+/// full-matrix rounds get the flat matrix.
 ///
 /// Aggregate volume ([`Traffic::total_bits`], [`Traffic::frame_count`]) is
 /// maintained incrementally on every mutation, so both accessors are O(1) —
@@ -27,15 +26,13 @@ pub struct Traffic {
     store: FrameStore,
     total_bits: u64,
     frame_count: u64,
-    /// Auto-densify enabled (off when a backend was pinned explicitly).
-    auto: bool,
     /// Sparse communication graph to validate sends against; `None` on the
     /// clique (and for handle-less [`Traffic::new`] traffic), where every
     /// pair is an edge and per-frame checks would be pure overhead.
     topology: Option<Arc<Topology>>,
-    /// Round-local recycling: tables spent by densification and frames
-    /// displaced by `clear` pool here, and rejoin the network-wide arena
-    /// when the round is exchanged.
+    /// Round-local recycling: the lent matrix buffer and the tables spent
+    /// by densification pool here, and rejoin the network-wide arena when
+    /// the round is exchanged.
     arena: FrameArena,
 }
 
@@ -49,7 +46,6 @@ impl Clone for Traffic {
             store: self.store.clone(),
             total_bits: self.total_bits,
             frame_count: self.frame_count,
-            auto: self.auto,
             topology: self.topology.clone(),
             arena: FrameArena::default(),
         }
@@ -58,34 +54,19 @@ impl Clone for Traffic {
 
 impl Traffic {
     /// Creates an empty round of traffic for `n` nodes and a bandwidth of
-    /// `bandwidth` bits per ordered pair. Starts on the sparse backend and
-    /// auto-densifies by load factor.
+    /// `bandwidth` bits per ordered pair. Starts on the sparse store and
+    /// densifies by load factor.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2` or `bandwidth == 0`.
     pub fn new(n: usize, bandwidth: usize) -> Self {
-        Self::build(n, bandwidth, FrameStore::new_sparse(n), true)
-    }
-
-    /// Creates empty traffic pinned to `backend` (no auto-switching). Used
-    /// by the storage-layer benches and the dense/sparse equivalence tests;
-    /// protocol code should use [`Traffic::new`] / [`crate::Network::traffic`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `bandwidth == 0`.
-    pub fn with_backend(n: usize, bandwidth: usize, backend: Backend) -> Self {
-        let store = match backend {
-            Backend::Dense => FrameStore::new_dense(n),
-            Backend::Sparse => FrameStore::new_sparse(n),
-        };
-        Self::build(n, bandwidth, store, false)
+        Self::build(n, bandwidth, FrameStore::new_sparse(n))
     }
 
     /// Arena-backed constructor used by [`crate::Network::traffic`]: the
     /// sparse row tables are recycled from previous rounds, and one pooled
-    /// dense matrix buffer rides along so an auto-densify inside the round
+    /// dense matrix buffer rides along so a densify inside the round
     /// reuses it instead of allocating `n²` fresh slots (unused, it rejoins
     /// the network arena at exchange time).
     pub(crate) fn new_in(
@@ -95,7 +76,7 @@ impl Traffic {
         topology: &Arc<Topology>,
     ) -> Self {
         let store = FrameStore::new_sparse_in(n, arena);
-        let mut traffic = Self::build(n, bandwidth, store, true);
+        let mut traffic = Self::build(n, bandwidth, store);
         if !topology.is_complete() {
             traffic.topology = Some(Arc::clone(topology));
         }
@@ -103,7 +84,7 @@ impl Traffic {
         traffic
     }
 
-    fn build(n: usize, bandwidth: usize, store: FrameStore, auto: bool) -> Self {
+    fn build(n: usize, bandwidth: usize, store: FrameStore) -> Self {
         assert!(n >= 2, "a clique needs at least two nodes");
         assert!(bandwidth > 0, "bandwidth must be positive");
         assert!(n <= u32::MAX as usize, "node ids must fit in u32");
@@ -113,7 +94,6 @@ impl Traffic {
             store,
             total_bits: 0,
             frame_count: 0,
-            auto,
             topology: None,
             arena: FrameArena::default(),
         }
@@ -124,22 +104,15 @@ impl Traffic {
         self.topology.is_some()
     }
 
-    /// Asserts that every queued frame rides a topology edge and respects
-    /// any per-edge bandwidth cap — the exchange-time re-check for traffic
-    /// built without a handle. `O(frames)`.
+    /// Asserts that every queued frame rides a topology edge — the
+    /// exchange-time re-check for traffic built without a handle.
+    /// `O(frames)`.
     pub(crate) fn assert_on_topology(&self, topo: &Topology) {
-        self.for_each_frame(|from, to, bits| {
+        self.for_each_frame(|from, to, _| {
             assert!(
                 topo.contains(from, to),
                 "frame queued on ({from}, {to}), which is not a topology edge"
             );
-            if let Some(cap) = topo.edge_cap(from, to) {
-                assert!(
-                    bits.len() <= cap,
-                    "frame of {} bits exceeds the {cap}-bit cap on edge ({from}, {to})",
-                    bits.len()
-                );
-            }
         });
     }
 
@@ -153,13 +126,9 @@ impl Traffic {
         self.bandwidth
     }
 
-    /// The storage backend currently in use.
-    pub fn backend(&self) -> Backend {
-        self.store.backend()
-    }
-
-    /// Approximate heap bytes held by the frame store — the memory-traffic
-    /// observable the storage bench compares across backends.
+    /// Approximate heap bytes held by the frame store: `O(frames)` on the
+    /// sparse rows, at least `n²` slots once densified — which is also how
+    /// a caller outside the crate can tell the two apart.
     pub fn store_bytes(&self) -> usize {
         self.store.heap_bytes()
     }
@@ -186,12 +155,9 @@ impl Traffic {
         self.set_frame(from, to, Some(bits));
     }
 
-    /// Removes the frame on `from → to`, if any; the displaced buffer is
-    /// recycled through the round's arena.
+    /// Removes the frame on `from → to`, if any.
     pub fn clear(&mut self, from: usize, to: usize) {
-        if let Some(displaced) = self.set_frame(from, to, None) {
-            self.arena.put_frame(displaced);
-        }
+        self.set_frame(from, to, None);
     }
 
     /// The frame queued on `from → to`.
@@ -201,7 +167,7 @@ impl Traffic {
     }
 
     /// Visits every queued frame in ascending `(from, to)` order —
-    /// `O(frames)` on the sparse backend, the substrate behind
+    /// `O(frames)` on the sparse store, the substrate behind
     /// adversary busy-edge scans and history digests.
     pub fn for_each_frame(&self, f: impl FnMut(usize, usize, &BitVec)) {
         self.store.for_each(self.n, f);
@@ -217,18 +183,11 @@ impl Traffic {
         bits: Option<BitVec>,
     ) -> Option<BitVec> {
         self.check_slot(from, to);
-        if let (Some(topo), Some(new)) = (&self.topology, &bits) {
+        if let (Some(topo), Some(_)) = (&self.topology, &bits) {
             assert!(
                 topo.contains(from, to),
                 "({from}, {to}) is not a topology edge"
             );
-            if let Some(cap) = topo.edge_cap(from, to) {
-                assert!(
-                    new.len() <= cap,
-                    "frame of {} bits exceeds the {cap}-bit cap on edge ({from}, {to})",
-                    new.len()
-                );
-            }
         }
         if let Some(new) = &bits {
             self.total_bits += new.len() as u64;
@@ -239,11 +198,10 @@ impl Traffic {
             self.total_bits -= old.len() as u64;
             self.frame_count -= 1;
         }
-        if self.auto
-            && self.store.backend() == Backend::Sparse
+        if self.store.is_sparse()
             && self.frame_count * DENSE_SWITCH_DIVISOR >= (self.n * self.n) as u64
         {
-            self.store.densify(self.n, Some(&mut self.arena));
+            self.store.densify(self.n, &mut self.arena);
         }
         prev
     }
@@ -258,13 +216,12 @@ impl Traffic {
         self.frame_count
     }
 
-    /// Serializes the round's logical matrix plus its backend/auto flags
-    /// (so a restored round keeps the exact representation and switching
-    /// behavior). The round-local arena is allocator bookkeeping and is
-    /// not serialized; volume counters are recomputed at restore.
+    /// Serializes the round's logical matrix with its representation tag
+    /// (so a restored round keeps the exact store it had). The round-local
+    /// arena is allocator bookkeeping and is not serialized; volume
+    /// counters are recomputed at restore.
     pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.bandwidth);
-        enc.put_bool(self.auto);
         enc.put_bool(self.topology.is_some());
         self.store.snapshot(self.n, enc);
     }
@@ -283,7 +240,6 @@ impl Traffic {
         if bandwidth == 0 {
             return Err(SnapError::corrupt("traffic with zero bandwidth"));
         }
-        let auto = dec.get_bool()?;
         let had_topology = dec.get_bool()?;
         let (store, n) = FrameStore::restore(dec)?;
         if n < 2 {
@@ -315,7 +271,6 @@ impl Traffic {
             store,
             total_bits,
             frame_count,
-            auto,
             topology,
             arena: FrameArena::default(),
         })
@@ -327,6 +282,7 @@ impl Traffic {
     pub(crate) fn into_delivery(mut self, arena: &mut FrameArena) -> Delivery {
         let n = self.n;
         arena.absorb(std::mem::take(&mut self.arena));
+        arena.close_round();
         match self.store {
             FrameStore::Dense(frames) => Delivery {
                 n,
@@ -351,7 +307,7 @@ impl Traffic {
     }
 }
 
-/// Logical equality: same shape and same frames, regardless of backend.
+/// Logical equality: same shape and same frames, whichever store holds them.
 impl PartialEq for Traffic {
     fn eq(&self, other: &Self) -> bool {
         if self.n != other.n
@@ -411,7 +367,7 @@ impl Delivery {
     }
 
     /// Iterates node `to`'s inbox as `(sender, frame)` pairs in ascending
-    /// sender order. `O(frames received)` on the sparse backend.
+    /// sender order. `O(frames received)` on sparse rounds.
     pub fn inbox_of(&self, to: usize) -> Inbox<'_> {
         assert!(to < self.n, "node id out of range");
         Inbox(match &self.repr {
@@ -558,7 +514,7 @@ impl Delivery {
     }
 }
 
-/// Logical equality across backends: every receiver's inbox matches.
+/// Logical equality across representations: every receiver's inbox matches.
 impl PartialEq for Delivery {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && (0..self.n).all(|to| self.inbox_of(to).eq(other.inbox_of(to)))
@@ -615,6 +571,24 @@ mod tests {
         t.into_delivery(&mut FrameArena::default())
     }
 
+    /// Empty traffic already on the dense store: load it past the switch,
+    /// then clear it again (a densified round never goes back).
+    fn densified(n: usize, bandwidth: usize) -> Traffic {
+        let mut t = Traffic::new(n, bandwidth);
+        let slots: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
+            .take((n * n).div_ceil(DENSE_SWITCH_DIVISOR as usize))
+            .collect();
+        for &(u, v) in &slots {
+            t.send(u, v, BitVec::zeros(1));
+        }
+        for &(u, v) in &slots {
+            t.clear(u, v);
+        }
+        assert!(!t.store.is_sparse() && t.frame_count() == 0);
+        t
+    }
+
     #[test]
     fn send_and_frame() {
         let mut t = Traffic::new(3, 4);
@@ -655,7 +629,7 @@ mod tests {
     fn fresh_traffic_starts_sparse_and_densifies_by_load() {
         let n = 8;
         let mut t = Traffic::new(n, 4);
-        assert_eq!(t.backend(), Backend::Sparse);
+        assert!(t.store.is_sparse());
         // n²/16 = 4 frames trigger the switch.
         let mut sent = 0;
         'outer: for u in 0..n {
@@ -670,39 +644,26 @@ mod tests {
                 }
             }
         }
-        assert_eq!(t.backend(), Backend::Dense);
+        assert!(!t.store.is_sparse());
         assert_eq!(t.frame_count(), 4);
         // Contents survive the switch.
         assert_eq!(t.frame(0, 1), Some(&BitVec::from_bools(&[true])));
     }
 
     #[test]
-    fn pinned_backend_never_switches() {
-        let n = 4;
-        let mut t = Traffic::with_backend(n, 2, Backend::Sparse);
-        for u in 0..n {
-            for v in 0..n {
-                if u != v {
-                    t.send(u, v, BitVec::from_bools(&[true]));
-                }
-            }
-        }
-        assert_eq!(t.backend(), Backend::Sparse);
-        assert_eq!(t.frame_count(), (n * n - n) as u64);
-    }
-
-    #[test]
     fn inbox_iterates_sparse_and_dense_identically() {
-        let build = |backend| {
-            let mut t = Traffic::with_backend(6, 4, backend);
+        // n = 12: four frames stay below the nine-frame switch.
+        let build = |mut t: Traffic| {
             t.send(5, 2, BitVec::from_bools(&[true]));
             t.send(0, 2, BitVec::from_bools(&[false, true]));
             t.send(3, 2, BitVec::from_bools(&[false]));
             t.send(1, 4, BitVec::from_bools(&[true, true]));
             delivery(t)
         };
-        let sparse = build(Backend::Sparse);
-        let dense = build(Backend::Dense);
+        let sparse = build(Traffic::new(12, 4));
+        let dense = build(densified(12, 4));
+        assert!(matches!(sparse.repr, DeliveryRepr::Sparse(_)));
+        assert!(matches!(dense.repr, DeliveryRepr::Dense(_)));
         let inbox: Vec<(usize, BitVec)> = sparse.inbox_of(2).map(|(f, b)| (f, b.clone())).collect();
         assert_eq!(
             inbox,
@@ -713,7 +674,7 @@ mod tests {
             ],
             "ascending sender order"
         );
-        for to in 0..6 {
+        for to in 0..12 {
             assert!(sparse.inbox_of(to).eq(dense.inbox_of(to)), "inbox {to}");
         }
         assert_eq!(sparse, dense);
@@ -722,12 +683,13 @@ mod tests {
 
     #[test]
     fn logical_equality_crosses_backends() {
-        let mut a = Traffic::with_backend(4, 4, Backend::Sparse);
-        let mut b = Traffic::with_backend(4, 4, Backend::Dense);
+        let mut a = Traffic::new(12, 4);
+        let mut b = densified(12, 4);
         for t in [&mut a, &mut b] {
             t.send(0, 1, BitVec::from_bools(&[true, false]));
             t.send(2, 3, BitVec::from_bools(&[false]));
         }
+        assert!(a.store.is_sparse() && !b.store.is_sparse());
         assert_eq!(a, b);
         b.send(3, 1, BitVec::from_bools(&[true]));
         assert_ne!(a, b);
@@ -782,8 +744,8 @@ mod tests {
     #[test]
     fn sparse_store_bytes_beat_dense_at_low_load() {
         let n = 256;
-        let mut sparse = Traffic::with_backend(n, 8, Backend::Sparse);
-        let mut dense = Traffic::with_backend(n, 8, Backend::Dense);
+        let mut sparse = Traffic::new(n, 8);
+        let mut dense = densified(n, 8);
         for u in 0..n {
             sparse.send(u, (u + 1) % n, BitVec::from_bools(&[true; 8]));
             dense.send(u, (u + 1) % n, BitVec::from_bools(&[true; 8]));

@@ -5,23 +5,30 @@
 //! rejected with an error, never a panic or a silently wrong value.
 
 use bdclique_bits::BitVec;
-use bdclique_netsim::{Backend, SeedStream, Topology, Traffic};
+use bdclique_netsim::{SeedStream, Topology, Traffic};
 use bdclique_snapshot::{Dec, Enc};
 use proptest::prelude::*;
+
+mod common;
 
 /// Deterministic frame content derived from the slot and length.
 fn payload(from: usize, to: usize, len: usize) -> BitVec {
     BitVec::from_fn(len, |i| (i * 11 + from * 5 + to * 3) % 7 < 3)
 }
 
-/// A traffic matrix populated from an op list, on a chosen backend.
+/// A traffic matrix populated from an op list. With `densify` it is moved
+/// onto the dense store first, so the ops land there whatever their number;
+/// without, the load factor decides.
 fn build_traffic(
     n: usize,
     bandwidth: usize,
-    backend: Backend,
+    densify: bool,
     ops: &[(usize, usize, usize)],
 ) -> Traffic {
-    let mut t = Traffic::with_backend(n, bandwidth, backend);
+    let mut t = Traffic::new(n, bandwidth);
+    if densify {
+        common::densify(&mut t);
+    }
     for &(from, to, len) in ops {
         let (from, to) = (from % n, to % n);
         if from != to {
@@ -47,7 +54,7 @@ fn decode_traffic(bytes: &[u8]) -> Result<Traffic, String> {
 }
 
 proptest! {
-    /// Traffic round-trips byte-identically on both backends, preserving
+    /// Traffic round-trips byte-identically on both stores, preserving
     /// the volume counters (recomputed at restore) and every frame.
     #[test]
     fn traffic_roundtrip_is_byte_identical(
@@ -56,12 +63,12 @@ proptest! {
         dense in any::<bool>(),
         ops in prop::collection::vec((0usize..12, 0usize..12, 0usize..24), 0..32),
     ) {
-        let backend = if dense { Backend::Dense } else { Backend::Sparse };
-        let t = build_traffic(n, bandwidth, backend, &ops);
+        let t = build_traffic(n, bandwidth, dense, &ops);
         let bytes = encode(|e| t.snapshot(e));
         let restored = decode_traffic(&bytes).expect("well-formed encoding");
         prop_assert_eq!(restored.total_bits(), t.total_bits());
         prop_assert_eq!(restored.frame_count(), t.frame_count());
+        prop_assert_eq!(&restored, &t);
         let again = encode(|e| restored.snapshot(e));
         prop_assert_eq!(bytes, again, "re-encode must be byte-identical");
     }
@@ -76,7 +83,7 @@ proptest! {
         ops in prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 1..12),
         cut_frac in 0.0f64..1.0,
     ) {
-        let t = build_traffic(n, 9, Backend::Sparse, &ops);
+        let t = build_traffic(n, 9, false, &ops);
         let bytes = encode(|e| t.snapshot(e));
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(
@@ -96,26 +103,26 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let t = build_traffic(n, 9, Backend::Dense, &ops);
+        let t = build_traffic(n, 9, true, &ops);
         let mut bytes = encode(|e| t.snapshot(e));
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         let _ = decode_traffic(&bytes); // must return, not panic
     }
 
-    /// Topologies round-trip byte-identically across every generator
-    /// family, including the compact clique representation.
+    /// Topologies round-trip byte-identically across every generator,
+    /// including the compact clique representation.
     #[test]
     fn topology_roundtrip_is_byte_identical(
         pick in 0usize..4,
-        n_half in 3usize..16,
+        n_exp in 3u32..6,
         seed in 0u64..100,
     ) {
-        let n = 2 * n_half;
+        let n = 1usize << n_exp;
         let topo = match pick {
             0 => Topology::complete(n),
             1 => Topology::random_regular(n, 4, seed),
-            2 => Topology::scale_free(n, 2, seed),
+            2 => Topology::hypercube(n),
             _ => Topology::ring(n),
         };
         let bytes = encode(|e| topo.snapshot(e));
@@ -165,7 +172,7 @@ proptest! {
 /// known offsets).
 #[test]
 fn traffic_header_corruption_is_detected() {
-    let t = build_traffic(4, 9, Backend::Sparse, &[(0, 1, 3), (2, 3, 5)]);
+    let t = build_traffic(4, 9, false, &[(0, 1, 3), (2, 3, 5)]);
     let bytes = encode(|e| t.snapshot(e));
     // Zero-bandwidth header: rejected by the explicit range check.
     let mut zeroed = bytes.clone();

@@ -2,8 +2,8 @@
 //!
 //! The workspace has no serde; this crate is the hand-rolled replacement:
 //! a little-endian byte codec ([`Enc`] / [`Dec`]) with a four-byte magic
-//! and a format version, plus the [`Snapshot`] / [`Restore`] traits the
-//! simulator layers implement for their state.
+//! and a format version. The simulator layers serialize their state through
+//! inherent `snapshot(&self, &mut Enc)` / `restore(&mut Dec)` functions.
 //!
 //! # Design rules
 //!
@@ -42,8 +42,9 @@ pub const MAGIC: [u8; 4] = *b"BDCS";
 /// of per-message strings). Version 3 has one routing-session layout for
 /// both engines: zero-filled chunk-store entries (version 2's unit engine
 /// wrote optional ones) and relay grids without their row offsets, which
-/// the rebuilt plan supplies.
-pub const VERSION: u16 = 3;
+/// the rebuilt plan supplies. Version 4 drops the traffic record's `auto`
+/// byte and the sparse topology's edge-cap section.
+pub const VERSION: u16 = 4;
 
 /// Decode failure: the bytes do not describe a valid snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -468,73 +469,6 @@ impl<'a> Dec<'a> {
             out.push(f(self)?);
         }
         Ok(out)
-    }
-}
-
-/// Serialize dynamic state into an [`Enc`].
-///
-/// Implementors write *only* state that cannot be re-derived from
-/// configuration — see the crate docs for the hybrid rule.
-pub trait Snapshot {
-    /// Appends this value's state to the encoder.
-    fn snapshot(&self, enc: &mut Enc);
-}
-
-/// Rebuild a value from a [`Dec`] positioned at its serialized state.
-pub trait Restore: Sized {
-    /// Decodes one value, advancing the cursor past it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError>;
-}
-
-impl Snapshot for u64 {
-    fn snapshot(&self, enc: &mut Enc) {
-        enc.put_u64(*self);
-    }
-}
-
-impl Restore for u64 {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        dec.get_u64()
-    }
-}
-
-impl Snapshot for usize {
-    fn snapshot(&self, enc: &mut Enc) {
-        enc.put_usize(*self);
-    }
-}
-
-impl Restore for usize {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        dec.get_usize()
-    }
-}
-
-impl Snapshot for bool {
-    fn snapshot(&self, enc: &mut Enc) {
-        enc.put_bool(*self);
-    }
-}
-
-impl Restore for bool {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        dec.get_bool()
-    }
-}
-
-impl Snapshot for BitVec {
-    fn snapshot(&self, enc: &mut Enc) {
-        enc.put_bits(self);
-    }
-}
-
-impl Restore for BitVec {
-    fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        dec.get_bits()
     }
 }
 

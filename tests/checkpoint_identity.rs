@@ -441,7 +441,7 @@ fn corrupt_snapshots_are_rejected() {
 
 /// A det-hypercube state row announcing the wrong bit length is refused at
 /// restore (not by a slice panic iterations later), and so is a document of
-/// either earlier format version.
+/// any earlier format version.
 #[test]
 fn hypercube_state_row_length_and_format_version_are_validated() {
     let all = cases();
@@ -470,10 +470,11 @@ fn hypercube_state_row_length_and_format_version_are_validated() {
         assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
     }
 
-    // Versions 1 (per-message rows) and 2 (two chunk-store encodings, relay
-    // grids carrying their own offsets) are refused by the header check.
+    // Versions 1 (per-message rows), 2 (two chunk-store encodings, relay
+    // grids carrying their own offsets) and 3 (traffic `auto` byte, topology
+    // edge caps) are refused by the header check.
     assert_eq!(bytes[4..6], bdclique_snapshot::VERSION.to_le_bytes());
-    for old in [1u16, 2] {
+    for old in [1u16, 2, 3] {
         let mut doc = bytes.clone();
         doc[4..6].copy_from_slice(&old.to_le_bytes());
         let err = restore_run(&doc, fresh_adversary(case), case.proto.as_ref(), &inst)
