@@ -129,11 +129,6 @@ fn parse_args(mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.checkpoint_every.is_some() && args.checkpoint_dir.is_none() {
         return Err("--checkpoint-every requires --checkpoint-dir".to_string());
     }
-    if args.trace && args.checkpoint_dir.is_some() {
-        // Checkpointed cells skip tracing: the run would emit
-        // `round_trace: null` everywhere, silently.
-        return Err("--trace cannot be combined with --checkpoint-dir".to_string());
-    }
     Ok(args)
 }
 
@@ -194,6 +189,21 @@ fn select(requested: &[String], trials: usize) -> Result<Vec<Scenario>, String> 
     Ok(selected)
 }
 
+/// How many of `spec`'s trial cells record a per-round trace (trial 0),
+/// after `force` — the `--trace` flag — has switched it on for all of them;
+/// scenarios like `schedules` opt in from their builder anyway.
+/// Custom-measurement cells have no engine-run trials to trace.
+fn trace_cells(spec: &mut Scenario, force: bool) -> usize {
+    let mut traced = 0;
+    for cell in &mut spec.cells {
+        if let scenario::CellKind::Trials(job) = &mut cell.kind {
+            job.trace |= force;
+            traced += usize::from(job.trace);
+        }
+    }
+    traced
+}
+
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
@@ -224,13 +234,31 @@ fn run(args: Args) -> Result<(), String> {
     if let Some((a, b)) = &args.same {
         return run_same(a, b);
     }
-    let selected = select(&args.scenarios, trials)?;
+    let mut selected = select(&args.scenarios, trials)?;
+    for spec in &mut selected {
+        let traced = trace_cells(spec, args.trace);
+        if args.trace && traced == 0 {
+            eprintln!(
+                "note: --trace has no effect on '{}' (custom-measurement cells only)",
+                spec.name
+            );
+        }
+        if traced > 0 && args.checkpoint_dir.is_some() {
+            // Checkpointed cells skip tracing: the run would emit
+            // `round_trace: null` for every one of them, silently.
+            return Err(format!(
+                "per-round tracing cannot be combined with --checkpoint-dir: scenario '{}' \
+                 traces {traced} cell(s) (--trace, or the scenario's own builder), and \
+                 checkpointed cells record no trace",
+                spec.name
+            ));
+        }
+    }
 
     println!("bdclique experiment suite (base trials per config: {trials})");
     println!("paper: Fischer-Parter, PODC 2025 (arXiv:2505.05735)");
 
     let run_cfg = RunConfig {
-        serial: false,
         shard: args.shard,
         checkpoint: args.checkpoint_dir.as_ref().map(|dir| CheckpointConfig {
             dir: dir.into(),
@@ -250,25 +278,7 @@ fn run(args: Args) -> Result<(), String> {
 
     let mut results: Vec<ScenarioResult> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
-    for mut spec in selected {
-        if args.trace {
-            // Force per-round tracing (trial 0) on every trial cell of the
-            // selected scenarios; scenarios like `schedules` opt in anyway.
-            // Custom-measurement cells have no engine-run trials to trace.
-            let mut traced = 0usize;
-            for cell in &mut spec.cells {
-                if let scenario::CellKind::Trials(job) = &mut cell.kind {
-                    job.trace = true;
-                    traced += 1;
-                }
-            }
-            if traced == 0 {
-                eprintln!(
-                    "note: --trace has no effect on '{}' (custom-measurement cells only)",
-                    spec.name
-                );
-            }
-        }
+    for spec in selected {
         let result = scenario::run_configured(&spec, &run_cfg);
         println!("{}", result.table().render());
         if args.check {
@@ -310,15 +320,36 @@ mod tests {
 
     #[test]
     fn parse_args_rejects_contradictory_flags() {
-        let err = parse(&["--trace", "--checkpoint-dir", "D"]).err().unwrap();
-        assert!(err.contains("--trace cannot be combined"), "{err}");
         assert!(parse(&["--checkpoint-every", "4"]).is_err());
-        // Each alone is fine.
         assert!(parse(&["--trace", "schedules"]).unwrap().trace);
         assert!(parse(&["--checkpoint-dir", "D"])
             .unwrap()
             .checkpoint_dir
             .is_some());
+    }
+
+    /// Checkpointed cells record no trace, so checkpointing a run that asks
+    /// for one is refused before any cell runs or any file is written —
+    /// whether `--trace` forced the tracing (`t1r1` does not trace on its
+    /// own) or the scenario's builder opted in (`schedules`).
+    #[test]
+    fn checkpointing_refuses_traced_cells_before_running_anything() {
+        let tmp = std::env::temp_dir().join(format!("bdc-tables-trace-{}", std::process::id()));
+        let (dir, json) = (tmp.join("ckpt"), tmp.join("out.json"));
+        let (dir, json) = (dir.to_str().unwrap(), json.to_str().unwrap());
+        for selection in [&["--trace", "t1r1"][..], &["schedules"]] {
+            let mut args = vec!["--checkpoint-dir", dir, "--json", json, "--trials", "1"];
+            args.extend_from_slice(selection);
+            let err = run(parse(&args).unwrap()).unwrap_err();
+            assert!(err.contains("cannot be combined"), "{selection:?}: {err}");
+            assert!(!tmp.exists(), "{selection:?}: the refused run wrote files");
+        }
+        // The two routes really differ: `t1r1` traces only when forced.
+        assert_eq!(
+            trace_cells(&mut select(&["t1r1".into()], 1).unwrap()[0], false),
+            0
+        );
+        assert!(trace_cells(&mut select(&["schedules".into()], 1).unwrap()[0], false) > 0);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!
 //! One file per trial, keyed by the cell's seed-stream state and the trial
 //! index — both deterministic, so a rerun of the same scenario grid maps
-//! onto the same files. Writes are atomic (`.tmp` + rename): a `SIGKILL`
-//! at any byte leaves either the previous complete checkpoint or the new
-//! one, never a torn file. Finished trials delete their checkpoint.
+//! onto the same files. Writes are atomic and durable (`.tmp`, `fsync`,
+//! rename, `fsync` of the directory): a `SIGKILL` or a host crash at any
+//! byte leaves either the previous complete checkpoint or the new one,
+//! never a torn file. Every file carries a 64-bit digest of its payload,
+//! so a checkpoint whose bytes rotted on disk is refused instead of
+//! resumed into a different run. Finished trials delete their checkpoint.
 //!
 //! # Wall-clock accounting
 //!
@@ -28,14 +31,26 @@ use crate::{Trial, TrialSeeds, TrialSpec};
 use bdclique_core::protocols::{AllToAllProtocol, Step};
 use bdclique_core::{restore_run, snapshot_run, CoreError};
 use bdclique_snapshot::{Dec, Enc, SnapError};
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Magic string opening every checkpoint file (the bench-level wrapper
-/// around the core snapshot payload).
-const WRAPPER_MAGIC: &str = "bdck1";
+/// around the core snapshot payload). `bdck2` added the payload digest; a
+/// `bdck1` file is refused like any other foreign file.
+const WRAPPER_MAGIC: &str = "bdck2";
+
+/// FNV-1a over `bytes`: the wrapper's payload digest. Every step is a
+/// bijection of the 64-bit state (xor, then multiply by an odd prime), so
+/// two payloads of one length that differ in a single byte never collide;
+/// wider damage escapes with probability about 2⁻⁶⁴. It guards against
+/// rot, not against an adversary, who could recompute it.
+fn payload_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Where and how often to checkpoint.
 #[derive(Debug, Clone)]
@@ -56,11 +71,12 @@ impl CheckpointConfig {
 }
 
 /// Wraps a core snapshot payload with the bench-level header: magic,
-/// accumulated prior wall-clock seconds, payload.
+/// accumulated prior wall-clock seconds, payload digest, payload.
 fn encode_wrapper(prior_secs: f64, payload: &[u8]) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.put_str(WRAPPER_MAGIC);
     enc.put_f64(prior_secs);
+    enc.put_u64(payload_digest(payload));
     enc.put_bytes(payload);
     enc.into_bytes()
 }
@@ -75,21 +91,34 @@ fn decode_wrapper(bytes: &[u8]) -> Result<(f64, &[u8]), SnapError> {
     if !secs.is_finite() || secs < 0.0 {
         return Err(SnapError::corrupt("negative or non-finite segment time"));
     }
+    let digest = dec.get_u64()?;
     let payload = dec.get_bytes()?;
     dec.finish()?;
+    if payload_digest(payload) != digest {
+        return Err(SnapError::corrupt("checkpoint payload fails its digest"));
+    }
     Ok((secs, payload))
 }
 
-/// Atomically replaces `path` with `bytes`: write `<path>.tmp`, rename over
-/// the target. On POSIX the rename is atomic, so a crash at any point
-/// leaves either the old complete file or the new one.
+/// Atomically and durably replaces `path` with `bytes`: write and `fsync`
+/// `<path>.tmp`, rename it over the target, `fsync` the directory. The
+/// rename is atomic on POSIX, the first sync keeps it from landing before
+/// the data and the second makes the new name itself survive, so a crash
+/// at any point — of the process or of the host — leaves either the old
+/// complete file or the new one.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
+    // A bare file name has the empty parent, which cannot be opened.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::create_dir_all(dir)?;
     let tmp = path.with_extension("ckpt.tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    fs::rename(&tmp, path)?;
+    File::open(dir)?.sync_all()
 }
 
 fn io_err(what: &str, path: &Path, e: &io::Error) -> CoreError {
@@ -159,7 +188,7 @@ pub fn run_trial_checkpointed(
 mod tests {
     use super::*;
     use crate::{run_trial, AdversarySpec};
-    use bdclique_core::protocols::RelayReplication;
+    use bdclique_core::protocols::{DetSqrt, RelayReplication};
 
     fn spec() -> TrialSpec {
         TrialSpec::clique(16, 2, 9, 0.25, AdversarySpec::RandomMatchingsFlip)
@@ -227,14 +256,62 @@ mod tests {
         let seeds = TrialSeeds::derive(13);
         let cfg = temp_cfg("corrupt", 4);
         fs::create_dir_all(&cfg.dir).unwrap();
+        // The digest-less layout this wrapper replaced.
+        let mut v1 = Enc::new();
+        v1.put_str("bdck1");
+        v1.put_f64(0.0);
+        v1.put_bytes(b"xx");
         for (name, bytes) in [
             ("bad-magic", encode_wrapper(0.0, b"xx")[..4].to_vec()),
+            ("bdck1", v1.into_bytes()),
             ("garbage", b"not a checkpoint".to_vec()),
             ("empty", Vec::new()),
         ] {
             fs::write(cfg.path_for(name), &bytes).unwrap();
             let err = run_trial_checkpointed(&proto, &spec(), seeds, &cfg, name);
             assert!(err.is_err(), "{name} must be rejected");
+        }
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// A flipped payload byte that still *decodes* — inside a chunk-store
+    /// or relay-grid bit string, say — would resume into a different run
+    /// with no error. The digest refuses every one: a damaged checkpoint of
+    /// a routed protocol is an `Err`, never an `Ok` with another outcome.
+    #[test]
+    fn flipped_payload_bytes_are_refused_not_resumed() {
+        let proto = DetSqrt::default();
+        let spec = TrialSpec::clique(16, 1, 18, 0.07, AdversarySpec::GreedyFlip);
+        let seeds = TrialSeeds::derive(14);
+        let cfg = temp_cfg("flip", 0);
+        let key = "unit-flip";
+        let plain = run_trial(&proto, &spec, seeds, None).unwrap();
+
+        // A real mid-run capture: half-way through the routed waves.
+        let (inst, mut net) = spec.build(seeds);
+        let mut session = proto.session(&net, &inst).unwrap();
+        while net.rounds() < plain.rounds / 2 {
+            assert!(matches!(session.step(&mut net).unwrap(), Step::Running));
+        }
+        let payload = snapshot_run(&net, session.as_ref()).unwrap();
+        let doc = encode_wrapper(0.0, &payload);
+        let header = doc.len() - payload.len();
+
+        write_atomic(&cfg.path_for(key), &doc).unwrap();
+        let (resumed, _) = run_trial_checkpointed(&proto, &spec, seeds, &cfg, key).unwrap();
+        assert_eq!(resumed, plain, "the undamaged capture resumes identically");
+
+        let offsets = (0..payload.len())
+            .step_by((payload.len() / 61).max(1))
+            .chain([payload.len() - 1]);
+        for at in offsets {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bad = doc.clone();
+                bad[header + at] ^= mask;
+                fs::write(cfg.path_for(key), &bad).unwrap();
+                let got = run_trial_checkpointed(&proto, &spec, seeds, &cfg, key);
+                assert!(got.is_err(), "payload byte {at} ^ {mask:#04x}: {got:?}");
+            }
         }
         let _ = fs::remove_dir_all(&cfg.dir);
     }

@@ -65,7 +65,6 @@ fn det_sqrt_unit() -> ProtocolFactory {
     factory(|_| {
         DetSqrt::new(RouterConfig {
             mode: RoutingMode::Unit,
-            ..Default::default()
         })
     })
 }
@@ -359,7 +358,6 @@ pub fn route_margin(_trials: usize) -> Scenario {
                     );
                     let cfg = RouterConfig {
                         mode: RoutingMode::Unit,
-                        ..Default::default()
                     };
                     match route(&mut net, &instance, &cfg) {
                         Ok(out) => vec![
@@ -406,10 +404,7 @@ pub fn route_engines(_trials: usize) -> Scenario {
                 kind: CellKind::Custom(Arc::new(move |_ctx: &CellCtx| {
                     let instance = routing_instance(n, 64, k);
                     let mut net = Network::new(n, BANDWIDTH, 0.0, Adversary::none());
-                    let cfg = RouterConfig {
-                        mode,
-                        ..Default::default()
-                    };
+                    let cfg = RouterConfig { mode };
                     match route(&mut net, &instance, &cfg) {
                         Ok(out) => vec![
                             ("feasible", Value::s("yes")),
@@ -560,11 +555,7 @@ pub fn frontier_scenario(trials: usize) -> Scenario {
                 for budget in 0..=max_budget {
                     let alpha = (budget as f64 + 0.2) / n as f64;
                     let job = clique_job(label, protocol.clone(), adversary, n, 1, alpha, trials);
-                    let agg = run_trials(
-                        &job,
-                        &ctx.stream.fork(&format!("budget={budget}")),
-                        ctx.parallel,
-                    );
+                    let agg = run_trials(&job, &ctx.stream.fork(&format!("budget={budget}")));
                     if agg.infeasible == 0 && agg.failed == 0 && agg.perfect == agg.trials {
                         best = Some((budget, alpha, agg));
                     }

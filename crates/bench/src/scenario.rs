@@ -9,9 +9,12 @@
 //! [`Scenario::expect`], evaluated by [`crate::expect::check`]. The engine
 //! owns everything the hand-rolled experiment loops used to duplicate:
 //!
-//! * **Parallelism** — independent cells fan out across cores, and the
-//!   trials inside a cell fan out again; [`run_serial`] is the bit-identity
-//!   oracle (regression-tested).
+//! * **Parallelism** — independent cells fan out across the rayon pool,
+//!   the trials inside a cell fan out again, and so does every routed
+//!   pack inside a trial. None of them takes a switch: the thread count
+//!   is the pool scope's, so the bit-identity oracle is [`run`] itself
+//!   inside a one-thread `rayon::ThreadPool::install`, which serialises
+//!   all three levels at once (regression-tested).
 //! * **Seeding** — every cell derives its own [`SeedStream`] by hashing the
 //!   scenario name and the *full* cell coordinates; trial `t` forks that
 //!   stream by index and splits it into independent instance / adversary /
@@ -78,8 +81,8 @@ pub const SCHEMA: &str = "bdclique-bench/scenario-v1";
 /// The trial-cell metrics that are **not** a function of the seeds: the
 /// per-cell codeword cache's hit / miss counters. Trials racing on the
 /// shared cache reorder probe/insert interleavings (and a resumed trial
-/// skips already-done encodes), so the *counters* differ between parallel,
-/// serial and resumed runs even though the cached content — and therefore
+/// skips already-done encodes), so the *counters* differ between pool
+/// sizes and resumed runs even though the cached content — and therefore
 /// every outcome the aggregate folds — is bit-identical. The one exclusion
 /// list [`CellResult::same_outcome`] and `tables --same` both read.
 pub const NONDETERMINISTIC_METRICS: [&str; 2] = ["cache_hits", "cache_misses"];
@@ -191,22 +194,17 @@ impl fmt::Display for Value {
 /// `seed` field so every trial draws fresh protocol coins.
 pub type ProtocolFactory = Arc<dyn Fn(u64) -> Box<dyn AllToAllProtocol> + Send + Sync>;
 
-/// Execution context handed to a custom cell.
+/// Execution context handed to a custom cell. How far nested work fans out
+/// is not part of it: a cell inherits the pool scope [`run`] was called in.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx {
     /// The cell's seed stream; fork per sub-measurement.
     pub stream: SeedStream,
-    /// Whether nested trial sweeps may fan out across cores — `false`
-    /// under [`run_serial`], so the determinism oracle really is
-    /// single-threaded even through custom cells (pass this to
-    /// [`run_trials`]).
-    pub parallel: bool,
 }
 
 /// A bespoke measurement cell: receives the cell's execution context,
 /// returns its row metrics. Runs once (not per trial); anything
-/// trial-shaped inside should fork `ctx.stream` per sub-measurement and
-/// honor `ctx.parallel`.
+/// trial-shaped inside should fork `ctx.stream` per sub-measurement.
 pub type CustomJob = Arc<dyn Fn(&CellCtx) -> Vec<(&'static str, Value)> + Send + Sync>;
 
 /// The trial-grid flavor of a cell: the engine runs `trials` seeded trials
@@ -460,12 +458,10 @@ impl ScenarioResult {
     }
 }
 
-/// How to execute a scenario beyond the default parallel full-grid run.
+/// How to execute a scenario beyond the default full-grid run. (How many
+/// threads it runs on is the caller's rayon pool scope, not an option.)
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
-    /// Run cells (and trials within them) serially — the determinism
-    /// oracle. `false` here is what [`run_serial`] passes.
-    pub serial: bool,
     /// `(index, modulus)`: run only the cells whose seed-stream state
     /// satisfies `seed % modulus == index`. Complementary shards partition
     /// the grid exactly (every cell lands in one shard), and the sharded
@@ -483,25 +479,13 @@ pub struct RunConfig {
 
 /// Runs a scenario: cells fan out across cores, and each trial cell's
 /// trials fan out again. Deterministic up to wall-clock fields — the seeds,
-/// metrics, and aggregates are bit-identical to [`run_serial`].
+/// metrics, and aggregates are bit-identical on any pool size.
 pub fn run(spec: &Scenario) -> ScenarioResult {
     run_configured(spec, &RunConfig::default())
 }
 
-/// Single-threaded reference implementation of [`run`]: same seeds, same
-/// fold, one thread. Kept public as the determinism oracle.
-pub fn run_serial(spec: &Scenario) -> ScenarioResult {
-    run_configured(
-        spec,
-        &RunConfig {
-            serial: true,
-            ..RunConfig::default()
-        },
-    )
-}
-
-/// [`run`] with explicit execution options (serial oracle mode, shard
-/// selection, mid-trial checkpointing).
+/// [`run`] with explicit execution options (shard selection, mid-trial
+/// checkpointing).
 pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
     let start = Instant::now();
     let selected: Vec<&Cell> = spec
@@ -514,17 +498,10 @@ pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
             }
         })
         .collect();
-    let cells: Vec<CellResult> = if cfg.serial {
-        selected
-            .iter()
-            .map(|cell| run_cell(spec, cell, cfg))
-            .collect()
-    } else {
-        (0..selected.len())
-            .into_par_iter()
-            .map(|i| run_cell(spec, selected[i], cfg))
-            .collect()
-    };
+    let cells: Vec<CellResult> = selected
+        .into_par_iter()
+        .map(|cell| run_cell(spec, cell, cfg))
+        .collect();
     let coords = spec.cells.first().map_or(&[][..], |cell| &cell.coords);
     ScenarioResult {
         name: spec.name,
@@ -541,15 +518,13 @@ pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
 
 fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
     let stream = cell.stream(spec.name);
-    let parallel = !cfg.serial;
     let start = Instant::now();
     let mut prior_secs = 0.0;
     let (metrics, aggregate, round_trace) = match &cell.kind {
         CellKind::Trials(job) => {
             let cell_key = format!("{}-{:016x}", spec.name, stream.seed());
             let ckpt = cfg.checkpoint.as_ref().map(|c| (c, cell_key.as_str()));
-            let (agg, trace, (hits, misses), prior) =
-                run_trials_traced(job, &stream, parallel, ckpt);
+            let (agg, trace, (hits, misses), prior) = run_trials_traced(job, &stream, ckpt);
             prior_secs = prior;
             let mut metrics: Vec<(&'static str, Value)> = spec
                 .columns
@@ -565,7 +540,7 @@ fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
             );
             (metrics, Some(agg), trace)
         }
-        CellKind::Custom(job) => (job(&CellCtx { stream, parallel }), None, None),
+        CellKind::Custom(job) => (job(&CellCtx { stream }), None, None),
     };
     CellResult {
         coords: cell.coords.clone(),
@@ -579,20 +554,20 @@ fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
     }
 }
 
-/// Runs one trial cell's trials (parallel or serial) and folds in trial
-/// order. Public for custom cells that embed trial sweeps (e.g. the
-/// fault-tolerance frontier): fork the cell stream per sweep point and pass
-/// the fork here, so every sweep point owns a distinct seed sequence.
-pub fn run_trials(job: &TrialJob, stream: &SeedStream, parallel: bool) -> Aggregate {
-    run_trials_traced(job, stream, parallel, None).0
+/// Runs one trial cell's trials and folds in trial order. Public for custom
+/// cells that embed trial sweeps (e.g. the fault-tolerance frontier): fork
+/// the cell stream per sweep point and pass the fork here, so every sweep
+/// point owns a distinct seed sequence.
+pub fn run_trials(job: &TrialJob, stream: &SeedStream) -> Aggregate {
+    run_trials_traced(job, stream, None).0
 }
 
 /// [`run_trials`] plus trial 0's per-round trace when [`TrialJob::trace`]
 /// is set, the cell's codeword-cache `(hits, misses)`, and the wall-clock
 /// seconds earlier segments of resumed trials consumed. Tracing rides along
 /// on trial 0 only — observers read stat deltas, never randomness — so the
-/// folded [`Aggregate`] is bit-identical with tracing on or off, parallel
-/// or serial.
+/// folded [`Aggregate`] is bit-identical with tracing on or off, on any
+/// pool size.
 ///
 /// With `ckpt = Some((config, cell key))` every trial instead runs through
 /// [`run_trial_checkpointed`] under its own deterministic file key
@@ -611,7 +586,6 @@ pub fn run_trials(job: &TrialJob, stream: &SeedStream, parallel: bool) -> Aggreg
 pub fn run_trials_traced(
     job: &TrialJob,
     stream: &SeedStream,
-    parallel: bool,
     ckpt: Option<(&CheckpointConfig, &str)>,
 ) -> (Aggregate, Option<Vec<RoundDelta>>, (u64, u64), f64) {
     let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
@@ -634,11 +608,7 @@ pub fn run_trials_traced(
             }
         }
     };
-    let mut results: Vec<_> = if parallel {
-        (0..job.trials).into_par_iter().map(one).collect()
-    } else {
-        (0..job.trials).map(one).collect()
-    };
+    let mut results: Vec<_> = (0..job.trials).into_par_iter().map(one).collect();
     let round_trace = results
         .first_mut()
         .and_then(|r| r.as_mut().ok())

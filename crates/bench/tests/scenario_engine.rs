@@ -1,11 +1,23 @@
 //! Regression tests for the scenario engine: per-coordinate seed
-//! sensitivity, parallel/serial bit-identity, zero-trial rendering, the
-//! registry, and JSON well-formedness.
+//! sensitivity, bit-identity across pool sizes (the ambient rayon pool vs a
+//! one-thread pool scope), zero-trial rendering, the registry, and JSON
+//! well-formedness.
 
 use bdclique_bench::scenario::{self, Cell, CellKind, ProtocolFactory, Scenario, TrialJob, Value};
 use bdclique_bench::{AdversarySpec, TopologySpec};
 use bdclique_core::protocols::{DetSqrt, NaiveExchange};
 use std::sync::Arc;
+
+/// The serial oracle: `op` inside a one-thread pool scope, where every
+/// rayon fan-out it reaches — cells, trials, and the packs of every routed
+/// trial — runs on the calling thread.
+fn on_one_thread<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(op)
+}
 
 fn naive_factory() -> ProtocolFactory {
     Arc::new(|_seed| Box::new(NaiveExchange))
@@ -143,17 +155,29 @@ fn mini_grid(trials: usize) -> Scenario {
     }
 }
 
-/// The cell-level parallel fan-out must be invisible: seeds, metrics, and
-/// aggregates bit-identical to the serial oracle.
+/// The fan-out must be invisible at all three nesting levels — cells,
+/// trials, and the packs inside every routed trial: seeds, metrics, and
+/// aggregates bit-identical to the serial oracle. The grid's n = 16 cells
+/// are routed det-sqrt runs (its n = 8 cells fail as non-square, the
+/// baseline a failing cell must also reproduce), so the oracle covers the
+/// per-pack fan-out too.
 #[test]
 fn parallel_run_matches_serial_oracle() {
     let spec = mini_grid(4);
     let par = scenario::run(&spec);
-    let ser = scenario::run_serial(&spec);
+    let ser = on_one_thread(|| scenario::run(&spec));
     assert_eq!(par.cells.len(), ser.cells.len());
     for (p, s) in par.cells.iter().zip(&ser.cells) {
         assert!(p.same_outcome(s), "diverged at {:?} vs {:?}", p, s);
     }
+    let routed = |cell: &scenario::CellResult| {
+        cell.aggregate.as_ref().unwrap().completed == 4
+            && cell.value_of("cache_misses") != Some(Value::U64(0))
+    };
+    assert!(
+        ser.cells.iter().any(routed),
+        "no cell of the grid routed anything: {ser:?}"
+    );
 }
 
 /// Re-running the same spec replays the same seeds and results (the
@@ -306,7 +330,7 @@ fn shared_codeword_cache_is_outcome_neutral() {
     let stream = cell.stream("cache-identity");
 
     let (cached, _trace, (hits, misses), _prior) =
-        scenario::run_trials_traced(job, &stream, false, None);
+        on_one_thread(|| scenario::run_trials_traced(job, &stream, None));
     assert!(
         hits + misses > 0,
         "det-sqrt encodes Reed–Solomon codewords; the cell cache must be consulted"

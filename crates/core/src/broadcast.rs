@@ -47,7 +47,7 @@ impl BroadcastSession {
             src,
             payload_len: payload.len(),
             n,
-            route: RouteSession::new(net, instance, cfg)?,
+            route: RouteSession::new(net, instance, cfg, None)?,
         })
     }
 
@@ -83,18 +83,14 @@ impl BroadcastSession {
     /// Rebuilds a broadcast session from a snapshot. Bypasses
     /// [`BroadcastSession::new`]: the payload lives inside the serialized
     /// routing instance, so the struct is assembled directly.
-    pub(crate) fn restore(
-        net: &Network,
-        cfg: &RouterConfig,
-        dec: &mut Dec<'_>,
-    ) -> Result<Self, CoreError> {
+    pub(crate) fn restore(net: &Network, dec: &mut Dec<'_>) -> Result<Self, CoreError> {
         let src = dec.get_usize().map_err(CoreError::from)?;
         let payload_len = dec.get_usize().map_err(CoreError::from)?;
         let n = dec.get_usize().map_err(CoreError::from)?;
         if src >= n || n != net.n() {
             return Err(CoreError::invalid("broadcast snapshot shape mismatch"));
         }
-        let route = RouteSession::restore(net, cfg, None, dec)?;
+        let route = RouteSession::restore(net, None, dec)?;
         Ok(Self {
             src,
             payload_len,

@@ -12,12 +12,13 @@
 //! The per-node send/receive phases are embarrassingly parallel (node `u`'s
 //! messages and state transition depend only on `u`'s own state and inbox),
 //! so [`compile`] and [`run_fault_free`] fan them out across the rayon
-//! thread pool and fold the results back **in node order** — bit-identical
-//! to the serial oracles [`compile_serial`] / [`run_fault_free_serial`]
-//! (covered by a regression test, the same pattern as
-//! `bdclique_bench::scenario::run` vs `run_serial`). The network rounds
-//! themselves stay strictly sequential: rounds are the unit of synchrony in
-//! the model.
+//! thread pool and fold the results back **in node order** — the output
+//! does not depend on the pool's size. The oracle is the same entry point
+//! inside a one-thread `rayon::ThreadPool::install`, which also serialises
+//! whatever the protocol fans out underneath (a regression test holds the
+//! two bit-identical, the same pattern as `bdclique_bench::scenario::run`).
+//! The network rounds themselves stay strictly sequential: rounds are the
+//! unit of synchrony in the model.
 //!
 //! Inbox assembly is clone-free: the protocol output's message matrix is
 //! transposed into per-node inboxes **by move**
@@ -70,27 +71,18 @@ pub struct CompiledRun {
     pub rounds: u64,
 }
 
-/// Maps `f` over indexed items, in parallel or serially, always collecting
-/// in input order — the one switch point between the parallel entry points
-/// and their serial oracles, so the two cannot drift apart.
-fn map_nodes<T: Send, U: Send>(
-    parallel: bool,
-    items: Vec<T>,
-    f: impl Fn(usize, T) -> U + Send + Sync,
-) -> Vec<U> {
-    let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    if parallel {
-        indexed.into_par_iter().map(|(i, x)| f(i, x)).collect()
-    } else {
-        indexed.into_iter().map(|(i, x)| f(i, x)).collect()
-    }
-}
-
-fn compile_impl<A>(
+/// Runs `algo` on `net` by simulating each of its rounds with `protocol`
+/// (Definition 1's reduction), fanning the node-local send/receive work out
+/// across threads. The fault-free behaviour is recovered exactly whenever
+/// the protocol delivers all messages correctly.
+///
+/// # Errors
+///
+/// Propagates the protocol's [`CoreError`]s.
+pub fn compile<A>(
     net: &mut Network,
     algo: &A,
     protocol: &dyn AllToAllProtocol,
-    parallel: bool,
 ) -> Result<CompiledRun, CoreError>
 where
     A: CliqueAlgorithm + Sync,
@@ -113,15 +105,18 @@ where
     for r in 0..algo.round_count() {
         let messages: Vec<Vec<BitVec>> = {
             let states = &states;
-            map_nodes(parallel, (0..n).collect(), |_, u: usize| {
-                (0..n)
-                    .map(|v| {
-                        let m = algo.send(r, u, v, &states[u]);
-                        assert_eq!(m.len(), b, "algorithm produced wrong message width");
-                        m
-                    })
-                    .collect()
-            })
+            (0..n)
+                .into_par_iter()
+                .map(|u| {
+                    (0..n)
+                        .map(|v| {
+                            let m = algo.send(r, u, v, &states[u]);
+                            assert_eq!(m.len(), b, "algorithm produced wrong message width");
+                            m
+                        })
+                        .collect()
+                })
+                .collect()
         };
         let inst = AllToAllInstance::new(n, b, messages);
         let output = protocol.run(net, &inst)?;
@@ -129,22 +124,25 @@ where
         // node `u`'s inbox (missing messages become zeros, the node's own
         // slot its local message).
         let rows = output.into_received_rows();
-        let work: Vec<(A::State, Vec<Option<BitVec>>)> = states.into_iter().zip(rows).collect();
-        states = map_nodes(parallel, work, |u, (mut state, row)| {
-            let inbox: Vec<BitVec> = row
-                .into_iter()
-                .enumerate()
-                .map(|(s, m)| {
-                    if s == u {
-                        inst.message(u, u).clone()
-                    } else {
-                        m.unwrap_or_else(|| BitVec::zeros(b))
-                    }
-                })
-                .collect();
-            algo.receive(r, u, &mut state, &inbox);
-            state
-        });
+        let work: Vec<_> = states.into_iter().zip(rows).enumerate().collect();
+        states = work
+            .into_par_iter()
+            .map(|(u, (mut state, row))| {
+                let inbox: Vec<BitVec> = row
+                    .into_iter()
+                    .enumerate()
+                    .map(|(s, m)| {
+                        if s == u {
+                            inst.message(u, u).clone()
+                        } else {
+                            m.unwrap_or_else(|| BitVec::zeros(b))
+                        }
+                    })
+                    .collect();
+                algo.receive(r, u, &mut state, &inbox);
+                state
+            })
+            .collect();
     }
     Ok(CompiledRun {
         outputs: (0..n).map(|u| algo.output(u, &states[u])).collect(),
@@ -152,46 +150,9 @@ where
     })
 }
 
-/// Runs `algo` on `net` by simulating each of its rounds with `protocol`
-/// (Definition 1's reduction), fanning the node-local send/receive work out
-/// across threads. Bit-identical to [`compile_serial`]. The fault-free
-/// behaviour is recovered exactly whenever the protocol delivers all
-/// messages correctly.
-///
-/// # Errors
-///
-/// Propagates the protocol's [`CoreError`]s.
-pub fn compile<A>(
-    net: &mut Network,
-    algo: &A,
-    protocol: &dyn AllToAllProtocol,
-) -> Result<CompiledRun, CoreError>
-where
-    A: CliqueAlgorithm + Sync,
-    A::State: Send + Sync,
-{
-    compile_impl(net, algo, protocol, true)
-}
-
-/// Serial reference implementation of [`compile`]: same per-node work, one
-/// thread. Kept public as the determinism oracle.
-///
-/// # Errors
-///
-/// Propagates the protocol's [`CoreError`]s.
-pub fn compile_serial<A>(
-    net: &mut Network,
-    algo: &A,
-    protocol: &dyn AllToAllProtocol,
-) -> Result<CompiledRun, CoreError>
-where
-    A: CliqueAlgorithm + Sync,
-    A::State: Send + Sync,
-{
-    compile_impl(net, algo, protocol, false)
-}
-
-fn run_fault_free_impl<A>(algo: &A, n: usize, parallel: bool) -> Vec<BitVec>
+/// Runs `algo` with no adversary and no simulation (the ground truth), with
+/// the per-node phases parallelized.
+pub fn run_fault_free<A>(algo: &A, n: usize) -> Vec<BitVec>
 where
     A: CliqueAlgorithm + Sync,
     A::State: Send + Sync,
@@ -200,9 +161,10 @@ where
     for r in 0..algo.round_count() {
         let all: Vec<Vec<BitVec>> = {
             let states = &states;
-            map_nodes(parallel, (0..n).collect(), |_, u: usize| {
-                (0..n).map(|v| algo.send(r, u, v, &states[u])).collect()
-            })
+            (0..n)
+                .into_par_iter()
+                .map(|u| (0..n).map(|v| algo.send(r, u, v, &states[u])).collect())
+                .collect()
         };
         // Transpose by move: inbox[u][s] = all[s][u], no clones.
         let mut senders: Vec<_> = all.into_iter().map(Vec::into_iter).collect();
@@ -214,34 +176,16 @@ where
                     .collect()
             })
             .collect();
-        let work: Vec<(A::State, Vec<BitVec>)> = states.into_iter().zip(inboxes).collect();
-        states = map_nodes(parallel, work, |u, (mut state, inbox)| {
-            algo.receive(r, u, &mut state, &inbox);
-            state
-        });
+        let work: Vec<_> = states.into_iter().zip(inboxes).enumerate().collect();
+        states = work
+            .into_par_iter()
+            .map(|(u, (mut state, inbox))| {
+                algo.receive(r, u, &mut state, &inbox);
+                state
+            })
+            .collect();
     }
     (0..n).map(|u| algo.output(u, &states[u])).collect()
-}
-
-/// Runs `algo` with no adversary and no simulation (the ground truth), with
-/// the per-node phases parallelized. Bit-identical to
-/// [`run_fault_free_serial`].
-pub fn run_fault_free<A>(algo: &A, n: usize) -> Vec<BitVec>
-where
-    A: CliqueAlgorithm + Sync,
-    A::State: Send + Sync,
-{
-    run_fault_free_impl(algo, n, true)
-}
-
-/// Serial reference implementation of [`run_fault_free`] (the determinism
-/// oracle).
-pub fn run_fault_free_serial<A>(algo: &A, n: usize) -> Vec<BitVec>
-where
-    A: CliqueAlgorithm + Sync,
-    A::State: Send + Sync,
-{
-    run_fault_free_impl(algo, n, false)
 }
 
 #[cfg(test)]
@@ -258,10 +202,21 @@ mod tests {
         Network::new(n, 9, 0.07, adversary)
     }
 
-    /// The thread fan-out must be invisible: every output bit and the round
-    /// count match the serial oracle exactly, across heterogeneous
-    /// algorithms, protocols, and an active adversary — the same contract
-    /// `bdclique_bench::scenario::run` keeps with `run_serial`.
+    /// `op` on one thread: inside the scope every rayon fan-out `op` reaches
+    /// — the compiler's and the protocol's — runs on the calling thread.
+    fn on_one_thread<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(op)
+    }
+
+    /// The thread fan-out must be invisible: every output bit, the round
+    /// count and the network's stats match the same call on a one-thread
+    /// pool exactly, across heterogeneous algorithms, protocols, and an
+    /// active adversary — the same contract `bdclique_bench::scenario::run`
+    /// keeps.
     #[test]
     fn parallel_compile_is_bit_identical_to_serial() {
         let n = 16usize;
@@ -288,7 +243,7 @@ mod tests {
             ($algo:expr) => {{
                 assert_eq!(
                     run_fault_free(&$algo, n),
-                    run_fault_free_serial(&$algo, n),
+                    on_one_thread(|| run_fault_free(&$algo, n)),
                     "{}: fault-free parallel/serial divergence",
                     $algo.name()
                 );
@@ -296,16 +251,19 @@ mod tests {
                     &NaiveExchange as &dyn AllToAllProtocol,
                     &DetHypercube::default(),
                 ] {
-                    let par = compile(&mut attacked_net(n), &$algo, proto).unwrap();
-                    let ser = compile_serial(&mut attacked_net(n), &$algo, proto).unwrap();
+                    // `Network` is not `Send`: build it inside the scope.
+                    let run = || {
+                        let mut net = attacked_net(n);
+                        let compiled = compile(&mut net, &$algo, proto).unwrap();
+                        (compiled.outputs, compiled.rounds, *net.stats())
+                    };
                     assert_eq!(
-                        par.outputs,
-                        ser.outputs,
+                        run(),
+                        on_one_thread(run),
                         "{} via {}: compiled parallel/serial divergence",
                         $algo.name(),
                         proto.name()
                     );
-                    assert_eq!(par.rounds, ser.rounds);
                 }
             }};
         }

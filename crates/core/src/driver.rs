@@ -109,12 +109,9 @@ impl<'d, 'o> Driver<'d, 'o> {
         let mut last_started: Option<u64> = None;
         loop {
             let round = net.rounds() - start;
-            // A step that declares itself exchange-free (e.g. the
-            // output-assembling final step of a zero-round session) gets no
-            // round hooks: round `round` is not about to run, so observers
-            // must neither see it nor abort on it.
-            let declared_exchange_free = !session.next_step_exchanges();
-            if !declared_exchange_free && last_started != Some(round) {
+            // Once per round index: a step that ran no exchange (an empty
+            // routed wave) must not show observers the same round twice.
+            if last_started != Some(round) {
                 for obs in self.observers.iter_mut() {
                     obs.on_round_start(net, round)?;
                 }
@@ -122,14 +119,6 @@ impl<'d, 'o> Driver<'d, 'o> {
             }
             let before = *net.stats();
             let step = session.step(net)?;
-            if declared_exchange_free && net.rounds() - start > round {
-                // The declaration is load-bearing: it suppressed the round
-                // hooks, so an exchange behind it would bypass budgets and
-                // schedules silently. Fail loudly instead.
-                return Err(CoreError::invalid(
-                    "session declared an exchange-free step but ran an exchange",
-                ));
-            }
             if net.rounds() - start > round {
                 let delta = RoundDelta {
                     round,
@@ -321,92 +310,6 @@ mod tests {
             .unwrap();
         assert_eq!(inst.count_errors(&out), 0);
         assert_eq!(net.rounds(), 3);
-    }
-
-    /// A session whose completing step performs no `exchange` (permitted by
-    /// the `ProtocolSession` contract, and declared via
-    /// `next_step_exchanges`) triggers no phantom round hooks: a budget
-    /// equal to its true round cost completes, and observers see exactly
-    /// the rounds that ran.
-    #[test]
-    fn exchange_free_final_step_sees_no_phantom_round() {
-        use crate::protocols::{ProtocolSession, Step};
-
-        /// `exchanges` real rounds, then one exchange-free assembly step.
-        struct TrailingAssembly {
-            n: usize,
-            remaining: usize,
-        }
-        impl ProtocolSession for TrailingAssembly {
-            fn step(&mut self, net: &mut Network) -> Result<Step, CoreError> {
-                if self.remaining == 0 {
-                    return Ok(Step::Done(AllToAllOutput::empty(self.n)));
-                }
-                self.remaining -= 1;
-                let mut t = net.traffic();
-                t.send(0, 1, bdclique_bits::BitVec::from_bools(&[true]));
-                net.exchange(t);
-                Ok(Step::Running)
-            }
-
-            fn next_step_exchanges(&self) -> bool {
-                self.remaining > 0
-            }
-        }
-
-        for exchanges in [0usize, 2] {
-            let mut net = Network::new(4, 4, 0.0, Adversary::none());
-            let mut session = TrailingAssembly {
-                n: 4,
-                remaining: exchanges,
-            };
-            let mut budget = RoundBudget::new(exchanges as u64);
-            let mut trace = RoundTrace::new();
-            let mut observers: [&mut dyn RoundObserver; 2] = [&mut budget, &mut trace];
-            Driver::with_observers(&mut observers)
-                .run_session(&mut session, &mut net)
-                .unwrap_or_else(|e| panic!("budget {exchanges} must cover the run: {e}"));
-            assert_eq!(net.rounds(), exchanges as u64);
-            assert_eq!(trace.frames.len(), exchanges, "no phantom rounds traced");
-        }
-
-        // One short is still one short: the budget guard keeps its teeth.
-        let mut net = Network::new(4, 4, 0.0, Adversary::none());
-        let mut session = TrailingAssembly { n: 4, remaining: 2 };
-        let mut budget = RoundBudget::new(1);
-        let mut observers: [&mut dyn RoundObserver; 1] = [&mut budget];
-        let err = Driver::with_observers(&mut observers)
-            .run_session(&mut session, &mut net)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Aborted { .. }));
-        assert_eq!(net.rounds(), 1);
-    }
-
-    /// A session that *lies* — declares an exchange-free step, then
-    /// exchanges anyway — is rejected loudly instead of silently slipping
-    /// its round past budgets and schedules.
-    #[test]
-    fn mis_declared_exchange_free_step_is_an_error() {
-        use crate::protocols::{ProtocolSession, Step};
-
-        struct Liar;
-        impl ProtocolSession for Liar {
-            fn step(&mut self, net: &mut Network) -> Result<Step, CoreError> {
-                let t = net.traffic();
-                net.exchange(t);
-                Ok(Step::Done(AllToAllOutput::empty(4)))
-            }
-
-            fn next_step_exchanges(&self) -> bool {
-                false
-            }
-        }
-
-        let mut net = Network::new(4, 4, 0.0, Adversary::none());
-        let err = Driver::with_observers(&mut [])
-            .run_session(&mut Liar, &mut net)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
     }
 
     /// On a reused network, budgets and schedules are relative to the

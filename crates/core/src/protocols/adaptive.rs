@@ -561,12 +561,12 @@ impl<'a> Take1Session<'a> {
             0 => Take1Phase::Scatter(ScatterSession::restore(net, &plan, chunks, dec)?),
             1 => Take1Phase::BroadcastR3 {
                 symbols: restore_symbols(n, chunks, dec)?,
-                bcast: BroadcastSession::restore(net, &proto.router, dec)?,
+                bcast: BroadcastSession::restore(net, dec)?,
             },
             2 => Take1Phase::Fetch {
                 r3_received: restore_bits_table(n, dec)?,
                 wanted: restore_wanted(n, dec)?,
-                route: RouteSession::restore(net, &proto.router, None, dec)?,
+                route: RouteSession::restore(net, None, dec)?,
             },
             _ => return Err(CoreError::invalid("unknown take1 phase tag")),
         };
@@ -657,7 +657,7 @@ impl ProtocolSession for Take1Session<'_> {
                     }
                 }
                 let instance = fetch_instance(n, plan, symbols, &wanted);
-                let route = RouteSession::new(net, instance, &self.proto.router)?;
+                let route = RouteSession::new(net, instance, &self.proto.router, None)?;
                 self.phase = Take1Phase::Fetch {
                     r3_received,
                     wanted,
@@ -1006,7 +1006,7 @@ impl<'a> Take2Session<'a> {
                 Take2Phase::BroadcastR1 {
                     received,
                     r2_bits: dec.get_bits().map_err(CoreError::from)?,
-                    bcast: BroadcastSession::restore(net, &proto.router, dec)?,
+                    bcast: BroadcastSession::restore(net, dec)?,
                 }
             }
             2 => {
@@ -1017,7 +1017,7 @@ impl<'a> Take2Session<'a> {
                 Take2Phase::BroadcastR2 {
                     received,
                     r1_first: dec.get_bits().map_err(CoreError::from)?,
-                    bcast: BroadcastSession::restore(net, &proto.router, dec)?,
+                    bcast: BroadcastSession::restore(net, dec)?,
                 }
             }
             3 => {
@@ -1029,7 +1029,7 @@ impl<'a> Take2Session<'a> {
                     received,
                     r2_received: restore_bits_table(n, dec)?,
                     parts: restore_parts(n, proto.p_size, dec)?,
-                    route: RouteSession::restore(net, &proto.router, None, dec)?,
+                    route: RouteSession::restore(net, None, dec)?,
                 }
             }
             4 => {
@@ -1049,7 +1049,7 @@ impl<'a> Take2Session<'a> {
                 Take2Phase::BroadcastR3 {
                     common,
                     symbols: restore_symbols(n, chunks, dec)?,
-                    bcast: BroadcastSession::restore(net, &proto.router, dec)?,
+                    bcast: BroadcastSession::restore(net, dec)?,
                     plan,
                 }
             }
@@ -1058,11 +1058,11 @@ impl<'a> Take2Session<'a> {
                 plan: plan_for()?,
                 r3_received: restore_bits_table(n, dec)?,
                 wanted: restore_wanted(n, dec)?,
-                route: RouteSession::restore(net, &proto.router, None, dec)?,
+                route: RouteSession::restore(net, None, dec)?,
             },
             7 => Take2Phase::Pull {
                 common: Take2Common::restore(n, proto.p_size, dec)?,
-                route: RouteSession::restore(net, &proto.router, None, dec)?,
+                route: RouteSession::restore(net, None, dec)?,
             },
             _ => return Err(CoreError::invalid("unknown take2 phase tag")),
         };
@@ -1273,7 +1273,7 @@ impl ProtocolSession for Take2Session<'_> {
                         })
                         .collect(),
                 };
-                let route = RouteSession::new(net, wave_a, &self.proto.router)?;
+                let route = RouteSession::new(net, wave_a, &self.proto.router, None)?;
                 self.phase = Take2Phase::WaveA {
                     received,
                     r2_received,
@@ -1345,7 +1345,7 @@ impl ProtocolSession for Take2Session<'_> {
                             })
                             .collect(),
                     };
-                    let route = RouteSession::new(net, pull, &self.proto.router)?;
+                    let route = RouteSession::new(net, pull, &self.proto.router, None)?;
                     self.phase = Take2Phase::Pull { common, route };
                 }
                 Ok(Step::Running)
@@ -1412,7 +1412,7 @@ impl ProtocolSession for Take2Session<'_> {
                     }
                 }
                 let instance = fetch_instance(n, &plan, &symbols, &wanted);
-                let route = RouteSession::new(net, instance, &self.proto.router)?;
+                let route = RouteSession::new(net, instance, &self.proto.router, None)?;
                 self.phase = Take2Phase::Fetch {
                     common,
                     plan,

@@ -278,10 +278,7 @@ impl<'a> HypercubeSession<'a> {
                 })
                 .collect(),
         };
-        match cache {
-            Some(c) => RouteSession::new_cached(net, instance, router, c.clone()),
-            None => RouteSession::new(net, instance, router),
-        }
+        RouteSession::new(net, instance, router, cache.cloned())
     }
 
     /// Rebuilds a session from a snapshot. The routed engine carries its
@@ -314,12 +311,7 @@ impl<'a> HypercubeSession<'a> {
             state.push(row);
         }
         let engine = match dec.get_u8().map_err(CoreError::from)? {
-            0 => HcEngine::Routed(RouteSession::restore(
-                net,
-                &proto.router,
-                proto.shared_cache.clone(),
-                dec,
-            )?),
+            0 => HcEngine::Routed(RouteSession::restore(net, proto.shared_cache.clone(), dec)?),
             1 => {
                 let mut engine = Self::direct_engine(&state, net.bandwidth(), ell, i);
                 let HcEngine::Direct {

@@ -66,7 +66,7 @@ struct SqrtSession<'a> {
     n: usize,
     s: usize,
     b: usize,
-    /// One codeword cache spans both waves ([`RouteSession::new_cached`]):
+    /// One codeword cache spans both waves ([`RouteSession::new`]):
     /// chunks that recur — the shared all-zero padding chunk, repeated
     /// payload content across wave boundaries — encode once per session.
     cache: SharedCodewordCache,
@@ -118,11 +118,11 @@ impl<'a> SqrtSession<'a> {
             n,
             s,
             b,
-            phase: SqrtPhase::Wave1(RouteSession::new_cached(
+            phase: SqrtPhase::Wave1(RouteSession::new(
                 net,
                 wave1,
                 &proto.router,
-                cache.clone(),
+                Some(cache.clone()),
             )?),
             cache,
         })
@@ -153,7 +153,7 @@ impl<'a> SqrtSession<'a> {
             .clone()
             .unwrap_or_else(|| shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS));
         let tag = dec.get_u8().map_err(CoreError::from)?;
-        let route = RouteSession::restore(net, &proto.router, Some(cache.clone()), dec)?;
+        let route = RouteSession::restore(net, Some(cache.clone()), dec)?;
         let phase = match tag {
             0 => SqrtPhase::Wave1(route),
             1 => SqrtPhase::Wave2(route),
@@ -229,11 +229,11 @@ impl ProtocolSession for SqrtSession<'_> {
                         })
                         .collect(),
                 };
-                self.phase = SqrtPhase::Wave2(RouteSession::new_cached(
+                self.phase = SqrtPhase::Wave2(RouteSession::new(
                     net,
                     wave2,
                     self.router,
-                    self.cache.clone(),
+                    Some(self.cache.clone()),
                 )?);
                 Ok(Step::Running)
             }

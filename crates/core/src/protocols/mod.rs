@@ -65,20 +65,6 @@ pub trait ProtocolSession {
     /// former monolithic loops surfaced them.
     fn step(&mut self, net: &mut Network) -> Result<Step, CoreError>;
 
-    /// Whether the next [`ProtocolSession::step`] may run a network
-    /// `exchange`. The [`crate::driver::Driver`] suppresses its round hooks
-    /// before a step that declares it will not — so an exchange-free
-    /// output-assembling final step neither shows observers a phantom round
-    /// nor trips a round budget set to the session's exact round cost.
-    ///
-    /// Defaults to `true` (every step is assumed to exchange), which is
-    /// correct for any session whose completing step also runs its last
-    /// exchange — all the shipped protocols. Override it only for sessions
-    /// with exchange-free steps, e.g. a zero-round degenerate instance.
-    fn next_step_exchanges(&self) -> bool {
-        true
-    }
-
     /// Appends the session's dynamic state to `enc` so the run can later be
     /// resumed via [`AllToAllProtocol::restore_session`].
     ///
@@ -254,42 +240,4 @@ pub fn restore_run<'a>(
     let session = protocol.restore_session(&net, inst, &mut session_dec)?;
     session_dec.finish()?;
     Ok((net, session))
-}
-
-/// Outcome of running a protocol against an instance on a network.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Protocol name (possibly carrying its parameterization).
-    pub protocol: Cow<'static, str>,
-    /// Wrong or missing messages out of `n²`.
-    pub errors: usize,
-    /// Network rounds consumed.
-    pub rounds: u64,
-    /// Total bits put on the wire by honest nodes.
-    pub bits_sent: u64,
-    /// Corrupted (edge, round) slots the adversary used.
-    pub edges_corrupted: u64,
-}
-
-/// Runs `protocol` and scores the result against the instance.
-///
-/// # Errors
-///
-/// Propagates protocol errors.
-pub fn run_and_score(
-    protocol: &dyn AllToAllProtocol,
-    net: &mut Network,
-    inst: &AllToAllInstance,
-) -> Result<Outcome, CoreError> {
-    let rounds_before = net.rounds();
-    let bits_before = net.stats().bits_sent;
-    let corrupted_before = net.stats().edges_corrupted;
-    let output = protocol.run(net, inst)?;
-    Ok(Outcome {
-        protocol: protocol.name(),
-        errors: inst.count_errors(&output),
-        rounds: net.rounds() - rounds_before,
-        bits_sent: net.stats().bits_sent - bits_before,
-        edges_corrupted: net.stats().edges_corrupted - corrupted_before,
-    })
 }

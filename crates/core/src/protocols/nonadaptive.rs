@@ -146,7 +146,7 @@ impl<'a> NaSession<'a> {
         };
         s.phase = match dec.get_u8().map_err(CoreError::from)? {
             0 => NaPhase::Publish,
-            1 => NaPhase::Broadcast(BroadcastSession::restore(net, &proto.router, dec)?),
+            1 => NaPhase::Broadcast(BroadcastSession::restore(net, dec)?),
             2 => {
                 let received_shifts = get_shifts(dec)?;
                 let copy_group_start = dec.get_usize().map_err(CoreError::from)?;
@@ -171,7 +171,7 @@ impl<'a> NaSession<'a> {
             }
             3 => NaPhase::Route {
                 received_shifts: get_shifts(dec)?,
-                route: RouteSession::restore(net, &proto.router, None, dec)?,
+                route: RouteSession::restore(net, None, dec)?,
             },
             _ => return Err(CoreError::invalid("unknown nonadaptive phase tag")),
         };
@@ -337,7 +337,7 @@ impl ProtocolSession for NaSession<'_> {
                             })
                             .collect(),
                     };
-                    let route = RouteSession::new(net, instance, &self.proto.router)?;
+                    let route = RouteSession::new(net, instance, &self.proto.router, None)?;
                     self.phase = NaPhase::Route {
                         received_shifts: std::mem::take(received_shifts),
                         route,

@@ -24,9 +24,10 @@
 //! four pure functions of one chunk pack behind `PackEngine`: round 1 is
 //! the session's round A, the relay gather, round 2 its round B, and the
 //! decode. The loop that runs them, the chunk store, checkpoints and output
-//! assembly are `PackSession`'s, shared with [`super::unit`]; the
-//! per-pack encode, gather and decode fan out across threads exactly like
-//! the unit engine's ([`super::RouterConfig::parallel`]).
+//! assembly are [`super::RouteSession`]'s, shared with [`super::unit`]; the
+//! per-pack encode, gather and decode fan out across the rayon pool exactly
+//! like the unit engine's, and are held bit-identical to a one-thread pool
+//! scope the same way (`coverfree_parallel_matches_serial`).
 //!
 //! Frame assembly keeps no table keyed by edge: each round collects one
 //! entry per `(edge, lane)` slot it writes — in loop order, with an absent
@@ -36,15 +37,15 @@
 //! each slot a single writer, so the sort is all the bookkeeping there is.
 
 use super::{
-    absorbed_error_budget, encode_chunks, lane_symbol, map_units, payload_chunk, DecodedUnit,
-    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache,
-    SYMBOL_BITS,
+    absorbed_error_budget, encode_chunks, lane_symbol, payload_chunk, DecodedUnit, PackCodewords,
+    PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache, SYMBOL_BITS,
 };
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
 use bdclique_codes::BitCode;
 use bdclique_coverfree::{CoverFreeFamily, CoverFreeParams};
 use bdclique_netsim::{Delivery, Network, Traffic};
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// The cover-free engine's immutable routing plan.
@@ -190,7 +191,6 @@ impl CfEngine {
         &self,
         instance: &RoutingInstance,
         cache: Option<&SharedCodewordCache>,
-        parallel: bool,
         pack: &Range<usize>,
     ) -> Result<PackCodewords, CoreError> {
         let jobs: Vec<Vec<BitVec>> = instance
@@ -202,7 +202,7 @@ impl CfEngine {
                     .collect()
             })
             .collect();
-        encode_chunks(parallel, &self.shape.code, cache, jobs)
+        encode_chunks(&self.shape.code, cache, jobs)
     }
 
     /// Round 1: sources scatter codeword symbols to receiver-set members
@@ -366,7 +366,7 @@ impl PackEngine for CfEngine {
         cache: Option<&SharedCodewordCache>,
         net: &mut Network,
     ) -> Result<(PackCodewords, Traffic), CoreError> {
-        let pack_cw = self.encode_pack(ctx.instance, cache, ctx.parallel, &ctx.pack)?;
+        let pack_cw = self.encode_pack(ctx.instance, cache, &ctx.pack)?;
         let slots = self.round1_slots(ctx.instance, &pack_cw, ctx.pack.len());
         Ok((pack_cw, self.send_slots(slots, net)))
     }
@@ -387,26 +387,29 @@ impl PackEngine for CfEngine {
         let flat: Vec<(usize, usize)> = (0..ctx.pack.len())
             .flat_map(|lane| (0..num_msgs).map(move |idx| (lane, idx)))
             .collect();
-        let gathered: Vec<Vec<u16>> = map_units(ctx.parallel, flat, |(lane, idx)| {
-            let msg = &ctx.instance.messages[idx];
-            self.sets[idx]
-                .iter()
-                .enumerate()
-                .map(|(pos, &w)| {
-                    let w = w as usize;
-                    let val = if self.in_load[msg.src * n + w] != 1 {
-                        None
-                    } else if w == msg.src {
-                        Some(pack_cw[idx][lane][pos])
-                    } else {
-                        delivery
-                            .received(w, msg.src)
-                            .and_then(|f| lane_symbol(f, lane, shape.slot))
-                    };
-                    val.unwrap_or(RelayGrid::ABSENT)
-                })
-                .collect()
-        });
+        let gathered: Vec<Vec<u16>> = flat
+            .into_par_iter()
+            .map(|(lane, idx)| {
+                let msg = &ctx.instance.messages[idx];
+                self.sets[idx]
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &w)| {
+                        let w = w as usize;
+                        let val = if self.in_load[msg.src * n + w] != 1 {
+                            None
+                        } else if w == msg.src {
+                            Some(pack_cw[idx][lane][pos])
+                        } else {
+                            delivery
+                                .received(w, msg.src)
+                                .and_then(|f| lane_symbol(f, lane, shape.slot))
+                        };
+                        val.unwrap_or(RelayGrid::ABSENT)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut blocks: Vec<Vec<u16>> = Vec::with_capacity(ctx.pack.len());
         let mut it = gathered.into_iter();
         for _ in 0..ctx.pack.len() {
@@ -443,31 +446,34 @@ impl PackEngine for CfEngine {
                 }
             }
         }
-        map_units(ctx.parallel, units, |(lane, chunk, idx, v)| {
-            let msg = &ctx.instance.messages[idx];
-            let mut received = vec![0u16; shape.l];
-            let mut erasures = vec![false; shape.l];
-            for (pos, &w) in self.sets[idx].iter().enumerate() {
-                let w = w as usize;
-                if self.in_load[msg.src * n + w] != 1 || self.out_load[w * n + v] != 1 {
-                    erasures[pos] = true; // known filter erasure
-                    continue;
+        units
+            .into_par_iter()
+            .map(|(lane, chunk, idx, v)| {
+                let msg = &ctx.instance.messages[idx];
+                let mut received = vec![0u16; shape.l];
+                let mut erasures = vec![false; shape.l];
+                for (pos, &w) in self.sets[idx].iter().enumerate() {
+                    let w = w as usize;
+                    if self.in_load[msg.src * n + w] != 1 || self.out_load[w * n + v] != 1 {
+                        erasures[pos] = true; // known filter erasure
+                        continue;
+                    }
+                    let val = if w == v {
+                        relay.get(lane, idx, pos)
+                    } else {
+                        delivery
+                            .received(v, w)
+                            .and_then(|f| lane_symbol(f, lane, shape.slot))
+                    };
+                    match val {
+                        Some(sym) => received[pos] = sym,
+                        None => erasures[pos] = true,
+                    }
                 }
-                let val = if w == v {
-                    relay.get(lane, idx, pos)
-                } else {
-                    delivery
-                        .received(v, w)
-                        .and_then(|f| lane_symbol(f, lane, shape.slot))
-                };
-                match val {
-                    Some(sym) => received[pos] = sym,
-                    None => erasures[pos] = true,
-                }
-            }
-            let bits = shape.code.decode_bits(&received, &erasures, shape.cap_bits);
-            ((v, idx, chunk), bits.ok())
-        })
+                let bits = shape.code.decode_bits(&received, &erasures, shape.cap_bits);
+                ((v, idx, chunk), bits.ok())
+            })
+            .collect()
     }
 }
 
@@ -481,7 +487,6 @@ mod tests {
     fn cf_cfg() -> RouterConfig {
         RouterConfig {
             mode: RoutingMode::CoverFree,
-            ..RouterConfig::default()
         }
     }
 
@@ -640,7 +645,7 @@ mod tests {
         let mut net = Network::new(n, 18, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
         net.set_history_mode(bdclique_netsim::HistoryMode::Full);
         let engine = CfEngine::new(&net, &inst).unwrap();
-        let mut session = RouteSession::borrowed(&net, &inst, &cf_cfg()).unwrap();
+        let mut session = RouteSession::new(&net, &inst, &cf_cfg(), None).unwrap();
         assert_eq!(engine.shape.lanes, 2);
         let chunks = engine.shape.chunks;
         assert!(
@@ -649,11 +654,11 @@ mod tests {
         );
         let (mut rounds, mut absent) = ([0usize; 2], 0usize);
         let out = loop {
-            let start = session.packs.pack_start;
+            let start = session.pack_start;
             let pack = start..(start + 2).min(chunks);
-            let (which, slots) = match &session.packs.phase {
+            let (which, slots) = match &session.phase {
                 Phase::RoundA => {
-                    let cw = engine.encode_pack(&inst, None, false, &pack).unwrap();
+                    let cw = engine.encode_pack(&inst, None, &pack).unwrap();
                     (0, engine.round1_slots(&inst, &cw, pack.len()))
                 }
                 Phase::RoundB { relay } => (1, engine.round2_slots(&inst, relay, pack.len())),

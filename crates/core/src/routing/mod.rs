@@ -3,7 +3,7 @@
 //! An instance consists of super-messages, each identified by `(src, slot)`
 //! with a payload of at most `payload_bits` bits and a target list known to
 //! all nodes. Both routers are the same two-round scatter/gather, run pack
-//! by pack by one `PackSession`: encode a pack's codewords and scatter them
+//! by pack by one [`RouteSession`]: encode a pack's codewords and scatter them
 //! (round A), let the relays note what arrived, forward to the targets
 //! (round B), erasure-decode. Two engines plan that loop differently:
 //!
@@ -29,9 +29,15 @@
 //!
 //! The mobile adversary acts once per round, so exchanges are strictly
 //! serial whatever the host does between them; the only host parallelism is
-//! the rayon fan-out *inside* a pack ([`RouterConfig::parallel`]). An
-//! executor that overlapped packs across rounds was built, measured slower
-//! on every shape tried, and removed — see CHANGES.md (PR 13) for the numbers.
+//! the rayon fan-out *inside* a pack — its encode, relay gather, forward
+//! plan and decode are `into_par_iter().map(..).collect()` over independent
+//! work units, folded in unit order. There is no serial twin of any entry
+//! point: how many threads a fan-out uses is a property of the rayon pool
+//! scope the caller runs in, so the bit-identity oracle is [`route`] itself
+//! inside a one-thread `rayon::ThreadPool::install`
+//! (`tests/stage_parallel.rs`). An executor that overlapped packs across
+//! rounds was built, measured slower on every shape tried, and removed —
+//! see CHANGES.md (PR 13) for the numbers.
 
 pub mod coverfree;
 pub mod unit;
@@ -41,6 +47,7 @@ use bdclique_bits::BitVec;
 use bdclique_codes::{BitCode, ReedSolomon, SymbolCode};
 use bdclique_netsim::{Delivery, Network, Traffic};
 use bdclique_snapshot::{Dec, Enc, SnapError};
+use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -175,6 +182,18 @@ impl RoutingInstance {
     }
 }
 
+impl From<RoutingInstance> for Cow<'_, RoutingInstance> {
+    fn from(instance: RoutingInstance) -> Self {
+        Cow::Owned(instance)
+    }
+}
+
+impl<'i> From<&'i RoutingInstance> for Cow<'i, RoutingInstance> {
+    fn from(instance: &'i RoutingInstance) -> Self {
+        Cow::Borrowed(instance)
+    }
+}
+
 /// Which engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
@@ -187,25 +206,11 @@ pub enum RoutingMode {
     CoverFree,
 }
 
-/// Router tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
+/// Router configuration.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RouterConfig {
     /// Engine selection.
     pub mode: RoutingMode,
-    /// Fan the per-pack encode (round-A frame assembly) and decode (round-B
-    /// erasure decoding) out across the rayon thread pool. Bit-identical to
-    /// the serial path (`false` — the oracle behind [`route_serial`]);
-    /// network rounds themselves stay strictly sequential either way.
-    pub parallel: bool,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            mode: RoutingMode::Auto,
-            parallel: true,
-        }
-    }
 }
 
 /// Bits per Reed–Solomon symbol (field GF(2^8)); the wire slot is one bit
@@ -250,135 +255,6 @@ pub struct RoutingOutput {
     pub delivered: Vec<BTreeMap<(usize, usize), BitVec>>,
     /// Execution report.
     pub report: RoutingReport,
-}
-
-/// A routing call in flight: one [`RouteSession::step`] advances exactly one
-/// network `exchange`, so callers (protocol sessions, the driver) can observe
-/// or intervene between rounds. Engine selection and feasibility validation
-/// happen at construction, before any round runs — exactly as [`route`]
-/// behaved, which is now a thin loop over this type. Codewords are encoded
-/// lazily, per pack, optionally through a shared [`CodewordCache`]
-/// ([`RouteSession::new_cached`]).
-pub struct RouteSession<'i> {
-    packs: PackSession<'i>,
-}
-
-impl RouteSession<'static> {
-    /// Validates the instance and constructs the configured engine's
-    /// session. Takes the instance by value — protocol sessions hand over
-    /// the waves they build, clone-free.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidInput`] for malformed instances and
-    /// [`CoreError::Infeasible`] when no engine's decode margin validates
-    /// for the network's α. No rounds run on the error path.
-    pub fn new(
-        net: &Network,
-        instance: RoutingInstance,
-        cfg: &RouterConfig,
-    ) -> Result<Self, CoreError> {
-        Self::with_instance(net, Cow::Owned(instance), cfg, None)
-    }
-
-    /// [`RouteSession::new`] with a shared [`CodewordCache`]: chunks whose
-    /// codewords are already resident (from an earlier pack or an earlier
-    /// session on the same cache — e.g. a previous protocol wave) skip
-    /// re-encoding; misses fall back to the lazy per-pack encode path and
-    /// populate the cache. Wire behavior and outputs are bit-identical to
-    /// the uncached session.
-    ///
-    /// # Errors
-    ///
-    /// As [`RouteSession::new`].
-    pub fn new_cached(
-        net: &Network,
-        instance: RoutingInstance,
-        cfg: &RouterConfig,
-        cache: SharedCodewordCache,
-    ) -> Result<Self, CoreError> {
-        Self::with_instance(net, Cow::Owned(instance), cfg, Some(cache))
-    }
-}
-
-impl<'i> RouteSession<'i> {
-    /// [`RouteSession::new`] over a borrowed instance — the zero-copy path
-    /// behind [`route`] for callers that keep ownership.
-    ///
-    /// # Errors
-    ///
-    /// As [`RouteSession::new`].
-    pub fn borrowed(
-        net: &Network,
-        instance: &'i RoutingInstance,
-        cfg: &RouterConfig,
-    ) -> Result<Self, CoreError> {
-        Self::with_instance(net, Cow::Borrowed(instance), cfg, None)
-    }
-
-    fn with_instance(
-        net: &Network,
-        instance: Cow<'i, RoutingInstance>,
-        cfg: &RouterConfig,
-        cache: Option<SharedCodewordCache>,
-    ) -> Result<Self, CoreError> {
-        let (used, engine) = plan(net, &instance, cfg.mode)?;
-        Ok(Self {
-            packs: PackSession::new(net, instance, cfg, cache, used, engine),
-        })
-    }
-
-    /// Advances at most one `exchange`; returns `Some(output)` once the
-    /// final round of the instance has run. Stepping a completed session is
-    /// an error, not an empty result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors ([`CoreError`]).
-    pub fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
-        self.packs.step(net)
-    }
-
-    /// Serializes the session's dynamic state: engine discriminant, the
-    /// instance, the cursor into the work list, relay holdings, and decoded
-    /// chunks. A session is always exactly between two steps, so there is
-    /// nothing to settle first.
-    pub(crate) fn snapshot(&self, enc: &mut Enc) {
-        enc.put_u8(match self.packs.used {
-            EngineUsed::Unit => 0,
-            EngineUsed::CoverFree => 1,
-        });
-        self.packs.instance.snapshot(enc);
-        self.packs.snapshot_state(enc);
-    }
-
-    /// Reopens a session from state written by [`RouteSession::snapshot`].
-    /// The engine recorded in the snapshot is rebuilt directly (no Auto
-    /// re-probe, so a borderline margin cannot flip engines across a
-    /// restore), its derived plan re-computed from `cfg` and the decoded
-    /// instance, and the dynamic state overlaid.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] on corrupt state or when the network's parameters no
-    /// longer match the snapshotted session's (e.g. a mid-run α change).
-    pub(crate) fn restore(
-        net: &Network,
-        cfg: &RouterConfig,
-        cache: Option<SharedCodewordCache>,
-        dec: &mut Dec<'_>,
-    ) -> Result<RouteSession<'static>, CoreError> {
-        let mode = match dec.get_u8()? {
-            0 => RoutingMode::Unit,
-            1 => RoutingMode::CoverFree,
-            t => return Err(CoreError::invalid(format!("snapshot: engine tag {t}"))),
-        };
-        let instance = RoutingInstance::restore(dec)?;
-        let (used, engine) = plan(net, &instance, mode)?;
-        let mut packs = PackSession::new(net, Cow::Owned(instance), cfg, cache, used, engine);
-        packs.restore(net, dec)?;
-        Ok(RouteSession { packs })
-    }
 }
 
 /// Validates `instance` against the network and plans it with the engine
@@ -445,30 +321,12 @@ pub fn route(
     instance: &RoutingInstance,
     cfg: &RouterConfig,
 ) -> Result<RoutingOutput, CoreError> {
-    let mut session = RouteSession::borrowed(net, instance, cfg)?;
+    let mut session = RouteSession::new(net, instance, cfg, None)?;
     loop {
         if let Some(out) = session.step(net)? {
             return Ok(out);
         }
     }
-}
-
-/// [`route`] on one thread: the bit-identity oracle for the stage-parallel
-/// engines (same pattern as `compile` vs `compile_serial`).
-///
-/// # Errors
-///
-/// As [`route`].
-pub fn route_serial(
-    net: &mut Network,
-    instance: &RoutingInstance,
-    cfg: &RouterConfig,
-) -> Result<RoutingOutput, CoreError> {
-    let cfg = RouterConfig {
-        parallel: false,
-        ..cfg.clone()
-    };
-    route(net, instance, &cfg)
 }
 
 /// Code and wire geometry of a planned instance, derived the same way by
@@ -525,13 +383,11 @@ impl PackShape {
     }
 }
 
-/// What an engine call sees of the session: the instance, the current pack
-/// — a range into the engine's work list, at most `lanes` long — and the
-/// rayon fan-out switch ([`RouterConfig::parallel`]).
+/// What an engine call sees of the session: the instance and the current
+/// pack — a range into the engine's work list, at most `lanes` long.
 pub(crate) struct PackCtx<'a> {
     pub(crate) instance: &'a RoutingInstance,
     pub(crate) pack: Range<usize>,
-    pub(crate) parallel: bool,
 }
 
 /// A pack's codeword symbols, indexed as the engine that encoded them
@@ -543,7 +399,7 @@ pub(crate) type PackCodewords = Vec<Vec<Vec<u16>>>;
 pub(crate) type DecodedUnit = ((usize, usize, usize), Option<BitVec>);
 
 /// A routing engine reduced to what differs between the two: its plan and
-/// the four pure functions of one pack. [`PackSession`] drives them and
+/// the four pure functions of one pack. [`RouteSession`] drives them and
 /// never asks which engine it is serving.
 pub(crate) trait PackEngine {
     fn shape(&self) -> &PackShape;
@@ -600,19 +456,23 @@ enum Phase {
     RoundB { relay: RelayGrid },
 }
 
-/// The two-round scatter/gather loop both engines share, as a resumable
-/// session: every [`PackSession::step`] executes exactly one `exchange`
-/// (round A or round B of the current pack); the step that completes the
-/// final pack also assembles the output. Within a step the engine fans the
-/// pack's encode, gather and decode out across threads; results are always
-/// folded in deterministic work-unit order, so the parallel path is
-/// bit-identical to [`route_serial`].
-pub(crate) struct PackSession<'i> {
+/// A routing call in flight — the two-round scatter/gather loop both
+/// engines share, as a resumable session: every [`RouteSession::step`]
+/// executes exactly one `exchange` (round A or round B of the current pack),
+/// so callers (protocol sessions, the driver) can observe or intervene
+/// between rounds; the step that completes the final pack also assembles the
+/// output. Engine selection and feasibility validation happen at
+/// construction, before any round runs; [`route`] is a thin loop over this
+/// type. Within a step the engine fans the pack's encode, gather and decode
+/// out across the rayon pool; results are always folded in deterministic
+/// work-unit order, so the output does not depend on the pool's size.
+/// Codewords are encoded lazily, per pack, optionally through a shared
+/// [`CodewordCache`].
+pub struct RouteSession<'i> {
     instance: Cow<'i, RoutingInstance>,
     used: EngineUsed,
     /// `None` for a zero-message instance (see [`plan`]).
     engine: Option<Box<dyn PackEngine>>,
-    parallel: bool,
     cache: Option<SharedCodewordCache>,
     /// Adversarial symbols per codeword the chosen code absorbs
     /// (`2·⌊αn⌋ + slack` at construction; `usize::MAX` when nothing is
@@ -633,12 +493,35 @@ pub(crate) struct PackSession<'i> {
     finished: bool,
 }
 
-impl<'i> PackSession<'i> {
-    /// No rounds run until the first [`PackSession::step`].
-    fn new(
+impl<'i> RouteSession<'i> {
+    /// Validates the instance and plans it with the configured engine. The
+    /// instance comes owned (protocol sessions hand over the waves they
+    /// build, clone-free) or borrowed ([`route`]'s zero-copy path). With a
+    /// `cache`, chunks whose codewords are already resident — from an
+    /// earlier pack or an earlier session on the same cache, e.g. a
+    /// previous protocol wave — skip re-encoding and misses populate it;
+    /// wire behavior and outputs are bit-identical to the uncached session.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidInput`] for malformed instances and
+    /// [`CoreError::Infeasible`] when no engine's decode margin validates
+    /// for the network's α. No rounds run on the error path.
+    pub fn new(
+        net: &Network,
+        instance: impl Into<Cow<'i, RoutingInstance>>,
+        cfg: &RouterConfig,
+        cache: Option<SharedCodewordCache>,
+    ) -> Result<Self, CoreError> {
+        let instance = instance.into();
+        let (used, engine) = plan(net, &instance, cfg.mode)?;
+        Ok(Self::planned(net, instance, cache, used, engine))
+    }
+
+    /// The session at its first step, over an already planned engine.
+    fn planned(
         net: &Network,
         instance: Cow<'i, RoutingInstance>,
-        cfg: &RouterConfig,
         cache: Option<SharedCodewordCache>,
         used: EngineUsed,
         engine: Option<Box<dyn PackEngine>>,
@@ -658,7 +541,6 @@ impl<'i> PackSession<'i> {
             instance,
             used,
             engine,
-            parallel: cfg.parallel,
             cache,
             e_allow,
             pack_start: 0,
@@ -672,7 +554,7 @@ impl<'i> PackSession<'i> {
     }
 
     /// The engine, if it has work left at `pack_start`, and the pack there.
-    /// Takes the fields rather than `&self` so [`PackSession::step`] can
+    /// Takes the fields rather than `&self` so [`RouteSession::step`] can
     /// keep the engine borrowed while it moves the cursor.
     fn pack_at(
         engine: Option<&dyn PackEngine>,
@@ -683,8 +565,14 @@ impl<'i> PackSession<'i> {
         (pack_start < end).then_some((engine, pack_start..end))
     }
 
-    /// Advances one exchange; `Some(output)` when the final pack is done.
-    fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
+    /// Advances at most one `exchange`; returns `Some(output)` once the
+    /// final round of the instance has run. Stepping a completed session is
+    /// an error, not an empty result.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors ([`CoreError`]).
+    pub fn step(&mut self, net: &mut Network) -> Result<Option<RoutingOutput>, CoreError> {
         if self.finished {
             return Err(CoreError::invalid(
                 "routing session stepped after completion",
@@ -697,7 +585,6 @@ impl<'i> PackSession<'i> {
         let ctx = PackCtx {
             instance: &self.instance,
             pack,
-            parallel: self.parallel,
         };
         match std::mem::replace(&mut self.phase, Phase::RoundA) {
             Phase::RoundA => {
@@ -762,8 +649,17 @@ impl<'i> PackSession<'i> {
         }
     }
 
-    /// Serializes everything [`PackSession::new`] cannot re-derive.
-    fn snapshot_state(&self, enc: &mut Enc) {
+    /// Serializes the session's dynamic state: engine discriminant, the
+    /// instance, and everything [`RouteSession::new`] cannot re-derive —
+    /// the cursor into the work list, relay holdings, and decoded chunks. A
+    /// session is always exactly between two steps, so there is nothing to
+    /// settle first.
+    pub(crate) fn snapshot(&self, enc: &mut Enc) {
+        enc.put_u8(match self.used {
+            EngineUsed::Unit => 0,
+            EngineUsed::CoverFree => 1,
+        });
+        self.instance.snapshot(enc);
         enc.put_usize(self.e_allow);
         enc.put_usize(self.pack_start);
         match &self.phase {
@@ -785,14 +681,40 @@ impl<'i> PackSession<'i> {
         enc.put_bool(self.finished);
     }
 
-    /// Overlays the dynamic state written by
-    /// [`PackSession::snapshot_state`] onto a freshly planned session (same
-    /// plan, schedule, family and code — all deterministic functions of the
-    /// instance and config). Every index a later [`PackSession::step`] or
-    /// `finish` follows is checked here against the rebuilt plan, so a
-    /// structurally valid but inconsistent snapshot is an error now rather
-    /// than a panic later.
-    fn restore(&mut self, net: &Network, dec: &mut Dec<'_>) -> Result<(), CoreError> {
+    /// Reopens a session from state written by [`RouteSession::snapshot`].
+    /// The engine recorded in the snapshot is rebuilt directly (no Auto
+    /// re-probe, so a borderline margin cannot flip engines across a
+    /// restore), its derived plan re-computed from the decoded instance,
+    /// and the dynamic state overlaid.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError`] on corrupt state or when the network's parameters no
+    /// longer match the snapshotted session's (e.g. a mid-run α change).
+    pub(crate) fn restore(
+        net: &Network,
+        cache: Option<SharedCodewordCache>,
+        dec: &mut Dec<'_>,
+    ) -> Result<RouteSession<'static>, CoreError> {
+        let mode = match dec.get_u8()? {
+            0 => RoutingMode::Unit,
+            1 => RoutingMode::CoverFree,
+            t => return Err(CoreError::invalid(format!("snapshot: engine tag {t}"))),
+        };
+        let instance = RoutingInstance::restore(dec)?;
+        let (used, engine) = plan(net, &instance, mode)?;
+        let mut session = RouteSession::planned(net, Cow::Owned(instance), cache, used, engine);
+        session.overlay_state(net, dec)?;
+        Ok(session)
+    }
+
+    /// Overlays the dynamic state [`RouteSession::snapshot`] wrote after the
+    /// instance onto a freshly planned session (same plan, schedule, family
+    /// and code — all deterministic functions of the instance and engine).
+    /// Every index a later [`RouteSession::step`] or `finish` follows is
+    /// checked here against the rebuilt plan, so a structurally valid but
+    /// inconsistent snapshot is an error now rather than a panic later.
+    fn overlay_state(&mut self, net: &Network, dec: &mut Dec<'_>) -> Result<(), CoreError> {
         let bad = |what: &str| CoreError::invalid(format!("snapshot: {what}"));
         let e_allow = dec.get_usize()?;
         if e_allow != self.e_allow {
@@ -861,24 +783,6 @@ impl<'i> PackSession<'i> {
     }
 }
 
-/// Maps `f` over work units, fanned out across the rayon pool or on one
-/// thread, always collecting in input order — the single switch point
-/// between the engines' parallel paths and their serial oracles, so the two
-/// cannot drift apart (the `compile` / `compile_serial` pattern).
-pub(crate) fn map_units<T, U, F>(parallel: bool, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Send + Sync,
-{
-    use rayon::prelude::*;
-    if parallel {
-        items.into_par_iter().map(f).collect()
-    } else {
-        items.into_iter().map(f).collect()
-    }
-}
-
 /// Reads lane `lane`'s symbol out of a wire frame, `None` when the frame is
 /// too short or its validity bit is clear. Shared wire format of both
 /// engines: `lanes` slots of `slot = SYMBOL_BITS + 1` bits, validity first.
@@ -939,8 +843,8 @@ pub struct CodewordCache {
 }
 
 /// A [`CodewordCache`] behind `Arc<Mutex<_>>`, the handle
-/// [`RouteSession::new_cached`] accepts so several sessions (protocol
-/// waves) can share one cache. Engines take the lock in two short batch
+/// [`RouteSession::new`] accepts so several sessions (protocol waves) can
+/// share one cache. Engines take the lock in two short batch
 /// sections per pack (probe all, insert all), never inside the parallel
 /// encode fan-out.
 pub type SharedCodewordCache = Arc<Mutex<CodewordCache>>;
@@ -1050,13 +954,12 @@ pub(crate) fn payload_chunk(payload: &BitVec, chunk: usize, cap: usize) -> BitVe
 }
 
 /// Encodes `jobs` (outer: work unit, inner: that unit's chunks) into
-/// codewords, fanning the units out via [`map_units`]. With a cache, all
+/// codewords, fanning the units out across the rayon pool. With a cache, all
 /// chunks are probed under one lock acquisition first, only misses are
 /// encoded, and fresh codewords are inserted under a second lock — the
 /// parallel section never touches the mutex. Encoding is deterministic, so
-/// the result is bit-identical with or without the cache, parallel or not.
+/// the result is bit-identical with or without the cache, on any pool size.
 pub(crate) fn encode_chunks(
-    parallel: bool,
     code: &ReedSolomon,
     cache: Option<&SharedCodewordCache>,
     jobs: Vec<Vec<BitVec>>,
@@ -1066,8 +969,10 @@ pub(crate) fn encode_chunks(
             .map_err(|e| CoreError::invalid(format!("encode: {e}")))
     };
     let Some(cache) = cache else {
-        let encoded: Vec<Result<Vec<Vec<u16>>, CoreError>> =
-            map_units(parallel, jobs, |unit| unit.iter().map(encode).collect());
+        let encoded: Vec<Result<Vec<Vec<u16>>, CoreError>> = jobs
+            .into_par_iter()
+            .map(|unit| unit.iter().map(encode).collect())
+            .collect();
         return encoded.into_iter().collect();
     };
 
@@ -1088,21 +993,24 @@ pub(crate) fn encode_chunks(
 
     // Encode the misses, fanned out; collect fresh codewords per unit.
     type UnitEncoded = Result<(Vec<Vec<u16>>, Vec<(BitVec, Vec<u16>)>), CoreError>;
-    let encoded: Vec<UnitEncoded> = map_units(parallel, probed, |unit| {
-        let mut syms = Vec::with_capacity(unit.len());
-        let mut fresh = Vec::new();
-        for (bits, hit) in unit {
-            match hit {
-                Some(cw) => syms.push(cw),
-                None => {
-                    let cw = encode(&bits)?;
-                    fresh.push((bits, cw.clone()));
-                    syms.push(cw);
+    let encoded: Vec<UnitEncoded> = probed
+        .into_par_iter()
+        .map(|unit| {
+            let mut syms = Vec::with_capacity(unit.len());
+            let mut fresh = Vec::new();
+            for (bits, hit) in unit {
+                match hit {
+                    Some(cw) => syms.push(cw),
+                    None => {
+                        let cw = encode(&bits)?;
+                        fresh.push((bits, cw.clone()));
+                        syms.push(cw);
+                    }
                 }
             }
-        }
-        Ok((syms, fresh))
-    });
+            Ok((syms, fresh))
+        })
+        .collect();
 
     let mut out = Vec::with_capacity(encoded.len());
     let mut to_insert = Vec::new();
@@ -1143,7 +1051,7 @@ impl RelayGrid {
     pub(crate) const ABSENT: u16 = u16::MAX;
 
     /// Assembles per-block flat rows (each `row_offsets.last()` long,
-    /// already sentinel-filled) produced by a [`map_units`] fan-out.
+    /// already sentinel-filled) produced by [`PackEngine::gather`]'s fan-out.
     pub(crate) fn from_blocks(blocks: Vec<Vec<u16>>, row_offsets: Vec<usize>) -> Self {
         let stride = row_offsets.last().copied().unwrap_or(0);
         let mut syms = Vec::with_capacity(blocks.len() * stride);
@@ -1360,7 +1268,6 @@ mod tests {
         };
         let cfg = RouterConfig {
             mode: RoutingMode::Unit,
-            ..RouterConfig::default()
         };
 
         let mut net_plain = Network::new(n, 9, 0.0, Adversary::none());
@@ -1370,7 +1277,7 @@ mod tests {
         let run_cached = |cache: &SharedCodewordCache| {
             let mut net = Network::new(n, 9, 0.0, Adversary::none());
             let mut session =
-                RouteSession::new_cached(&net, instance.clone(), &cfg, cache.clone()).unwrap();
+                RouteSession::new(&net, instance.clone(), &cfg, Some(cache.clone())).unwrap();
             loop {
                 if let Some(out) = session.step(&mut net).unwrap() {
                     return out;
@@ -1416,10 +1323,7 @@ mod tests {
         };
         for mode in [RoutingMode::Auto, RoutingMode::Unit, RoutingMode::CoverFree] {
             let mut net = Network::on_topology(Topology::ring(8), 9, 0.0, Adversary::none());
-            let cfg = RouterConfig {
-                mode,
-                ..RouterConfig::default()
-            };
+            let cfg = RouterConfig { mode };
             assert!(
                 matches!(
                     route(&mut net, &instance, &cfg),
@@ -1453,10 +1357,7 @@ mod tests {
         ]
         .into_iter()
         .map(|(mode, inst)| {
-            let cfg = RouterConfig {
-                mode,
-                ..RouterConfig::default()
-            };
+            let cfg = RouterConfig { mode };
             (cfg, inst)
         })
         .collect()
@@ -1474,13 +1375,9 @@ mod tests {
         enc.into_bytes()
     }
 
-    fn reopen(
-        net: &Network,
-        cfg: &RouterConfig,
-        bytes: &[u8],
-    ) -> Result<RouteSession<'static>, CoreError> {
+    fn reopen(net: &Network, bytes: &[u8]) -> Result<RouteSession<'static>, CoreError> {
         let mut dec = Dec::new(bytes);
-        let session = RouteSession::restore(net, cfg, None, &mut dec)?;
+        let session = RouteSession::restore(net, None, &mut dec)?;
         dec.finish()?;
         Ok(session)
     }
@@ -1501,13 +1398,13 @@ mod tests {
 
             for crash in 0..steps {
                 let mut net = attacked_net(inst.n);
-                let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+                let mut session = RouteSession::new(&net, &inst, &cfg, None).unwrap();
                 for _ in 0..crash {
                     assert!(session.step(&mut net).unwrap().is_none());
                 }
                 let bytes = session_bytes(&session);
                 drop(session);
-                let mut resumed = reopen(&net, &cfg, &bytes).unwrap();
+                let mut resumed = reopen(&net, &bytes).unwrap();
                 assert_eq!(session_bytes(&resumed), bytes, "{mode:?} @ {crash}");
                 let got = loop {
                     if let Some(out) = resumed.step(&mut net).unwrap() {
@@ -1529,7 +1426,7 @@ mod tests {
         for (cfg, inst) in checkpoint_cases() {
             let mode = cfg.mode;
             let mut net = attacked_net(inst.n);
-            let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+            let mut session = RouteSession::new(&net, &inst, &cfg, None).unwrap();
             // Into round B of the second pack: a relay grid is held and the
             // first pack's chunks are in the store.
             for _ in 0..3 {
@@ -1537,18 +1434,19 @@ mod tests {
             }
             let good = session_bytes(&session);
             let lanes = 2;
-            let work_len = session.packs.engine.as_deref().unwrap().work_len();
-            assert_eq!(session.packs.pack_start, lanes);
-            assert!(!session.packs.chunk_store.is_empty());
+            let work_len = session.engine.as_deref().unwrap().work_len();
+            assert_eq!(session.pack_start, lanes);
+            assert!(!session.chunk_store.is_empty());
 
-            let grid = |s: &mut PackSession<'_>, keep: fn(&RelayGrid) -> usize| match &mut s.phase {
+            let grid = |s: &mut RouteSession<'_>, keep: fn(&RelayGrid) -> usize| match &mut s.phase
+            {
                 Phase::RoundB { relay } => {
                     let keep = keep(relay);
                     relay.syms.truncate(keep);
                 }
                 Phase::RoundA => panic!("expected a held relay grid"),
             };
-            type Tamper<'a> = Box<dyn Fn(&mut PackSession<'_>) + 'a>;
+            type Tamper<'a> = Box<dyn Fn(&mut RouteSession<'_>) + 'a>;
             let n = inst.n;
             let num_msgs = inst.messages.len();
             let cases: Vec<(&str, Tamper<'_>)> = vec![
@@ -1596,11 +1494,11 @@ mod tests {
                 ),
             ];
             for (what, tamper) in cases {
-                let mut doctored = reopen(&net, &cfg, &good).unwrap();
-                tamper(&mut doctored.packs);
+                let mut doctored = reopen(&net, &good).unwrap();
+                tamper(&mut doctored);
                 let bad = session_bytes(&doctored);
                 assert_ne!(bad, good, "{mode:?}: {what} changed nothing");
-                let err = reopen(&net, &cfg, &bad)
+                let err = reopen(&net, &bad)
                     .err()
                     .unwrap_or_else(|| panic!("{mode:?}: {what} must be refused"));
                 assert!(
@@ -1632,7 +1530,6 @@ mod tests {
         };
         let cfg = RouterConfig {
             mode: RoutingMode::CoverFree,
-            ..RouterConfig::default()
         };
         let mut net_plain = Network::new(n, 9, 0.0, Adversary::none());
         let plain = route(&mut net_plain, &instance, &cfg).unwrap();
@@ -1640,7 +1537,7 @@ mod tests {
         let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
         let mut net = Network::new(n, 9, 0.0, Adversary::none());
         let mut session =
-            RouteSession::new_cached(&net, instance.clone(), &cfg, cache.clone()).unwrap();
+            RouteSession::new(&net, instance.clone(), &cfg, Some(cache.clone())).unwrap();
         let cached = loop {
             if let Some(out) = session.step(&mut net).unwrap() {
                 break out;

@@ -21,19 +21,20 @@
 //! four pure functions of one pack behind `PackEngine`: build the scatter
 //! traffic, gather what the relays hold, build the forward traffic, decode.
 //! The loop that runs them, the chunk store, checkpoints and output
-//! assembly are `PackSession`'s, shared with [`super::coverfree`].
+//! assembly are [`super::RouteSession`]'s, shared with [`super::coverfree`].
 //!
 //! Each `(stage, chunk)` work unit is independent: it encodes its own
 //! codewords, scatters and gathers its own frames, and decodes its own
 //! payload chunk. So per pack the round-A codeword encoding, the relay
 //! gather, the round-B forward planning and the erasure decoding fan out
-//! across the rayon thread pool ([`super::RouterConfig::parallel`]), while the
-//! network exchanges and the frame materialization stay strictly sequential
-//! (rounds are the unit of synchrony; frame buffers come from the network's
+//! across the rayon thread pool, while the network exchanges and the frame
+//! materialization stay strictly sequential (rounds are the unit of
+//! synchrony; frame buffers come from the network's
 //! [`bdclique_netsim::Network::frame_buffer`] arena). Results are always
-//! collected in work-unit order, so the parallel path is bit-identical to
-//! [`super::route_serial`] — the same contract `compile` keeps with
-//! `compile_serial`.
+//! collected in work-unit order, so a run is bit-identical on any pool
+//! size — checked against the same [`super::route`] inside a one-thread
+//! pool scope (`unit_parallel_matches_serial`), the contract `compile`
+//! keeps the same way.
 //!
 //! Codewords are encoded *lazily*, per pack, instead of for the whole
 //! instance up front: a `k ≈ √n` wave at `n = 4096` has ~260k messages, and
@@ -41,14 +42,14 @@
 //! `messages × chunks × L` symbols for the whole session.
 
 use super::{
-    absorbed_error_budget, encode_chunks, lane_symbol, map_units, payload_chunk, DecodedUnit,
-    PackCodewords, PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache,
-    SYMBOL_BITS,
+    absorbed_error_budget, encode_chunks, lane_symbol, payload_chunk, DecodedUnit, PackCodewords,
+    PackCtx, PackEngine, PackShape, RelayGrid, RoutingInstance, SharedCodewordCache, SYMBOL_BITS,
 };
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
 use bdclique_codes::BitCode;
 use bdclique_netsim::{Delivery, Network, Traffic};
+use rayon::prelude::*;
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -249,7 +250,7 @@ impl PackEngine for UnitEngine {
                     .collect()
             })
             .collect();
-        let lane_syms = encode_chunks(ctx.parallel, &shape.code, cache, jobs)?;
+        let lane_syms = encode_chunks(&shape.code, cache, jobs)?;
 
         // ---- Materialize round-A frames in ascending (src, relay) order.
         // A frame (src, w) carries one slot per active lane; sources active
@@ -292,9 +293,10 @@ impl PackEngine for UnitEngine {
     ) -> Vec<Vec<u16>> {
         let pack = &self.work[ctx.pack.clone()];
         let (_, lane_offsets) = self.grid_rows(&ctx.pack);
-        map_units(ctx.parallel, (0..self.shape.l).collect(), |w| {
-            self.gather_relay(w, pack, &lane_offsets, lane_syms, delivery)
-        })
+        (0..self.shape.l)
+            .into_par_iter()
+            .map(|w| self.gather_relay(w, pack, &lane_offsets, lane_syms, delivery))
+            .collect()
     }
 
     fn build_round_b(&self, ctx: &PackCtx<'_>, relay: &RelayGrid, net: &mut Network) -> Traffic {
@@ -302,8 +304,9 @@ impl PackEngine for UnitEngine {
         let pack = &self.work[ctx.pack.clone()];
         // ---- Plan each relay's forwards: (target, lane, symbol) sorted by
         // (target, lane), one relay per fan-out unit.
-        let plans: Vec<Vec<(u32, u32, Option<u16>)>> =
-            map_units(ctx.parallel, (0..shape.l).collect(), |w| {
+        let plans: Vec<Vec<(u32, u32, Option<u16>)>> = (0..shape.l)
+            .into_par_iter()
+            .map(|w| {
                 let mut out: Vec<(u32, u32, Option<u16>)> = Vec::new();
                 for (lane, &(stage, _)) in pack.iter().enumerate() {
                     for (pos, &mi) in self.stage_msgs[stage].iter().enumerate() {
@@ -319,7 +322,8 @@ impl PackEngine for UnitEngine {
                 out.sort_unstable();
                 out.dedup(); // duplicate targets inside one message
                 out
-            });
+            })
+            .collect();
 
         let mut traffic = net.traffic();
         for (w, plan) in plans.iter().enumerate() {
@@ -358,27 +362,30 @@ impl PackEngine for UnitEngine {
                 }
             }
         }
-        map_units(ctx.parallel, units, |(lane, chunk, pos, x)| {
-            let mut received = vec![0u16; shape.l];
-            let mut erasures = vec![false; shape.l];
-            for w in 0..shape.l {
-                let val = if w == x {
-                    relay.get(w, lane, pos)
-                } else {
-                    delivery
-                        .received(x, w)
-                        .and_then(|f| lane_symbol(f, lane, shape.slot))
-                };
-                match val {
-                    Some(sym) => received[w] = sym,
-                    None => erasures[w] = true,
+        units
+            .into_par_iter()
+            .map(|(lane, chunk, pos, x)| {
+                let mut received = vec![0u16; shape.l];
+                let mut erasures = vec![false; shape.l];
+                for w in 0..shape.l {
+                    let val = if w == x {
+                        relay.get(w, lane, pos)
+                    } else {
+                        delivery
+                            .received(x, w)
+                            .and_then(|f| lane_symbol(f, lane, shape.slot))
+                    };
+                    match val {
+                        Some(sym) => received[w] = sym,
+                        None => erasures[w] = true,
+                    }
                 }
-            }
-            let (stage, _) = pack[lane];
-            let mi = self.stage_msgs[stage][pos];
-            let bits = shape.code.decode_bits(&received, &erasures, shape.cap_bits);
-            ((x, mi, chunk), bits.ok())
-        })
+                let (stage, _) = pack[lane];
+                let mi = self.stage_msgs[stage][pos];
+                let bits = shape.code.decode_bits(&received, &erasures, shape.cap_bits);
+                ((x, mi, chunk), bits.ok())
+            })
+            .collect()
     }
 }
 
@@ -395,7 +402,6 @@ mod tests {
     ) -> Result<crate::routing::RoutingOutput, CoreError> {
         let cfg = RouterConfig {
             mode: RoutingMode::Unit,
-            ..RouterConfig::default()
         };
         route(net, inst, &cfg)
     }

@@ -108,7 +108,6 @@ fn unit_engine_wave_n4096_completes() {
     let mut net = Network::new(n, 18, 0.0, Adversary::none());
     let cfg = RouterConfig {
         mode: RoutingMode::Unit,
-        ..Default::default()
     };
     let out = route(&mut net, &instance, &cfg).unwrap();
     assert_eq!(out.report.engine, EngineUsed::Unit);
@@ -159,7 +158,6 @@ fn unit_wave_n65536_completes() {
     let mut net = Network::new(n, 18, 0.0, Adversary::none());
     let cfg = RouterConfig {
         mode: RoutingMode::Unit,
-        ..Default::default()
     };
     let out = route(&mut net, &instance, &cfg).unwrap();
     assert_eq!(out.report.engine, EngineUsed::Unit);

@@ -1,7 +1,8 @@
 //! Bit-identity, edge-case, and determinism tests for the stage-parallel
 //! routing engines (PR 5):
 //!
-//! * parallel `route` == the `route_serial` oracle, `mode` pinned to each
+//! * `route` on the ambient rayon pool == the same `route` inside a
+//!   one-thread pool scope (the serial oracle), `mode` pinned to each
 //!   engine — delivered payloads, report, and every network stat — across backends
 //!   (instances small enough to auto-densify and large-sparse ones), random
 //!   α, and an active adaptive adversary;
@@ -20,8 +21,7 @@ use bdclique_adversary::adaptive::GreedyLoad;
 use bdclique_adversary::Payload;
 use bdclique_bits::BitVec;
 use bdclique_core::routing::{
-    route, route_serial, RouteSession, RouterConfig, RoutingInstance, RoutingMode, RoutingOutput,
-    SuperMessage,
+    route, RouteSession, RouterConfig, RoutingInstance, RoutingMode, RoutingOutput, SuperMessage,
 };
 use bdclique_core::CoreError;
 use bdclique_netsim::{Adversary, Network};
@@ -69,7 +69,33 @@ fn attacked_net(n: usize, alpha: f64, seed: u64) -> Network {
 }
 
 /// Everything observable from one routing run.
-fn fingerprint(net: &Network, out: &RoutingOutput) -> (u64, u64, u64, u64, usize, usize, Vec<u8>) {
+type Fingerprint = (u64, u64, u64, u64, usize, usize, Vec<u8>);
+
+/// Routes `inst` on a fresh [`attacked_net`] and fingerprints the run. The
+/// network is built here, not passed in, because `Network` is not `Send`
+/// and [`on_one_thread`] needs a `Send` closure.
+fn routed(
+    inst: &RoutingInstance,
+    cfg: &RouterConfig,
+    alpha: f64,
+    seed: u64,
+) -> Result<Fingerprint, CoreError> {
+    let mut net = attacked_net(inst.n, alpha, seed);
+    let out = route(&mut net, inst, cfg)?;
+    Ok(fingerprint(&net, &out))
+}
+
+/// The serial oracle: `op` inside a one-thread pool scope, where every
+/// rayon fan-out it reaches runs on the calling thread.
+fn on_one_thread<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(op)
+}
+
+fn fingerprint(net: &Network, out: &RoutingOutput) -> Fingerprint {
     let mut payload_bytes = Vec::new();
     for per_node in &out.delivered {
         let mut entries: Vec<(&(usize, usize), &BitVec)> = per_node.iter().collect();
@@ -110,17 +136,11 @@ proptest! {
         let n = [8usize, 16, 24, 32][n_idx];
         let alpha = if budget == 0 { 0.0 } else { (budget as f64 + 0.2) / n as f64 };
         let inst = random_instance(n, k, payload_bits, seed);
-        let cfg = RouterConfig { mode: RoutingMode::Unit, ..Default::default() };
+        let cfg = RouterConfig { mode: RoutingMode::Unit };
 
-        let mut net_par = attacked_net(n, alpha, seed ^ 0xad);
-        let mut net_ser = attacked_net(n, alpha, seed ^ 0xad);
-        let par = route(&mut net_par, &inst, &cfg);
-        let ser = route_serial(&mut net_ser, &inst, &cfg);
-        match (par, ser) {
-            (Ok(par), Ok(ser)) => prop_assert_eq!(
-                fingerprint(&net_par, &par),
-                fingerprint(&net_ser, &ser)
-            ),
+        let run = || routed(&inst, &cfg, alpha, seed ^ 0xad);
+        match (run(), on_one_thread(run)) {
+            (Ok(par), Ok(ser)) => prop_assert_eq!(par, ser),
             (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {}
             (par, ser) => prop_assert!(false, "feasibility diverged: {par:?} vs {ser:?}"),
         }
@@ -136,16 +156,10 @@ proptest! {
     ) {
         let n = [64usize, 128][n_idx];
         let inst = random_instance(n, k, payload_bits, seed);
-        let cfg = RouterConfig { mode: RoutingMode::CoverFree, ..Default::default() };
-        let mut net_par = attacked_net(n, 0.0, seed);
-        let mut net_ser = attacked_net(n, 0.0, seed);
-        let par = route(&mut net_par, &inst, &cfg);
-        let ser = route_serial(&mut net_ser, &inst, &cfg);
-        match (par, ser) {
-            (Ok(par), Ok(ser)) => prop_assert_eq!(
-                fingerprint(&net_par, &par),
-                fingerprint(&net_ser, &ser)
-            ),
+        let cfg = RouterConfig { mode: RoutingMode::CoverFree };
+        let run = || routed(&inst, &cfg, 0.0, seed);
+        match (run(), on_one_thread(run)) {
+            (Ok(par), Ok(ser)) => prop_assert_eq!(par, ser),
             (Err(CoreError::Infeasible { .. }), Err(CoreError::Infeasible { .. })) => {}
             (par, ser) => prop_assert!(false, "feasibility diverged: {par:?} vs {ser:?}"),
         }
@@ -168,7 +182,7 @@ proptest! {
         let inst = RoutingInstance { n, payload_bits: 8, messages };
         let delta = inst.max_source_multiplicity().max(inst.max_target_multiplicity());
         let mut net = Network::new(n, 9, 0.0, Adversary::none());
-        let cfg = RouterConfig { mode: RoutingMode::Unit, ..Default::default() };
+        let cfg = RouterConfig { mode: RoutingMode::Unit };
         let out = route(&mut net, &inst, &cfg).unwrap();
         prop_assert!(
             out.report.stages < 2 * delta,
@@ -188,10 +202,7 @@ fn empty_instance_completes_on_first_step() {
         messages: Vec::new(),
     };
     for mode in [RoutingMode::Unit, RoutingMode::CoverFree, RoutingMode::Auto] {
-        let cfg = RouterConfig {
-            mode,
-            ..Default::default()
-        };
+        let cfg = RouterConfig { mode };
         // α = 0.45 makes every decode margin infeasible — but nothing is
         // decoded, so the empty route must still succeed.
         let mut net = Network::new(8, 9, 0.45, Adversary::none());
@@ -204,7 +215,7 @@ fn empty_instance_completes_on_first_step() {
 
         // Session form: Done on the *first* step, error on the next.
         let mut net = Network::new(8, 9, 0.45, Adversary::none());
-        let mut session = RouteSession::new(&net, empty.clone(), &cfg).unwrap();
+        let mut session = RouteSession::new(&net, empty.clone(), &cfg, None).unwrap();
         assert!(
             session.step(&mut net).unwrap().is_some(),
             "{mode:?}: first step must complete"
@@ -236,12 +247,9 @@ fn raised_budget_mid_session_is_refused() {
                 })
                 .collect(),
         };
-        let cfg = RouterConfig {
-            mode,
-            ..Default::default()
-        };
+        let cfg = RouterConfig { mode };
         let mut net = Network::new(n, 18, 0.0, Adversary::none());
-        let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+        let mut session = RouteSession::new(&net, &inst, &cfg, None).unwrap();
         assert!(session.step(&mut net).unwrap().is_none(), "{mode:?}");
         let rounds_before = net.rounds();
         net.set_alpha(0.4); // budget 0 → 25: far past any absorbed margin
@@ -258,7 +266,7 @@ fn raised_budget_mid_session_is_refused() {
 
         // An unchanged (or lowered) budget keeps the session running.
         let mut net = Network::new(n, 18, 2.2 / n as f64, Adversary::none());
-        let mut session = RouteSession::borrowed(&net, &inst, &cfg).unwrap();
+        let mut session = RouteSession::new(&net, &inst, &cfg, None).unwrap();
         assert!(session.step(&mut net).unwrap().is_none(), "{mode:?}");
         net.set_alpha(0.0);
         loop {
@@ -274,19 +282,17 @@ fn raised_budget_mid_session_is_refused() {
 /// pinned to literal values, so any latent dependence on hash iteration
 /// order (the PR 4 LDC `fetch_instance` bug class) fails this test in some
 /// process instead of shipping silently. Captured from the stage-parallel
-/// engine; `route_serial` must reproduce it exactly.
+/// engine; the one-thread pool scope must reproduce it exactly.
 #[test]
 fn unit_engine_cross_run_golden() {
     let n = 16;
     let inst = random_instance(n, 2, 24, 42);
     let cfg = RouterConfig {
         mode: RoutingMode::Unit,
-        ..Default::default()
     };
-    for route_fn in [route, route_serial] {
-        let mut net = attacked_net(n, 1.2 / n as f64, 0xfeed);
-        let out = route_fn(&mut net, &inst, &cfg).unwrap();
-        let (rounds, bits, frames, corrupted, stages, failures, payload) = fingerprint(&net, &out);
+    let run = || routed(&inst, &cfg, 1.2 / n as f64, 0xfeed).unwrap();
+    for run in [run(), on_one_thread(run)] {
+        let (rounds, bits, frames, corrupted, stages, failures, payload) = run;
         assert_eq!(
             (rounds, bits, frames, corrupted, stages, failures),
             (GOLDEN.0, GOLDEN.1, GOLDEN.2, GOLDEN.3, GOLDEN.4, GOLDEN.5),

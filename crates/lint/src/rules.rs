@@ -1115,7 +1115,7 @@ fn no_raw_spawn(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
                 "no-raw-spawn",
                 toks[i].line,
                 "raw `thread::spawn` outside the rayon shim: work must not outlive the step \
-             that started it — fan out through rayon (`map_units`) instead"
+             that started it — fan out through rayon (`into_par_iter`) instead"
                     .to_string(),
             ),
         );

@@ -33,7 +33,7 @@
 //! The layer stops at what is measured on purpose. Four of the seven
 //! protocols run on the Thm 4.1 router and answer `Infeasible` off `K_n`,
 //! and a multi-hop engine after Bafna–Minzer (arXiv 2501.00337) does not
-//! fit behind the existing `PackSession`: every pack is exactly two
+//! fit behind the existing `RouteSession`: every pack is exactly two
 //! `exchange` calls (`Phase::RoundA` / `Phase::RoundB`), the decode margin
 //! is `2·⌊αn⌋ + 1` from the clique-global `fault_budget()`, and
 //! `RoutingOutput` has nowhere to report the doomed-node set that

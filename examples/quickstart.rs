@@ -7,13 +7,13 @@
 
 use bdclique::adversary::adaptive::GreedyLoad;
 use bdclique::adversary::Payload;
-use bdclique::core::protocols::run_and_score;
 use bdclique::core::protocols::{
     AdaptiveAllToAll, AdaptiveTakeOne, AllToAllProtocol, DetHypercube, DetSqrt, NaiveExchange,
     NonAdaptiveAllToAll, RelayReplication,
 };
 use bdclique::core::AllToAllInstance;
 use bdclique::netsim::{Adversary, Network};
+use bdclique_bench::Trial;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -49,15 +49,18 @@ fn main() {
     for proto in &protocols {
         let adversary = Adversary::adaptive(GreedyLoad::new(Payload::Flip, 7));
         let mut net = Network::new(n, 9, alpha, adversary);
-        match run_and_score(proto.as_ref(), &mut net, &inst) {
-            Ok(outcome) => println!(
-                "{:<30} {:>8} {:>8} {:>12} {:>10}",
-                outcome.protocol,
-                outcome.errors,
-                outcome.rounds,
-                outcome.bits_sent,
-                outcome.edges_corrupted
-            ),
+        match proto.run(&mut net, &inst) {
+            Ok(out) => {
+                let trial = Trial::score(&inst, &net, &out);
+                println!(
+                    "{:<30} {:>8} {:>8} {:>12} {:>10}",
+                    proto.name(),
+                    trial.errors,
+                    trial.rounds,
+                    trial.bits_sent,
+                    trial.edges_corrupted
+                );
+            }
             Err(e) => println!("{:<30} error: {e}", proto.name()),
         }
     }

@@ -41,10 +41,7 @@ fn main() {
         (RoutingMode::CoverFree, "cover-free (§4.2)"),
         (RoutingMode::Unit, "scheduled-unit"),
     ] {
-        let cfg = RouterConfig {
-            mode,
-            ..Default::default()
-        };
+        let cfg = RouterConfig { mode };
         let adversary = Adversary::adaptive(GreedyLoad::new(Payload::Flip, 3));
         let mut net = Network::new(n, 18, 1.2 / n as f64, adversary);
         match route(&mut net, &instance, &cfg) {

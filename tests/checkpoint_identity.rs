@@ -133,7 +133,6 @@ fn cases() -> Vec<Case> {
             label: "det-sqrt/unit",
             proto: Box::new(DetSqrt::new(RouterConfig {
                 mode: RoutingMode::Unit,
-                ..Default::default()
             })),
             n: 16,
             b: 2,
