@@ -1,11 +1,77 @@
 //! The [`BitVec`] implementation: 64-bit blocks, LSB-first within a block.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
+/// The block storage of a [`BitVec`]: one inline word while the vector fits
+/// 64 bits, a heap `Vec` once it has grown past that. Growth spills; nothing
+/// moves a spilled store back inline, so which variant a value sits on is
+/// history, not content — [`BitVec`] compares by its logical blocks.
+#[derive(Clone)]
+enum Blocks {
+    Inline(u64),
+    Heap(Vec<u64>),
+}
+
+impl Blocks {
+    fn zeros(count: usize) -> Self {
+        if count <= 1 {
+            Blocks::Inline(0)
+        } else {
+            Blocks::Heap(vec![0; count])
+        }
+    }
+
+    /// Grows (zero-filling) or shrinks to `count` blocks. The inline word is
+    /// always physically there, so shrinking it to zero blocks clears it.
+    fn resize(&mut self, count: usize) {
+        match self {
+            Blocks::Inline(w) if count == 0 => *w = 0,
+            Blocks::Inline(_) if count == 1 => {}
+            Blocks::Inline(w) => {
+                let mut spilled = Vec::with_capacity(count);
+                spilled.push(*w);
+                spilled.resize(count, 0);
+                *self = Blocks::Heap(spilled);
+            }
+            Blocks::Heap(v) => v.resize(count, 0),
+        }
+    }
+}
+
+impl Deref for Blocks {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Blocks::Inline(w) => std::slice::from_ref(w),
+            Blocks::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Blocks {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Blocks::Inline(w) => std::slice::from_mut(w),
+            Blocks::Heap(v) => v,
+        }
+    }
+}
 
 /// A growable, compact vector of bits.
 ///
-/// Bits are stored LSB-first inside `u64` blocks. Equality, hashing and
-/// ordering consider only the logical `len` bits; trailing block padding is
+/// Bits are stored LSB-first inside `u64` blocks. A vector of at most 64
+/// bits keeps its one block inline — no allocation, the whole value in one
+/// 32-byte slot — which covers every frame and every `B`-bit message the
+/// protocols move; growing past 64 bits spills the blocks to the heap.
+/// Equality, hashing and ordering are *logical*: they consider the `len`
+/// bits only, never which storage holds them, so a value that spilled and
+/// was truncated back equals one built inline. Trailing block padding is
 /// kept zeroed as an internal invariant.
 ///
 /// # Examples
@@ -18,10 +84,47 @@ use std::fmt;
 /// assert_eq!(a, b);
 /// assert_eq!(a.count_ones(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct BitVec {
-    blocks: Vec<u64>,
+    blocks: Blocks,
     len: usize,
+}
+
+impl Default for BitVec {
+    fn default() -> Self {
+        Self::zeros(0)
+    }
+}
+
+impl PartialEq for BitVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitVec {}
+
+impl Hash for BitVec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
+    }
+}
+
+impl Ord for BitVec {
+    /// Blocks first (lexicographic), then length — the order the derived
+    /// impl gave when the blocks were always a `Vec`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words()
+            .cmp(other.words())
+            .then(self.len.cmp(&other.len))
+    }
+}
+
+impl PartialOrd for BitVec {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl BitVec {
@@ -33,8 +136,23 @@ impl BitVec {
     /// Creates a bit vector of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
         Self {
-            blocks: vec![0; len.div_ceil(64)],
+            blocks: Blocks::zeros(len.div_ceil(64)),
             len,
+        }
+    }
+
+    /// The `len.div_ceil(64)` blocks that hold bits — all of a heap store,
+    /// and all of an inline one unless the vector is empty.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        &self.blocks[..self.len.div_ceil(64)]
+    }
+
+    /// Heap bytes owned by this vector: zero while it is inline.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.blocks {
+            Blocks::Inline(_) => 0,
+            Blocks::Heap(v) => v.capacity() * std::mem::size_of::<u64>(),
         }
     }
 
@@ -126,7 +244,7 @@ impl BitVec {
     #[inline]
     fn grow_zeros(&mut self, extra: usize) {
         self.len += extra;
-        self.blocks.resize(self.len.div_ceil(64), 0);
+        self.blocks.resize(self.len.div_ceil(64));
     }
 
     /// Number of bits.
@@ -183,10 +301,7 @@ impl BitVec {
 
     /// Appends one bit.
     pub fn push(&mut self, value: bool) {
-        if self.len.is_multiple_of(64) {
-            self.blocks.push(0);
-        }
-        self.len += 1;
+        self.grow_zeros(1);
         if value {
             self.set(self.len - 1, true);
         }
@@ -296,16 +411,6 @@ impl BitVec {
         }
     }
 
-    /// Resets this vector **in place** to `len` zero bits, reusing the
-    /// existing block allocation (unlike [`Self::truncate`], which rebuilds).
-    /// This is what lets pooled frame buffers be recycled without returning
-    /// to the allocator.
-    pub fn reset_zeros(&mut self, len: usize) {
-        self.blocks.clear();
-        self.blocks.resize(len.div_ceil(64), 0);
-        self.len = len;
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
@@ -320,7 +425,7 @@ impl BitVec {
         assert_eq!(self.len, other.len, "hamming distance needs equal lengths");
         self.blocks
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks.iter())
             .map(|(a, b)| (a ^ b).count_ones() as usize)
             .sum()
     }
@@ -332,7 +437,7 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn xor_assign(&mut self, other: &Self) {
         assert_eq!(self.len, other.len, "xor needs equal lengths");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *a ^= b;
         }
     }
@@ -369,6 +474,7 @@ impl BitVec {
         let mut out = Self::zeros(len);
         for (i, block) in out.blocks.iter_mut().enumerate() {
             let pos = start + i * 64;
+            // An empty slice still has its inline block: zero bits to load.
             *block = self.load(pos, 64.min(end - pos) as u32);
         }
         out
@@ -406,7 +512,7 @@ impl BitVec {
         if len >= self.len {
             return;
         }
-        self.blocks.truncate(len.div_ceil(64));
+        self.blocks.resize(len.div_ceil(64));
         if !len.is_multiple_of(64) {
             // Re-establish the zero-padding invariant in the last block.
             self.blocks[len / 64] &= low_mask((len % 64) as u32);
@@ -621,6 +727,60 @@ mod tests {
         assert_eq!(ha.finish(), hb.finish());
     }
 
+    /// A value that grew past one block and came back is the same value as
+    /// one that never left the inline word: `==`, `cmp`, hash and bytes.
+    #[test]
+    fn spilled_then_truncated_equals_its_inline_twin() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &BitVec| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        for len in [0, 1, 37, 63, 64] {
+            let twin = BitVec::from_fn(len, |i| i % 3 != 1);
+            let mut spilled = twin.clone();
+            spilled.extend_bits(&BitVec::from_fn(100, |i| i % 2 == 0));
+            assert!(spilled.heap_bytes() >= 16, "100 bits and more spill");
+            spilled.truncate(len);
+            assert_eq!(twin.heap_bytes(), 0, "{len} bits sit inline");
+            assert_eq!(spilled, twin, "len {len}");
+            assert_eq!(spilled.cmp(&twin), Ordering::Equal, "len {len}");
+            assert_eq!(hash(&spilled), hash(&twin), "len {len}");
+            assert_eq!(spilled.to_bytes(), twin.to_bytes(), "len {len}");
+            assert_eq!(BitVec::from_bytes(&spilled.to_bytes(), len), twin);
+            // Growing again from either storage gives the same value.
+            let mut regrown = spilled.clone();
+            regrown.pad_to(70);
+            let mut padded = twin.clone();
+            padded.pad_to(70);
+            assert_eq!(regrown, padded, "len {len}");
+        }
+    }
+
+    /// Ordering is blocks-then-length whichever storage holds the blocks.
+    #[test]
+    fn ordering_is_by_blocks_then_length() {
+        let short = BitVec::from_bools(&[false, true]);
+        let long = BitVec::from_bools(&[false, true, false]);
+        let low = BitVec::from_bools(&[true, false, false]);
+        let two_blocks = BitVec::zeros(65);
+        assert!(short < long, "same blocks: the shorter sorts first");
+        assert!(low < short, "block value 1 sorts before block value 2");
+        assert!(BitVec::zeros(64) < two_blocks && two_blocks < low);
+        assert!(BitVec::new() < BitVec::zeros(1));
+    }
+
+    #[test]
+    fn slots_stay_one_inline_block_wide() {
+        use std::mem::size_of;
+        let why = "a frame slot grew: every dense n = 1024 matrix (1 M slots) pays \
+                   8 MB per extra word, and the sparse rows pay it per frame";
+        assert!(size_of::<BitVec>() <= 32, "BitVec: {why}");
+        assert!(size_of::<Option<BitVec>>() <= 32, "Option<BitVec>: {why}");
+        assert!(size_of::<(u32, BitVec)>() <= 40, "(u32, BitVec): {why}");
+    }
+
     #[test]
     fn display_and_debug() {
         let v = BitVec::from_bools(&[true, false, true]);
@@ -655,21 +815,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn write_bits_rejects_overflow() {
         BitVec::zeros(4).write_bits(3, &BitVec::from_bools(&[true, true]));
-    }
-
-    #[test]
-    fn reset_zeros_reuses_allocation() {
-        let mut v = BitVec::from_fn(200, |i| i % 3 == 0);
-        v.reset_zeros(70);
-        assert_eq!(v.len(), 70);
-        assert_eq!(v.count_ones(), 0);
-        // Growing again within the old allocation keeps the invariant that
-        // padding bits are zero.
-        v.push(true);
-        assert_eq!(v.len(), 71);
-        assert_eq!(v.count_ones(), 1);
-        v.reset_zeros(0);
-        assert!(v.is_empty());
     }
 
     #[test]

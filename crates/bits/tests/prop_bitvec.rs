@@ -3,7 +3,129 @@
 use bdclique_bits::BitVec;
 use proptest::prelude::*;
 
+/// Lengths on both sides of the inline / heap boundary (one 64-bit block)
+/// and of the second block.
+const EDGE_LENS: [usize; 7] = [0, 1, 63, 64, 65, 127, 128];
+
+/// Applies one mutation, chosen by `kind`, to `v` and to its `Vec<bool>`
+/// model. `raw` supplies positions and values, `payload` the operand bits.
+fn apply_op(v: &mut BitVec, model: &mut Vec<bool>, kind: u8, raw: u64, payload: &[bool]) {
+    let r = raw as usize;
+    match kind {
+        0 => {
+            v.push(raw & 1 == 1);
+            model.push(raw & 1 == 1);
+        }
+        1 => {
+            let width = (raw % 65) as u32;
+            let value = if width == 0 {
+                0
+            } else {
+                (raw >> 7) & (u64::MAX >> (64 - width))
+            };
+            v.push_uint(width, value);
+            model.extend((0..width).map(|i| value >> i & 1 == 1));
+        }
+        2 => {
+            let width = (raw % 16) as u32 + 1;
+            let values: Vec<u16> = payload
+                .chunks(3)
+                .map(|c| (raw >> c.len()) as u16 ^ c[0] as u16)
+                .collect();
+            v.push_uints(width, &values);
+            for x in values {
+                model.extend((0..width).map(|i| x >> i & 1 == 1));
+            }
+        }
+        3 => {
+            v.extend_bits(&BitVec::from_bools(payload));
+            model.extend_from_slice(payload);
+        }
+        4 => {
+            let src = &payload[..payload.len().min(model.len())];
+            let pos = r % (model.len() - src.len() + 1);
+            v.write_bits(pos, &BitVec::from_bools(src));
+            model[pos..pos + src.len()].copy_from_slice(src);
+        }
+        5 => {
+            let to = EDGE_LENS[r % EDGE_LENS.len()] + payload.len() % 3;
+            v.pad_to(to);
+            if model.len() < to {
+                model.resize(to, false);
+            }
+        }
+        6 => {
+            // Half the time land exactly on an edge length.
+            let to = if raw & 1 == 0 {
+                EDGE_LENS[(r >> 1) % EDGE_LENS.len()]
+            } else {
+                (r >> 1) % (model.len() + 1)
+            };
+            v.truncate(to);
+            model.truncate(to);
+        }
+        7 => {
+            let start = r % (model.len() + 1);
+            let end = start + (r >> 20) % (model.len() - start + 1);
+            *v = v.slice(start, end);
+            *model = model[start..end].to_vec();
+        }
+        8 => {
+            let other = BitVec::from_bools(payload);
+            *v = BitVec::concat([&other, &*v, &other]);
+            *model = [payload, model, payload].concat();
+        }
+        9 => {
+            let mask: Vec<bool> = (0..model.len())
+                .map(|i| !payload.is_empty() && payload[i % payload.len()])
+                .collect();
+            v.xor_assign(&BitVec::from_bools(&mask));
+            for (m, x) in model.iter_mut().zip(mask) {
+                *m ^= x;
+            }
+        }
+        _ => {
+            if !model.is_empty() {
+                let i = r % model.len();
+                v.flip(i);
+                model[i] = !model[i];
+            }
+        }
+    }
+}
+
 proptest! {
+    /// Random op sequences against a `Vec<bool>` model, started at and
+    /// steered across the inline / heap boundary. After every step the
+    /// value reads back as the model, equals the model built fresh (so a
+    /// spilled store compares equal to an inline one), and has no stray bit
+    /// in its block padding: `count_ones` sums whole blocks, and zero
+    /// padding past the end must stay zero once `pad_to` exposes it.
+    #[test]
+    fn op_sequences_match_the_bool_model(
+        start in 0usize..EDGE_LENS.len(),
+        seed_bits in prop::collection::vec(any::<bool>(), 128),
+        ops in prop::collection::vec(
+            (0u8..11, any::<u64>(), prop::collection::vec(any::<bool>(), 0..70)),
+            1..24,
+        ),
+    ) {
+        let mut model = seed_bits[..EDGE_LENS[start]].to_vec();
+        let mut v = BitVec::from_bools(&model);
+        for (kind, raw, payload) in ops {
+            apply_op(&mut v, &mut model, kind, raw, &payload);
+            let ones = model.iter().filter(|&&b| b).count();
+            prop_assert_eq!(v.len(), model.len(), "op {}", kind);
+            prop_assert_eq!(v.iter().collect::<Vec<_>>(), model.clone(), "op {}", kind);
+            prop_assert_eq!(&v, &BitVec::from_bools(&model), "op {}", kind);
+            prop_assert_eq!(v.count_ones(), ones, "op {}", kind);
+            let mut padded = v.clone();
+            padded.pad_to(model.len() + 130);
+            prop_assert_eq!(padded.count_ones(), ones, "padding after op {}", kind);
+        }
+    }
+
+
     #[test]
     fn bools_roundtrip(bools in prop::collection::vec(any::<bool>(), 0..512)) {
         let v = BitVec::from_bools(&bools);

@@ -133,7 +133,7 @@ where
                     .enumerate()
                     .map(|(s, m)| {
                         if s == u {
-                            inst.message(u, u).clone()
+                            inst.message(u, u)
                         } else {
                             m.unwrap_or_else(|| BitVec::zeros(b))
                         }

@@ -3,6 +3,7 @@
 use bdclique_bits::BitVec;
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::Rng;
+use std::ops::Range;
 
 /// An instance of `AllToAllComm`: node `u` holds a `B`-bit message `m_{u,v}`
 /// for every `v`; the goal is for every `v` to learn `{m_{u,v}}_u`.
@@ -21,14 +22,14 @@ use rand::Rng;
 pub struct AllToAllInstance {
     n: usize,
     b: usize,
-    /// Row-major: `messages[u * n + v]`; the diagonal holds `u`'s message to
+    /// All `n²` messages packed row-major, `b` bits each: `m_{u,v}` is bits
+    /// `[(u·n + v)·b, (u·n + v + 1)·b)`. The diagonal holds `u`'s message to
     /// itself (delivered locally, never on the wire).
-    messages: Vec<BitVec>,
+    bits: BitVec,
 }
 
 impl AllToAllInstance {
-    /// Builds an instance from explicit messages (`messages[u][v]`), moving
-    /// the rows in without cloning.
+    /// Builds an instance from explicit messages (`messages[u][v]`).
     ///
     /// # Panics
     ///
@@ -36,27 +37,22 @@ impl AllToAllInstance {
     /// `b` bits.
     pub fn new(n: usize, b: usize, messages: Vec<Vec<BitVec>>) -> Self {
         assert_eq!(messages.len(), n, "need one row per node");
-        let mut flat = Vec::with_capacity(n * n);
-        for row in messages {
+        let mut bits = BitVec::zeros(n * n * b);
+        for (u, row) in messages.iter().enumerate() {
             assert_eq!(row.len(), n, "need one message per target");
-            for m in row {
+            for (v, m) in row.iter().enumerate() {
                 assert_eq!(m.len(), b, "every message must be exactly {b} bits");
-                flat.push(m);
+                bits.write_bits((u * n + v) * b, m);
             }
         }
-        Self {
-            n,
-            b,
-            messages: flat,
-        }
+        Self { n, b, bits }
     }
 
-    /// A uniformly random instance.
+    /// A uniformly random instance: one RNG draw per bit, message by message
+    /// in row-major order.
     pub fn random(n: usize, b: usize, rng: &mut impl Rng) -> Self {
-        let messages = (0..n * n)
-            .map(|_| BitVec::from_fn(b, |_| rng.gen()))
-            .collect();
-        Self { n, b, messages }
+        let bits = BitVec::from_fn(n * n * b, |_| rng.gen());
+        Self { n, b, bits }
     }
 
     /// A random instance masked to a topology: `m_{u,v}` is uniformly random
@@ -69,17 +65,16 @@ impl AllToAllInstance {
     /// state.
     pub fn random_on(topo: &bdclique_netsim::Topology, b: usize, rng: &mut impl Rng) -> Self {
         let n = topo.n();
-        let messages = (0..n * n)
-            .map(|i| {
-                let (u, v) = (i / n, i % n);
-                if u == v || topo.contains(u, v) {
-                    BitVec::from_fn(b, |_| rng.gen())
-                } else {
-                    BitVec::zeros(b)
+        let mut bits = BitVec::zeros(n * n * b);
+        for i in 0..n * n {
+            let (u, v) = (i / n, i % n);
+            if u == v || topo.contains(u, v) {
+                for t in i * b..(i + 1) * b {
+                    bits.set(t, rng.gen());
                 }
-            })
-            .collect();
-        Self { n, b, messages }
+            }
+        }
+        Self { n, b, bits }
     }
 
     /// Number of nodes.
@@ -92,15 +87,29 @@ impl AllToAllInstance {
         self.b
     }
 
-    /// The message `m_{u,v}`.
-    pub fn message(&self, u: usize, v: usize) -> &BitVec {
-        &self.messages[u * self.n + v]
+    /// The message `m_{u,v}` (a copy; inline, so allocation-free, for
+    /// `B ≤ 64`).
+    pub fn message(&self, u: usize, v: usize) -> BitVec {
+        self.outgoing_segment(u, v..v + 1)
+    }
+
+    /// The concatenation `M°({u}, targets)` of `u`'s messages to a run of
+    /// consecutive targets, in target order — one slice of the packed store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or the run is out of range.
+    pub fn outgoing_segment(&self, u: usize, targets: Range<usize>) -> BitVec {
+        assert!(u < self.n && targets.end <= self.n, "node id out of range");
+        let row = u * self.n;
+        self.bits
+            .slice((row + targets.start) * self.b, (row + targets.end) * self.b)
     }
 
     /// The concatenation `M°({u}, V)` (all of `u`'s outgoing messages in
     /// target order) — the node-local input of node `u`.
     pub fn outgoing_concat(&self, u: usize) -> BitVec {
-        BitVec::concat((0..self.n).map(|v| self.message(u, v)))
+        self.outgoing_segment(u, 0..self.n)
     }
 
     /// Checks a protocol output: `output[v][u]` should equal `m_{u,v}`.
@@ -110,7 +119,7 @@ impl AllToAllInstance {
         for v in 0..self.n {
             for u in 0..self.n {
                 match output.received(v, u) {
-                    Some(m) if m == self.message(u, v) => {}
+                    Some(m) if *m == self.message(u, v) => {}
                     _ => errors += 1,
                 }
             }
@@ -210,11 +219,29 @@ mod tests {
     /// with the clique seed streams unchanged.
     #[test]
     fn random_on_the_clique_is_random() {
-        for (n, b, seed) in [(2, 1, 0), (5, 3, 1), (8, 7, 2)] {
+        for (n, b, seed) in [(2, 1, 0), (5, 3, 1), (8, 7, 2), (5, 70, 3)] {
             let plain = AllToAllInstance::random(n, b, &mut ChaCha8Rng::seed_from_u64(seed));
             let topo = bdclique_netsim::Topology::complete(n);
             let on = AllToAllInstance::random_on(&topo, b, &mut ChaCha8Rng::seed_from_u64(seed));
             assert_eq!(plain, on, "n = {n}, b = {b}");
+        }
+    }
+
+    /// The packed store draws what the per-message store drew: one
+    /// `from_fn(b, gen)` per message, row-major — so every seed still yields
+    /// the instance it always has. Widths on both sides of the inline block.
+    #[test]
+    fn packed_random_is_the_per_message_draw() {
+        let n = 5;
+        for b in [1, 3, 64, 70] {
+            let inst = AllToAllInstance::random(n, b, &mut ChaCha8Rng::seed_from_u64(9));
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            for u in 0..n {
+                for v in 0..n {
+                    let drawn = BitVec::from_fn(b, |_| rng.gen());
+                    assert_eq!(inst.message(u, v), drawn, "b = {b}, m({u}, {v})");
+                }
+            }
         }
     }
 
@@ -225,7 +252,7 @@ mod tests {
         let mut out = AllToAllOutput::empty(4);
         for v in 0..4 {
             for u in 0..4 {
-                out.set(v, u, inst.message(u, v).clone());
+                out.set(v, u, inst.message(u, v));
             }
         }
         assert_eq!(inst.count_errors(&out), 0);
@@ -238,11 +265,11 @@ mod tests {
         let mut out = AllToAllOutput::empty(3);
         for v in 0..3 {
             for u in 0..3 {
-                out.set(v, u, inst.message(u, v).clone());
+                out.set(v, u, inst.message(u, v));
             }
         }
         // One wrong, one missing.
-        let mut wrong = inst.message(0, 1).clone();
+        let mut wrong = inst.message(0, 1);
         wrong.flip(0);
         out.set(1, 0, wrong);
         out.received[2 * 3 + 2] = None;
@@ -256,7 +283,33 @@ mod tests {
             vec![BitVec::from_bools(&[false]), BitVec::from_bools(&[true])],
         ];
         let inst = AllToAllInstance::new(2, 1, rows);
-        assert_eq!(inst.message(0, 0), &BitVec::from_bools(&[true]));
-        assert_eq!(inst.message(1, 0), &BitVec::from_bools(&[false]));
+        assert_eq!(inst.message(0, 0), BitVec::from_bools(&[true]));
+        assert_eq!(inst.message(1, 0), BitVec::from_bools(&[false]));
+
+        // Every slot of a wider matrix comes back, and rows concatenate.
+        let (n, b) = (3, 67);
+        let msg = |u: usize, v: usize| BitVec::from_fn(b, |i| (i + 2 * u + 5 * v) % 3 == 1);
+        let rows: Vec<Vec<BitVec>> = (0..n)
+            .map(|u| (0..n).map(|v| msg(u, v)).collect())
+            .collect();
+        let inst = AllToAllInstance::new(n, b, rows.clone());
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(inst.message(u, v), msg(u, v), "m({u}, {v})");
+            }
+            assert_eq!(inst.outgoing_concat(u), BitVec::concat(&rows[u]));
+            assert_eq!(
+                inst.outgoing_segment(u, 1..3),
+                BitVec::concat(&rows[u][1..3])
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly 2 bits")]
+    fn explicit_construction_rejects_a_wrong_width_message() {
+        let two = || BitVec::zeros(2);
+        let rows = vec![vec![two(), BitVec::zeros(3)], vec![two(), two()]];
+        AllToAllInstance::new(2, 2, rows);
     }
 }

@@ -324,7 +324,7 @@ impl ScatterSession {
                 if r == h {
                     continue;
                 }
-                let mut frame = net.frame_buffer(pack.len() * mf as usize);
+                let mut frame = BitVec::zeros(pack.len() * mf as usize);
                 for (lane, &c) in pack.iter().enumerate() {
                     frame.write_uint(lane * mf as usize, mf, self.codewords[h][c][r] as u64);
                 }
@@ -591,7 +591,7 @@ impl<'a> Take1Session<'a> {
             let mut decoded: HashMap<(usize, usize, usize), Option<u16>> = HashMap::new();
             for u in 0..n {
                 if u == v {
-                    out.set(v, u, self.inst.message(u, u).clone());
+                    out.set(v, u, self.inst.message(u, u));
                     continue;
                 }
                 let mut bits = BitVec::zeros(b);
@@ -1167,7 +1167,7 @@ impl<'a> Take2Session<'a> {
                     v,
                     u,
                     if u == v {
-                        self.inst.message(u, u).clone()
+                        self.inst.message(u, u)
                     } else {
                         current[u].clone()
                     },
@@ -1266,9 +1266,7 @@ impl ProtocolSession for Take2Session<'_> {
                         .map(|(v, i)| SuperMessage {
                             src: v,
                             slot: i,
-                            payload: BitVec::concat(
-                                ((i * w)..((i + 1) * w)).map(|x| inst.message(v, x)),
-                            ),
+                            payload: inst.outgoing_segment(v, (i * w)..((i + 1) * w)),
                             targets: vec![parts[group_of[v]][i]],
                         })
                         .collect(),

@@ -104,7 +104,7 @@ impl<'a> SqrtSession<'a> {
                 .map(|(v, j)| SuperMessage {
                     src: v,
                     slot: j,
-                    payload: BitVec::concat(seg(j).map(|x| inst.message(v, x))),
+                    payload: inst.outgoing_segment(v, seg(j)),
                     targets: vec![member(group_of(v), j)],
                 })
                 .collect(),

@@ -74,7 +74,7 @@ impl<'a> NaiveSession<'a> {
         for (v, row) in std::mem::take(&mut self.partial).into_iter().enumerate() {
             for (u, assembled) in row.into_iter().enumerate() {
                 if u == v {
-                    out.set(v, u, self.inst.message(u, u).clone());
+                    out.set(v, u, self.inst.message(u, u));
                 } else {
                     out.set(v, u, assembled);
                 }

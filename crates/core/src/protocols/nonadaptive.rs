@@ -190,7 +190,7 @@ impl<'a> NaSession<'a> {
             let my_shifts = decode_shifts(&received_shifts[v], self.r, n);
             for u in 0..n {
                 if u == v {
-                    out.set(v, u, self.inst.message(u, u).clone());
+                    out.set(v, u, self.inst.message(u, u));
                     continue;
                 }
                 let mut tally: Vec<(BitVec, usize)> = Vec::new();
@@ -266,12 +266,12 @@ impl ProtocolSession for NaSession<'_> {
                                 for &i in &group {
                                     let v = (u + n - my_shifts[i]) % n;
                                     if v != u {
-                                        copy_store[u][i][u] = Some(self.inst.message(u, v).clone());
+                                        copy_store[u][i][u] = Some(self.inst.message(u, v));
                                     }
                                 }
                                 continue;
                             }
-                            let mut frame = net.frame_buffer(group.len() * b);
+                            let mut frame = BitVec::zeros(group.len() * b);
                             let mut any = false;
                             for (pos, &i) in group.iter().enumerate() {
                                 let v = (w + n - my_shifts[i]) % n;

@@ -142,7 +142,7 @@ impl<'a> RelaySession<'a> {
         for v in 0..n {
             for u in 0..n {
                 if u == v {
-                    out.set(v, u, self.inst.message(u, u).clone());
+                    out.set(v, u, self.inst.message(u, u));
                     continue;
                 }
                 if let Some(topo) = &self.topo {
@@ -184,7 +184,7 @@ impl ProtocolSession for RelaySession<'_> {
             let mut traffic = net.traffic();
             for u in 0..n {
                 for v in topo.neighbors(u) {
-                    traffic.send(u, v, self.inst.message(u, v).clone());
+                    traffic.send(u, v, self.inst.message(u, v));
                 }
             }
             let d = net.exchange(traffic);
@@ -213,9 +213,9 @@ impl ProtocolSession for RelaySession<'_> {
                         }
                         let c = relay(u, v);
                         if c == u {
-                            local[u] = Some((v, self.inst.message(u, v).clone()));
+                            local[u] = Some((v, self.inst.message(u, v)));
                         } else {
-                            traffic.send(u, c, self.inst.message(u, v).clone());
+                            traffic.send(u, c, self.inst.message(u, v));
                         }
                     }
                 }

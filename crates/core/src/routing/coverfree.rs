@@ -98,6 +98,15 @@ impl CfEngine {
                 "receiver sets of size {l} are too small"
             )));
         }
+        // The family-independent half of the decode margin below: erasures
+        // are ≥ 0, so no family can rescue `L ≤ 2e`. Testing it here spares
+        // a doomed probe the family search (64 seeds over every message).
+        let e_allow = absorbed_error_budget(net);
+        if l <= 2 * e_allow {
+            return Err(CoreError::infeasible(format!(
+                "cover-free margin fails: L = {l}, need > 2·{e_allow} before any erasure"
+            )));
+        }
 
         // Constraint collection H: per-source slots and per-target slots (Eq. 2).
         let uniq_targets: Vec<Vec<usize>> = instance
@@ -169,7 +178,6 @@ impl CfEngine {
         // Decode margin: per codeword, adversarial errors ≤ ⌊αn⌋ per round (at
         // the source in round 1, at the target in round 2) + slack; filtered
         // positions are known erasures. Need 2e + f < L - k_rs + 1.
-        let e_allow = absorbed_error_budget(net);
         if l <= 2 * e_allow + worst_erasures {
             return Err(CoreError::infeasible(format!(
                 "cover-free margin fails: L = {l}, need > 2·{e_allow} + {worst_erasures} erasures"
@@ -266,16 +274,12 @@ impl CfEngine {
         slots
     }
 
-    /// Sorts `slots` into a round's traffic, frames drawn from the
-    /// network's arena.
+    /// Sorts `slots` into a round's traffic.
     fn send_slots(&self, slots: Vec<SlotWrite>, net: &mut Network) -> Traffic {
         let mut traffic = net.traffic();
-        assemble_frames(
-            slots,
-            &self.shape,
-            |len| net.frame_buffer(len),
-            |from, to, frame| traffic.send(from, to, frame),
-        );
+        assemble_frames(slots, &self.shape, |from, to, frame| {
+            traffic.send(from, to, frame)
+        });
         traffic
     }
 }
@@ -320,12 +324,11 @@ impl SlotWrite {
 fn assemble_frames(
     mut slots: Vec<SlotWrite>,
     shape: &PackShape,
-    mut frame_buffer: impl FnMut(usize) -> BitVec,
     mut emit: impl FnMut(usize, usize, BitVec),
 ) {
     slots.sort_by_key(|s| s.edge);
     for edge in slots.chunk_by(|a, b| a.edge == b.edge) {
-        let mut frame = frame_buffer(shape.lanes * shape.slot);
+        let mut frame = BitVec::zeros(shape.lanes * shape.slot);
         for s in edge {
             if s.sym != RelayGrid::ABSENT {
                 // Validity bit first, then the symbol.
@@ -480,7 +483,9 @@ impl PackEngine for CfEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{route, Phase, RouteSession, RouterConfig, RoutingMode, SuperMessage};
+    use crate::routing::{
+        route, EngineUsed, Phase, RouteSession, RouterConfig, RoutingMode, SuperMessage,
+    };
     use bdclique_netsim::Adversary;
     use std::collections::BTreeMap;
 
@@ -670,7 +675,7 @@ mod tests {
                 .count();
             let expected = reference_frames(&slots, &engine.shape);
             let mut assembled = Vec::new();
-            assemble_frames(slots, &engine.shape, BitVec::zeros, |from, to, frame| {
+            assemble_frames(slots, &engine.shape, |from, to, frame| {
                 assembled.push((from, to, frame))
             });
             assert_eq!(assembled, expected, "round kind {which}");
@@ -708,5 +713,27 @@ mod tests {
             0,
             "no rounds may run before feasibility is known"
         );
+    }
+
+    /// A det-sqrt-shaped wave (k = √n messages per node) under α > 0:
+    /// `L = n / (8(k − 1)) = 2` cannot absorb `2·e_allow = 10` errors
+    /// whatever the family, so the probe is refused before the family is
+    /// searched for — `Auto` lands on the unit engine, and the pinned
+    /// cover-free engine reports `Infeasible` with no round run.
+    #[test]
+    fn hopeless_margin_sends_auto_to_the_unit_engine() {
+        let (n, k) = (256, 16);
+        let msgs: Vec<(usize, usize, Vec<usize>)> = (0..n)
+            .flat_map(|u| (0..k).map(move |j| (u, j, vec![(u + j + 1) % n])))
+            .collect();
+        let inst = instance(n, 8, msgs);
+        let net = Network::new(n, 9, 0.01, Adversary::none());
+        assert_eq!(net.fault_budget(), 2);
+        let auto = RouteSession::new(&net, &inst, &RouterConfig::default(), None)
+            .expect("Auto must fall back, not report Infeasible");
+        assert_eq!(auto.used, EngineUsed::Unit);
+        let pinned = RouteSession::new(&net, &inst, &cf_cfg(), None);
+        assert!(matches!(pinned, Err(CoreError::Infeasible { .. })));
+        assert_eq!(net.rounds(), 0);
     }
 }

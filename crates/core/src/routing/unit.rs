@@ -29,9 +29,9 @@
 //! gather, the round-B forward planning and the erasure decoding fan out
 //! across the rayon thread pool, while the network exchanges and the frame
 //! materialization stay strictly sequential (rounds are the unit of
-//! synchrony; frame buffers come from the network's
-//! [`bdclique_netsim::Network::frame_buffer`] arena). Results are always
-//! collected in work-unit order, so a run is bit-identical on any pool
+//! synchrony; a frame is `lanes · slot` ≤ 64 bits in every registry cell,
+//! so `BitVec::zeros` builds it inline, without an allocation). Results are
+//! always collected in work-unit order, so a run is bit-identical on any pool
 //! size — checked against the same [`super::route`] inside a one-thread
 //! pool scope (`unit_parallel_matches_serial`), the contract `compile`
 //! keeps the same way.
@@ -268,7 +268,7 @@ impl PackEngine for UnitEngine {
                 if w == src {
                     continue; // the source is its own relay for position src
                 }
-                let mut frame = net.frame_buffer(shape.lanes * shape.slot);
+                let mut frame = BitVec::zeros(shape.lanes * shape.slot);
                 for &(_, lane, pos) in group {
                     frame.set(lane * shape.slot, true); // validity
                     frame.write_uint(
@@ -329,7 +329,7 @@ impl PackEngine for UnitEngine {
         for (w, plan) in plans.iter().enumerate() {
             for group in plan.chunk_by(|a, b| a.0 == b.0) {
                 let x = group[0].0 as usize;
-                let mut frame = net.frame_buffer(shape.lanes * shape.slot);
+                let mut frame = BitVec::zeros(shape.lanes * shape.slot);
                 for &(_, lane, val) in group {
                     if let Some(sym) = val {
                         frame.set(lane as usize * shape.slot, true);

@@ -32,9 +32,9 @@
 //! round holds `n²/16` frames, the flat matrix from then on. Deliveries
 //! expose per-receiver iteration ([`Delivery::inbox_of`]) so receiving
 //! costs `O(frames)` rather than `O(n)` probes per node, and the
-//! [`Network`] recycles tables, the matrix buffer, and as many frame
-//! buffers as a round draws across rounds ([`Network::reclaim`],
-//! [`Network::frame_buffer`]). This is what scales experiments from
+//! [`Network`] recycles tables and the matrix buffer across rounds
+//! ([`Network::reclaim`]); frames of up to 64 bits sit inline in their
+//! slots and own no allocation. This is what scales experiments from
 //! `n = 64` to `n ≥ 4096`.
 //!
 //! # Examples

@@ -298,15 +298,7 @@ impl Network {
         Traffic::new_in(self.n, self.bandwidth, &mut self.arena, &self.topology)
     }
 
-    /// A zeroed frame buffer of `len` bits drawn from the network's frame
-    /// arena. Hot send loops that build frames incrementally can use this
-    /// instead of `BitVec::zeros` so that buffers recycled through
-    /// [`Network::reclaim`] are reused rather than reallocated every round.
-    pub fn frame_buffer(&mut self, len: usize) -> BitVec {
-        self.arena.take_frame(len)
-    }
-
-    /// Returns a consumed [`Delivery`]'s tables and frame buffers to the
+    /// Returns a consumed [`Delivery`]'s tables or dense matrix buffer to the
     /// network's arena for reuse by later rounds. Optional — dropping a
     /// delivery is always correct — but protocols that run many rounds cut
     /// their allocator traffic substantially by reclaiming.
@@ -646,59 +638,20 @@ mod tests {
         assert_eq!(log.entries()[0].0, "R1");
     }
 
+    /// The tables come back; frames have no allocation to recycle.
     #[test]
     fn reclaim_recycles_tables_and_frames_across_rounds() {
         let mut net = Network::new(8, 4, 0.0, Adversary::none());
         let mut t = net.traffic();
         for (from, to) in [(0, 1), (3, 5)] {
-            let mut frame = net.frame_buffer(2);
-            frame.set(0, true);
-            t.send(from, to, frame);
+            t.send(from, to, BitVec::from_bools(&[true, false]));
         }
         let d = net.exchange(t);
         net.reclaim(d);
-        let (tables, frames) = net.arena.pooled();
-        assert!(tables >= 8, "row and inbox tables must be pooled");
-        assert_eq!(frames, 2, "the round's drawn buffers must be pooled");
-        // A pooled buffer comes back zeroed at the requested length.
-        let buf = net.frame_buffer(3);
-        assert_eq!(buf, BitVec::zeros(3));
-        let (_, frames_after) = net.arena.pooled();
-        assert_eq!(frames_after, frames - 1, "frame_buffer draws from the pool");
-    }
-
-    /// The frame pool holds what rounds draw, not everything they reclaim.
-    #[test]
-    fn frame_pool_is_bounded_by_what_a_round_draws() {
-        let n = 8;
-        let round = |net: &mut Network, draw: usize| {
-            let mut t = net.traffic();
-            let mut sent = 0;
-            for u in 0..n {
-                for v in (0..n).filter(|&v| v != u) {
-                    let frame = if sent < draw {
-                        net.frame_buffer(1)
-                    } else {
-                        BitVec::zeros(1)
-                    };
-                    t.send(u, v, frame);
-                    sent += 1;
-                }
-            }
-            let d = net.exchange(t);
-            net.reclaim(d);
-        };
-        // A sender that never draws: 56 frames reclaimed per round, none kept.
-        let mut net = Network::new(n, 4, 0.0, Adversary::none());
-        for _ in 0..5 {
-            round(&mut net, 0);
-            assert_eq!(net.arena.pooled().1, 0, "nothing drawn, nothing pooled");
-        }
-        // A sender drawing 10 of its 56 frames per round keeps at most 10.
-        for _ in 0..5 {
-            round(&mut net, 10);
-            assert_eq!(net.arena.pooled().1, 10);
-        }
+        assert!(
+            net.arena.pooled_tables() >= 8,
+            "row and inbox tables must be pooled"
+        );
     }
 
     #[test]

@@ -26,10 +26,12 @@
 //! `O(frames)` (the measured pairs are in ROADMAP.md).
 //!
 //! [`FrameArena`] amortizes the remaining per-round allocations across
-//! rounds: emptied adjacency tables (with their capacity), the dense matrix
-//! buffer itself, and as many reclaimed frame `BitVec` buffers as a round
-//! has ever drawn are pooled on the owning [`crate::Network`] and reissued
-//! instead of reallocated.
+//! rounds: emptied adjacency tables (with their capacity) and the dense
+//! matrix buffer itself are pooled on the owning [`crate::Network`] and
+//! reissued instead of reallocated. Frames are not pooled: a `BitVec` of at
+//! most 64 bits lives inline in its slot, and no protocol sends a wider
+//! frame (the registry's widest is 36 bits), so a frame has no allocation
+//! to recycle.
 
 use bdclique_bits::BitVec;
 use bdclique_snapshot::{Dec, Enc, SnapError};
@@ -60,19 +62,11 @@ pub(crate) type AdjTable = Vec<(u32, BitVec)>;
 #[derive(Debug, Default)]
 pub(crate) struct FrameArena {
     tables: Vec<AdjTable>,
-    frames: Vec<BitVec>,
-    /// Spent dense matrix buffers (all-`None` after frame harvesting).
+    /// Spent dense matrix buffers (all-`None`).
     /// Rounds that auto-densify reuse one instead of allocating and zeroing
     /// `n²` fresh slots — at `n = 4096` that allocation alone is ~0.5 GiB
     /// per densified round.
     matrices: Vec<Vec<Option<BitVec>>>,
-    /// [`FrameArena::take_frame`] calls since the last round boundary.
-    drawn: usize,
-    /// The most frame buffers any one round drew — the frame pool's
-    /// capacity. Senders that build frames without drawing (the naive
-    /// exchange, det-hypercube's direct engine) leave it at zero, so their
-    /// reclaimed frames are freed rather than hoarded.
-    demand: usize,
 }
 
 impl FrameArena {
@@ -86,47 +80,17 @@ impl FrameArena {
         (0..n).map(|_| self.take_table()).collect()
     }
 
-    /// Returns a table to the pool, harvesting any leftover frames.
+    /// Returns a table to the pool, dropping any leftover frames.
     pub(crate) fn put_table(&mut self, mut table: AdjTable) {
-        for (_, frame) in table.drain(..) {
-            self.put_frame(frame);
-        }
+        table.clear();
         if self.tables.len() < MAX_POOLED_TABLES {
             self.tables.push(table);
         }
     }
 
-    /// Returns a frame buffer to the pool, which keeps no more than one
-    /// round has ever drawn.
-    pub(crate) fn put_frame(&mut self, frame: BitVec) {
-        if self.frames.len() < self.demand {
-            self.frames.push(frame);
-        }
-    }
-
-    /// A zeroed frame buffer of `len` bits, recycled when possible.
-    pub(crate) fn take_frame(&mut self, len: usize) -> BitVec {
-        self.drawn += 1;
-        match self.frames.pop() {
-            Some(mut buf) => {
-                buf.reset_zeros(len);
-                buf
-            }
-            None => BitVec::zeros(len),
-        }
-    }
-
-    /// Round boundary: folds the frames drawn for the round being exchanged
-    /// into the pool's capacity, before that round's delivery is reclaimed.
-    pub(crate) fn close_round(&mut self) {
-        self.demand = self.demand.max(self.drawn);
-        self.drawn = 0;
-    }
-
     /// Drains a round-local arena's tables and matrix buffers into this one
     /// (up to the caps) — how a [`crate::Traffic`]'s recycling rejoins the
-    /// network-wide arena at exchange time. A round-local arena draws no
-    /// frames, so it pools none.
+    /// network-wide arena at exchange time.
     pub(crate) fn absorb(&mut self, mut other: FrameArena) {
         while self.tables.len() < MAX_POOLED_TABLES {
             match other.tables.pop() {
@@ -142,14 +106,10 @@ impl FrameArena {
         }
     }
 
-    /// Harvests a dense matrix's frames into the frame pool and keeps the
-    /// (now all-`None`) matrix buffer itself for the next densified round.
+    /// Drops a dense matrix's frames and keeps the (now all-`None`) matrix
+    /// buffer itself for the next densified round.
     pub(crate) fn put_matrix(&mut self, mut matrix: Vec<Option<BitVec>>) {
-        for slot in matrix.iter_mut() {
-            if let Some(frame) = slot.take() {
-                self.put_frame(frame);
-            }
-        }
+        matrix.fill(None);
         if self.matrices.len() < MAX_POOLED_MATRICES {
             self.matrices.push(matrix);
         }
@@ -173,11 +133,11 @@ impl FrameArena {
         }
     }
 
-    /// Pool occupancy `(tables, frames)` — an observable for tests
-    /// asserting that reclamation actually recycles.
+    /// Pooled adjacency-table count — an observable for tests asserting
+    /// that reclamation actually recycles.
     #[cfg(test)]
-    pub(crate) fn pooled(&self) -> (usize, usize) {
-        (self.tables.len(), self.frames.len())
+    pub(crate) fn pooled_tables(&self) -> usize {
+        self.tables.len()
     }
 
     /// Pooled dense-matrix buffer count — test observable.
@@ -368,18 +328,17 @@ impl FrameStore {
     }
 
     /// Approximate heap bytes held by the store (matrix slots / adjacency
-    /// entries plus frame blocks) — what the benchmark's
-    /// `netsim.store_bytes_per_frame_*` probes read on each side of the
-    /// switch.
+    /// entries plus the blocks of any frame too wide to sit inline) — what
+    /// the benchmark's `netsim.store_bytes_per_frame_*` probes read on each
+    /// side of the switch.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let frame_bytes = |b: &BitVec| std::mem::size_of::<BitVec>() + b.len().div_ceil(64) * 8;
         match self {
             FrameStore::Dense(frames) => {
                 frames.capacity() * std::mem::size_of::<Option<BitVec>>()
                     + frames
                         .iter()
                         .flatten()
-                        .map(|b| b.len().div_ceil(64) * 8)
+                        .map(BitVec::heap_bytes)
                         .sum::<usize>()
             }
             FrameStore::Sparse(rows) => {
@@ -388,10 +347,7 @@ impl FrameStore {
                         .iter()
                         .map(|row| {
                             row.capacity() * std::mem::size_of::<(u32, BitVec)>()
-                                + row
-                                    .iter()
-                                    .map(|(_, b)| frame_bytes(b) - std::mem::size_of::<BitVec>())
-                                    .sum::<usize>()
+                                + row.iter().map(|(_, b)| b.heap_bytes()).sum::<usize>()
                         })
                         .sum::<usize>()
             }
@@ -409,17 +365,6 @@ mod tests {
 
     fn new_dense(n: usize) -> FrameStore {
         FrameStore::Dense(vec![None; n * n])
-    }
-
-    /// An arena whose frame pool may hold `demand` buffers: one round drew
-    /// that many.
-    fn arena_with_demand(demand: usize) -> FrameArena {
-        let mut arena = FrameArena::default();
-        for _ in 0..demand {
-            arena.take_frame(1);
-        }
-        arena.close_round();
-        arena
     }
 
     #[test]
@@ -483,33 +428,33 @@ mod tests {
         assert_eq!(store.get(n, 1, 2), Some(&bv(&[true])));
         assert_eq!(store.get(n, 3, 0), Some(&bv(&[false, true])));
         assert_eq!(store.get(n, 0, 1), None);
-        let (tables, _) = arena.pooled();
-        assert_eq!(tables, n, "spent rows must return to the arena");
+        assert_eq!(
+            arena.pooled_tables(),
+            n,
+            "spent rows must return to the arena"
+        );
     }
 
+    /// Tables and matrix buffers come back; the frames they held are dropped.
     #[test]
     fn arena_recycles_frames_from_tables_and_matrices() {
-        let mut arena = arena_with_demand(2);
+        let mut arena = FrameArena::default();
         arena.put_table(vec![(7, bv(&[true, true, true]))]);
-        let (tables, frames) = arena.pooled();
-        assert_eq!((tables, frames), (1, 1));
-        // The pooled frame comes back zeroed at the requested length.
-        let buf = arena.take_frame(2);
-        assert_eq!(buf, BitVec::zeros(2));
-        // A dense matrix's frames are harvested on reclamation.
+        assert_eq!(arena.pooled_tables(), 1);
+        let table = arena.take_tables(1).pop().expect("one table asked for");
+        assert!(table.is_empty(), "a reissued table is clean");
+        assert!(table.capacity() >= 1, "and keeps its capacity");
         arena.put_matrix(vec![None, Some(bv(&[true])), None, Some(bv(&[false]))]);
-        let (_, frames) = arena.pooled();
-        assert_eq!(frames, 2);
+        assert_eq!(arena.pooled_matrices(), 1);
     }
 
     #[test]
     fn matrix_buffers_recycle_through_the_arena() {
         let n = 4;
-        let mut arena = arena_with_demand(2);
-        // A harvested matrix is retained (frames pooled, slots cleared)…
+        let mut arena = FrameArena::default();
+        // A spent matrix is retained (slots cleared)…
         arena.put_matrix(vec![None, Some(bv(&[true])), None, Some(bv(&[false]))]);
         assert_eq!(arena.pooled_matrices(), 1);
-        assert_eq!(arena.pooled().1, 2, "matrix frames must be harvested");
         // …but only a shape-matching buffer is reissued.
         let wrong_shape = arena.take_matrix(n);
         assert_eq!(wrong_shape.len(), n * n);

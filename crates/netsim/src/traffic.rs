@@ -282,7 +282,6 @@ impl Traffic {
     pub(crate) fn into_delivery(mut self, arena: &mut FrameArena) -> Delivery {
         let n = self.n;
         arena.absorb(std::mem::take(&mut self.arena));
-        arena.close_round();
         match self.store {
             FrameStore::Dense(frames) => Delivery {
                 n,
@@ -500,7 +499,7 @@ impl Delivery {
         Ok(Self { n, repr })
     }
 
-    /// Hands the delivery's tables and frame buffers to `arena` — the
+    /// Hands the delivery's tables or matrix buffer to `arena` — the
     /// [`crate::Network::reclaim`] implementation.
     pub(crate) fn recycle_into(self, arena: &mut FrameArena) {
         match self.repr {

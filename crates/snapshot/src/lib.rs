@@ -550,6 +550,14 @@ mod tests {
             let mut re = Enc::new();
             re.put_bits(&back);
             assert_eq!(re.into_bytes(), bytes, "len {len}");
+            // The bytes are the logical bits: a value that spilled to the
+            // heap and was truncated back encodes as its inline twin does.
+            let mut spilled = bits.clone();
+            spilled.pad_to(len + 130);
+            spilled.truncate(len);
+            let mut enc = Enc::new();
+            enc.put_bits(&spilled);
+            assert_eq!(enc.into_bytes(), bytes, "spilled, len {len}");
         }
     }
 
