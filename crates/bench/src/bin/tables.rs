@@ -12,7 +12,7 @@
 //! Bare scenario names (`tables t1r3 frontier`) are accepted as shorthand
 //! for `--scenario`; `route` expands to `route-margin` + `route-engines`.
 //! `--trials N` sets the base trial count (default 5); scenarios apply
-//! their historical per-suite scaling (e.g. `codes` runs `8 × N`).
+//! their historical per-suite scaling (e.g. `ldc` runs `4 × N`).
 //! `--json PATH` additionally writes every selected scenario's cells,
 //! aggregates, seeds, and wall times as one JSON document (schema
 //! documented in `bdclique_bench::scenario`). `--check` holds every
@@ -27,8 +27,8 @@
 //! shard `I` of `M`, and `tables --merge OUT.json SHARD.json...` folds the
 //! shard documents back into one. `tables --same A.json B.json` is the
 //! identity compare between two runs of one grid (golden vs resumed, full
-//! vs merged): same cells, same coordinates, aggregates and deterministic
-//! metrics.
+//! vs merged): same cells, same coordinates, aggregates and metrics —
+//! only `secs`, `wall_secs`, `git` and cell order may differ.
 
 use bdclique_bench::checkpoint::CheckpointConfig;
 use bdclique_bench::scenario::{self, RunConfig, Scenario, ScenarioResult};

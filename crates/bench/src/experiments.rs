@@ -12,7 +12,7 @@ use crate::scenario::{
 };
 use crate::{AdversarySpec, Aggregate, TopologySpec};
 use bdclique_bits::BitVec;
-use bdclique_codes::{ConcatenatedCode, Ldc, ReedSolomon, RepetitionCode, RmLdc, SymbolCode};
+use bdclique_codes::{Ldc, RmLdc};
 use bdclique_core::cc::{MaxTwoPhase, SumAll, Transpose};
 use bdclique_core::compiler::{compile, run_fault_free, CliqueAlgorithm};
 use bdclique_core::protocols::{
@@ -103,11 +103,11 @@ fn clique_job(
 }
 
 /// All named scenarios, in suite order, built with `trials` base trials
-/// (builders apply their own historical scaling, e.g. `codes` runs
-/// `8 × trials`). The `tables` binary and the README both key off their
+/// (builders apply their own historical scaling, e.g. `ldc` runs
+/// `4 × trials`). The `tables` binary and the README both key off their
 /// names.
 pub fn registry(trials: usize) -> Vec<Scenario> {
-    let builders: [fn(usize) -> Scenario; 20] = [
+    let builders: [fn(usize) -> Scenario; 19] = [
         t1r1,
         t1r2,
         t1r3,
@@ -117,7 +117,6 @@ pub fn registry(trials: usize) -> Vec<Scenario> {
         matching,
         frontier_scenario,
         compiler,
-        codes,
         ldc,
         sketch,
         cfree,
@@ -664,73 +663,6 @@ pub fn compiler(_trials: usize) -> Scenario {
         columns: vec!["cc-rounds", "compiled-rounds", "overhead", "outputs"],
         cells,
         expect: vec![Expectation::on(&[], vec![Clause::Matched])],
-    }
-}
-
-/// `A.CODE` — ECC ablation: decode success vs random symbol corruption.
-pub fn codes(trials: usize) -> Scenario {
-    let trials = trials * 8;
-    const FRACTIONS: [(&str, f64); 5] = [
-        ("5%", 0.05),
-        ("10%", 0.10),
-        ("20%", 0.20),
-        ("30%", 0.30),
-        ("40%", 0.40),
-    ];
-    fn code_cell<C, F>(label: &'static str, trials: usize, make: F) -> Cell
-    where
-        C: SymbolCode,
-        F: Fn() -> C + Send + Sync + 'static,
-    {
-        Cell {
-            coords: vec![("code", Value::s(label))],
-            kind: CellKind::Custom(Arc::new(move |ctx: &CellCtx| {
-                let code = make();
-                let mut metrics = vec![("rate", Value::s(format!("{:.2}", code.rate())))];
-                for (header, fraction) in FRACTIONS {
-                    let mut ok = 0;
-                    let mut rng = ChaCha8Rng::seed_from_u64(ctx.stream.fork(header).seed());
-                    for _ in 0..trials {
-                        let msg: Vec<u16> = (0..code.message_len())
-                            .map(|_| rng.gen_range(0..1u32 << code.symbol_bits()) as u16)
-                            .collect();
-                        let mut cw = code.encode(&msg).unwrap();
-                        let corrupt = ((cw.len() as f64) * fraction).round() as usize;
-                        let mut idx: Vec<usize> = (0..cw.len()).collect();
-                        for i in (1..idx.len()).rev() {
-                            idx.swap(i, rng.gen_range(0..=i));
-                        }
-                        for &p in idx.iter().take(corrupt) {
-                            cw[p] ^= 1 + rng.gen_range(0..(1u32 << code.symbol_bits()) - 1) as u16;
-                        }
-                        if code.decode(&cw, &vec![false; cw.len()]) == Ok(msg) {
-                            ok += 1;
-                        }
-                    }
-                    metrics.push((header, Value::rate(ok, trials)));
-                }
-                metrics
-            })),
-        }
-    }
-    let cells = vec![
-        code_cell("repetition x5", trials, || {
-            RepetitionCode::new(8, 3, 5).unwrap()
-        }),
-        code_cell("RS[16,8] GF(256)", trials, || {
-            ReedSolomon::new(8, 16, 8).unwrap()
-        }),
-        code_cell("concat RS+Hamming", trials, || {
-            ConcatenatedCode::new(16, 8).unwrap()
-        }),
-    ];
-    Scenario {
-        name: "codes",
-        about: "ECC ablation: decode success vs corruption fraction",
-        title: "A.CODE  decode success vs random symbol corruption (fraction of codeword)".into(),
-        columns: vec!["rate", "5%", "10%", "20%", "30%", "40%"],
-        cells,
-        expect: vec![],
     }
 }
 

@@ -419,8 +419,8 @@ pub struct Aggregate {
 /// order is part of the determinism contract: floating-point means are
 /// computed from integer sums, so any ordering of the same multiset of
 /// results yields identical fields — but keeping input order makes that
-/// trivially true. Public so oracle harnesses (e.g. the codeword-cache
-/// identity test) can fold hand-run trials exactly like the engine does.
+/// trivially true. Public so oracle harnesses can fold hand-run trials
+/// exactly like the engine does.
 pub fn fold_trials(trials: usize, results: Vec<Result<Trial, CoreError>>) -> Aggregate {
     let mut agg = Aggregate {
         trials,

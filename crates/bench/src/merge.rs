@@ -15,7 +15,7 @@
 //! ([`crate::json::parse_json`]) — the workspace has no serde.
 
 use crate::json::{parse_json, Json};
-use crate::scenario::{NONDETERMINISTIC_METRICS, SCHEMA};
+use crate::scenario::SCHEMA;
 use std::collections::{BTreeMap, HashSet};
 
 /// One scenario of a parsed document: name, the scenario object, its cells.
@@ -154,26 +154,18 @@ pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
 }
 
 /// What a cell must reproduce exactly, keyed by `(scenario, seed)`: its
-/// coordinates, its aggregate, and its metrics minus the
-/// [`NONDETERMINISTIC_METRICS`]. `secs`, `wall_secs`, `git` and cell order
-/// are free to differ.
+/// coordinates, its aggregate and its metrics. `secs`, `wall_secs`, `git`
+/// and cell order are free to differ.
 fn identity_index(label: &str, text: &str) -> Result<BTreeMap<(String, String), Json>, String> {
     let doc = parse_document(label, text)?;
     let mut index = BTreeMap::new();
     for (name, _, cells) in scenarios_of(label, &doc)? {
         for cell in cells {
             let seed = seed_of(label, name, cell)?;
-            let metrics = match field(cell, "metrics") {
-                Json::Obj(mut fields) => {
-                    fields.retain(|(key, _)| !NONDETERMINISTIC_METRICS.contains(&key.as_str()));
-                    Json::Obj(fields)
-                }
-                other => other,
-            };
             let content = Json::Arr(vec![
                 field(cell, "coords"),
                 field(cell, "aggregate"),
-                metrics,
+                field(cell, "metrics"),
             ]);
             if index
                 .insert((name.to_string(), seed.to_string()), content)
@@ -189,8 +181,8 @@ fn identity_index(label: &str, text: &str) -> Result<BTreeMap<(String, String), 
 /// The identity compare between two runs of the same grid — golden vs
 /// killed-and-resumed, full vs sharded-and-merged: both documents must hold
 /// the same `(scenario, seed)` cells, each exactly once, with identical
-/// coordinates, aggregates and deterministic metrics. Returns the number of
-/// cells compared.
+/// coordinates, aggregates and metrics. Returns the number of cells
+/// compared.
 ///
 /// # Errors
 ///
@@ -356,9 +348,9 @@ mod tests {
         assert!(rendered.contains("[1,2.5,null"), "{rendered}");
     }
 
-    /// `tables --same`: wall clocks, `git` and the cache counters are free
-    /// to differ; any seeded-deterministic field, a missing cell or a
-    /// duplicated `(scenario, seed)` is a named difference.
+    /// `tables --same`: wall clocks, `git` and cell order are free to
+    /// differ; any other field, a missing cell or a duplicated
+    /// `(scenario, seed)` is a named difference.
     #[test]
     fn same_documents_ignores_timing_and_names_every_difference() {
         use crate::scenario::TrialJob;
@@ -395,11 +387,6 @@ mod tests {
         retimed.cells.reverse();
         for cell in &mut retimed.cells {
             cell.secs += 1.5;
-            for (key, value) in &mut cell.metrics {
-                if NONDETERMINISTIC_METRICS.contains(key) {
-                    *value = Value::U64(99);
-                }
-            }
         }
         let retimed_doc = emit_json(&[retimed], 2).replace("\"git\":\"", "\"git\":\"elsewhere-");
         assert_ne!(retimed_doc, golden_doc);

@@ -54,10 +54,9 @@
 //! never prints `0/0` or `NaN`. `round_trace` is trial 0's per-round
 //! stat-delta sequence for cells with [`TrialJob::trace`] on (the
 //! `schedules` scenario, or the CLI's `--trace`), `null` otherwise. Every
-//! trial cell's metrics end with the [`NONDETERMINISTIC_METRICS`]: counters
-//! of the per-cell codeword cache, which depend on trial interleaving and
-//! are excluded from every identity compare. A merged document
-//! ([`crate::merge::merge_documents`]) adds `merged_from`.
+//! metric is a function of the seeds, so identity compares read all of
+//! them. A merged document ([`crate::merge::merge_documents`]) adds
+//! `merged_from`.
 
 use crate::checkpoint::{run_trial_checkpointed, CheckpointConfig};
 use crate::expect::Expectation;
@@ -67,7 +66,6 @@ use crate::{
 };
 use bdclique_core::driver::{RoundDelta, RoundTrace};
 use bdclique_core::protocols::AllToAllProtocol;
-use bdclique_core::routing::{shared_codeword_cache, CodewordCache};
 use bdclique_core::CoreError;
 use bdclique_netsim::SeedStream;
 use rayon::prelude::*;
@@ -77,15 +75,6 @@ use std::time::Instant;
 
 /// JSON schema identifier emitted at the top of every document.
 pub const SCHEMA: &str = "bdclique-bench/scenario-v1";
-
-/// The trial-cell metrics that are **not** a function of the seeds: the
-/// per-cell codeword cache's hit / miss counters. Trials racing on the
-/// shared cache reorder probe/insert interleavings (and a resumed trial
-/// skips already-done encodes), so the *counters* differ between pool
-/// sizes and resumed runs even though the cached content — and therefore
-/// every outcome the aggregate folds — is bit-identical. The one exclusion
-/// list [`CellResult::same_outcome`] and `tables --same` both read.
-pub const NONDETERMINISTIC_METRICS: [&str; 2] = ["cache_hits", "cache_misses"];
 
 /// A coordinate or metric value: typed for JSON, formatted for tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -373,18 +362,11 @@ impl CellResult {
             .or_else(|| (header == "secs").then(|| Value::f1(self.secs)))
     }
 
-    /// Seed-and-timing-independent equality, used by the determinism oracle
-    /// (everything but `secs` and the [`NONDETERMINISTIC_METRICS`]).
+    /// Timing-independent equality, used by the determinism oracle
+    /// (everything but `secs`).
     pub fn same_outcome(&self, other: &CellResult) -> bool {
-        let deterministic = |metrics: &[(&'static str, Value)]| -> Vec<(&'static str, Value)> {
-            metrics
-                .iter()
-                .filter(|(key, _)| !NONDETERMINISTIC_METRICS.contains(key))
-                .cloned()
-                .collect()
-        };
         self.coords == other.coords
-            && deterministic(&self.metrics) == deterministic(&other.metrics)
+            && self.metrics == other.metrics
             && self.aggregate == other.aggregate
             && self.round_trace == other.round_trace
             && self.seed == other.seed
@@ -524,20 +506,13 @@ fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
         CellKind::Trials(job) => {
             let cell_key = format!("{}-{:016x}", spec.name, stream.seed());
             let ckpt = cfg.checkpoint.as_ref().map(|c| (c, cell_key.as_str()));
-            let (agg, trace, (hits, misses), prior) = run_trials_traced(job, &stream, ckpt);
+            let (agg, trace, prior) = run_trials_traced(job, &stream, ckpt);
             prior_secs = prior;
-            let mut metrics: Vec<(&'static str, Value)> = spec
+            let metrics: Vec<(&'static str, Value)> = spec
                 .columns
                 .iter()
                 .filter_map(|header| Some((*header, job.column(header, &agg)?)))
                 .collect();
-            // Cross-trial codeword-cache effectiveness; counters only
-            // (content is correctness-neutral).
-            metrics.extend(
-                NONDETERMINISTIC_METRICS
-                    .into_iter()
-                    .zip([hits, misses].map(Value::U64)),
-            );
             (metrics, Some(agg), trace)
         }
         CellKind::Custom(job) => (job(&CellCtx { stream }), None, None),
@@ -563,37 +538,25 @@ pub fn run_trials(job: &TrialJob, stream: &SeedStream) -> Aggregate {
 }
 
 /// [`run_trials`] plus trial 0's per-round trace when [`TrialJob::trace`]
-/// is set, the cell's codeword-cache `(hits, misses)`, and the wall-clock
-/// seconds earlier segments of resumed trials consumed. Tracing rides along
-/// on trial 0 only — observers read stat deltas, never randomness — so the
-/// folded [`Aggregate`] is bit-identical with tracing on or off, on any
-/// pool size.
+/// is set and the wall-clock seconds earlier segments of resumed trials
+/// consumed. Tracing rides along on trial 0 only — observers read stat
+/// deltas, never randomness — so the folded [`Aggregate`] is bit-identical
+/// with tracing on or off, on any pool size.
 ///
 /// With `ckpt = Some((config, cell key))` every trial instead runs through
 /// [`run_trial_checkpointed`] under its own deterministic file key
 /// (`<cell key>-t<trial>`), resuming from leftover checkpoints of an
 /// interrupted earlier run; per-round tracing is skipped there — a resumed
 /// trial has no round 0 to trace.
-///
-/// One [`CodewordCache`] spans **all the cell's trials**: every trial's
-/// protocol gets the shared handle via
-/// [`AllToAllProtocol::attach_codeword_cache`], so trial `t`'s
-/// Reed–Solomon encodes reuse trial `t-1`'s (cells with a fixed instance
-/// seed re-encode the identical chunks otherwise). The cache is
-/// content-addressed and equality-verified, so the fold is bit-identical
-/// to uncached trials (regression-tested); only the hit/miss *counters*
-/// depend on trial interleaving.
 pub fn run_trials_traced(
     job: &TrialJob,
     stream: &SeedStream,
     ckpt: Option<(&CheckpointConfig, &str)>,
-) -> (Aggregate, Option<Vec<RoundDelta>>, (u64, u64), f64) {
-    let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
+) -> (Aggregate, Option<Vec<RoundDelta>>, f64) {
     let spec = job.spec();
     let one = |t: usize| -> Result<(crate::Trial, Option<Vec<RoundDelta>>, f64), CoreError> {
         let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
-        let mut proto = (job.protocol)(seeds.protocol);
-        proto.attach_codeword_cache(cache.clone());
+        let proto = (job.protocol)(seeds.protocol);
         match ckpt {
             None => {
                 let mut trace = (job.trace && t == 0).then(RoundTrace::new);
@@ -625,8 +588,7 @@ pub fn run_trials_traced(
             .map(|r| r.map(|(trial, _, _)| trial))
             .collect(),
     );
-    let cache_stats = cache.lock().expect("codeword cache poisoned").stats();
-    (agg, round_trace, cache_stats, prior_secs)
+    (agg, round_trace, prior_secs)
 }
 
 /// Serializes finished scenario runs as one self-describing JSON document:

@@ -170,10 +170,8 @@ fn parallel_run_matches_serial_oracle() {
     for (p, s) in par.cells.iter().zip(&ser.cells) {
         assert!(p.same_outcome(s), "diverged at {:?} vs {:?}", p, s);
     }
-    let routed = |cell: &scenario::CellResult| {
-        cell.aggregate.as_ref().unwrap().completed == 4
-            && cell.value_of("cache_misses") != Some(Value::U64(0))
-    };
+    // Every cell is det-sqrt, so a completed trial routed two waves.
+    let routed = |cell: &scenario::CellResult| cell.aggregate.as_ref().unwrap().completed == 4;
     assert!(
         ser.cells.iter().any(routed),
         "no cell of the grid routed anything: {ser:?}"
@@ -218,7 +216,7 @@ fn zero_trial_cell_renders_na() {
 #[test]
 fn registry_builds_unique_nonempty_scenarios() {
     let suite = bdclique_bench::experiments::registry(1);
-    assert_eq!(suite.len(), 20);
+    assert_eq!(suite.len(), 19);
     let mut names: Vec<&str> = suite.iter().map(|s| s.name).collect();
     names.sort_unstable();
     names.dedup();
@@ -305,51 +303,6 @@ fn tracing_is_outcome_invisible_and_partitions_rounds() {
             assert_eq!(frame.stats.rounds, 1, "one exchange per frame");
         }
     }
-}
-
-/// PR 7 satellite: the per-cell shared codeword cache the engine attaches
-/// across a cell's trials is outcome-neutral — the folded [`Aggregate`]
-/// is bit-identical to the same seeded trials run without ever attaching
-/// a cache. Only the hit/miss counters may differ (and those are excluded
-/// from `same_outcome`).
-#[test]
-fn shared_codeword_cache_is_outcome_neutral() {
-    use bdclique_bench::{fold_trials, run_trial, TrialSeeds};
-    use bdclique_core::routing::RouterConfig;
-
-    let cell = with_job(|job| {
-        job.protocol = Arc::new(|_seed| Box::new(DetSqrt::new(RouterConfig::default())));
-        job.protocol_key = "det-sqrt";
-        job.n = 64;
-        job.bandwidth = 18;
-        job.trials = 3;
-    });
-    let CellKind::Trials(job) = &cell.kind else {
-        unreachable!()
-    };
-    let stream = cell.stream("cache-identity");
-
-    let (cached, _trace, (hits, misses), _prior) =
-        on_one_thread(|| scenario::run_trials_traced(job, &stream, None));
-    assert!(
-        hits + misses > 0,
-        "det-sqrt encodes Reed–Solomon codewords; the cell cache must be consulted"
-    );
-
-    // The uncached oracle: identical seed derivation, no cache attached.
-    let results = (0..job.trials)
-        .map(|t| {
-            let seeds = TrialSeeds::derive(stream.fork_u64(t as u64).seed());
-            let proto = (job.protocol)(seeds.protocol);
-            run_trial(proto.as_ref(), &job.spec(), seeds, None)
-        })
-        .collect();
-    let uncached = fold_trials(job.trials, results);
-
-    assert_eq!(
-        cached, uncached,
-        "attaching the shared codeword cache changed a trial outcome"
-    );
 }
 
 /// A minimal strict JSON syntax checker (the workspace has no serde):

@@ -480,25 +480,6 @@ impl BitVec {
         out
     }
 
-    /// Splits into `ceil(len / chunk)` chunks of `chunk` bits; the last chunk
-    /// is zero-padded to exactly `chunk` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn chunks_padded(&self, chunk: usize) -> Vec<Self> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let count = self.len.div_ceil(chunk).max(1);
-        (0..count)
-            .map(|c| {
-                let start = (c * chunk).min(self.len);
-                let mut part = self.slice(start, (start + chunk).min(self.len));
-                part.pad_to(chunk);
-                part
-            })
-            .collect()
-    }
-
     /// Zero-pads (or leaves unchanged) so the vector has at least `len` bits.
     pub fn pad_to(&mut self, len: usize) {
         if self.len < len {
@@ -671,25 +652,6 @@ mod tests {
         }
         let joined = BitVec::concat([&v.slice(0, 10), &v.slice(10, 100)]);
         assert_eq!(joined, v);
-    }
-
-    #[test]
-    fn chunks_padded_covers_all_bits() {
-        let v = BitVec::from_fn(21, |i| i % 2 == 0);
-        let chunks = v.chunks_padded(8);
-        assert_eq!(chunks.len(), 3);
-        assert!(chunks.iter().all(|c| c.len() == 8));
-        let mut rejoined = BitVec::concat(chunks.iter());
-        rejoined.truncate(21);
-        assert_eq!(rejoined, v);
-    }
-
-    #[test]
-    fn empty_chunks_padded_yields_one_zero_chunk() {
-        let v = BitVec::new();
-        let chunks = v.chunks_padded(4);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0], BitVec::zeros(4));
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl ReedSolomon {
         &self.gf
     }
 
-    /// Number of parity symbols `n - k` (= design distance − 1).
-    pub fn parity_len(&self) -> usize {
-        self.n - self.k
-    }
-
-    /// Maximum number of correctable errors with no erasures.
-    pub fn error_capacity(&self) -> usize {
-        (self.n - self.k) / 2
-    }
-
     fn syndromes(&self, word: &[u16]) -> Vec<u16> {
         // S_j = word(alpha^j) for j = 1..=n-k; stored 0-indexed.
         (1..=(self.n - self.k) as u32)

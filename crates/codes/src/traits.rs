@@ -5,10 +5,8 @@ use bdclique_bits::BitVec;
 
 /// A block code over symbols of `symbol_bits` bits (carried as `u16`).
 ///
-/// Implementors: [`crate::ReedSolomon`], [`crate::HammingCode`],
-/// [`crate::ConcatenatedCode`], [`crate::RepetitionCode`]. The routing layer
-/// is generic over this trait so experiments can swap codes (ablation
-/// `A.CODE`, the bench's `codes` scenario).
+/// Implementor: [`crate::ReedSolomon`], the code both routing engines
+/// encode with; [`BitCode`] is the bit-string layer they call it through.
 pub trait SymbolCode {
     /// Message length in symbols.
     fn message_len(&self) -> usize;

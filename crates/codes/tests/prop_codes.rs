@@ -1,9 +1,7 @@
 //! Property-based tests: decode∘corrupt∘encode identities within radius.
 
 use bdclique_bits::BitVec;
-use bdclique_codes::{
-    BitCode, ConcatenatedCode, HammingCode, ReedSolomon, RepetitionCode, SymbolCode,
-};
+use bdclique_codes::{BitCode, ReedSolomon, SymbolCode};
 use proptest::prelude::*;
 
 /// Strategy: a message of `k` symbols over an alphabet of size `2^bits`.
@@ -51,49 +49,6 @@ proptest! {
         let cw = rs.encode_bits(&bits).unwrap();
         let out = rs.decode_bits(&cw, &[false; 16], bits.len()).unwrap();
         prop_assert_eq!(out, bits);
-    }
-
-    #[test]
-    fn hamming_corrects_one_error_any_message(
-        msg in msg_strategy(4, 1),
-        errpos in 0usize..8,
-    ) {
-        let code = HammingCode::new();
-        let mut cw = code.encode(&msg).unwrap();
-        cw[errpos] ^= 1;
-        prop_assert_eq!(code.decode(&cw, &[false; 8]).unwrap(), msg);
-    }
-
-    #[test]
-    fn repetition_majority_holds(
-        msg in msg_strategy(4, 8),
-        bad in prop::collection::vec((0usize..4, 0usize..2, 1u16..256), 0..4),
-    ) {
-        // r = 5; corrupt at most 2 copies of each symbol.
-        let code = RepetitionCode::new(8, 4, 5).unwrap();
-        let mut cw = code.encode(&msg).unwrap();
-        for (sym, copy, delta) in bad {
-            cw[sym * 5 + copy] ^= delta;
-        }
-        prop_assert_eq!(code.decode(&cw, &[false; 20]).unwrap(), msg);
-    }
-
-    #[test]
-    fn concatenated_roundtrip_with_sparse_noise(
-        bools in prop::collection::vec(any::<bool>(), 64),
-        noise in prop::collection::vec(0usize..256, 0..6),
-    ) {
-        // [16,8] outer: 6 scattered bit errors hit ≤ 6 inner blocks; at most
-        // 3 outer symbols can be corrupted (needs ≥2 hits per nibble), within
-        // the outer capacity of 4.
-        let code = ConcatenatedCode::new(16, 8).unwrap();
-        let msg: Vec<u16> = bools.iter().map(|&b| u16::from(b)).collect();
-        let cw = code.encode(&msg).unwrap();
-        let mut recv = cw.clone();
-        for p in noise {
-            recv[p] ^= 1;
-        }
-        prop_assert_eq!(code.decode(&recv, &vec![false; recv.len()]).unwrap(), msg);
     }
 
     #[test]

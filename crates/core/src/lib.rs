@@ -23,7 +23,6 @@ pub mod driver;
 mod error;
 mod problem;
 pub mod protocols;
-pub mod reduction;
 pub mod routing;
 
 pub use driver::{Driver, RoundBudget, RoundDelta, RoundObserver, RoundTrace, ScheduleSwitch};

@@ -27,10 +27,10 @@ use std::borrow::Cow;
 pub struct DetHypercube {
     /// Router configuration for every iteration.
     pub router: RouterConfig,
-    /// Cross-run cache from
-    /// [`AllToAllProtocol::attach_codeword_cache`]; when absent the
-    /// iterations encode without one.
-    shared_cache: Option<SharedCodewordCache>,
+    /// Encode counter from [`AllToAllProtocol::attach_codeword_cache`],
+    /// handed to every iteration's routing session; nothing is counted
+    /// without one.
+    encode_counter: Option<SharedCodewordCache>,
 }
 
 impl DetHypercube {
@@ -38,7 +38,7 @@ impl DetHypercube {
     pub fn new(router: RouterConfig) -> Self {
         Self {
             router,
-            shared_cache: None,
+            encode_counter: None,
         }
     }
 }
@@ -124,12 +124,8 @@ fn interleave_halves(halves: [Option<&BitVec>; 2], half_fields: usize, b: usize)
 /// The hypercube protocol as a state machine: `ℓ` iterations, one step per
 /// network round.
 struct HypercubeSession<'a> {
-    router: &'a RouterConfig,
-    /// Optional cross-run codeword cache. Iteration payloads are random
-    /// halves that fill their chunks, so probes on this path miss (the
-    /// benchmark's `hypercube-matchings` trace reads 0 hits); the handle is
-    /// threaded through for the caller's counters.
-    cache: Option<SharedCodewordCache>,
+    /// Router configuration and encode counter of every iteration.
+    proto: &'a DetHypercube,
     n: usize,
     ell: usize,
     b: usize,
@@ -198,14 +194,7 @@ impl<'a> HypercubeSession<'a> {
         // M_1(u) = M({u}, V): u's outgoing messages in target order.
         let state: Vec<BitVec> = (0..n).map(|u| inst.outgoing_concat(u)).collect();
         let engine = if net.topology().is_complete() {
-            HcEngine::Routed(Self::iteration_route(
-                net,
-                &proto.router,
-                proto.shared_cache.as_ref(),
-                &state,
-                ell,
-                1,
-            )?)
+            HcEngine::Routed(Self::iteration_route(net, proto, &state, ell, 1)?)
         } else {
             let topo = net.topology();
             let has_dims = (0..n).all(|u| (0..ell).all(|j| topo.contains(u, u ^ (1 << j))));
@@ -219,8 +208,7 @@ impl<'a> HypercubeSession<'a> {
             Self::direct_engine(&state, net.bandwidth(), ell, 1)
         };
         Ok(Self {
-            router: &proto.router,
-            cache: proto.shared_cache.clone(),
+            proto,
             n,
             ell,
             b,
@@ -254,8 +242,7 @@ impl<'a> HypercubeSession<'a> {
     /// session.
     fn iteration_route(
         net: &Network,
-        router: &RouterConfig,
-        cache: Option<&SharedCodewordCache>,
+        proto: &DetHypercube,
         state: &[BitVec],
         ell: usize,
         i: usize,
@@ -278,7 +265,7 @@ impl<'a> HypercubeSession<'a> {
                 })
                 .collect(),
         };
-        RouteSession::new(net, instance, router, cache.cloned())
+        RouteSession::new(net, instance, &proto.router, proto.encode_counter.clone())
     }
 
     /// Rebuilds a session from a snapshot. The routed engine carries its
@@ -311,7 +298,11 @@ impl<'a> HypercubeSession<'a> {
             state.push(row);
         }
         let engine = match dec.get_u8().map_err(CoreError::from)? {
-            0 => HcEngine::Routed(RouteSession::restore(net, proto.shared_cache.clone(), dec)?),
+            0 => HcEngine::Routed(RouteSession::restore(
+                net,
+                proto.encode_counter.clone(),
+                dec,
+            )?),
             1 => {
                 let mut engine = Self::direct_engine(&state, net.bandwidth(), ell, i);
                 let HcEngine::Direct {
@@ -343,8 +334,7 @@ impl<'a> HypercubeSession<'a> {
             _ => return Err(CoreError::invalid("unknown hypercube engine tag")),
         };
         Ok(Self {
-            router: &proto.router,
-            cache: proto.shared_cache.clone(),
+            proto,
             n,
             ell,
             b,
@@ -443,8 +433,7 @@ impl ProtocolSession for HypercubeSession<'_> {
             self.engine = match &self.engine {
                 HcEngine::Routed(_) => HcEngine::Routed(Self::iteration_route(
                     net,
-                    self.router,
-                    self.cache.as_ref(),
+                    self.proto,
                     &self.state,
                     ell,
                     self.i,
@@ -492,8 +481,8 @@ impl AllToAllProtocol for DetHypercube {
         Cow::Borrowed("det-hypercube")
     }
 
-    fn attach_codeword_cache(&mut self, cache: SharedCodewordCache) {
-        self.shared_cache = Some(cache);
+    fn attach_codeword_cache(&mut self, counter: SharedCodewordCache) {
+        self.encode_counter = Some(counter);
     }
 
     fn session<'a>(

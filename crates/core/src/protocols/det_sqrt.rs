@@ -6,8 +6,7 @@ use super::{AllToAllProtocol, ProtocolSession, Step};
 use crate::error::CoreError;
 use crate::problem::{AllToAllInstance, AllToAllOutput};
 use crate::routing::{
-    shared_codeword_cache, CodewordCache, RouteSession, RouterConfig, RoutingInstance,
-    SharedCodewordCache, SuperMessage,
+    RouteSession, RouterConfig, RoutingInstance, SharedCodewordCache, SuperMessage,
 };
 use bdclique_bits::BitVec;
 use bdclique_netsim::Network;
@@ -38,10 +37,10 @@ use std::borrow::Cow;
 pub struct DetSqrt {
     /// Router configuration for both waves.
     pub router: RouterConfig,
-    /// Cross-run cache from
-    /// [`AllToAllProtocol::attach_codeword_cache`]; when absent each
-    /// session creates its own two-wave cache.
-    shared_cache: Option<SharedCodewordCache>,
+    /// Encode counter from [`AllToAllProtocol::attach_codeword_cache`],
+    /// handed to both waves' routing sessions; nothing is counted without
+    /// one.
+    encode_counter: Option<SharedCodewordCache>,
 }
 
 impl DetSqrt {
@@ -49,7 +48,7 @@ impl DetSqrt {
     pub fn new(router: RouterConfig) -> Self {
         Self {
             router,
-            shared_cache: None,
+            encode_counter: None,
         }
     }
 }
@@ -62,14 +61,10 @@ enum SqrtPhase {
 
 /// The √n-segment protocol as a state machine: one step per routing round.
 struct SqrtSession<'a> {
-    router: &'a RouterConfig,
+    proto: &'a DetSqrt,
     n: usize,
     s: usize,
     b: usize,
-    /// One codeword cache spans both waves ([`RouteSession::new`]):
-    /// chunks that recur — the shared all-zero padding chunk, repeated
-    /// payload content across wave boundaries — encode once per session.
-    cache: SharedCodewordCache,
     phase: SqrtPhase,
 }
 
@@ -109,12 +104,8 @@ impl<'a> SqrtSession<'a> {
                 })
                 .collect(),
         };
-        let cache = proto
-            .shared_cache
-            .clone()
-            .unwrap_or_else(|| shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS));
         Ok(Self {
-            router: &proto.router,
+            proto,
             n,
             s,
             b,
@@ -122,9 +113,8 @@ impl<'a> SqrtSession<'a> {
                 net,
                 wave1,
                 &proto.router,
-                Some(cache.clone()),
+                proto.encode_counter.clone(),
             )?),
-            cache,
         })
     }
 
@@ -148,23 +138,18 @@ impl<'a> SqrtSession<'a> {
                 "DetSqrt requires n to be a perfect square",
             ));
         }
-        let cache = proto
-            .shared_cache
-            .clone()
-            .unwrap_or_else(|| shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS));
         let tag = dec.get_u8().map_err(CoreError::from)?;
-        let route = RouteSession::restore(net, Some(cache.clone()), dec)?;
+        let route = RouteSession::restore(net, proto.encode_counter.clone(), dec)?;
         let phase = match tag {
             0 => SqrtPhase::Wave1(route),
             1 => SqrtPhase::Wave2(route),
             _ => return Err(CoreError::invalid("unknown det-sqrt wave tag")),
         };
         Ok(Self {
-            router: &proto.router,
+            proto,
             n,
             s,
             b: inst.b(),
-            cache,
             phase,
         })
     }
@@ -232,8 +217,8 @@ impl ProtocolSession for SqrtSession<'_> {
                 self.phase = SqrtPhase::Wave2(RouteSession::new(
                     net,
                     wave2,
-                    self.router,
-                    Some(self.cache.clone()),
+                    &self.proto.router,
+                    self.proto.encode_counter.clone(),
                 )?);
                 Ok(Step::Running)
             }
@@ -279,8 +264,8 @@ impl AllToAllProtocol for DetSqrt {
         Cow::Borrowed("det-sqrt")
     }
 
-    fn attach_codeword_cache(&mut self, cache: SharedCodewordCache) {
-        self.shared_cache = Some(cache);
+    fn attach_codeword_cache(&mut self, counter: SharedCodewordCache) {
+        self.encode_counter = Some(counter);
     }
 
     fn session<'a>(

@@ -128,20 +128,18 @@ pub trait AllToAllProtocol: Send + Sync {
         inst: &'a AllToAllInstance,
     ) -> Result<Box<dyn ProtocolSession + 'a>, CoreError>;
 
-    /// Attaches a shared codeword cache that outlives individual runs, so
-    /// repeated executions — e.g. the trials of one bench cell — reuse each
-    /// other's Reed–Solomon encodes instead of recomputing them. The cache
-    /// is correctness-neutral by construction (content-addressed and
-    /// equality-verified; see [`crate::routing::CodewordCache`]), so cached
-    /// and uncached runs are bit-identical.
+    /// Attaches an encode counter that outlives individual runs: every
+    /// routing session the protocol opens adds the Reed–Solomon codewords
+    /// it encodes, and the caller reads the total back through
+    /// [`CodewordCache::stats`](crate::routing::CodewordCache::stats). It
+    /// changes nothing on the wire or in the output, and the count is a
+    /// function of the instances routed. (The name is the frozen
+    /// benchmark's; see [`crate::routing::CodewordCache`].)
     ///
     /// The default is a no-op: protocols that never encode codewords (the
-    /// baselines) simply ignore the handle. Note the hit/miss counters read
-    /// back through [`CodewordCache::stats`](crate::routing::CodewordCache::stats)
-    /// are *not* deterministic when runs execute concurrently (probe/insert
-    /// races reorder them); only the cached content is.
-    fn attach_codeword_cache(&mut self, cache: SharedCodewordCache) {
-        let _ = cache;
+    /// baselines) simply ignore the handle.
+    fn attach_codeword_cache(&mut self, counter: SharedCodewordCache) {
+        let _ = counter;
     }
 
     /// Reopens a session from state serialized by

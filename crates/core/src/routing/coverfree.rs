@@ -193,12 +193,12 @@ impl CfEngine {
         })
     }
 
-    /// Lazy per-pack encode (cache-aware): only the pack's chunks are
+    /// Lazy per-pack encode: only the pack's chunks are
     /// materialized, one message per fan-out unit. Returns `[msg][lane][pos]`.
     fn encode_pack(
         &self,
         instance: &RoutingInstance,
-        cache: Option<&SharedCodewordCache>,
+        counter: Option<&SharedCodewordCache>,
         pack: &Range<usize>,
     ) -> Result<PackCodewords, CoreError> {
         let jobs: Vec<Vec<BitVec>> = instance
@@ -210,7 +210,7 @@ impl CfEngine {
                     .collect()
             })
             .collect();
-        encode_chunks(&self.shape.code, cache, jobs)
+        encode_chunks(&self.shape.code, counter, jobs)
     }
 
     /// Round 1: sources scatter codeword symbols to receiver-set members
@@ -366,10 +366,10 @@ impl PackEngine for CfEngine {
     fn build_round_a(
         &self,
         ctx: &PackCtx<'_>,
-        cache: Option<&SharedCodewordCache>,
+        counter: Option<&SharedCodewordCache>,
         net: &mut Network,
     ) -> Result<(PackCodewords, Traffic), CoreError> {
-        let pack_cw = self.encode_pack(ctx.instance, cache, &ctx.pack)?;
+        let pack_cw = self.encode_pack(ctx.instance, counter, &ctx.pack)?;
         let slots = self.round1_slots(ctx.instance, &pack_cw, ctx.pack.len());
         Ok((pack_cw, self.send_slots(slots, net)))
     }

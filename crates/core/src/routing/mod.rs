@@ -44,12 +44,12 @@ pub mod unit;
 
 use crate::error::CoreError;
 use bdclique_bits::BitVec;
-use bdclique_codes::{BitCode, ReedSolomon, SymbolCode};
+use bdclique_codes::{BitCode, ReedSolomon};
 use bdclique_netsim::{Delivery, Network, Traffic};
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -416,12 +416,12 @@ pub(crate) trait PackEngine {
     /// alone, which is what lets a restored grid be checked against it.
     fn grid_rows(&self, pack: &Range<usize>) -> (usize, Vec<usize>);
 
-    /// Round A: encodes the pack's codewords (cache-aware) and builds the
-    /// scatter traffic in ascending `(from, to)` order.
+    /// Round A: encodes the pack's codewords (counted in `counter`) and
+    /// builds the scatter traffic in ascending `(from, to)` order.
     fn build_round_a(
         &self,
         ctx: &PackCtx<'_>,
-        cache: Option<&SharedCodewordCache>,
+        counter: Option<&SharedCodewordCache>,
         net: &mut Network,
     ) -> Result<(PackCodewords, Traffic), CoreError>;
 
@@ -466,14 +466,14 @@ enum Phase {
 /// type. Within a step the engine fans the pack's encode, gather and decode
 /// out across the rayon pool; results are always folded in deterministic
 /// work-unit order, so the output does not depend on the pool's size.
-/// Codewords are encoded lazily, per pack, optionally through a shared
-/// [`CodewordCache`].
+/// Codewords are encoded lazily, per pack, and counted in a shared
+/// [`CodewordCache`] when one is given.
 pub struct RouteSession<'i> {
     instance: Cow<'i, RoutingInstance>,
     used: EngineUsed,
     /// `None` for a zero-message instance (see [`plan`]).
     engine: Option<Box<dyn PackEngine>>,
-    cache: Option<SharedCodewordCache>,
+    counter: Option<SharedCodewordCache>,
     /// Adversarial symbols per codeword the chosen code absorbs
     /// (`2·⌊αn⌋ + slack` at construction; `usize::MAX` when nothing is
     /// decoded). Re-validated every step against the network's *current*
@@ -497,10 +497,8 @@ impl<'i> RouteSession<'i> {
     /// Validates the instance and plans it with the configured engine. The
     /// instance comes owned (protocol sessions hand over the waves they
     /// build, clone-free) or borrowed ([`route`]'s zero-copy path). With a
-    /// `cache`, chunks whose codewords are already resident — from an
-    /// earlier pack or an earlier session on the same cache, e.g. a
-    /// previous protocol wave — skip re-encoding and misses populate it;
-    /// wire behavior and outputs are bit-identical to the uncached session.
+    /// `counter`, every codeword the session encodes is added to it; wire
+    /// behavior and outputs are bit-identical to the session without one.
     ///
     /// # Errors
     ///
@@ -511,18 +509,18 @@ impl<'i> RouteSession<'i> {
         net: &Network,
         instance: impl Into<Cow<'i, RoutingInstance>>,
         cfg: &RouterConfig,
-        cache: Option<SharedCodewordCache>,
+        counter: Option<SharedCodewordCache>,
     ) -> Result<Self, CoreError> {
         let instance = instance.into();
         let (used, engine) = plan(net, &instance, cfg.mode)?;
-        Ok(Self::planned(net, instance, cache, used, engine))
+        Ok(Self::planned(net, instance, counter, used, engine))
     }
 
     /// The session at its first step, over an already planned engine.
     fn planned(
         net: &Network,
         instance: Cow<'i, RoutingInstance>,
-        cache: Option<SharedCodewordCache>,
+        counter: Option<SharedCodewordCache>,
         used: EngineUsed,
         engine: Option<Box<dyn PackEngine>>,
     ) -> Self {
@@ -541,7 +539,7 @@ impl<'i> RouteSession<'i> {
             instance,
             used,
             engine,
-            cache,
+            counter,
             e_allow,
             pack_start: 0,
             phase: Phase::RoundA,
@@ -588,7 +586,8 @@ impl<'i> RouteSession<'i> {
         };
         match std::mem::replace(&mut self.phase, Phase::RoundA) {
             Phase::RoundA => {
-                let (codewords, traffic) = engine.build_round_a(&ctx, self.cache.as_ref(), net)?;
+                let (codewords, traffic) =
+                    engine.build_round_a(&ctx, self.counter.as_ref(), net)?;
                 let delivery = net.exchange(traffic);
                 let blocks = engine.gather(&ctx, &codewords, &delivery);
                 net.reclaim(delivery);
@@ -693,7 +692,7 @@ impl<'i> RouteSession<'i> {
     /// longer match the snapshotted session's (e.g. a mid-run α change).
     pub(crate) fn restore(
         net: &Network,
-        cache: Option<SharedCodewordCache>,
+        counter: Option<SharedCodewordCache>,
         dec: &mut Dec<'_>,
     ) -> Result<RouteSession<'static>, CoreError> {
         let mode = match dec.get_u8()? {
@@ -703,7 +702,7 @@ impl<'i> RouteSession<'i> {
         };
         let instance = RoutingInstance::restore(dec)?;
         let (used, engine) = plan(net, &instance, mode)?;
-        let mut session = RouteSession::planned(net, Cow::Owned(instance), cache, used, engine);
+        let mut session = RouteSession::planned(net, Cow::Owned(instance), counter, used, engine);
         session.overlay_state(net, dec)?;
         Ok(session)
     }
@@ -818,131 +817,48 @@ pub(crate) fn check_budget(net: &Network, e_allow: usize) -> Result<(), CoreErro
     Ok(())
 }
 
-/// A content-addressed cache of Reed–Solomon codewords, shared between
-/// routing sessions (e.g. the two waves of
-/// [`crate::protocols::DetSqrt`]) via [`SharedCodewordCache`].
+/// A count of the Reed–Solomon codewords encoded by the routing sessions
+/// that share it — what the benchmark reads as `core.routing.cache_misses`
+/// and feeds `codes.encode_share_pred`.
 ///
-/// Entries are keyed by an FNV-1a digest of the code's parameters and the
-/// chunk's bit content, and every hit re-verifies the stored chunk bits by
-/// equality — a hash collision degrades to a miss, never a wrong codeword,
-/// so the cache is correctness-neutral by construction (systematic RS
-/// encoding is a pure function of the chunk). A symbol budget bounds the
-/// footprint: once `max_symbols` codeword symbols are resident, further
-/// inserts are dropped (first-in wins — the entries most likely to recur,
-/// such as the shared all-zero padding chunk, are inserted earliest).
+/// Nothing is cached. The names — `CodewordCache`,
+/// [`shared_codeword_cache`] and its ignored argument,
+/// `DEFAULT_MAX_SYMBOLS`, the `(hits, misses)` shape of
+/// [`CodewordCache::stats`], [`SharedCodewordCache`] and
+/// `attach_codeword_cache` — are a cache's only because the frozen
+/// `benchmark/` package imports them; ROADMAP's Benchmark v2 item renames
+/// them.
 #[derive(Debug)]
 pub struct CodewordCache {
-    /// digest → entries; each entry keeps the chunk for hit verification.
-    map: HashMap<u64, Vec<(BitVec, Vec<u16>)>>,
-    /// Codeword symbols currently resident.
-    symbols: usize,
-    /// Insertion stops once `symbols` would exceed this.
-    max_symbols: usize,
-    hits: u64,
-    misses: u64,
+    encoded: u64,
 }
 
 /// A [`CodewordCache`] behind `Arc<Mutex<_>>`, the handle
-/// [`RouteSession::new`] accepts so several sessions (protocol waves) can
-/// share one cache. Engines take the lock in two short batch
-/// sections per pack (probe all, insert all), never inside the parallel
-/// encode fan-out.
+/// [`RouteSession::new`] accepts so several sessions (protocol waves, a
+/// cell's trials) add to one count. The lock is taken once per pack, after
+/// the encode fan-out.
 pub type SharedCodewordCache = Arc<Mutex<CodewordCache>>;
 
-/// Creates a [`SharedCodewordCache`] with the given symbol budget
-/// ([`CodewordCache::DEFAULT_MAX_SYMBOLS`] is a sensible default).
-pub fn shared_codeword_cache(max_symbols: usize) -> SharedCodewordCache {
-    Arc::new(Mutex::new(CodewordCache::new(max_symbols)))
+/// Creates a [`SharedCodewordCache`] at zero. The argument is ignored.
+pub fn shared_codeword_cache(_max_symbols: usize) -> SharedCodewordCache {
+    Arc::new(Mutex::new(CodewordCache { encoded: 0 }))
 }
 
 impl CodewordCache {
-    /// Default symbol budget: 2²¹ symbols ≈ 4 MiB of `u16`s — roughly 8k
-    /// cached codewords at the `L = 255` codes the large-`n` scenarios use.
-    pub const DEFAULT_MAX_SYMBOLS: usize = 1 << 21;
+    /// What callers pass to [`shared_codeword_cache`].
+    pub const DEFAULT_MAX_SYMBOLS: usize = 0;
 
-    /// An empty cache holding at most `max_symbols` codeword symbols.
-    pub fn new(max_symbols: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            symbols: 0,
-            max_symbols,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// `(hits, misses)` counters across the cache's lifetime.
+    /// `(0, codewords encoded)`, in the `(hits, misses)` shape its readers
+    /// expect. A function of the instances routed, not of how their
+    /// fan-outs interleaved.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Codeword symbols currently resident.
-    pub fn resident_symbols(&self) -> usize {
-        self.symbols
-    }
-
-    /// FNV-1a over the code's identifying parameters and the chunk's bits,
-    /// 64 bits at a time (the trailing partial word reads zero-padded,
-    /// matching [`BitVec`]'s equality semantics).
-    fn digest(code: &ReedSolomon, chunk: &BitVec) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(code.symbol_bits() as u64);
-        mix(code.codeword_len() as u64);
-        mix(code.message_len() as u64);
-        mix(chunk.len() as u64);
-        let mut pos = 0;
-        while pos < chunk.len() {
-            let width = (chunk.len() - pos).min(64) as u32;
-            mix(chunk.read_uint(pos, width));
-            pos += 64;
-        }
-        h
-    }
-
-    /// Looks up the codeword for `chunk` under `code`, verifying the stored
-    /// chunk by equality before returning it.
-    pub fn get(&mut self, code: &ReedSolomon, chunk: &BitVec) -> Option<Vec<u16>> {
-        let key = Self::digest(code, chunk);
-        let hit = self
-            .map
-            .get(&key)
-            .and_then(|entries| entries.iter().find(|(c, _)| c == chunk))
-            .map(|(_, cw)| cw.clone());
-        if hit.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Inserts a freshly encoded codeword, unless the symbol budget is
-    /// exhausted or an equal chunk is already resident.
-    pub fn insert(&mut self, code: &ReedSolomon, chunk: BitVec, codeword: Vec<u16>) {
-        if self.symbols + codeword.len() > self.max_symbols {
-            return;
-        }
-        let key = Self::digest(code, &chunk);
-        let entries = self.map.entry(key).or_default();
-        if entries.iter().any(|(c, _)| c == &chunk) {
-            return;
-        }
-        self.symbols += codeword.len();
-        entries.push((chunk, codeword));
+        (0, self.encoded)
     }
 }
 
 /// Bits `[chunk·cap, (chunk+1)·cap)` of `payload`, zero-padded to `cap` —
-/// the chunk both engines encode. Shared so the cache keys and the wire
-/// content cannot drift between them.
+/// the chunk both engines encode. Shared so the wire content cannot drift
+/// between them.
 pub(crate) fn payload_chunk(payload: &BitVec, chunk: usize, cap: usize) -> BitVec {
     let start = chunk * cap;
     let end = ((chunk + 1) * cap).min(payload.len());
@@ -954,76 +870,28 @@ pub(crate) fn payload_chunk(payload: &BitVec, chunk: usize, cap: usize) -> BitVe
 }
 
 /// Encodes `jobs` (outer: work unit, inner: that unit's chunks) into
-/// codewords, fanning the units out across the rayon pool. With a cache, all
-/// chunks are probed under one lock acquisition first, only misses are
-/// encoded, and fresh codewords are inserted under a second lock — the
-/// parallel section never touches the mutex. Encoding is deterministic, so
-/// the result is bit-identical with or without the cache, on any pool size.
+/// codewords, fanning the units out across the rayon pool, and adds their
+/// number to `counter` once the fan-out is done.
 pub(crate) fn encode_chunks(
     code: &ReedSolomon,
-    cache: Option<&SharedCodewordCache>,
+    counter: Option<&SharedCodewordCache>,
     jobs: Vec<Vec<BitVec>>,
 ) -> Result<Vec<Vec<Vec<u16>>>, CoreError> {
-    let encode = |bits: &BitVec| {
-        code.encode_bits(bits)
-            .map_err(|e| CoreError::invalid(format!("encode: {e}")))
-    };
-    let Some(cache) = cache else {
-        let encoded: Vec<Result<Vec<Vec<u16>>, CoreError>> = jobs
-            .into_par_iter()
-            .map(|unit| unit.iter().map(encode).collect())
-            .collect();
-        return encoded.into_iter().collect();
-    };
-
-    // Probe pass: one lock acquisition for the whole pack.
-    let probed: Vec<Vec<(BitVec, Option<Vec<u16>>)>> = {
-        let mut c = cache.lock().expect("codeword cache poisoned");
-        jobs.into_iter()
-            .map(|unit| {
-                unit.into_iter()
-                    .map(|bits| {
-                        let hit = c.get(code, &bits);
-                        (bits, hit)
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    // Encode the misses, fanned out; collect fresh codewords per unit.
-    type UnitEncoded = Result<(Vec<Vec<u16>>, Vec<(BitVec, Vec<u16>)>), CoreError>;
-    let encoded: Vec<UnitEncoded> = probed
+    let encoded: Vec<Result<Vec<Vec<u16>>, CoreError>> = jobs
         .into_par_iter()
         .map(|unit| {
-            let mut syms = Vec::with_capacity(unit.len());
-            let mut fresh = Vec::new();
-            for (bits, hit) in unit {
-                match hit {
-                    Some(cw) => syms.push(cw),
-                    None => {
-                        let cw = encode(&bits)?;
-                        fresh.push((bits, cw.clone()));
-                        syms.push(cw);
-                    }
-                }
-            }
-            Ok((syms, fresh))
+            unit.iter()
+                .map(|bits| {
+                    code.encode_bits(bits)
+                        .map_err(|e| CoreError::invalid(format!("encode: {e}")))
+                })
+                .collect()
         })
         .collect();
-
-    let mut out = Vec::with_capacity(encoded.len());
-    let mut to_insert = Vec::new();
-    for unit in encoded {
-        let (syms, fresh) = unit?;
-        out.push(syms);
-        to_insert.extend(fresh);
-    }
-    if !to_insert.is_empty() {
-        let mut c = cache.lock().expect("codeword cache poisoned");
-        for (bits, cw) in to_insert {
-            c.insert(code, bits, cw);
-        }
+    let out: Vec<Vec<Vec<u16>>> = encoded.into_iter().collect::<Result<_, _>>()?;
+    if let Some(counter) = counter {
+        let codewords: usize = out.iter().map(Vec::len).sum();
+        counter.lock().expect("encode counter poisoned").encoded += codewords as u64;
     }
     Ok(out)
 }
@@ -1159,65 +1027,6 @@ mod tests {
     use super::*;
     use bdclique_netsim::{Adversary, Network};
 
-    fn rs_code() -> ReedSolomon {
-        ReedSolomon::new(8, 15, 9).unwrap()
-    }
-
-    fn chunk(seed: usize, len: usize) -> BitVec {
-        BitVec::from_fn(len, |i| (i * 7 + seed).is_multiple_of(3))
-    }
-
-    #[test]
-    fn codeword_cache_hit_verifies_and_counts() {
-        let code = rs_code();
-        let mut cache = CodewordCache::new(1 << 16);
-        let bits = chunk(1, 72);
-        assert!(cache.get(&code, &bits).is_none());
-        let cw = code.encode_bits(&bits).unwrap();
-        cache.insert(&code, bits.clone(), cw.clone());
-        assert_eq!(cache.get(&code, &bits), Some(cw.clone()));
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.resident_symbols(), cw.len());
-        // A different chunk of the same length misses.
-        assert!(cache.get(&code, &chunk(2, 72)).is_none());
-    }
-
-    #[test]
-    fn codeword_cache_key_separates_codes() {
-        // The same chunk under two different codes must not collide.
-        let a = ReedSolomon::new(8, 15, 9).unwrap();
-        let b = ReedSolomon::new(8, 20, 9).unwrap();
-        let bits = chunk(3, 72);
-        let mut cache = CodewordCache::new(1 << 16);
-        cache.insert(&a, bits.clone(), a.encode_bits(&bits).unwrap());
-        assert!(cache.get(&b, &bits).is_none());
-        assert_eq!(cache.get(&a, &bits).unwrap(), a.encode_bits(&bits).unwrap());
-    }
-
-    #[test]
-    fn codeword_cache_respects_symbol_budget() {
-        let code = rs_code();
-        let mut cache = CodewordCache::new(20); // room for one 15-symbol codeword
-        let first = chunk(1, 72);
-        let second = chunk(2, 72);
-        cache.insert(&code, first.clone(), code.encode_bits(&first).unwrap());
-        cache.insert(&code, second.clone(), code.encode_bits(&second).unwrap());
-        assert_eq!(cache.resident_symbols(), 15);
-        assert!(cache.get(&code, &first).is_some());
-        assert!(cache.get(&code, &second).is_none());
-    }
-
-    #[test]
-    fn codeword_cache_insert_dedupes_equal_chunks() {
-        let code = rs_code();
-        let mut cache = CodewordCache::new(1 << 16);
-        let bits = chunk(4, 72);
-        let cw = code.encode_bits(&bits).unwrap();
-        cache.insert(&code, bits.clone(), cw.clone());
-        cache.insert(&code, bits.clone(), cw.clone());
-        assert_eq!(cache.resident_symbols(), cw.len());
-    }
-
     #[test]
     fn relay_grid_roundtrips_ragged_rows() {
         // Two blocks, rows of widths 2 and 3 (offsets [0, 2, 5]).
@@ -1247,63 +1056,6 @@ mod tests {
         assert_eq!(c1.count_ones(), payload.slice(8, 10).count_ones());
         // Entirely past the payload: all zeros.
         assert_eq!(payload_chunk(&payload, 2, 8), BitVec::zeros(8));
-    }
-
-    /// A cached session is bit-identical to an uncached one, and a second
-    /// session over the same instance and cache encodes nothing anew.
-    #[test]
-    fn cached_routing_matches_uncached_and_reuses_codewords() {
-        let n = 16;
-        let instance = RoutingInstance {
-            n,
-            payload_bits: 96,
-            messages: (0..n)
-                .map(|v| SuperMessage {
-                    src: v,
-                    slot: 0,
-                    payload: BitVec::from_fn(96, |i| (i + v) % 5 < 2),
-                    targets: vec![(v + 3) % n],
-                })
-                .collect(),
-        };
-        let cfg = RouterConfig {
-            mode: RoutingMode::Unit,
-        };
-
-        let mut net_plain = Network::new(n, 9, 0.0, Adversary::none());
-        let plain = route(&mut net_plain, &instance, &cfg).unwrap();
-
-        let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
-        let run_cached = |cache: &SharedCodewordCache| {
-            let mut net = Network::new(n, 9, 0.0, Adversary::none());
-            let mut session =
-                RouteSession::new(&net, instance.clone(), &cfg, Some(cache.clone())).unwrap();
-            loop {
-                if let Some(out) = session.step(&mut net).unwrap() {
-                    return out;
-                }
-            }
-        };
-
-        let first = run_cached(&cache);
-        assert_eq!(first.delivered.len(), plain.delivered.len());
-        for (a, b) in first.delivered.iter().zip(plain.delivered.iter()) {
-            assert_eq!(a, b);
-        }
-        let (hits_after_first, misses_after_first) = cache.lock().unwrap().stats();
-        assert_eq!(hits_after_first, 0, "first run sees a cold cache");
-        assert!(misses_after_first > 0);
-
-        let second = run_cached(&cache);
-        for (a, b) in second.delivered.iter().zip(plain.delivered.iter()) {
-            assert_eq!(a, b);
-        }
-        let (hits, misses) = cache.lock().unwrap().stats();
-        assert_eq!(
-            misses, misses_after_first,
-            "second identical run must not encode anything anew"
-        );
-        assert_eq!(hits, misses_after_first, "every probe of run 2 hits");
     }
 
     /// Both routed engines address every node as a relay, so a sparse
@@ -1509,44 +1261,38 @@ mod tests {
         }
     }
 
-    /// The cover-free engine's lazy per-pack encode path with a shared cache
-    /// is bit-identical to the plain run as well.
+    /// An attached encode counter changes nothing a session produces, on
+    /// either engine and on any pool size, and reads the same on all of
+    /// them: one encode per (message, chunk).
     #[test]
-    fn cached_coverfree_matches_uncached() {
-        let n = 64;
-        let instance = RoutingInstance {
-            n,
-            payload_bits: 16,
-            messages: (0..n)
-                .flat_map(|u| {
-                    (0..2).map(move |j| SuperMessage {
-                        src: u,
-                        slot: j,
-                        payload: BitVec::from_fn(16, |i| (i * 7 + u + 3 * j) % 5 < 2),
-                        targets: vec![(u + j + 1) % n],
-                    })
-                })
-                .collect(),
-        };
-        let cfg = RouterConfig {
-            mode: RoutingMode::CoverFree,
-        };
-        let mut net_plain = Network::new(n, 9, 0.0, Adversary::none());
-        let plain = route(&mut net_plain, &instance, &cfg).unwrap();
-
-        let cache = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
-        let mut net = Network::new(n, 9, 0.0, Adversary::none());
-        let mut session =
-            RouteSession::new(&net, instance.clone(), &cfg, Some(cache.clone())).unwrap();
-        let cached = loop {
-            if let Some(out) = session.step(&mut net).unwrap() {
-                break out;
+    fn encode_counter_is_outcome_neutral_and_deterministic() {
+        for (cfg, inst) in checkpoint_cases() {
+            let mode = cfg.mode;
+            let run = |counter: Option<SharedCodewordCache>| {
+                let mut net = attacked_net(inst.n);
+                let mut session = RouteSession::new(&net, &inst, &cfg, counter).unwrap();
+                loop {
+                    if let Some(out) = session.step(&mut net).unwrap() {
+                        return (out.delivered, out.report, *net.stats());
+                    }
+                }
+            };
+            let plain = run(None);
+            let encodes = (inst.messages.len() * plain.1.chunks) as u64;
+            for threads in [1, 2] {
+                let counter = shared_codeword_cache(CodewordCache::DEFAULT_MAX_SYMBOLS);
+                let counted = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| run(Some(counter.clone())));
+                assert_eq!(counted, plain, "{mode:?} on {threads} thread(s)");
+                assert_eq!(
+                    counter.lock().unwrap().stats(),
+                    (0, encodes),
+                    "{mode:?} on {threads} thread(s)"
+                );
             }
-        };
-        for (a, b) in cached.delivered.iter().zip(plain.delivered.iter()) {
-            assert_eq!(a, b);
         }
-        let (_, misses) = cache.lock().unwrap().stats();
-        assert!(misses > 0, "the lazy path must have probed the cache");
     }
 }

@@ -230,7 +230,7 @@ impl PackEngine for UnitEngine {
     fn build_round_a(
         &self,
         ctx: &PackCtx<'_>,
-        cache: Option<&SharedCodewordCache>,
+        counter: Option<&SharedCodewordCache>,
         net: &mut Network,
     ) -> Result<(PackCodewords, Traffic), CoreError> {
         let shape = &self.shape;
@@ -238,7 +238,7 @@ impl PackEngine for UnitEngine {
         let mut traffic = net.traffic();
         // ---- Encode: every lane's stage messages. Chunk extraction is a
         // cheap block copy; the encode itself is the hot part and fans out
-        // per lane, with cache probe/insert batched outside the fan-out.
+        // per lane.
         let jobs: Vec<Vec<BitVec>> = pack
             .iter()
             .map(|&(stage, chunk)| {
@@ -250,7 +250,7 @@ impl PackEngine for UnitEngine {
                     .collect()
             })
             .collect();
-        let lane_syms = encode_chunks(&shape.code, cache, jobs)?;
+        let lane_syms = encode_chunks(&shape.code, counter, jobs)?;
 
         // ---- Materialize round-A frames in ascending (src, relay) order.
         // A frame (src, w) carries one slot per active lane; sources active

@@ -1,6 +1,6 @@
 //! Property tests for the protocol-level invariants the paper proves:
-//! Lemma 6.2's hypercube message-set characterization, the compiler's
-//! fault-free equivalence, and Lemma 2.8's pair cover.
+//! Lemma 6.2's hypercube message-set characterization and the compiler's
+//! fault-free equivalence.
 
 // Matches the crate-wide stance: indexed loops mirror the paper's formulas.
 #![allow(clippy::needless_range_loop)]
@@ -8,7 +8,6 @@
 use bdclique_core::cc::{BooleanMatMul, SumAll};
 use bdclique_core::compiler::{compile, run_fault_free};
 use bdclique_core::protocols::{AllToAllProtocol, DetHypercube, NaiveExchange};
-use bdclique_core::reduction::{covers_all_pairs, pair_cover};
 use bdclique_core::AllToAllInstance;
 use bdclique_netsim::{Adversary, Network};
 use proptest::prelude::*;
@@ -63,17 +62,6 @@ proptest! {
                 }
                 prop_assert_eq!(outs[v].get(u), expect, "C[{}][{}]", u, v);
             }
-        }
-    }
-
-    /// Lemma 2.8's family covers every pair for any valid (n, n').
-    #[test]
-    fn pair_cover_is_complete(n in 10usize..60, frac in 0.55f64..1.0) {
-        let n_prime = ((n as f64 * frac) as usize).clamp(n / 2 + 1, n);
-        if let Ok(cover) = pair_cover(n, n_prime) {
-            prop_assert_eq!(cover.len(), 10);
-            prop_assert!(cover.iter().all(|s| s.len() == n_prime));
-            prop_assert!(covers_all_pairs(n, &cover));
         }
     }
 }

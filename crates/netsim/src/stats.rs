@@ -24,15 +24,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Average corrupted edges per round.
-    pub fn corrupted_edges_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.edges_corrupted as f64 / self.rounds as f64
-        }
-    }
-
     /// The per-round delta between this snapshot and an `earlier` one: all
     /// cumulative counters subtract; `peak_fault_degree` is a running
     /// maximum, not a sum, so the delta carries the *later* peak (callers
@@ -113,16 +104,5 @@ mod tests {
         assert_eq!(d.frames_corrupted, 5);
         assert_eq!(d.peak_fault_degree, 3, "peak is cumulative, not a delta");
         assert_eq!(d.intended_snapshots, 0);
-    }
-
-    #[test]
-    fn averages() {
-        let s = NetStats {
-            rounds: 4,
-            edges_corrupted: 10,
-            ..Default::default()
-        };
-        assert!((s.corrupted_edges_per_round() - 2.5).abs() < 1e-12);
-        assert_eq!(NetStats::default().corrupted_edges_per_round(), 0.0);
     }
 }

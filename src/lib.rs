@@ -10,8 +10,8 @@
 //!
 //! * [`bits`] — the bit-vector wire format,
 //! * [`hash`] — k-wise independent hashing and shared randomness,
-//! * [`codes`] — Reed–Solomon / concatenated codes and locally decodable
-//!   codes,
+//! * [`codes`] — Reed–Solomon codes and a Reed–Muller locally decodable
+//!   code,
 //! * [`sketch`] — k-sparse recovery sketches,
 //! * [`coverfree`] — (r, δ)-cover-free receiver-set families,
 //! * [`netsim`] — the B-Congested-Clique simulator with the α-BD adversary
