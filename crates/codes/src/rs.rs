@@ -40,6 +40,8 @@ pub struct ReedSolomon {
     /// (monic) leading term — the LFSR feedback taps used by the systematic
     /// encoder.
     gen_taps: Vec<u16>,
+    /// `alpha^1 ..= alpha^(n−k)`, the points the syndromes are evaluated at.
+    syndrome_points: Vec<u16>,
 }
 
 impl ReedSolomon {
@@ -63,7 +65,14 @@ impl ReedSolomon {
             generator = gf.poly_mul(&generator, &[gf.alpha_pow(j), 1]);
         }
         let gen_taps = generator[..n - k].to_vec();
-        Ok(Self { gf, n, k, gen_taps })
+        let syndrome_points = (1..=(n - k) as u32).map(|j| gf.alpha_pow(j)).collect();
+        Ok(Self {
+            gf,
+            n,
+            k,
+            gen_taps,
+            syndrome_points,
+        })
     }
 
     /// The underlying field.
@@ -71,16 +80,75 @@ impl ReedSolomon {
         &self.gf
     }
 
-    fn syndromes(&self, word: &[u16]) -> Vec<u16> {
-        // S_j = word(alpha^j) for j = 1..=n-k; stored 0-indexed.
-        (1..=(self.n - self.k) as u32)
-            .map(|j| self.gf.poly_eval(word, self.gf.alpha_pow(j)))
-            .collect()
+    /// Chien search: the positions `i ∈ 0..n`, ascending, whose inverse
+    /// locator `X_i^{-1} = alpha^{-i}` is a root of `lambda`.
+    /// Incremental stepping: term d holds lambda_d·alpha^{-d·i}; moving
+    /// i → i+1 multiplies term d by the fixed factor alpha^{-d}, so each
+    /// position costs deg(lambda) products and one xor-fold — no
+    /// per-position inversion or Horner call.
+    fn chien_search(&self, lambda: &[u16]) -> Vec<usize> {
+        let gf = &self.gf;
+        let mut positions = Vec::with_capacity(lambda.len() - 1);
+        let mut terms: Vec<u16> = lambda.to_vec();
+        let steps: Vec<u16> = (0..lambda.len() as u32)
+            .map(|d| gf.inv(gf.alpha_pow(d)).expect("alpha powers are nonzero"))
+            .collect();
+        if let Some((table, shift)) = gf.full_mul_table() {
+            // m ≤ 8: one hoisted table row per step factor — the inner
+            // update is a pure lookup chain.
+            let rows: Vec<&[u16]> = steps
+                .iter()
+                .map(|&s| &table[(s as usize) << shift..])
+                .collect();
+            for i in 0..self.n {
+                if terms.iter().fold(0u16, |acc, &t| acc ^ t) == 0 {
+                    positions.push(i);
+                }
+                for (t, row) in terms.iter_mut().zip(&rows).skip(1) {
+                    *t = row[*t as usize];
+                }
+            }
+        } else {
+            for i in 0..self.n {
+                if terms.iter().fold(0u16, |acc, &t| acc ^ t) == 0 {
+                    positions.push(i);
+                }
+                for (t, &s) in terms.iter_mut().zip(&steps).skip(1) {
+                    *t = gf.mul(*t, s);
+                }
+            }
+        }
+        positions
     }
 
     /// Decodes and also reports which positions were corrected.
     ///
     /// Returns `(message, corrected_positions)`.
+    ///
+    /// The stages, and the [`Gf`] kernel each runs on — none of them a serial
+    /// chain of dependent table loads:
+    ///
+    /// 1. **Syndromes** `S_j = word(alpha^j)`, erased symbols zeroed: all
+    ///    `2t` Horner chains together, [`Gf::poly_eval_many`]. All zero ends
+    ///    the decode.
+    /// 2. **Locator**: the erasure locator `Gamma`, then Berlekamp–Massey
+    ///    from it over the remaining `2t − f` syndromes.
+    /// 3. **Roots**: if no discrepancy ever updated the locator it is still
+    ///    `Gamma`, which the decoder built as `∏ (1 + X_i x)` over the
+    ///    erased positions — its roots *are* the erasure list and nothing
+    ///    is searched; that is every word whose only damage is known
+    ///    erasures. Otherwise a Chien search over all `n` positions, whose
+    ///    root count must equal the locator's degree.
+    /// 4. **Magnitudes** (Forney): `Omega` and `lambda'` at all `ν` roots,
+    ///    one [`Gf::poly_eval_many`] pass each.
+    /// 5. **Checks**, on every path whichever way the roots were found: the
+    ///    corrections' own syndromes — power sums of a sparse word, straight
+    ///    off the exp table — must equal the received word's in all `2t`
+    ///    places, i.e. the corrected word is a codeword; and the
+    ///    corrections that landed on non-erased positions must satisfy
+    ///    `2e + f ≤ 2t`. A word past the radius therefore fails or decodes
+    ///    to a codeword within the budget of the received word — never to
+    ///    anything else.
     ///
     /// # Errors
     ///
@@ -150,7 +218,8 @@ impl ReedSolomon {
             word[i] = 0;
         }
 
-        let synd = self.syndromes(&word);
+        // S_j = word(alpha^j) for j = 1..=n-k; stored 0-indexed.
+        let synd = gf.poly_eval_many(&word, &self.syndrome_points);
         if synd.iter().all(|&s| s == 0) {
             // Already a codeword (erasure corrections are all zero).
             return Ok((word[two_t..].to_vec(), vec![]));
@@ -173,6 +242,7 @@ impl ReedSolomon {
         // Berlekamp–Massey with erasure initialization.
         let mut b = lambda.clone();
         let mut el = f;
+        let mut lambda_is_gamma = true;
         for r in (f + 1)..=two_t {
             // discrepancy = sum_i lambda[i] * S_{r-i} (S is 1-indexed).
             let mut discr = 0u16;
@@ -185,6 +255,7 @@ impl ReedSolomon {
                 b[0] = 0;
             } else {
                 // T = lambda - discr * x * b
+                lambda_is_gamma = false;
                 let mut t = lambda.clone();
                 let blen = b.len() - 1;
                 gf.axpy(&mut t[1..], discr, &b[..blen]);
@@ -210,41 +281,14 @@ impl ReedSolomon {
             });
         }
 
-        // Chien search: roots of lambda among {X_i^{-1}} for i in 0..n.
-        // Incremental stepping: term d holds lambda_d·alpha^{-d·i}; moving
-        // i → i+1 multiplies term d by the fixed factor alpha^{-d}, so each
-        // position costs nu products and one xor-fold — no per-position
-        // inversion or Horner call.
-        let mut positions = Vec::with_capacity(nu);
-        let mut terms: Vec<u16> = lambda[..=nu].to_vec();
-        let steps: Vec<u16> = (0..=nu as u32)
-            .map(|d| gf.inv(gf.alpha_pow(d)).expect("alpha powers are nonzero"))
-            .collect();
-        if let Some((table, shift)) = gf.full_mul_table() {
-            // m ≤ 8: one hoisted table row per step factor — the inner
-            // update is a pure lookup chain.
-            let rows: Vec<&[u16]> = steps
-                .iter()
-                .map(|&s| &table[(s as usize) << shift..])
-                .collect();
-            for i in 0..self.n {
-                if terms.iter().fold(0u16, |acc, &t| acc ^ t) == 0 {
-                    positions.push(i);
-                }
-                for (t, row) in terms.iter_mut().zip(&rows).skip(1) {
-                    *t = row[*t as usize];
-                }
-            }
+        // The roots of lambda among {X_i^{-1}} for i in 0..n, ascending in i.
+        let positions = if lambda_is_gamma {
+            // No discrepancy ever updated the locator: it is still Gamma,
+            // whose roots are the erased positions by construction.
+            erased.clone()
         } else {
-            for i in 0..self.n {
-                if terms.iter().fold(0u16, |acc, &t| acc ^ t) == 0 {
-                    positions.push(i);
-                }
-                for (t, &s) in terms.iter_mut().zip(&steps).skip(1) {
-                    *t = gf.mul(*t, s);
-                }
-            }
-        }
+            self.chien_search(&lambda[..=nu])
+        };
         if positions.len() != nu {
             return Err(CodeError::TooManyErrors {
                 context: "locator roots do not match degree",
@@ -261,13 +305,18 @@ impl ReedSolomon {
         }
         let lambda_deriv = gf.poly_derivative(&lambda[..=nu]);
 
-        // Forney: e_i = Omega(X_i^{-1}) / lambda'(X_i^{-1}).
+        // Forney: e_i = Omega(X_i^{-1}) / lambda'(X_i^{-1}), both sums at
+        // all nu roots in one multi-point pass each.
+        let x_invs: Vec<u16> = positions
+            .iter()
+            .map(|&pos| gf.inv(gf.alpha_pow(pos as u32)).expect("nonzero"))
+            .collect();
+        let nums = gf.poly_eval_many(&omega, &x_invs);
+        let dens = gf.poly_eval_many(&lambda_deriv, &x_invs);
         let mut corrected = Vec::new();
         let mut magnitudes = Vec::new();
-        for &pos in &positions {
-            let x_inv = gf.inv(gf.alpha_pow(pos as u32)).expect("nonzero");
-            let num = gf.poly_eval(&omega, x_inv);
-            let den = gf.poly_eval(&lambda_deriv, x_inv);
+        let mut locators = Vec::new();
+        for ((&pos, &num), &den) in positions.iter().zip(&nums).zip(&dens) {
             let Some(e) = gf.div(num, den) else {
                 return Err(CodeError::TooManyErrors {
                     context: "Forney denominator vanished",
@@ -277,24 +326,16 @@ impl ReedSolomon {
                 word[pos] ^= e;
                 corrected.push(pos);
                 magnitudes.push(e);
+                locators.push(gf.alpha_pow(pos as u32));
             }
         }
 
         // Verify: the corrected word must be a codeword and the number of
         // non-erasure corrections must be within capacity. Syndromes are
-        // linear, so instead of a second full Horner pass over the word, the
+        // linear, so instead of a second full pass over the word, the
         // applied corrections must reproduce the original syndromes exactly:
         // S_j = sum over corrections of e·alpha^{j·pos}.
-        let mut synd_delta = vec![0u16; two_t];
-        for (&pos, &e) in corrected.iter().zip(&magnitudes) {
-            let x = gf.alpha_pow(pos as u32);
-            let mut p = x;
-            for d in &mut synd_delta {
-                *d ^= gf.mul(e, p);
-                p = gf.mul(p, x);
-            }
-        }
-        if synd_delta != synd {
+        if gf.power_sums(&magnitudes, &locators, two_t) != synd {
             return Err(CodeError::TooManyErrors {
                 context: "post-correction syndromes nonzero",
             });

@@ -1,5 +1,5 @@
 //! Property tests pinning the compiled batch kernels (`mul_slice`, `axpy`,
-//! `dot`, `poly_eval`) to the scalar `Gf` operations for every field
+//! `dot`, `poly_eval`, `poly_eval_many`) to the scalar `Gf` operations for every field
 //! GF(2^m), m ∈ 1..=16 — including zero operands (the branchless sentinel
 //! paths) and the `axpy` accumulate contract.
 
@@ -114,6 +114,31 @@ proptest! {
                 .enumerate()
                 .fold(0u16, |acc, (i, &c)| acc ^ gf.mul(c, gf.pow(x, i as u32)));
             prop_assert_eq!(gf.poly_eval(&coeffs, x), expect, "m = {}, x = {}", m, x);
+        }
+    }
+
+    /// The multi-point kernel is `poly_eval` at every point, in order — in
+    /// all sixteen fields (full-table and log/exp paths), for point counts on both
+    /// sides of every lane width, with `x = 0`, `x = 1` and a repeated
+    /// point among them, and for the empty polynomial and the empty point
+    /// list.
+    #[test]
+    fn poly_eval_many_matches_poly_eval(
+        coeffs in syms(16, 17),
+        points in prop::collection::vec(any::<u16>(), 0..40),
+        take in 0usize..=17,
+    ) {
+        for m in 1u32..=16 {
+            let gf = Gf::new(m);
+            let mask = ((1u32 << m) - 1) as u16;
+            let coeffs: Vec<u16> = coeffs[..take].iter().map(|&s| s & mask).collect();
+            let mut xs: Vec<u16> = points.iter().map(|&x| x & mask).collect();
+            if let Some(&first) = xs.first() {
+                xs.extend([0, 1, first]);
+            }
+            let expect: Vec<u16> = xs.iter().map(|&x| gf.poly_eval(&coeffs, x)).collect();
+            prop_assert_eq!(gf.poly_eval_many(&coeffs, &xs), expect, "m = {}", m);
+            prop_assert_eq!(gf.poly_eval_many(&coeffs, &[]), Vec::<u16>::new());
         }
     }
 

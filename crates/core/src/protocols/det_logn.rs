@@ -101,11 +101,22 @@ fn half_of(state: &BitVec, bit: usize) -> BitVec {
 /// `S(sender, i)`; the source with index `h` there has index `2h + c` in
 /// `S(v, i+1)`, so field `t·srcs + h` of half `c` lands at field
 /// `t·2·srcs + 2h + c` — a field-wise interleave, the same for every `i`.
-/// A missing or wrong-length half reads as zeros.
+/// A missing or wrong-length half reads as zeros. One-bit fields — the
+/// `B = 1` of the paper's statement — move a word at a time: 32 fields of
+/// each half spread to the even bits of a 64-bit word and meet there.
 fn interleave_halves(halves: [Option<&BitVec>; 2], half_fields: usize, b: usize) -> BitVec {
     let mut next = BitVec::zeros(2 * half_fields * b);
+    let halves = halves.map(|half| half.filter(|h| h.len() == half_fields * b));
+    if b == 1 {
+        for at in (0..half_fields).step_by(32) {
+            let w = (half_fields - at).min(32) as u32;
+            let [lo, hi] = halves.map(|half| half.map_or(0, |h| spread_bits(h.read_uint(at, w))));
+            next.write_uint(2 * at, 2 * w, lo | hi << 1);
+        }
+        return next;
+    }
     for (c, half) in halves.into_iter().enumerate() {
-        let Some(half) = half.filter(|h| h.len() == half_fields * b) else {
+        let Some(half) = half else {
             continue;
         };
         for f in 0..half_fields {
@@ -119,6 +130,15 @@ fn interleave_halves(halves: [Option<&BitVec>; 2], half_fields: usize, b: usize)
         }
     }
     next
+}
+
+/// Bit `i` of the low 32 bits of `x` moved to bit `2i`, the odd bits zero.
+fn spread_bits(x: u64) -> u64 {
+    let x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    let x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    let x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    let x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
 }
 
 /// The hypercube protocol as a state machine: `ℓ` iterations, one step per
@@ -574,9 +594,10 @@ mod tests {
     fn interleave_matches_the_message_id_merge() {
         use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for n in [8usize, 16, 32] {
+        let widths = [1usize, 2, 3, 64, 65];
+        for n in [8usize, 16, 32, 128] {
             let ell = n.trailing_zeros() as usize;
-            for b in [1usize, 3, 65] {
+            for b in widths {
                 for i in 1..=ell {
                     for v in 0..n {
                         let own = BitVec::from_fn(n / 2 * b, |_| rng.gen());
@@ -594,6 +615,30 @@ mod tests {
                                 "n = {n}, B = {b}, i = {i}, v = {v}"
                             );
                         }
+                    }
+                }
+            }
+        }
+        // The id merge only knows powers of two. Field counts that end a
+        // word early, against the definition: field f of half c is field
+        // 2f + c of the result.
+        for half_fields in [5usize, 33, 77, 100] {
+            for b in widths {
+                let halves = [0, 1].map(|_| BitVec::from_fn(half_fields * b, |_| rng.gen()));
+                for present in [[true, true], [true, false], [false, true]] {
+                    let given = [0, 1].map(|c| present[c].then_some(&halves[c]));
+                    let next = interleave_halves(given, half_fields, b);
+                    assert_eq!(next.len(), 2 * half_fields * b);
+                    for f in 0..2 * half_fields {
+                        let want = match given[f % 2] {
+                            Some(half) => half.slice(f / 2 * b, (f / 2 + 1) * b),
+                            None => BitVec::zeros(b),
+                        };
+                        assert_eq!(
+                            next.slice(f * b, (f + 1) * b),
+                            want,
+                            "{half_fields} fields, B = {b}, field {f}"
+                        );
                     }
                 }
             }

@@ -29,12 +29,17 @@
 //! like the unit engine's, and are held bit-identical to a one-thread pool
 //! scope the same way (`coverfree_parallel_matches_serial`).
 //!
-//! Frame assembly keeps no table keyed by edge: each round collects one
-//! entry per `(edge, lane)` slot it writes — in loop order, with an absent
-//! relay symbol still claiming its slot — sorts the entries by `(from, to)`,
-//! and emits every frame once, ascending, which is the order
-//! [`Traffic::send`]'s append fast-path wants. The `= 1` load filters give
-//! each slot a single writer, so the sort is all the bookkeeping there is.
+//! Frame assembly keeps no table keyed by edge and sorts nothing globally:
+//! the `= 1` load filters give every edge a single writer, so each round
+//! walks its frames in ascending `(from, to)` order — the order
+//! [`Traffic::send`]'s append fast-path wants — and writes all of a frame's
+//! lanes when it reaches it. Round 1 goes source by source, merging the
+//! source's `k` ascending receiver sets. Round 2 needs the frames relay by
+//! relay while the plan is message-major, so one counting pass over the
+//! `(target, message, position)` triples — visited target-major, which
+//! leaves every relay's bucket ascending by target — lays them out
+//! relay-major for the round and is dropped with it. An absent relay symbol
+//! still sends its frame, validity bit clear.
 
 use super::{
     absorbed_error_budget, encode_chunks, lane_symbol, payload_chunk, DecodedUnit, PackCodewords,
@@ -63,6 +68,12 @@ pub(crate) struct CfEngine {
     /// (the former `relay_msg`/`target_msg` matrices alone were 2·n² words
     /// — 256 MiB at n = 4096).
     uniq_targets: Vec<Vec<usize>>,
+    /// `INind(u)`: the messages node `u` sources, ascending — round 1's
+    /// walk order.
+    by_src: Vec<Vec<u32>>,
+    /// `OUTind(v)`: the messages targeting node `v`, ascending — round 2's
+    /// walk order.
+    by_tgt: Vec<Vec<u32>>,
 }
 
 /// Maximum acceptable verified cover fraction δ of the family.
@@ -78,9 +89,33 @@ impl CfEngine {
     pub(crate) fn new(net: &Network, instance: &RoutingInstance) -> Result<Self, CoreError> {
         let n = instance.n;
         let slot = PackShape::wire_slot(net)?;
-        let k_src = instance.max_source_multiplicity();
-        let k_tgt = instance.max_target_multiplicity();
-        let k = k_src.max(k_tgt).max(1);
+        // Constraint collection H: per-source slots and per-target slots
+        // (Eq. 2). Their longest lists are the instance's multiplicities.
+        let uniq_targets: Vec<Vec<usize>> = instance
+            .messages
+            .iter()
+            .map(|msg| {
+                let mut uniq = msg.targets.clone();
+                uniq.sort_unstable();
+                uniq.dedup();
+                uniq
+            })
+            .collect();
+        let mut by_src: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut by_tgt: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (idx, msg) in instance.messages.iter().enumerate() {
+            by_src[msg.src].push(idx as u32);
+            for &t in &uniq_targets[idx] {
+                by_tgt[t].push(idx as u32);
+            }
+        }
+        let k = by_src
+            .iter()
+            .chain(&by_tgt)
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+            .max(1);
 
         // Ground-group size (elements per group; the receiver-set size is
         // `n / group`). It controls the per-group collision probability
@@ -108,29 +143,11 @@ impl CfEngine {
             )));
         }
 
-        // Constraint collection H: per-source slots and per-target slots (Eq. 2).
-        let uniq_targets: Vec<Vec<usize>> = instance
-            .messages
+        let h: Vec<Vec<u32>> = by_src
             .iter()
-            .map(|msg| {
-                let mut uniq = msg.targets.clone();
-                uniq.sort_unstable();
-                uniq.dedup();
-                uniq
-            })
-            .collect();
-        let mut in_ind: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut out_ind: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (idx, msg) in instance.messages.iter().enumerate() {
-            in_ind[msg.src].push(idx as u32);
-            for &t in &uniq_targets[idx] {
-                out_ind[t].push(idx as u32);
-            }
-        }
-        let h: Vec<Vec<u32>> = in_ind
-            .into_iter()
-            .chain(out_ind)
+            .chain(&by_tgt)
             .filter(|t| t.len() >= 2)
+            .cloned()
             .collect();
 
         let params = CoverFreeParams {
@@ -161,7 +178,7 @@ impl CfEngine {
         // δ-based bound with the measured quantity.
         let mut worst_erasures = 0usize;
         for (idx, msg) in instance.messages.iter().enumerate() {
-            for &v in &msg.targets {
+            for &v in &uniq_targets[idx] {
                 if v == msg.src {
                     continue;
                 }
@@ -190,6 +207,8 @@ impl CfEngine {
             in_load,
             out_load,
             uniq_targets,
+            by_src,
+            by_tgt,
         })
     }
 
@@ -214,131 +233,124 @@ impl CfEngine {
     }
 
     /// Round 1: sources scatter codeword symbols to receiver-set members
-    /// (InLoad filter).
-    fn round1_slots(
+    /// (InLoad filter). Emits every frame once, in ascending `(from, to)`
+    /// order: source by source, the source's receiver sets merged.
+    fn round1_frames(
         &self,
         instance: &RoutingInstance,
         pack_cw: &PackCodewords,
         lanes_used: usize,
-    ) -> Vec<SlotWrite> {
+        mut emit: impl FnMut(usize, usize, BitVec),
+    ) {
         let n = instance.n;
-        let mut slots = Vec::with_capacity(lanes_used * instance.messages.len() * self.shape.l);
-        for lane in 0..lanes_used {
-            for (idx, msg) in instance.messages.iter().enumerate() {
-                for (pos, &w) in self.sets[idx].iter().enumerate() {
-                    if self.in_load[msg.src * n + w as usize] != 1 {
+        // (receiver, message, position) of one source's frames.
+        let mut hops: Vec<(u32, u32, u32)> = Vec::new();
+        for (src, msgs) in self.by_src.iter().enumerate() {
+            hops.clear();
+            for &idx in msgs {
+                for (pos, &w) in self.sets[idx as usize].iter().enumerate() {
+                    if self.in_load[src * n + w as usize] != 1 {
                         continue; // dropped: known erasure everywhere
                     }
-                    if w as usize == msg.src {
+                    if w as usize == src {
                         continue; // the source keeps its own symbol
                     }
-                    slots.push(SlotWrite::new(
-                        msg.src,
-                        w as usize,
-                        lane,
-                        pack_cw[idx][lane][pos],
-                    ));
+                    hops.push((w, idx, pos as u32));
+                }
+            }
+            // One ascending run per message, and `InLoad = 1` keeps the
+            // receivers distinct across them: the stable sort finds the runs
+            // and merges them.
+            hops.sort_by_key(|&(w, ..)| w);
+            for &(w, idx, pos) in &hops {
+                let cw = &pack_cw[idx as usize];
+                let syms = (0..lanes_used).map(|lane| cw[lane][pos as usize]);
+                emit(src, w as usize, lane_frame(&self.shape, syms));
+            }
+        }
+    }
+
+    /// Visits every round-2 frame as `(relay, (target, message, position))`,
+    /// target by target, ascending. `OutLoad(w, v) = 1` admits one message,
+    /// hence one frame, per edge.
+    fn for_each_forward(
+        &self,
+        instance: &RoutingInstance,
+        mut visit: impl FnMut(usize, (u32, u32, u32)),
+    ) {
+        let n = instance.n;
+        for (v, msgs) in self.by_tgt.iter().enumerate() {
+            for &idx in msgs {
+                let src = instance.messages[idx as usize].src;
+                for (pos, &w) in self.sets[idx as usize].iter().enumerate() {
+                    let w = w as usize;
+                    if self.in_load[src * n + w] != 1 {
+                        continue; // w never expected this symbol
+                    }
+                    if v == w || self.out_load[w * n + v] != 1 {
+                        continue;
+                    }
+                    visit(w, (v as u32, idx, pos as u32));
                 }
             }
         }
-        slots
     }
 
     /// Round 2: relays forward what they hold to targets (OutLoad filter).
     /// An absent relay symbol still claims its slot, with the validity bit
-    /// clear.
-    fn round2_slots(
+    /// clear. Emits every frame once, in ascending `(from, to)` order: a
+    /// counting pass buckets the frames by relay, and because they are
+    /// visited target-major each bucket fills ascending by target.
+    fn round2_frames(
         &self,
         instance: &RoutingInstance,
         relay: &RelayGrid,
         lanes_used: usize,
-    ) -> Vec<SlotWrite> {
+        mut emit: impl FnMut(usize, usize, BitVec),
+    ) {
         let n = instance.n;
-        let mut slots = Vec::new();
-        for lane in 0..lanes_used {
-            for (idx, msg) in instance.messages.iter().enumerate() {
-                for (pos, &w) in self.sets[idx].iter().enumerate() {
-                    if self.in_load[msg.src * n + w as usize] != 1 {
-                        continue; // w never expected this symbol
-                    }
-                    let sym = relay.get(lane, idx, pos).unwrap_or(RelayGrid::ABSENT);
-                    for &v in &self.uniq_targets[idx] {
-                        if v == w as usize || self.out_load[w as usize * n + v] != 1 {
-                            continue;
-                        }
-                        slots.push(SlotWrite::new(w as usize, v, lane, sym));
-                    }
-                }
-            }
+        // starts[w + 1] counts relay w's frames, then prefix-sums into the
+        // end of its bucket, which is where relay w + 1's starts.
+        let mut starts = vec![0usize; n + 1];
+        self.for_each_forward(instance, |w, _| starts[w + 1] += 1);
+        for w in 0..n {
+            starts[w + 1] += starts[w];
         }
-        slots
-    }
-
-    /// Sorts `slots` into a round's traffic.
-    fn send_slots(&self, slots: Vec<SlotWrite>, net: &mut Network) -> Traffic {
-        let mut traffic = net.traffic();
-        assemble_frames(slots, &self.shape, |from, to, frame| {
-            traffic.send(from, to, frame)
+        // (target, message, position) per frame, relay-major.
+        let mut hops = vec![(0u32, 0u32, 0u32); starts[n]];
+        let mut fill = starts.clone();
+        self.for_each_forward(instance, |w, hop| {
+            hops[fill[w]] = hop;
+            fill[w] += 1;
         });
-        traffic
-    }
-}
-
-/// One lane slot of one wire frame, as the round builders collect them in
-/// loop order (lane, then message, then receiver-set position).
-/// `sym == RelayGrid::ABSENT` leaves the slot's validity bit clear — round
-/// 2 still sends the frame when the relay holds nothing, which is the wire
-/// behavior the adversary observes.
-#[derive(Clone, Copy)]
-struct SlotWrite {
-    /// `from << 32 | to`: ascending edge keys are ascending `(from, to)`.
-    edge: u64,
-    lane: u32,
-    sym: u16,
-}
-
-impl SlotWrite {
-    fn new(from: usize, to: usize, lane: usize, sym: u16) -> Self {
-        Self {
-            edge: ((from as u64) << 32) | to as u64,
-            lane: lane as u32,
-            sym,
-        }
-    }
-
-    /// The edge's `(from, to)`.
-    fn ends(&self) -> (usize, usize) {
-        (
-            (self.edge >> 32) as usize,
-            (self.edge & 0xffff_ffff) as usize,
-        )
-    }
-}
-
-/// Turns `slots` into frames, emitting each edge's frame exactly once in
-/// ascending `(from, to)` order — the order the sparse substrate's append
-/// fast-path relies on, independent of any hash iteration. The sort is
-/// stable, so slots of one edge apply in collection order; the
-/// `InLoad`/`OutLoad = 1` filters give every `(edge, lane)` slot a single
-/// writer anyway, which is why no edge-keyed table is needed.
-fn assemble_frames(
-    mut slots: Vec<SlotWrite>,
-    shape: &PackShape,
-    mut emit: impl FnMut(usize, usize, BitVec),
-) {
-    slots.sort_by_key(|s| s.edge);
-    for edge in slots.chunk_by(|a, b| a.edge == b.edge) {
-        let mut frame = BitVec::zeros(shape.lanes * shape.slot);
-        for s in edge {
-            if s.sym != RelayGrid::ABSENT {
-                // Validity bit first, then the symbol.
-                let bits = 1 | (u64::from(s.sym) << 1);
-                frame.write_uint(s.lane as usize * shape.slot, shape.slot as u32, bits);
+        for (w, bucket) in starts.windows(2).enumerate() {
+            for &(v, idx, pos) in &hops[bucket[0]..bucket[1]] {
+                let syms = (0..lanes_used).map(|lane| {
+                    relay
+                        .get(lane, idx as usize, pos as usize)
+                        .unwrap_or(RelayGrid::ABSENT)
+                });
+                emit(w, v as usize, lane_frame(&self.shape, syms));
             }
         }
-        let (from, to) = edge[0].ends();
-        emit(from, to, frame);
     }
+}
+
+/// One wire frame from its lanes' symbols, lane 0 first: `lanes` slots of
+/// `slot` bits, validity bit then symbol. A [`RelayGrid::ABSENT`] symbol
+/// leaves its slot zero, validity bit clear — round 2 still sends the
+/// frame when the relay holds nothing, which is the wire behavior the
+/// adversary observes — as are the slots past a short last pack's lanes.
+fn lane_frame(shape: &PackShape, syms: impl Iterator<Item = u16>) -> BitVec {
+    let mut frame = BitVec::zeros(shape.lanes * shape.slot);
+    for (lane, sym) in syms.enumerate() {
+        if sym != RelayGrid::ABSENT {
+            // Validity bit first, then the symbol.
+            let bits = 1 | (u64::from(sym) << 1);
+            frame.write_uint(lane * shape.slot, shape.slot as u32, bits);
+        }
+    }
+    frame
 }
 
 impl PackEngine for CfEngine {
@@ -370,8 +382,11 @@ impl PackEngine for CfEngine {
         net: &mut Network,
     ) -> Result<(PackCodewords, Traffic), CoreError> {
         let pack_cw = self.encode_pack(ctx.instance, counter, &ctx.pack)?;
-        let slots = self.round1_slots(ctx.instance, &pack_cw, ctx.pack.len());
-        Ok((pack_cw, self.send_slots(slots, net)))
+        let mut traffic = net.traffic();
+        self.round1_frames(ctx.instance, &pack_cw, ctx.pack.len(), |from, to, frame| {
+            traffic.send(from, to, frame)
+        });
+        Ok((pack_cw, traffic))
     }
 
     /// `InLoad(src, w) == 1` makes the message a relay expects from a
@@ -426,8 +441,11 @@ impl PackEngine for CfEngine {
     }
 
     fn build_round_b(&self, ctx: &PackCtx<'_>, relay: &RelayGrid, net: &mut Network) -> Traffic {
-        let slots = self.round2_slots(ctx.instance, relay, ctx.pack.len());
-        self.send_slots(slots, net)
+        let mut traffic = net.traffic();
+        self.round2_frames(ctx.instance, relay, ctx.pack.len(), |from, to, frame| {
+            traffic.send(from, to, frame)
+        });
+        traffic
     }
 
     /// One unit per `(lane, msg, target)`.
@@ -613,19 +631,78 @@ mod tests {
         }
     }
 
-    /// The pre-sort frame assembly, kept as the oracle for
-    /// [`assemble_frames`]: a table keyed by edge, one buffer per first
-    /// touch, slots applied in collection order, emitted ascending.
+    /// One lane slot of one wire frame — `(from, to, lane, symbol)` — as
+    /// the table-keyed frame assembly collected them, in loop order (lane,
+    /// then message, then receiver-set position).
+    type SlotWrite = (usize, usize, usize, u16);
+
+    /// Round 1's slots, message-major: the oracle's input for
+    /// [`CfEngine::round1_frames`].
+    fn reference_round1_slots(
+        engine: &CfEngine,
+        inst: &RoutingInstance,
+        pack_cw: &PackCodewords,
+        lanes_used: usize,
+    ) -> Vec<SlotWrite> {
+        let n = inst.n;
+        let mut slots = Vec::new();
+        for lane in 0..lanes_used {
+            for (idx, msg) in inst.messages.iter().enumerate() {
+                for (pos, &w) in engine.sets[idx].iter().enumerate() {
+                    let w = w as usize;
+                    if engine.in_load[msg.src * n + w] == 1 && w != msg.src {
+                        slots.push((msg.src, w, lane, pack_cw[idx][lane][pos]));
+                    }
+                }
+            }
+        }
+        slots
+    }
+
+    /// Round 2's slots, message-major, an absent relay symbol still claiming
+    /// its slot: the oracle's input for [`CfEngine::round2_frames`].
+    fn reference_round2_slots(
+        engine: &CfEngine,
+        inst: &RoutingInstance,
+        relay: &RelayGrid,
+        lanes_used: usize,
+    ) -> Vec<SlotWrite> {
+        let n = inst.n;
+        let mut slots = Vec::new();
+        for lane in 0..lanes_used {
+            for (idx, msg) in inst.messages.iter().enumerate() {
+                for (pos, &w) in engine.sets[idx].iter().enumerate() {
+                    let w = w as usize;
+                    if engine.in_load[msg.src * n + w] != 1 {
+                        continue;
+                    }
+                    let sym = relay.get(lane, idx, pos).unwrap_or(RelayGrid::ABSENT);
+                    // The raw target list, duplicates and all: a second
+                    // write of the same slot changes nothing.
+                    for &v in &msg.targets {
+                        if v != w && engine.out_load[w * n + v] == 1 {
+                            slots.push((w, v, lane, sym));
+                        }
+                    }
+                }
+            }
+        }
+        slots
+    }
+
+    /// The table-keyed frame assembly, kept as the oracle for the edge-order
+    /// emit: a table keyed by edge, one buffer per first touch, slots
+    /// applied in collection order, emitted ascending.
     fn reference_frames(slots: &[SlotWrite], params: &PackShape) -> Vec<(usize, usize, BitVec)> {
         let mut frames: BTreeMap<(usize, usize), BitVec> = BTreeMap::new();
-        for s in slots {
+        for &(from, to, lane, sym) in slots {
             let frame = frames
-                .entry(s.ends())
+                .entry((from, to))
                 .or_insert_with(|| BitVec::zeros(params.lanes * params.slot));
-            if s.sym != RelayGrid::ABSENT {
-                let at = s.lane as usize * params.slot;
+            if sym != RelayGrid::ABSENT {
+                let at = lane * params.slot;
                 frame.set(at, true);
-                frame.write_uint(at + 1, params.slot as u32 - 1, u64::from(s.sym));
+                frame.write_uint(at + 1, params.slot as u32 - 1, u64::from(sym));
             }
         }
         frames
@@ -636,49 +713,66 @@ mod tests {
 
     /// Frame assembly is byte-identical to the edge-keyed table it replaced:
     /// same edge set, same frame bits, same send order — every round of a
-    /// `k = 2`, two-lane instance with an odd chunk count (a short last
-    /// pack) under a frame-flipping adversary (so round 2 forwards absent
-    /// relay symbols), and the frames the session actually puts on the wire
-    /// are exactly those.
+    /// `k = 2`, three-lane instance whose chunk count leaves a short last
+    /// pack, with two-target messages (listed with a duplicate) next to the
+    /// single-target ones so a relay forwards one symbol to several targets,
+    /// under a frame-flipping adversary (so round 2 forwards absent relay
+    /// symbols) — and the frames the session actually puts on the wire are
+    /// exactly those.
     #[test]
     fn frame_assembly_matches_edge_table_reference() {
         let n = 256;
+        // Every node sources (u, 0) → u + 1; even nodes also source
+        // (u, 1) → {u + 10, u + 11}, which reaches every node once more.
         let msgs: Vec<(usize, usize, Vec<usize>)> = (0..n)
-            .flat_map(|u| (0..2).map(move |j| (u, j, vec![(u + j * 9 + 1) % n])))
+            .flat_map(|u| {
+                let one = (u, 0, vec![(u + 1) % n]);
+                let two = (u, 1, vec![(u + 11) % n, (u + 10) % n, (u + 11) % n]);
+                [one, two].into_iter().take(2 - u % 2)
+            })
             .collect();
         let inst = instance(n, 400, msgs);
-        let mut net = Network::new(n, 18, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
+        let mut net = Network::new(n, 27, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
         net.set_history_mode(bdclique_netsim::HistoryMode::Full);
         let engine = CfEngine::new(&net, &inst).unwrap();
         let mut session = RouteSession::new(&net, &inst, &cf_cfg(), None).unwrap();
-        assert_eq!(engine.shape.lanes, 2);
+        let lanes = engine.shape.lanes;
+        assert_eq!(lanes, 3);
         let chunks = engine.shape.chunks;
         assert!(
-            chunks >= 3 && chunks % 2 == 1,
+            chunks > lanes && !chunks.is_multiple_of(lanes),
             "needs a short last pack, got {chunks} chunks"
         );
         let (mut rounds, mut absent) = ([0usize; 2], 0usize);
         let out = loop {
             let start = session.pack_start;
-            let pack = start..(start + 2).min(chunks);
+            let pack = start..(start + lanes).min(chunks);
+            let mut assembled = Vec::new();
+            let emit = |from, to, frame| assembled.push((from, to, frame));
             let (which, slots) = match &session.phase {
                 Phase::RoundA => {
                     let cw = engine.encode_pack(&inst, None, &pack).unwrap();
-                    (0, engine.round1_slots(&inst, &cw, pack.len()))
+                    engine.round1_frames(&inst, &cw, pack.len(), emit);
+                    (0, reference_round1_slots(&engine, &inst, &cw, pack.len()))
                 }
-                Phase::RoundB { relay } => (1, engine.round2_slots(&inst, relay, pack.len())),
+                Phase::RoundB { relay } => {
+                    engine.round2_frames(&inst, relay, pack.len(), emit);
+                    (1, reference_round2_slots(&engine, &inst, relay, pack.len()))
+                }
             };
             rounds[which] += 1;
             absent += slots
                 .iter()
-                .filter(|s| which == 1 && s.sym == RelayGrid::ABSENT)
+                .filter(|s| which == 1 && s.3 == RelayGrid::ABSENT)
                 .count();
             let expected = reference_frames(&slots, &engine.shape);
-            let mut assembled = Vec::new();
-            assemble_frames(slots, &engine.shape, |from, to, frame| {
-                assembled.push((from, to, frame))
-            });
             assert_eq!(assembled, expected, "round kind {which}");
+            if which == 1 {
+                let fanned_out = expected
+                    .windows(2)
+                    .any(|e| e[0].0 == e[1].0 && e[0].2 == e[1].2 && e[0].2.count_ones() > 0);
+                assert!(fanned_out, "no relay forwarded one symbol to two targets");
+            }
             let done = session.step(&mut net).unwrap();
             let mut sent = Vec::new();
             let record = net.history().records().last().unwrap();
@@ -692,7 +786,7 @@ mod tests {
                 break out;
             }
         };
-        assert_eq!(rounds, [chunks.div_ceil(2); 2]);
+        assert_eq!(rounds, [chunks.div_ceil(lanes); 2]);
         assert!(absent > 0, "round 2 must forward an absent relay symbol");
         assert_eq!(out.report.decode_failures, 0);
     }

@@ -900,9 +900,9 @@ pub(crate) fn encode_chunks(
 /// buffer: block-major (`block` is the relay `w` for the unit engine, the
 /// lane for the cover-free engine), with per-row offsets shared by every
 /// block. The round-B forward-planning and decode loops walk `syms`
-/// linearly; the cover-free engine's round-2 planner reads it in (lane,
-/// message, position) order into slot entries that are then sorted by edge
-/// (see [`coverfree`]'s frame assembly).
+/// linearly; the cover-free engine's round 2 reads it frame by frame in
+/// edge order, every lane of a `(message, position)` cell at once (see
+/// [`coverfree`]'s frame assembly).
 ///
 /// Absent symbols (erasures) are stored as [`RelayGrid::ABSENT`]; valid
 /// symbols are field elements `< 2^8 ≤ 255`, so the sentinel is
