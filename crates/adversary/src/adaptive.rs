@@ -229,10 +229,12 @@ impl AdaptiveStrategy for Eclipse {
 }
 
 /// A history-driven strategy: camps on the edges that have carried the most
-/// traffic **across all prior rounds** (using the network's recorded
-/// transcript — the knowledge footnote 4 grants the adaptive adversary).
-/// Protocols with fixed communication patterns (deterministic compilers)
-/// reuse edges across rounds, and this strategy finds them.
+/// traffic **across all prior rounds**, ranked by the cumulative per-edge
+/// load it records itself from every round's intended traffic — the
+/// knowledge footnote 4 grants the adaptive adversary, kept as checkpointed
+/// strategy state. Protocols with fixed communication patterns
+/// (deterministic compilers) reuse edges across rounds, and this strategy
+/// finds them.
 #[derive(Debug)]
 pub struct HistoryCamper {
     payload: Payload,
@@ -254,11 +256,10 @@ impl HistoryCamper {
 }
 
 impl AdaptiveStrategy for HistoryCamper {
-    fn corrupt(&mut self, view: &AdversaryView<'_>, scope: &mut AdaptiveScope<'_>) {
-        // Accumulate the current round's loads into long-term memory
-        // (the digest history corroborates round counts; frame contents come
-        // from the live view). O(frames) via the busy-slot list; zero-length
-        // frames carry no load and must not enter the ranking.
+    fn corrupt(&mut self, _view: &AdversaryView<'_>, scope: &mut AdaptiveScope<'_>) {
+        // Accumulate the current round's loads into long-term memory.
+        // O(frames) via the busy-slot list; zero-length frames carry no load
+        // and must not enter the ranking.
         for (from, to, bits) in scope.intended_frames() {
             if bits == 0 {
                 continue;
@@ -266,7 +267,6 @@ impl AdaptiveStrategy for HistoryCamper {
             let key = if from < to { (from, to) } else { (to, from) };
             *self.load.entry(key).or_insert(0) += bits as u64;
         }
-        let _ = view.history.records(); // the transcript is available too
         let mut ranked: Vec<((usize, usize), u64)> =
             self.load.iter().map(|(&e, &l)| (e, l)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));

@@ -4,8 +4,8 @@
 //! Plans that are meaningful off the clique ([`EclipseCamp`],
 //! [`PartitionCut`]) override [`EdgePlan::edges_on`] to walk real topology
 //! edges under the per-node budgets `⌊α·(deg(v)+1)⌋`; the schedule wrappers
-//! ([`RoundSelective`], [`Burst`], [`Alternate`]) forward `edges_on` so
-//! their gating composes with topology-aware inner plans.
+//! ([`Burst`], [`Alternate`]) forward `edges_on` so their gating composes
+//! with topology-aware inner plans.
 
 use bdclique_netsim::{EdgePlan, EdgeSet, Topology};
 use rand::{Rng, SeedableRng};
@@ -285,50 +285,6 @@ impl EdgePlan for PartitionCut {
     }
 }
 
-/// Wraps any plan, activating it only on rounds `r` with
-/// `r % period ∈ phases` — for striking specific phases of a round-structured
-/// protocol while staying dormant otherwise.
-#[derive(Debug, Clone)]
-pub struct RoundSelective<P> {
-    inner: P,
-    period: u64,
-    phases: Vec<u64>,
-}
-
-impl<P: EdgePlan> RoundSelective<P> {
-    /// Creates the wrapper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(inner: P, period: u64, phases: Vec<u64>) -> Self {
-        assert!(period > 0, "period must be positive");
-        Self {
-            inner,
-            period,
-            phases,
-        }
-    }
-}
-
-impl<P: EdgePlan> EdgePlan for RoundSelective<P> {
-    fn edges(&mut self, round: u64, n: usize, budget: usize) -> EdgeSet {
-        if self.phases.contains(&(round % self.period)) {
-            self.inner.edges(round, n, budget)
-        } else {
-            EdgeSet::new(n)
-        }
-    }
-
-    fn edges_on(&mut self, round: u64, topo: &Topology, alpha: f64) -> EdgeSet {
-        if self.phases.contains(&(round % self.period)) {
-            self.inner.edges_on(round, topo, alpha)
-        } else {
-            EdgeSet::new(topo.n())
-        }
-    }
-}
-
 /// Burst schedule: the inner plan is active for the first `burst` rounds of
 /// every `period`-round window and dormant otherwise — the ROADMAP's "burst
 /// rounds" attack shape, composed from any base plan.
@@ -528,15 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn round_selective_gates_the_inner_plan() {
-        let mut plan = RoundSelective::new(RotatingMatching::new(), 3, vec![0]);
-        assert!(!plan.edges(0, 8, 1).is_empty());
-        assert!(plan.edges(1, 8, 1).is_empty());
-        assert!(plan.edges(2, 8, 1).is_empty());
-        assert!(!plan.edges(3, 8, 1).is_empty());
-    }
-
-    #[test]
     fn burst_gates_by_window_prefix() {
         let mut plan = Burst::new(RotatingMatching::new(), 4, 2);
         for round in 0..12u64 {
@@ -628,9 +575,6 @@ mod tests {
         let mut alt = Alternate::new(inner, NoFaults, 1, 2);
         assert_eq!(alt.edges_on(0, &topo, 0.9).degree(0), 8);
         assert!(alt.edges_on(1, &topo, 0.9).is_empty());
-        let mut sel = RoundSelective::new(inner, 3, vec![1]);
-        assert!(sel.edges_on(0, &topo, 0.9).is_empty());
-        assert!(!sel.edges_on(1, &topo, 0.9).is_empty());
     }
 
     /// On `K_n` every plan's `edges_on` is its `edges` at `⌊αn⌋` — the
@@ -665,7 +609,6 @@ mod tests {
         check("EclipseCamp", camp);
         check("PartitionCut", cut);
         check("FixedEdges", FixedEdges::new(vec![vec![(0, 1)], vec![]]));
-        check("RoundSelective", RoundSelective::new(camp, 3, vec![0, 2]));
         check("Burst", Burst::new(cut, 4, 2));
         check("Alternate", Alternate::new(camp, cut, 1, 2));
     }

@@ -504,8 +504,10 @@ mod tests {
     use crate::routing::{
         route, EngineUsed, Phase, RouteSession, RouterConfig, RoutingMode, SuperMessage,
     };
-    use bdclique_netsim::Adversary;
+    use bdclique_netsim::{AdaptiveStrategy, Adversary};
+    use std::cell::RefCell;
     use std::collections::BTreeMap;
+    use std::rc::Rc;
 
     fn cf_cfg() -> RouterConfig {
         RouterConfig {
@@ -631,6 +633,28 @@ mod tests {
         }
     }
 
+    /// [`TestGreedy`] that first copies the round's intended frames — what
+    /// the session put on the wire, before any corruption — into `sent`.
+    struct Recording {
+        sent: Rc<RefCell<Vec<(usize, usize, BitVec)>>>,
+    }
+
+    impl AdaptiveStrategy for Recording {
+        fn corrupt(
+            &mut self,
+            view: &bdclique_netsim::AdversaryView<'_>,
+            scope: &mut bdclique_netsim::AdaptiveScope<'_>,
+        ) {
+            let mut sent = self.sent.borrow_mut();
+            sent.clear();
+            for (from, to, _) in scope.intended_frames() {
+                let frame = scope.intended(from, to).expect("listed as intended");
+                sent.push((from, to, frame.clone()));
+            }
+            TestGreedy.corrupt(view, scope);
+        }
+    }
+
     /// One lane slot of one wire frame — `(from, to, lane, symbol)` — as
     /// the table-keyed frame assembly collected them, in loop order (lane,
     /// then message, then receiver-set position).
@@ -732,8 +756,9 @@ mod tests {
             })
             .collect();
         let inst = instance(n, 400, msgs);
-        let mut net = Network::new(n, 27, 1.2 / n as f64, Adversary::adaptive(TestGreedy));
-        net.set_history_mode(bdclique_netsim::HistoryMode::Full);
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let recording = Recording { sent: sent.clone() };
+        let mut net = Network::new(n, 27, 1.2 / n as f64, Adversary::adaptive(recording));
         let engine = CfEngine::new(&net, &inst).unwrap();
         let mut session = RouteSession::new(&net, &inst, &cf_cfg(), None).unwrap();
         let lanes = engine.shape.lanes;
@@ -774,14 +799,7 @@ mod tests {
                 assert!(fanned_out, "no relay forwarded one symbol to two targets");
             }
             let done = session.step(&mut net).unwrap();
-            let mut sent = Vec::new();
-            let record = net.history().records().last().unwrap();
-            record
-                .intended
-                .as_ref()
-                .expect("full history keeps the intended traffic")
-                .for_each_frame(|from, to, frame| sent.push((from, to, frame.clone())));
-            assert_eq!(sent, expected, "wire traffic, round kind {which}");
+            assert_eq!(*sent.borrow(), expected, "wire traffic, round kind {which}");
             if let Some(out) = done {
                 break out;
             }

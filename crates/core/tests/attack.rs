@@ -235,19 +235,6 @@ fn det_hypercube_survives_history_camper() {
 }
 
 #[test]
-fn history_is_recorded_during_protocol_runs() {
-    let inst = instance(16, 1, 23);
-    let mut net = Network::new(16, 9, 0.07, greedy_flip());
-    DetHypercube::default().run(&mut net, &inst).unwrap();
-    let history = net.history();
-    assert_eq!(history.records().len() as u64, net.rounds());
-    assert_eq!(
-        history.total_corrupted() as u64,
-        net.stats().edges_corrupted
-    );
-}
-
-#[test]
 fn compiled_matmul_under_attack() {
     use bdclique_core::cc::BooleanMatMul;
     use bdclique_core::compiler::{compile, run_fault_free};

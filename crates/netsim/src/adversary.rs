@@ -12,7 +12,6 @@
 //! the adversary touches `k` frames costs O(k) saved frames — never a
 //! matrix clone, and nothing at all for frames it only reads.
 
-use crate::history::History;
 use crate::network::{NetworkError, PublishedLog};
 use crate::topology::Topology;
 use crate::traffic::Traffic;
@@ -109,8 +108,9 @@ impl EdgeSet {
 /// ([`CorruptionScope::intended`] / [`AdaptiveScope::intended`]), which
 /// serves pre-corruption values without snapshotting the matrix. Adaptive
 /// strategies additionally see everything the protocol
-/// [`crate::Network::publish`]ed (internal randomness) and the round history
-/// digest; for non-adaptive ones both are empty.
+/// [`crate::Network::publish`]ed (internal randomness); for non-adaptive
+/// ones that log is empty. Earlier rounds are not replayed here: a strategy
+/// is called every round and remembers what it needs in its own state.
 #[derive(Debug)]
 pub struct AdversaryView<'a> {
     /// Current round index (0-based).
@@ -119,9 +119,6 @@ pub struct AdversaryView<'a> {
     /// indexed by label — visible to *adaptive* adversaries only; empty for
     /// non-adaptive ones.
     pub published: &'a PublishedLog,
-    /// The recorded transcript of prior rounds (footnote 4's knowledge) —
-    /// adaptive adversaries only; empty for non-adaptive ones.
-    pub history: &'a History,
 }
 
 /// Copy-on-write record of pre-corruption frames, shared by both scopes.
@@ -581,12 +578,10 @@ impl Adversary {
         round: u64,
         traffic: &mut Traffic,
         published: &PublishedLog,
-        history: &History,
         topo: &Topology,
         alpha: f64,
     ) -> Result<(EdgeSet, u64), NetworkError> {
         let n = traffic.n();
-        let empty_history = History::default();
         let empty_published = PublishedLog::default();
         match &mut self.kind {
             Kind::None => Ok((EdgeSet::new(n), 0)),
@@ -610,7 +605,6 @@ impl Adversary {
                     round,
                     // Non-adaptive adversaries never see randomness.
                     published: &empty_published,
-                    history: &empty_history,
                 };
                 let mut scope = CorruptionScope::new(traffic, &edges);
                 corruptor.corrupt(&view, &edges, &mut scope);
@@ -618,11 +612,7 @@ impl Adversary {
                 Ok((edges, touched))
             }
             Kind::Adaptive(strategy) => {
-                let view = AdversaryView {
-                    round,
-                    published,
-                    history,
-                };
+                let view = AdversaryView { round, published };
                 let mut scope = AdaptiveScope::new(traffic, topo, alpha);
                 strategy.corrupt(&view, &mut scope);
                 let touched = scope.frames_touched;

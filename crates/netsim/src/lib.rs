@@ -21,9 +21,12 @@
 //!   while corrupted *contents* may depend on the current intended traffic
 //!   (the "rushing" refinement of the paper's footnote 3).
 //! * **Adaptive** ([`Adversary::adaptive`]): both the edge set and the
-//!   contents may depend on everything — the full history, the current
-//!   round's intended messages, and any randomness the protocol has
-//!   published (footnote 4's rushing adaptive adversary).
+//!   contents may depend on everything — the current round's intended
+//!   messages, any randomness the protocol has published, and whatever the
+//!   strategy remembers of earlier rounds (footnote 4's rushing adaptive
+//!   adversary). The strategy sees every round as it happens and may keep
+//!   any memory of it; that memory is its own checkpointed state
+//!   ([`AdaptiveStrategy::save_state`]), not a transcript the network keeps.
 //!
 //! # Storage layer
 //!
@@ -52,7 +55,6 @@
 //! ```
 
 mod adversary;
-mod history;
 mod network;
 pub mod seed;
 mod stats;
@@ -64,7 +66,6 @@ pub use adversary::{
     AdaptiveScope, AdaptiveStrategy, Adversary, AdversaryView, CorruptionScope, Corruptor,
     EdgePlan, EdgeSet,
 };
-pub use history::{History, HistoryMode, RoundRecord};
 pub use network::{Network, NetworkError, PublishedLog};
 pub use seed::SeedStream;
 pub use stats::NetStats;

@@ -1,7 +1,6 @@
 //! The synchronous network driver.
 
 use crate::adversary::Adversary;
-use crate::history::{History, HistoryMode};
 use crate::stats::NetStats;
 use crate::store::FrameArena;
 use crate::topology::Topology;
@@ -151,7 +150,6 @@ pub struct Network {
     round: u64,
     stats: NetStats,
     published: PublishedLog,
-    history: History,
     arena: FrameArena,
 }
 
@@ -194,14 +192,8 @@ impl Network {
             round: 0,
             stats: NetStats::default(),
             published: PublishedLog::default(),
-            history: History::new(HistoryMode::Digest),
             arena: FrameArena::default(),
         }
-    }
-
-    /// Switches the history recording mode (call before the first round).
-    pub fn set_history_mode(&mut self, mode: HistoryMode) {
-        self.history = History::new(mode);
     }
 
     /// Replaces the attached adversary, returning the previous one.
@@ -211,16 +203,11 @@ impl Network {
     /// rounds, modeling an adversary whose strategy itself is
     /// time-varying — burst windows, periodic phases, or a mid-run switch
     /// between the non-adaptive and adaptive classes. The round counter,
-    /// stats, history, and published log are untouched: the new adversary
-    /// inherits the full transcript context, exactly as the paper's mobile
-    /// adversary re-chooses its corrupted edge set every round.
+    /// stats, and published log are untouched, so the new adversary sees
+    /// everything published so far; what it remembers of rounds is its own
+    /// state, so it knows only the rounds it was installed for.
     pub fn set_adversary(&mut self, adversary: Adversary) -> Adversary {
         std::mem::replace(&mut self.adversary, adversary)
-    }
-
-    /// The recorded transcript so far.
-    pub fn history(&self) -> &History {
-        &self.history
     }
 
     /// Number of nodes.
@@ -241,8 +228,8 @@ impl Network {
     /// Changes the fault fraction α (and therefore [`Network::fault_budget`])
     /// between rounds — the budget-raising counterpart of
     /// [`Network::set_adversary`] for *scheduled* attacks whose strength
-    /// itself is time-varying. Round counter, stats, history, and the
-    /// published log are untouched.
+    /// itself is time-varying. Round counter, stats, and the published log
+    /// are untouched.
     ///
     /// Protocol sessions that derived decode margins from the budget at
     /// construction re-validate it on every step and refuse to continue
@@ -332,10 +319,9 @@ impl Network {
 
     /// Non-panicking variant of [`Network::exchange`].
     ///
-    /// The round pipeline is clone-free outside [`HistoryMode::Full`]: the
-    /// volume counters are O(1) reads, the adversary sees intended traffic
-    /// through the scopes' copy-on-write overlay, and a full matrix snapshot
-    /// is taken only when the history transcript actually records it.
+    /// The round pipeline is clone-free: the volume counters are O(1)
+    /// reads, and the adversary sees intended traffic through the scopes'
+    /// copy-on-write overlay.
     ///
     /// # Errors
     ///
@@ -348,37 +334,19 @@ impl Network {
             // not validated frame-by-frame; re-check before delivering.
             traffic.assert_on_topology(&self.topology);
         }
-        let frames_before = traffic.frame_count();
-        let bits_before = traffic.total_bits();
-        self.stats.bits_sent += bits_before;
-        self.stats.frames_sent += frames_before;
+        self.stats.bits_sent += traffic.total_bits();
+        self.stats.frames_sent += traffic.frame_count();
 
-        let intended_snapshot = if self.history.wants_intended() {
-            self.stats.intended_snapshots += 1;
-            Some(traffic.clone())
-        } else {
-            None
-        };
         let (edges, frames_touched) = self.adversary.act(
             self.round,
             &mut traffic,
             &self.published,
-            &self.history,
             &self.topology,
             self.alpha,
         )?;
         self.stats.edges_corrupted += edges.len() as u64;
         self.stats.frames_corrupted += frames_touched;
         self.stats.peak_fault_degree = self.stats.peak_fault_degree.max(edges.max_degree());
-        let mut corrupted: Vec<(usize, usize)> = edges.iter().collect();
-        corrupted.sort_unstable();
-        self.history.push(
-            self.round,
-            corrupted,
-            frames_before,
-            bits_before,
-            intended_snapshot,
-        );
 
         self.round += 1;
         self.stats.rounds = self.round;
@@ -386,11 +354,11 @@ impl Network {
     }
 
     /// Serializes the network's resumable state: topology, shape, virtual
-    /// clock, stats, published log, history transcript, and the attached
-    /// adversary's *dynamic* state (RNG cursors, accumulated maps — via
-    /// [`Adversary::save_state`]). The frame arena is allocator bookkeeping
-    /// and is never serialized. The snapshot must be taken **between**
-    /// rounds (the only time protocol code can observe the network anyway).
+    /// clock, stats, published log, and the attached adversary's *dynamic*
+    /// state (RNG cursors, accumulated maps — via [`Adversary::save_state`]).
+    /// The frame arena is allocator bookkeeping and is never serialized. The
+    /// snapshot must be taken **between** rounds (the only time protocol code
+    /// can observe the network anyway).
     pub fn snapshot(&self, enc: &mut Enc) {
         self.topology.snapshot(enc);
         enc.put_usize(self.bandwidth);
@@ -398,7 +366,6 @@ impl Network {
         enc.put_u64(self.round);
         self.stats.snapshot(enc);
         self.published.snapshot(enc);
-        self.history.snapshot(enc);
         enc.put_bytes(&self.adversary.save_state());
     }
 
@@ -428,8 +395,6 @@ impl Network {
         let round = dec.get_u64()?;
         let stats = NetStats::restore(dec)?;
         let published = PublishedLog::restore(dec)?;
-        let topology = Arc::new(topology);
-        let history = History::restore(dec, Some(&topology))?;
         let adv_state = dec.get_bytes()?.to_vec();
         adversary.load_state(&adv_state)?;
         Ok(Self {
@@ -437,11 +402,10 @@ impl Network {
             bandwidth,
             alpha,
             adversary,
-            topology,
+            topology: Arc::new(topology),
             round,
             stats,
             published,
-            history,
             arena: FrameArena::default(),
         })
     }
@@ -571,59 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_mode_records_have_no_snapshot_and_no_clone() {
-        // Default mode is Digest: records exist, carry `intended: None`,
-        // and the snapshot counter proves no full-matrix clone was taken.
-        let adv = Adversary::non_adaptive(single_edge_plan(0, 1), FlipEverything);
-        let mut net = Network::new(4, 4, 0.5, adv);
-        assert_eq!(net.history().mode(), HistoryMode::Digest);
-        for _ in 0..3 {
-            let mut t = net.traffic();
-            t.send(0, 1, BitVec::from_bools(&[true, true]));
-            net.exchange(t);
-        }
-        assert_eq!(net.history().records().len(), 3);
-        assert!(net.history().records().iter().all(|r| r.intended.is_none()));
-        assert_eq!(
-            net.stats().intended_snapshots,
-            0,
-            "Digest-mode rounds must never clone the traffic matrix"
-        );
-    }
-
-    #[test]
-    fn none_mode_is_clone_free_and_recordless() {
-        let mut net = Network::new(3, 2, 0.0, Adversary::none());
-        net.set_history_mode(HistoryMode::None);
-        for _ in 0..4 {
-            let t = net.traffic();
-            net.exchange(t);
-        }
-        assert!(net.history().records().is_empty());
-        assert_eq!(net.stats().intended_snapshots, 0);
-    }
-
-    #[test]
-    fn full_mode_snapshots_exactly_once_per_round() {
-        let adv = Adversary::non_adaptive(single_edge_plan(0, 1), FlipEverything);
-        let mut net = Network::new(4, 4, 0.5, adv);
-        net.set_history_mode(HistoryMode::Full);
-        for round in 0..3 {
-            let mut t = net.traffic();
-            t.send(0, 1, BitVec::from_bools(&[true]));
-            t.send(2, 3, BitVec::from_bools(&[false]));
-            net.exchange(t);
-            assert_eq!(net.stats().intended_snapshots, round + 1);
-        }
-        // The recorded snapshots hold the *intended* traffic, pre-corruption.
-        for r in net.history().records() {
-            let intended = r.intended.as_ref().expect("Full mode records traffic");
-            assert_eq!(intended.frame(0, 1), Some(&BitVec::from_bools(&[true])));
-            assert_eq!(intended.frame(2, 3), Some(&BitVec::from_bools(&[false])));
-        }
-    }
-
-    #[test]
     fn published_log_indexes_latest_by_label() {
         let mut net = Network::new(3, 2, 0.0, Adversary::none());
         assert!(net.published().is_empty());
@@ -664,8 +575,8 @@ mod tests {
         net.exchange(t);
         assert_eq!(net.stats().edges_corrupted, 1);
 
-        // Swap to fault-free between rounds: counters, history, and the
-        // published log survive; corruption stops.
+        // Swap to fault-free between rounds: counters and the published log
+        // survive; corruption stops.
         let old = net.set_adversary(Adversary::none());
         assert!(!old.is_adaptive());
         let mut t = net.traffic();
@@ -674,7 +585,6 @@ mod tests {
         assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[true])));
         assert_eq!(net.rounds(), 2);
         assert_eq!(net.stats().edges_corrupted, 1, "no new corruption");
-        assert_eq!(net.history().records().len(), 2);
         assert_eq!(net.published().len(), 1);
     }
 

@@ -17,10 +17,6 @@ pub struct NetStats {
     pub frames_corrupted: u64,
     /// Maximum faulty degree the adversary actually used in any round.
     pub peak_fault_degree: usize,
-    /// Full traffic-matrix snapshots taken for the history transcript.
-    /// Zero unless the network runs in [`crate::HistoryMode::Full`] — the
-    /// observable guarantee that `Digest`/`None` rounds are clone-free.
-    pub intended_snapshots: u64,
 }
 
 impl NetStats {
@@ -39,7 +35,6 @@ impl NetStats {
             edges_corrupted: self.edges_corrupted - earlier.edges_corrupted,
             frames_corrupted: self.frames_corrupted - earlier.frames_corrupted,
             peak_fault_degree: self.peak_fault_degree,
-            intended_snapshots: self.intended_snapshots - earlier.intended_snapshots,
         }
     }
 
@@ -51,7 +46,6 @@ impl NetStats {
         enc.put_u64(self.edges_corrupted);
         enc.put_u64(self.frames_corrupted);
         enc.put_usize(self.peak_fault_degree);
-        enc.put_u64(self.intended_snapshots);
     }
 
     /// Rebuilds counters serialized by [`NetStats::snapshot`].
@@ -67,7 +61,6 @@ impl NetStats {
             edges_corrupted: dec.get_u64()?,
             frames_corrupted: dec.get_u64()?,
             peak_fault_degree: dec.get_usize()?,
-            intended_snapshots: dec.get_u64()?,
         })
     }
 }
@@ -85,7 +78,6 @@ mod tests {
             edges_corrupted: 4,
             frames_corrupted: 6,
             peak_fault_degree: 2,
-            intended_snapshots: 1,
         };
         let later = NetStats {
             rounds: 4,
@@ -94,7 +86,6 @@ mod tests {
             edges_corrupted: 9,
             frames_corrupted: 11,
             peak_fault_degree: 3,
-            intended_snapshots: 1,
         };
         let d = later.delta_since(&earlier);
         assert_eq!(d.rounds, 1);
@@ -103,6 +94,5 @@ mod tests {
         assert_eq!(d.edges_corrupted, 5);
         assert_eq!(d.frames_corrupted, 5);
         assert_eq!(d.peak_fault_degree, 3, "peak is cumulative, not a delta");
-        assert_eq!(d.intended_snapshots, 0);
     }
 }

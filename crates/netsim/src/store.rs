@@ -34,7 +34,6 @@
 //! to recycle.
 
 use bdclique_bits::BitVec;
-use bdclique_snapshot::{Dec, Enc, SnapError};
 
 /// Auto-switch threshold: a sparse store densifies once
 /// `frame_count · DENSE_SWITCH_DIVISOR ≥ n²` (load factor ≥ 1/16). Below it
@@ -148,7 +147,7 @@ impl FrameArena {
 }
 
 /// The frame matrix of one round, in either representation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum FrameStore {
     /// Row-major `frames[from · n + to]`.
     Dense(Vec<Option<BitVec>>),
@@ -254,77 +253,6 @@ impl FrameStore {
             }
             *self = FrameStore::Dense(frames);
         }
-    }
-
-    /// Serializes the store: representation tag, `n`, then the present
-    /// frames in ascending `(from, to)` order. The tag makes restore
-    /// representation-exact — a dense store comes back dense — so a
-    /// re-encode of the decoded store is byte-identical.
-    pub(crate) fn snapshot(&self, n: usize, enc: &mut Enc) {
-        enc.put_usize(n);
-        match self {
-            FrameStore::Dense(_) => enc.put_u8(0),
-            FrameStore::Sparse(_) => enc.put_u8(1),
-        }
-        let mut count = 0usize;
-        self.for_each(n, |_, _, _| count += 1);
-        enc.put_usize(count);
-        self.for_each(n, |from, to, bits| {
-            enc.put_u32(from as u32);
-            enc.put_u32(to as u32);
-            enc.put_bits(bits);
-        });
-    }
-
-    /// Rebuilds a store serialized by [`FrameStore::snapshot`], returning
-    /// `(store, n)`.
-    ///
-    /// `n` is validated *before* the slot table is allocated: a corrupted
-    /// varint must produce a decode error, not an arithmetic-overflow panic
-    /// or a multi-gigabyte allocation. The ceilings sit far above any
-    /// supported simulation (the dense bound alone admits `n = 16384`, the
-    /// largest deployment the bench grids reach).
-    pub(crate) fn restore(dec: &mut Dec<'_>) -> Result<(Self, usize), SnapError> {
-        /// Most nodes a snapshot may declare, any backend.
-        const MAX_NODES: usize = 1 << 17;
-        /// Most up-front `n²` slots a dense table may declare.
-        const MAX_DENSE_SLOTS: usize = 1 << 28;
-        let n = dec.get_usize()?;
-        if n == 0 || n > MAX_NODES {
-            return Err(SnapError::corrupt(format!(
-                "frame store n = {n} out of range"
-            )));
-        }
-        let tag = dec.get_u8()?;
-        let mut store = match tag {
-            0 => {
-                let slots = n
-                    .checked_mul(n)
-                    .filter(|&s| s <= MAX_DENSE_SLOTS)
-                    .ok_or_else(|| SnapError::corrupt(format!("dense store n = {n} too large")))?;
-                FrameStore::Dense(vec![None; slots])
-            }
-            1 => FrameStore::new_sparse(n),
-            t => return Err(SnapError::corrupt(format!("frame store tag {t}"))),
-        };
-        let count = dec.get_len(9)?;
-        let mut last: Option<(usize, usize)> = None;
-        for _ in 0..count {
-            let from = dec.get_u32()? as usize;
-            let to = dec.get_u32()? as usize;
-            if from >= n || to >= n {
-                return Err(SnapError::corrupt(format!(
-                    "frame ({from}, {to}) out of range for n = {n}"
-                )));
-            }
-            if last.is_some_and(|prev| prev >= (from, to)) {
-                return Err(SnapError::corrupt("frames out of order"));
-            }
-            last = Some((from, to));
-            let bits = dec.get_bits()?;
-            store.replace(n, from, to, Some(bits));
-        }
-        Ok((store, n))
     }
 
     /// Approximate heap bytes held by the store (matrix slots / adjacency

@@ -36,22 +36,6 @@ pub struct Traffic {
     arena: FrameArena,
 }
 
-/// Clones the logical matrix; the round-local recycling pool is *not*
-/// cloned (a snapshot needs contents, not allocator bookkeeping).
-impl Clone for Traffic {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            bandwidth: self.bandwidth,
-            store: self.store.clone(),
-            total_bits: self.total_bits,
-            frame_count: self.frame_count,
-            topology: self.topology.clone(),
-            arena: FrameArena::default(),
-        }
-    }
-}
-
 impl Traffic {
     /// Creates an empty round of traffic for `n` nodes and a bandwidth of
     /// `bandwidth` bits per ordered pair. Starts on the sparse store and
@@ -168,7 +152,7 @@ impl Traffic {
 
     /// Visits every queued frame in ascending `(from, to)` order —
     /// `O(frames)` on the sparse store, the substrate behind
-    /// adversary busy-edge scans and history digests.
+    /// adversary busy-edge scans.
     pub fn for_each_frame(&self, f: impl FnMut(usize, usize, &BitVec)) {
         self.store.for_each(self.n, f);
     }
@@ -216,66 +200,6 @@ impl Traffic {
         self.frame_count
     }
 
-    /// Serializes the round's logical matrix with its representation tag
-    /// (so a restored round keeps the exact store it had). The round-local
-    /// arena is allocator bookkeeping and is not serialized; volume
-    /// counters are recomputed at restore.
-    pub fn snapshot(&self, enc: &mut Enc) {
-        enc.put_usize(self.bandwidth);
-        enc.put_bool(self.topology.is_some());
-        self.store.snapshot(self.n, enc);
-    }
-
-    /// Rebuilds traffic serialized by [`Traffic::snapshot`]. `topology`
-    /// reattaches the validation handle for traffic that carried one
-    /// (required then; ignored otherwise) — handles are shared state, not
-    /// snapshot payload.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input, including a missing
-    /// `topology` for traffic that was topology-validated.
-    pub fn restore(dec: &mut Dec<'_>, topology: Option<&Arc<Topology>>) -> Result<Self, SnapError> {
-        let bandwidth = dec.get_usize()?;
-        if bandwidth == 0 {
-            return Err(SnapError::corrupt("traffic with zero bandwidth"));
-        }
-        let had_topology = dec.get_bool()?;
-        let (store, n) = FrameStore::restore(dec)?;
-        if n < 2 {
-            return Err(SnapError::corrupt("traffic with n < 2"));
-        }
-        let mut total_bits = 0u64;
-        let mut frame_count = 0u64;
-        store.for_each(n, |_, _, bits| {
-            if bits.len() > bandwidth {
-                total_bits = u64::MAX; // flagged below
-            } else {
-                total_bits += bits.len() as u64;
-            }
-            frame_count += 1;
-        });
-        if total_bits == u64::MAX {
-            return Err(SnapError::corrupt("frame exceeds traffic bandwidth"));
-        }
-        let topology = if had_topology {
-            Some(Arc::clone(topology.ok_or_else(|| {
-                SnapError::corrupt("traffic was topology-validated but no handle was supplied")
-            })?))
-        } else {
-            None
-        };
-        Ok(Self {
-            n,
-            bandwidth,
-            store,
-            total_bits,
-            frame_count,
-            topology,
-            arena: FrameArena::default(),
-        })
-    }
-
     /// Converts queued traffic into its delivered form. Sparse rounds
     /// transpose sender rows into per-receiver inboxes **by move**
     /// (`O(frames)`, no clone); the spent row tables return to `arena`.
@@ -305,28 +229,6 @@ impl Traffic {
         }
     }
 }
-
-/// Logical equality: same shape and same frames, whichever store holds them.
-impl PartialEq for Traffic {
-    fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n
-            || self.bandwidth != other.bandwidth
-            || self.total_bits != other.total_bits
-            || self.frame_count != other.frame_count
-        {
-            return false;
-        }
-        let mut equal = true;
-        self.for_each_frame(|from, to, bits| {
-            if equal && other.frame(from, to) != Some(bits) {
-                equal = false;
-            }
-        });
-        equal
-    }
-}
-
-impl Eq for Traffic {}
 
 #[derive(Debug, Clone)]
 enum DeliveryRepr {
@@ -442,11 +344,12 @@ impl Delivery {
     ///
     /// [`SnapError`] on truncated or corrupt input.
     pub fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        // Same ceilings as `FrameStore::restore`: `n` must be bounded
-        // *before* the slot table is allocated, or a corrupt snapshot can
-        // request a multi-gigabyte allocation and abort (the overflow
-        // check alone does not bound the magnitude — caught by the
-        // validate-before-alloc lint).
+        // `n` must be bounded *before* the slot table is allocated, or a
+        // corrupt snapshot can request a multi-gigabyte allocation and abort
+        // (the overflow check alone does not bound the magnitude — caught by
+        // the validate-before-alloc lint). The ceilings sit far above any
+        // supported simulation: the dense bound alone admits `n = 16384`,
+        // the largest deployment the bench grids reach.
         const MAX_NODES: usize = 1 << 17;
         const MAX_DENSE_SLOTS: usize = 1 << 28;
         let n = dec.get_usize()?;
@@ -689,9 +592,12 @@ mod tests {
             t.send(2, 3, BitVec::from_bools(&[false]));
         }
         assert!(a.store.is_sparse() && !b.store.is_sparse());
+        let mut c = densified(12, 4);
+        c.send(0, 1, BitVec::from_bools(&[true, false]));
+        c.send(2, 3, BitVec::from_bools(&[true]));
+        let (a, b, c) = (delivery(a), delivery(b), delivery(c));
         assert_eq!(a, b);
-        b.send(3, 1, BitVec::from_bools(&[true]));
-        assert_ne!(a, b);
+        assert_ne!(a, c, "one differing frame breaks equality");
     }
 
     /// The incremental counters must agree with a full rescan through any

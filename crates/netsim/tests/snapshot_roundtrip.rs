@@ -5,7 +5,7 @@
 //! rejected with an error, never a panic or a silently wrong value.
 
 use bdclique_bits::BitVec;
-use bdclique_netsim::{SeedStream, Topology, Traffic};
+use bdclique_netsim::{Adversary, Delivery, Network, SeedStream, Topology};
 use bdclique_snapshot::{Dec, Enc};
 use proptest::prelude::*;
 
@@ -16,17 +16,19 @@ fn payload(from: usize, to: usize, len: usize) -> BitVec {
     BitVec::from_fn(len, |i| (i * 11 + from * 5 + to * 3) % 7 < 3)
 }
 
-/// A traffic matrix populated from an op list. With `densify` it is moved
-/// onto the dense store first, so the ops land there whatever their number;
-/// without, the load factor decides.
-fn build_traffic(
+/// One fault-free round delivering the frames of an op list. With `dense`
+/// the round's traffic is moved onto the dense store first, so the
+/// delivery is the dense matrix whatever the number of ops; without, the
+/// load factor decides (per-receiver inboxes below the switch).
+fn build_delivery(
     n: usize,
     bandwidth: usize,
-    densify: bool,
+    dense: bool,
     ops: &[(usize, usize, usize)],
-) -> Traffic {
-    let mut t = Traffic::new(n, bandwidth);
-    if densify {
+) -> Delivery {
+    let mut net = Network::new(n, bandwidth, 0.0, Adversary::none());
+    let mut t = net.traffic();
+    if dense {
         common::densify(&mut t);
     }
     for &(from, to, len) in ops {
@@ -35,7 +37,7 @@ fn build_traffic(
             t.send(from, to, payload(from, to, 1 + len % bandwidth));
         }
     }
-    t
+    net.exchange(t)
 }
 
 /// Encodes a value through its `snapshot` hook.
@@ -46,68 +48,80 @@ fn encode(f: impl FnOnce(&mut Enc)) -> Vec<u8> {
 }
 
 /// Decodes with full-consumption checking, as the real restore path does.
-fn decode_traffic(bytes: &[u8]) -> Result<Traffic, String> {
+fn decode_delivery(bytes: &[u8]) -> Result<Delivery, String> {
     let mut dec = Dec::new(bytes);
-    let t = Traffic::restore(&mut dec, None).map_err(|e| e.to_string())?;
+    let d = Delivery::restore(&mut dec).map_err(|e| e.to_string())?;
     dec.finish().map_err(|e| e.to_string())?;
-    Ok(t)
+    Ok(d)
+}
+
+/// The node count a delivery encoding announces (its first eight bytes).
+fn announced_n(bytes: &[u8]) -> u64 {
+    let mut dec = Dec::new(bytes);
+    dec.get_u64().expect("an eight-byte header")
 }
 
 proptest! {
-    /// Traffic round-trips byte-identically on both stores, preserving
-    /// the volume counters (recomputed at restore) and every frame.
+    /// A delivery round-trips byte-identically on both representations
+    /// (the tag byte makes re-encoding representation-exact), with every
+    /// inbox intact.
     #[test]
-    fn traffic_roundtrip_is_byte_identical(
+    fn delivery_roundtrip_is_byte_identical(
         n in 2usize..12,
         bandwidth in 4usize..24,
         dense in any::<bool>(),
         ops in prop::collection::vec((0usize..12, 0usize..12, 0usize..24), 0..32),
     ) {
-        let t = build_traffic(n, bandwidth, dense, &ops);
-        let bytes = encode(|e| t.snapshot(e));
-        let restored = decode_traffic(&bytes).expect("well-formed encoding");
-        prop_assert_eq!(restored.total_bits(), t.total_bits());
-        prop_assert_eq!(restored.frame_count(), t.frame_count());
-        prop_assert_eq!(&restored, &t);
+        let d = build_delivery(n, bandwidth, dense, &ops);
+        let bytes = encode(|e| d.snapshot(e));
+        let restored = decode_delivery(&bytes).expect("well-formed encoding");
+        prop_assert_eq!(&restored, &d);
         let again = encode(|e| restored.snapshot(e));
         prop_assert_eq!(bytes, again, "re-encode must be byte-identical");
     }
 
-    /// Every strict prefix of a traffic encoding is rejected — a torn
-    /// checkpoint write can never restore as a shorter-but-valid state.
-    /// (The atomic rename in the bench layer prevents torn files; this
-    /// guarantees defense in depth if one appears anyway.)
+    /// Every strict prefix of a delivery encoding is rejected, on both
+    /// representations — a torn checkpoint write can never restore as a
+    /// shorter-but-valid state. (The atomic rename in the bench layer
+    /// prevents torn files; this guarantees defense in depth if one appears
+    /// anyway.)
     #[test]
-    fn traffic_truncations_are_rejected(
+    fn delivery_truncations_are_rejected(
         n in 2usize..8,
+        dense in any::<bool>(),
         ops in prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 1..12),
         cut_frac in 0.0f64..1.0,
     ) {
-        let t = build_traffic(n, 9, false, &ops);
-        let bytes = encode(|e| t.snapshot(e));
+        let d = build_delivery(n, 9, dense, &ops);
+        let bytes = encode(|e| d.snapshot(e));
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(
-            decode_traffic(&bytes[..cut]).is_err(),
+            decode_delivery(&bytes[..cut]).is_err(),
             "prefix of {} bytes decoded", cut
         );
     }
 
-    /// Single-byte corruption never panics. The property asserted is
-    /// totality, not detection: the decoder must return `Ok` or `Err`, never
-    /// crash — this is what caught the unvalidated `n` allocation in
-    /// `FrameStore::restore`.
+    /// Single-byte corruption never panics, on both representations. The
+    /// property asserted is totality, not detection: the decoder must
+    /// return `Ok` or `Err`, never crash.
     #[test]
-    fn traffic_corruption_never_panics(
+    fn delivery_corruption_never_panics(
         n in 2usize..8,
+        dense in any::<bool>(),
         ops in prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 1..12),
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let t = build_traffic(n, 9, true, &ops);
-        let mut bytes = encode(|e| t.snapshot(e));
+        let d = build_delivery(n, 9, dense, &ops);
+        let mut bytes = encode(|e| d.snapshot(e));
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        let _ = decode_traffic(&bytes); // must return, not panic
+        // A flipped node count inside the decoder's ceiling is a legal
+        // header: a dense delivery then allocates its n² slots for real,
+        // gigabytes near the ceiling. Out-of-range counts are still fed in.
+        let n_flipped = announced_n(&bytes);
+        prop_assume!(n_flipped <= 1024 || n_flipped > 1 << 17);
+        let _ = decode_delivery(&bytes); // must return, not panic
     }
 
     /// Topologies round-trip byte-identically across every generator,
@@ -167,18 +181,26 @@ proptest! {
     }
 }
 
-/// Corrupting the representation tag or dimension header of a traffic
-/// encoding is caught by validation (pinned cases — the headers live at
-/// known offsets).
+/// Corrupting the node-count header or the representation tag of a
+/// delivery encoding is caught by validation (pinned cases — the headers
+/// live at known offsets: `n` in bytes 0..8, the tag at byte 8).
 #[test]
-fn traffic_header_corruption_is_detected() {
-    let t = build_traffic(4, 9, false, &[(0, 1, 3), (2, 3, 5)]);
-    let bytes = encode(|e| t.snapshot(e));
-    // Zero-bandwidth header: rejected by the explicit range check.
-    let mut zeroed = bytes.clone();
-    zeroed[0] = 0; // first varint byte of `bandwidth`
-    assert!(decode_traffic(&zeroed).is_err(), "zero bandwidth accepted");
+fn delivery_header_corruption_is_detected() {
+    let d = build_delivery(4, 9, false, &[(0, 1, 3), (2, 3, 5)]);
+    let bytes = encode(|e| d.snapshot(e));
+    assert_eq!(announced_n(&bytes), 4);
+    // A node count below two or past the ceiling: rejected by the explicit
+    // range check, before anything is allocated.
+    for n in [0u64, 1, (1 << 17) + 1, u64::MAX] {
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(&n.to_le_bytes());
+        assert!(decode_delivery(&bad).is_err(), "n = {n} accepted");
+    }
+    // An unknown representation tag.
+    let mut bad = bytes.clone();
+    bad[8] = 2;
+    assert!(decode_delivery(&bad).is_err(), "tag 2 accepted");
     // Empty input and a lone header byte are truncations.
-    assert!(decode_traffic(&[]).is_err());
-    assert!(decode_traffic(&bytes[..1]).is_err());
+    assert!(decode_delivery(&[]).is_err());
+    assert!(decode_delivery(&bytes[..1]).is_err());
 }

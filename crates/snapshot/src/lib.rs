@@ -43,8 +43,9 @@ pub const MAGIC: [u8; 4] = *b"BDCS";
 /// both engines: zero-filled chunk-store entries (version 2's unit engine
 /// wrote optional ones) and relay grids without their row offsets, which
 /// the rebuilt plan supplies. Version 4 drops the traffic record's `auto`
-/// byte and the sparse topology's edge-cap section.
-pub const VERSION: u16 = 4;
+/// byte and the sparse topology's edge-cap section. Version 5 drops the
+/// network's history section and its stats' `intended_snapshots` counter.
+pub const VERSION: u16 = 5;
 
 /// Decode failure: the bytes do not describe a valid snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

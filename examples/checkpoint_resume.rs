@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The capture ([`bdclique::core::snapshot_run`]) serializes the network
-//! (pending traffic, adversary RNG state, round clock, stats, history) and
+//! (topology, round clock, stats, published log, adversary RNG state) and
 //! the protocol session's dynamic state into one versioned byte document;
 //! [`bdclique::core::restore_run`] rebuilds both against freshly
 //! constructed protocol/instance/adversary specs. The `tables` bench binary

@@ -4,12 +4,13 @@
 //! followed by dropping **all** process state (network, session) and
 //! `restore_run` from the bytes alone, yields an execution
 //! bit-identical to the uninterrupted one — same output payloads (FNV-1a),
-//! same round count, same `NetStats`, same per-round adversary corruption
-//! history. Additionally, taking a snapshot must not perturb the run it was
-//! taken from, and re-snapshotting a freshly restored run must reproduce
-//! the original bytes exactly.
+//! same round count, same `NetStats`, the same per-round `RoundTrace` from
+//! the crash round on, and the same final adversary state. Additionally,
+//! taking a snapshot must not perturb the run it was taken from, and
+//! re-snapshotting a freshly restored run must reproduce the original bytes
+//! exactly.
 
-use bdclique::core::driver::{Driver, RoundBudget, RoundObserver};
+use bdclique::core::driver::{Driver, RoundBudget, RoundObserver, RoundTrace};
 use bdclique::core::protocols::{
     AdaptiveAllToAll, AdaptiveTakeOne, AllToAllProtocol, DetHypercube, DetSqrt, NaiveExchange,
     NonAdaptiveAllToAll, RelayReplication, Step,
@@ -178,17 +179,41 @@ fn fnv_output(out: &AllToAllOutput) -> u64 {
     h
 }
 
-/// One round of recorded adversary behavior: (round, corrupted edges,
-/// frames, bits).
-type RoundSig = (u64, Vec<(usize, usize)>, u64, u64);
+/// One round as a [`RoundTrace`] saw it: (frames sent, bits sent, edges
+/// corrupted, frames corrupted).
+type RoundSig = (u64, u64, u64, u64);
 
-/// The adversary's per-round behavior, as recorded by the network history.
-fn history_sig(net: &Network) -> Vec<RoundSig> {
-    net.history()
-        .records()
+/// Runs an open session to completion through the [`Driver`], returning
+/// the output and every round's signature.
+fn run_traced(
+    session: &mut dyn bdclique::core::protocols::ProtocolSession,
+    net: &mut Network,
+) -> (AllToAllOutput, Vec<RoundSig>) {
+    let mut trace = RoundTrace::new();
+    let mut observers: [&mut dyn RoundObserver; 1] = [&mut trace];
+    let out = Driver::with_observers(&mut observers)
+        .run_session(session, net)
+        .expect("running to completion");
+    let sig = trace
+        .frames
         .iter()
-        .map(|r| (r.round, r.corrupted.clone(), r.frames, r.bits))
-        .collect()
+        .map(|f| {
+            let s = &f.stats;
+            (
+                s.frames_sent,
+                s.bits_sent,
+                s.edges_corrupted,
+                s.frames_corrupted,
+            )
+        })
+        .collect();
+    (out, sig)
+}
+
+/// The adversary's dynamic state (RNG cursors, learned load maps), taken
+/// by detaching it from the network.
+fn adversary_state(net: &mut Network) -> Vec<u8> {
+    net.set_adversary(Adversary::none()).save_state()
 }
 
 /// Steps the session until the virtual clock reaches `target` rounds.
@@ -228,10 +253,10 @@ fn resumed_runs_are_bit_identical_for_all_protocols() {
         // Uninterrupted reference.
         let (inst, mut net_ref) = setup(&case);
         let mut session = case.proto.session(&net_ref, &inst).unwrap();
-        let out_ref = run_to_done(session.as_mut(), &mut net_ref);
+        let (out_ref, trace_ref) = run_traced(session.as_mut(), &mut net_ref);
         drop(session);
         let fnv_ref = fnv_output(&out_ref);
-        let hist_ref = history_sig(&net_ref);
+        let adversary_ref = adversary_state(&mut net_ref);
 
         for &crash in case.crash_at {
             if crash >= net_ref.rounds() {
@@ -273,7 +298,7 @@ fn resumed_runs_are_bit_identical_for_all_protocols() {
                 case.label
             );
 
-            let out_res = run_to_done(session2.as_mut(), &mut net2);
+            let (out_res, trace_res) = run_traced(session2.as_mut(), &mut net2);
             drop(session2);
             assert_eq!(
                 fnv_output(&out_res),
@@ -300,9 +325,15 @@ fn resumed_runs_are_bit_identical_for_all_protocols() {
                 case.label
             );
             assert_eq!(
-                history_sig(&net2),
-                hist_ref,
-                "{} at {crash}: adversary history diverged",
+                trace_res,
+                trace_ref[crash as usize..],
+                "{} at {crash}: per-round trace diverged",
+                case.label
+            );
+            assert_eq!(
+                adversary_state(&mut net2),
+                adversary_ref,
+                "{} at {crash}: adversary state diverged",
                 case.label
             );
         }
@@ -470,10 +501,11 @@ fn hypercube_state_row_length_and_format_version_are_validated() {
     }
 
     // Versions 1 (per-message rows), 2 (two chunk-store encodings, relay
-    // grids carrying their own offsets) and 3 (traffic `auto` byte, topology
-    // edge caps) are refused by the header check.
+    // grids carrying their own offsets), 3 (traffic `auto` byte, topology
+    // edge caps) and 4 (the network's history section) are refused by the
+    // header check.
     assert_eq!(bytes[4..6], bdclique_snapshot::VERSION.to_le_bytes());
-    for old in [1u16, 2, 3] {
+    for old in [1u16, 2, 3, 4] {
         let mut doc = bytes.clone();
         doc[4..6].copy_from_slice(&old.to_le_bytes());
         let err = restore_run(&doc, fresh_adversary(case), case.proto.as_ref(), &inst)
