@@ -59,8 +59,8 @@ impl AdaptiveStrategy for GreedyLoad {
                 continue;
             }
             for (a, b) in [(u, v), (v, u)] {
-                if scope.intended(a, b).is_some() {
-                    let new = self.payload.apply(scope.intended(a, b), &mut self.rng);
+                if let Some(frame) = scope.intended(a, b) {
+                    let new = self.payload.apply(Some(&frame), &mut self.rng);
                     scope.try_corrupt(a, b, new);
                 }
             }
@@ -123,8 +123,8 @@ impl AdaptiveStrategy for TargetNode {
                 continue;
             }
             for (a, b) in [(u, v), (v, u)] {
-                if scope.intended(a, b).is_some() {
-                    let new = self.payload.apply(scope.intended(a, b), &mut self.rng);
+                if let Some(frame) = scope.intended(a, b) {
+                    let new = self.payload.apply(Some(&frame), &mut self.rng);
                     scope.try_corrupt(a, b, new);
                 }
             }
@@ -178,8 +178,8 @@ impl AdaptiveStrategy for RushingRandom {
                 continue;
             }
             for (a, b) in [(u, v), (v, u)] {
-                if scope.intended(a, b).is_some() {
-                    let new = self.payload.apply(scope.intended(a, b), &mut self.rng);
+                if let Some(frame) = scope.intended(a, b) {
+                    let new = self.payload.apply(Some(&frame), &mut self.rng);
                     scope.try_corrupt(a, b, new);
                 }
             }
@@ -275,8 +275,8 @@ impl AdaptiveStrategy for HistoryCamper {
                 continue;
             }
             for (a, b) in [(u, v), (v, u)] {
-                if scope.intended(a, b).is_some() {
-                    let new = self.payload.apply(scope.intended(a, b), &mut self.rng);
+                if let Some(frame) = scope.intended(a, b) {
+                    let new = self.payload.apply(Some(&frame), &mut self.rng);
                     scope.try_corrupt(a, b, new);
                 }
             }

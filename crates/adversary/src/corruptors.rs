@@ -70,8 +70,8 @@ impl Corruptor for PayloadCorruptor {
         edge_list.sort_unstable(); // determinism independent of hash order
         for (u, v) in edge_list {
             for (a, b) in [(u, v), (v, u)] {
-                if scope.intended(a, b).is_some() {
-                    let new = self.payload.apply(scope.intended(a, b), &mut self.rng);
+                if let Some(frame) = scope.intended(a, b) {
+                    let new = self.payload.apply(Some(&frame), &mut self.rng);
                     scope.set(a, b, new);
                 }
             }

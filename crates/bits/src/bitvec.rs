@@ -144,8 +144,19 @@ impl BitVec {
     /// The `len.div_ceil(64)` blocks that hold bits — all of a heap store,
     /// and all of an inline one unless the vector is empty.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.blocks[..self.len.div_ceil(64)]
+    }
+
+    /// A vector of `len ≤ 64` bits held inline: the low `len` bits of
+    /// `word`, whose higher bits the caller has zeroed.
+    #[inline]
+    pub(crate) fn from_word(word: u64, len: usize) -> Self {
+        debug_assert!(len <= 64 && (len == 64 || word >> len == 0));
+        Self {
+            blocks: Blocks::Inline(word),
+            len,
+        }
     }
 
     /// Heap bytes owned by this vector: zero while it is inline.
@@ -210,34 +221,14 @@ impl BitVec {
     /// masked anyway).
     #[inline]
     fn load(&self, pos: usize, width: u32) -> u64 {
-        if width == 0 {
-            return 0;
-        }
-        let block = pos / 64;
-        let off = (pos % 64) as u32;
-        let mut out = self.blocks[block] >> off;
-        if off + width > 64 {
-            out |= self.blocks[block + 1] << (64 - off);
-        }
-        out & low_mask(width)
+        load_bits(&self.blocks, pos, width)
     }
 
     /// Overwrites `width` (≤ 64) bits at `pos` with `value`; the caller
     /// guarantees the range is in bounds and `value` fits `width` bits.
     #[inline]
-    fn store(&mut self, pos: usize, width: u32, value: u64) {
-        if width == 0 {
-            return;
-        }
-        let block = pos / 64;
-        let off = (pos % 64) as u32;
-        let mask = low_mask(width);
-        self.blocks[block] = (self.blocks[block] & !(mask << off)) | (value << off);
-        if off + width > 64 {
-            let spill = off + width - 64;
-            let hi_mask = low_mask(spill);
-            self.blocks[block + 1] = (self.blocks[block + 1] & !hi_mask) | (value >> (64 - off));
-        }
+    pub(crate) fn store(&mut self, pos: usize, width: u32, value: u64) {
+        store_bits(&mut self.blocks, pos, width, value);
     }
 
     /// Extends with `extra` zero bits, keeping the padding invariant.
@@ -522,6 +513,8 @@ impl BitVec {
     }
 
     /// Inverse of [`Self::to_symbols`]: unpacks symbols back into `len` bits.
+    /// Only `len` bits are ever written — the last symbol is masked to what
+    /// is left — so a result of at most 64 bits stays inline.
     ///
     /// # Panics
     ///
@@ -536,18 +529,56 @@ impl BitVec {
             "not enough symbols for {len} bits"
         );
         let w = sym_bits as usize;
-        let mut v = Self::new();
-        v.push_uints(sym_bits, &symbols[..len.div_ceil(w)]);
-        v.truncate(len);
+        let mut v = Self::zeros(len);
+        for (s, &sym) in symbols[..len.div_ceil(w)].iter().enumerate() {
+            let pos = s * w;
+            let width = w.min(len - pos) as u32;
+            v.store(pos, width, sym as u64 & low_mask(width));
+        }
         v
     }
 }
 
 /// A mask of the `width` (1..=64) low bits.
 #[inline]
-const fn low_mask(width: u32) -> u64 {
+pub(crate) const fn low_mask(width: u32) -> u64 {
     debug_assert!(width >= 1 && width <= 64);
     u64::MAX >> (64 - width)
+}
+
+/// Reads `width` (≤ 64) bits of an LSB-first block array at bit `pos`; the
+/// caller guarantees `pos + width` lies inside the blocks.
+#[inline]
+pub(crate) fn load_bits(blocks: &[u64], pos: usize, width: u32) -> u64 {
+    if width == 0 {
+        return 0;
+    }
+    let block = pos / 64;
+    let off = (pos % 64) as u32;
+    let mut out = blocks[block] >> off;
+    if off + width > 64 {
+        out |= blocks[block + 1] << (64 - off);
+    }
+    out & low_mask(width)
+}
+
+/// Overwrites `width` (≤ 64) bits of an LSB-first block array at bit `pos`
+/// with `value`; the caller guarantees the range lies inside the blocks and
+/// `value` fits `width` bits.
+#[inline]
+pub(crate) fn store_bits(blocks: &mut [u64], pos: usize, width: u32, value: u64) {
+    if width == 0 {
+        return;
+    }
+    let block = pos / 64;
+    let off = (pos % 64) as u32;
+    let mask = low_mask(width);
+    blocks[block] = (blocks[block] & !(mask << off)) | (value << off);
+    if off + width > 64 {
+        let spill = off + width - 64;
+        let hi_mask = low_mask(spill);
+        blocks[block + 1] = (blocks[block + 1] & !hi_mask) | (value >> (64 - off));
+    }
 }
 
 impl fmt::Debug for BitVec {
@@ -736,8 +767,8 @@ mod tests {
     #[test]
     fn slots_stay_one_inline_block_wide() {
         use std::mem::size_of;
-        let why = "a frame slot grew: every dense n = 1024 matrix (1 M slots) pays \
-                   8 MB per extra word, and the sparse rows pay it per frame";
+        let why = "a frame grew: the sparse rows pay every extra word per frame, and \
+                   each by-value read from a grid copies it";
         assert!(size_of::<BitVec>() <= 32, "BitVec: {why}");
         assert!(size_of::<Option<BitVec>>() <= 32, "Option<BitVec>: {why}");
         assert!(size_of::<(u32, BitVec)>() <= 40, "(u32, BitVec): {why}");

@@ -6,6 +6,11 @@
 //! error-correcting-code layer), and symbol (de)packing for codes over
 //! GF(2^m).
 //!
+//! A round of the clique is an `n × n` matrix of such frames, each at most
+//! the bandwidth wide. [`BitGrid`] stores that matrix as bits: a presence
+//! bitset plus one packed slab of length-prefixed slots, emptied by zeroing
+//! the bitset alone.
+//!
 //! The crate has no dependencies so that every other crate in the workspace
 //! can build on it.
 //!
@@ -22,8 +27,10 @@
 //! ```
 
 mod bitvec;
+mod grid;
 
 pub use bitvec::BitVec;
+pub use grid::{BitGrid, Column};
 
 /// Number of bits needed to represent values `0..n` (i.e. `ceil(log2(n))`,
 /// with `bits_for(0) == 0` and `bits_for(1) == 0`).

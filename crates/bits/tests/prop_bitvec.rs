@@ -240,6 +240,27 @@ proptest! {
         prop_assert_eq!(batch, scalar);
     }
 
+    /// `from_symbols` writes only `len` bits: at most 64 of them never
+    /// spill, whatever the last symbol's overshoot, and every length gives
+    /// what the pack-then-truncate construction gave.
+    #[test]
+    fn from_symbols_stays_inline_and_matches_pack_then_truncate(
+        symbols in prop::collection::vec(any::<u16>(), 130),
+    ) {
+        for width in 1u32..=16 {
+            for len in 0..=130usize {
+                let got = BitVec::from_symbols(&symbols, width, len);
+                let mut packed = BitVec::new();
+                packed.push_uints(width, &symbols[..len.div_ceil(width as usize)]);
+                packed.truncate(len);
+                prop_assert_eq!(&got, &packed, "width {}, len {}", width, len);
+                if len <= 64 {
+                    prop_assert_eq!(got.heap_bytes(), 0, "width {}, len {}", width, len);
+                }
+            }
+        }
+    }
+
     /// Batch pack then unpack is the identity on masked symbols.
     #[test]
     fn uints_pack_unpack_roundtrip(

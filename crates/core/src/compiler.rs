@@ -20,10 +20,9 @@
 //! The network rounds themselves stay strictly sequential: rounds are the
 //! unit of synchrony in the model.
 //!
-//! Inbox assembly is clone-free: the protocol output's message matrix is
-//! transposed into per-node inboxes **by move**
-//! ([`crate::AllToAllOutput::into_received_rows`]), never by cloning all
-//! `n²` messages.
+//! Inbox assembly reads the protocol output row by row: row `u` of the
+//! receiver-major output is node `u`'s inbox, each message a by-value read
+//! of `B` packed bits.
 
 use crate::error::CoreError;
 use crate::problem::AllToAllInstance;
@@ -120,22 +119,18 @@ where
         };
         let inst = AllToAllInstance::new(n, b, messages);
         let output = protocol.run(net, &inst)?;
-        // Transpose by move: row `u` of the receiver-major output *is*
-        // node `u`'s inbox (missing messages become zeros, the node's own
-        // slot its local message).
-        let rows = output.into_received_rows();
-        let work: Vec<_> = states.into_iter().zip(rows).enumerate().collect();
+        // Row `u` of the receiver-major output is node `u`'s inbox (missing
+        // messages become zeros, the node's own slot its local message).
+        let work: Vec<_> = states.into_iter().enumerate().collect();
         states = work
             .into_par_iter()
-            .map(|(u, (mut state, row))| {
-                let inbox: Vec<BitVec> = row
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, m)| {
+            .map(|(u, mut state)| {
+                let inbox: Vec<BitVec> = (0..n)
+                    .map(|s| {
                         if s == u {
                             inst.message(u, u)
                         } else {
-                            m.unwrap_or_else(|| BitVec::zeros(b))
+                            output.received(u, s).unwrap_or_else(|| BitVec::zeros(b))
                         }
                     })
                     .collect();
@@ -291,7 +286,7 @@ mod tests {
     }
 
     /// The compiled clean path still recovers the fault-free reference (the
-    /// clone-free inbox transpose must not reorder or drop messages).
+    /// row-by-row inbox reads must not reorder or drop messages).
     #[test]
     fn clone_free_inboxes_preserve_semantics() {
         let n = 8usize;

@@ -368,7 +368,7 @@ mod tests {
                 scope: &mut bdclique_netsim::AdaptiveScope<'_>,
             ) {
                 for (from, to, _) in scope.intended_frames() {
-                    if let Some(frame) = scope.intended(from, to).cloned() {
+                    if let Some(frame) = scope.intended(from, to) {
                         let mut flipped = frame;
                         for i in 0..flipped.len() {
                             flipped.flip(i);

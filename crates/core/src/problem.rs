@@ -1,6 +1,6 @@
 //! The `AllToAllComm` problem (Definition 1 of the paper).
 
-use bdclique_bits::BitVec;
+use bdclique_bits::{BitGrid, BitVec};
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::Rng;
 use std::ops::Range;
@@ -119,7 +119,7 @@ impl AllToAllInstance {
         for v in 0..self.n {
             for u in 0..self.n {
                 match output.received(v, u) {
-                    Some(m) if *m == self.message(u, v) => {}
+                    Some(m) if m == self.message(u, v) => {}
                     _ => errors += 1,
                 }
             }
@@ -128,39 +128,44 @@ impl AllToAllInstance {
     }
 }
 
-/// A protocol's answer to an [`AllToAllInstance`].
+/// A protocol's answer to an [`AllToAllInstance`]: what each node `v`
+/// believes every `m_{u,v}` is.
+///
+/// Mirrors the packed instance: one receiver-major [`BitGrid`] of `n²`
+/// optional `B`-bit beliefs, ≈ 0.4 MB at `n = 1024` and `B = 1`. Every belief
+/// is exactly `B` bits; a missing one is an absent slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllToAllOutput {
     n: usize,
-    /// `received[v * n + u]` = what `v` believes `m_{u,v}` is.
-    received: Vec<Option<BitVec>>,
+    b: usize,
+    /// Slot `(v, u)` = what `v` believes `m_{u,v}` is.
+    grid: BitGrid,
 }
 
 impl AllToAllOutput {
-    /// An output with nothing received yet.
-    pub fn empty(n: usize) -> Self {
+    /// An output with nothing received yet, for `B = b`-bit messages.
+    pub fn empty(n: usize, b: usize) -> Self {
         Self {
             n,
-            received: vec![None; n * n],
+            b,
+            grid: BitGrid::new(n, b),
         }
     }
 
     /// Records `v`'s belief about `m_{u,v}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `message` is exactly `B` bits.
     pub fn set(&mut self, v: usize, u: usize, message: BitVec) {
-        self.received[v * self.n + u] = Some(message);
+        assert_eq!(message.len(), self.b, "a belief must be exactly B bits");
+        self.grid.set(v, u, &message);
     }
 
-    /// What `v` believes `m_{u,v}` is.
-    pub fn received(&self, v: usize, u: usize) -> Option<&BitVec> {
-        self.received[v * self.n + u].as_ref()
-    }
-
-    /// Consumes the output into receiver-major rows (`rows[v][u]`), moving
-    /// every message out without cloning — the compiler's inbox transpose.
-    pub fn into_received_rows(self) -> Vec<Vec<Option<BitVec>>> {
-        let n = self.n;
-        let mut it = self.received.into_iter();
-        (0..n).map(|_| it.by_ref().take(n).collect()).collect()
+    /// What `v` believes `m_{u,v}` is (a copy; inline, so allocation-free,
+    /// for `B ≤ 64`).
+    pub fn received(&self, v: usize, u: usize) -> Option<BitVec> {
+        self.grid.get(v, u)
     }
 
     /// Number of nodes.
@@ -168,20 +173,27 @@ impl AllToAllOutput {
         self.n
     }
 
-    /// Serializes every receiver's beliefs so far.
+    /// Serializes every receiver's beliefs so far: `n`, then one optional
+    /// bit string per slot, receiver-major. `B` is not written; the session
+    /// that restores the output knows it from its instance.
     pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.n);
-        for slot in &self.received {
-            enc.put_opt(slot.as_ref(), |e, bits| e.put_bits(bits));
+        for v in 0..self.n {
+            for u in 0..self.n {
+                enc.put_opt(self.grid.get(v, u).as_ref(), |e, bits| e.put_bits(bits));
+            }
         }
     }
 
-    /// Rebuilds an output serialized by [`AllToAllOutput::snapshot`].
+    /// Rebuilds an output of `B = b`-bit messages serialized by
+    /// [`AllToAllOutput::snapshot`].
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
+    /// [`SnapError`] on truncated or corrupt input: an `n` whose `n²` slots
+    /// overflow or cannot fit in the remaining bytes (each takes at least
+    /// one), or a present belief that is not `b` bits wide.
+    pub fn restore(dec: &mut Dec<'_>, b: usize) -> Result<Self, SnapError> {
         let n = dec.get_usize()?;
         let cells = n
             .checked_mul(n)
@@ -192,11 +204,21 @@ impl AllToAllOutput {
                 remaining: dec.remaining(),
             });
         }
-        let mut received = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            received.push(dec.get_opt(Dec::get_bits)?);
+        let mut out = Self::empty(n, b);
+        for v in 0..n {
+            for u in 0..n {
+                if let Some(bits) = dec.get_opt(Dec::get_bits)? {
+                    if bits.len() != b {
+                        return Err(SnapError::corrupt(format!(
+                            "output belief of {} bits, expected {b}",
+                            bits.len()
+                        )));
+                    }
+                    out.grid.set(v, u, &bits);
+                }
+            }
         }
-        Ok(Self { n, received })
+        Ok(out)
     }
 }
 
@@ -249,7 +271,7 @@ mod tests {
     fn perfect_output_has_zero_errors() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let inst = AllToAllInstance::random(4, 2, &mut rng);
-        let mut out = AllToAllOutput::empty(4);
+        let mut out = AllToAllOutput::empty(4, 2);
         for v in 0..4 {
             for u in 0..4 {
                 out.set(v, u, inst.message(u, v));
@@ -262,7 +284,7 @@ mod tests {
     fn errors_are_counted() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let inst = AllToAllInstance::random(3, 2, &mut rng);
-        let mut out = AllToAllOutput::empty(3);
+        let mut out = AllToAllOutput::empty(3, 2);
         for v in 0..3 {
             for u in 0..3 {
                 out.set(v, u, inst.message(u, v));
@@ -272,7 +294,7 @@ mod tests {
         let mut wrong = inst.message(0, 1);
         wrong.flip(0);
         out.set(1, 0, wrong);
-        out.received[2 * 3 + 2] = None;
+        out.grid.take(2, 2);
         assert_eq!(inst.count_errors(&out), 2);
     }
 

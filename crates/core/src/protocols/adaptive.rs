@@ -584,7 +584,7 @@ impl<'a> Take1Session<'a> {
     fn finish(&self, r3_received: &[BitVec], answers: &[QueryAnswers]) -> AllToAllOutput {
         let (n, b) = (self.n, self.b);
         let plan = &self.plan;
-        let mut out = AllToAllOutput::empty(n);
+        let mut out = AllToAllOutput::empty(n, b);
         for v in 0..n {
             let shared = SharedRandomness::from_bits(&r3_received[v]);
             // Decode each needed symbol once per holder.
@@ -847,8 +847,8 @@ impl Take2Common {
         snapshot_parts(&self.parts, enc);
     }
 
-    fn restore(n: usize, p_size: usize, dec: &mut Dec<'_>) -> Result<Self, CoreError> {
-        let received = AllToAllOutput::restore(dec).map_err(CoreError::from)?;
+    fn restore(n: usize, b: usize, p_size: usize, dec: &mut Dec<'_>) -> Result<Self, CoreError> {
+        let received = AllToAllOutput::restore(dec, b).map_err(CoreError::from)?;
         if received.n() != n {
             return Err(CoreError::invalid("snapshot received-table size mismatch"));
         }
@@ -993,13 +993,13 @@ impl<'a> Take2Session<'a> {
         dec: &mut Dec<'_>,
     ) -> Result<Self, CoreError> {
         let mut s = Self::new(proto, net, inst)?;
-        let n = s.n;
+        let (n, b) = (s.n, s.b);
         s.v1_rng = restore_rng(dec).map_err(CoreError::from)?;
         let plan_for = || LdcPlan::for_network(n, proto.lines, proto.line_capacity);
         s.phase = match dec.get_u8().map_err(CoreError::from)? {
             0 => Take2Phase::Naive(NaiveSession::restore(net, inst, dec)?),
             1 => {
-                let received = AllToAllOutput::restore(dec).map_err(CoreError::from)?;
+                let received = AllToAllOutput::restore(dec, b).map_err(CoreError::from)?;
                 if received.n() != n {
                     return Err(CoreError::invalid("snapshot received-table size mismatch"));
                 }
@@ -1010,7 +1010,7 @@ impl<'a> Take2Session<'a> {
                 }
             }
             2 => {
-                let received = AllToAllOutput::restore(dec).map_err(CoreError::from)?;
+                let received = AllToAllOutput::restore(dec, b).map_err(CoreError::from)?;
                 if received.n() != n {
                     return Err(CoreError::invalid("snapshot received-table size mismatch"));
                 }
@@ -1021,7 +1021,7 @@ impl<'a> Take2Session<'a> {
                 }
             }
             3 => {
-                let received = AllToAllOutput::restore(dec).map_err(CoreError::from)?;
+                let received = AllToAllOutput::restore(dec, b).map_err(CoreError::from)?;
                 if received.n() != n {
                     return Err(CoreError::invalid("snapshot received-table size mismatch"));
                 }
@@ -1033,7 +1033,7 @@ impl<'a> Take2Session<'a> {
                 }
             }
             4 => {
-                let common = Take2Common::restore(n, proto.p_size, dec)?;
+                let common = Take2Common::restore(n, b, proto.p_size, dec)?;
                 let plan = plan_for()?;
                 let chunks = s.ldc_chunks(&plan);
                 Take2Phase::Scatter {
@@ -1043,7 +1043,7 @@ impl<'a> Take2Session<'a> {
                 }
             }
             5 => {
-                let common = Take2Common::restore(n, proto.p_size, dec)?;
+                let common = Take2Common::restore(n, b, proto.p_size, dec)?;
                 let plan = plan_for()?;
                 let chunks = s.ldc_chunks(&plan);
                 Take2Phase::BroadcastR3 {
@@ -1054,14 +1054,14 @@ impl<'a> Take2Session<'a> {
                 }
             }
             6 => Take2Phase::Fetch {
-                common: Take2Common::restore(n, proto.p_size, dec)?,
+                common: Take2Common::restore(n, b, proto.p_size, dec)?,
                 plan: plan_for()?,
                 r3_received: restore_bits_table(n, dec)?,
                 wanted: restore_wanted(n, dec)?,
                 route: RouteSession::restore(net, None, dec)?,
             },
             7 => Take2Phase::Pull {
-                common: Take2Common::restore(n, proto.p_size, dec)?,
+                common: Take2Common::restore(n, b, proto.p_size, dec)?,
                 route: RouteSession::restore(net, None, dec)?,
             },
             _ => return Err(CoreError::invalid("unknown take2 phase tag")),
@@ -1116,7 +1116,7 @@ impl<'a> Take2Session<'a> {
         sketch_bits: Vec<Vec<Option<BitVec>>>,
     ) -> AllToAllOutput {
         let (n, b) = (self.n, self.b);
-        let mut out = AllToAllOutput::empty(n);
+        let mut out = AllToAllOutput::empty(n, b);
         for v in 0..n {
             // Start from the directly received messages.
             let mut current: Vec<BitVec> = (0..n)
@@ -1124,7 +1124,6 @@ impl<'a> Take2Session<'a> {
                     common
                         .received
                         .received(v, u)
-                        .cloned()
                         .unwrap_or_else(|| BitVec::zeros(b))
                 })
                 .collect();

@@ -398,18 +398,13 @@ impl ProtocolSession for HypercubeSession<'_> {
                 let delivery = net.exchange(traffic);
                 for (v, dst) in received.iter_mut().enumerate() {
                     let partner = v ^ (1 << bit_shift);
-                    for (u, piece) in delivery.inbox_of(v) {
+                    for (u, mut piece) in delivery.inbox_of(v) {
                         if u != partner {
                             continue;
                         }
-                        if piece.len() <= hi - lo {
-                            dst.write_bits(lo, piece);
-                        } else {
-                            // Overlong (adversarial) frame: clamp.
-                            for idx in 0..hi - lo {
-                                dst.set(lo + idx, piece.get(idx));
-                            }
-                        }
+                        // Overlong (adversarial) frame: clamp.
+                        piece.truncate(hi - lo);
+                        dst.write_bits(lo, &piece);
                     }
                 }
                 net.reclaim(delivery);
@@ -465,7 +460,7 @@ impl ProtocolSession for HypercubeSession<'_> {
             return Ok(Step::Running);
         }
         // M_{ℓ+1}(v) = M(V, {v}): field s is the message from source s.
-        let mut output = AllToAllOutput::empty(n);
+        let mut output = AllToAllOutput::empty(n, b);
         for (v, m) in self.state.iter().enumerate() {
             for s in 0..n {
                 output.set(v, s, m.slice(s * b, (s + 1) * b));

@@ -227,7 +227,7 @@ impl ProtocolSession for SqrtSession<'_> {
                     return Ok(Step::Running);
                 };
                 // ---- Output: v = S_j[ℓ] assembles M(V, {v}). ----
-                let mut output = AllToAllOutput::empty(n);
+                let mut output = AllToAllOutput::empty(n, b);
                 for j in 0..s {
                     for ell in 0..s {
                         let v = member(j, ell);

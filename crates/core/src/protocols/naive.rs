@@ -3,6 +3,7 @@
 use super::{AllToAllProtocol, ProtocolSession, Step};
 use crate::error::CoreError;
 use crate::problem::{AllToAllInstance, AllToAllOutput};
+use bdclique_bits::BitVec;
 use bdclique_netsim::Network;
 use bdclique_snapshot::{Dec, Enc};
 use std::borrow::Cow;
@@ -23,9 +24,11 @@ pub(crate) struct NaiveSession<'a> {
     per: usize,
     /// Next slice to exchange.
     s: usize,
-    /// Pre-zeroed assembly buffers: delivered slices are written in place,
-    /// missing or short frames simply leave zeros behind.
-    partial: Vec<Vec<bdclique_bits::BitVec>>,
+    /// Pre-zeroed assembly buffer, `n²` messages of `b` bits packed
+    /// receiver-major: `v`'s copy of `m_{u,v}` is bits `[(v·n + u)·b, +b)`.
+    /// Delivered slices are written in place; missing or short frames
+    /// simply leave zeros behind.
+    partial: BitVec,
 }
 
 impl<'a> NaiveSession<'a> {
@@ -44,13 +47,13 @@ impl<'a> NaiveSession<'a> {
             slices,
             per,
             s: 0,
-            partial: vec![vec![bdclique_bits::BitVec::zeros(b); n]; n],
+            partial: BitVec::zeros(n * n * b),
         })
     }
 
     /// Rebuilds a session serialized by its `ProtocolSession::snapshot`.
     /// Derived geometry (`slices`, `per`) comes back from `new`; only the
-    /// cursor and the assembly buffers are overlaid.
+    /// cursor and the assembly buffer are overlaid.
     pub(crate) fn restore(
         net: &Network,
         inst: &'a AllToAllInstance,
@@ -61,23 +64,32 @@ impl<'a> NaiveSession<'a> {
         if s.s >= s.slices {
             return Err(CoreError::invalid("naive snapshot cursor out of range"));
         }
-        for row in &mut s.partial {
-            for cell in row {
-                *cell = dec.get_bits().map_err(CoreError::from)?;
+        for cell in 0..s.n * s.n {
+            let bits = dec.get_bits().map_err(CoreError::from)?;
+            if bits.len() != s.b {
+                return Err(CoreError::invalid("naive snapshot message width mismatch"));
             }
+            s.partial.write_bits(cell * s.b, &bits);
         }
         Ok(s)
     }
 
-    fn finish(&mut self) -> AllToAllOutput {
-        let mut out = AllToAllOutput::empty(self.n);
-        for (v, row) in std::mem::take(&mut self.partial).into_iter().enumerate() {
-            for (u, assembled) in row.into_iter().enumerate() {
-                if u == v {
-                    out.set(v, u, self.inst.message(u, u));
+    /// `v`'s assembled copy of `m_{u,v}`.
+    fn assembled(&self, v: usize, u: usize) -> BitVec {
+        let start = (v * self.n + u) * self.b;
+        self.partial.slice(start, start + self.b)
+    }
+
+    fn finish(&self) -> AllToAllOutput {
+        let mut out = AllToAllOutput::empty(self.n, self.b);
+        for v in 0..self.n {
+            for u in 0..self.n {
+                let m = if u == v {
+                    self.inst.message(u, u)
                 } else {
-                    out.set(v, u, assembled);
-                }
+                    self.assembled(v, u)
+                };
+                out.set(v, u, m);
             }
         }
         out
@@ -107,17 +119,10 @@ impl ProtocolSession for NaiveSession<'_> {
         }
         let delivery = net.exchange(traffic);
         for v in 0..n {
-            for (u, piece) in delivery.inbox_of(v) {
-                let dst = &mut self.partial[v][u];
-                if piece.len() <= hi - lo {
-                    // Common case: the slice fits its window exactly.
-                    dst.write_bits(lo, piece);
-                } else {
-                    // Overlong (adversarial) frame: clamp to the window.
-                    for i in 0..hi - lo {
-                        dst.set(lo + i, piece.get(i));
-                    }
-                }
+            for (u, mut piece) in delivery.inbox_of(v) {
+                // An overlong (adversarial) frame is clamped to the window.
+                piece.truncate(hi - lo);
+                self.partial.write_bits((v * n + u) * b + lo, &piece);
             }
         }
         net.reclaim(delivery);
@@ -130,9 +135,9 @@ impl ProtocolSession for NaiveSession<'_> {
 
     fn snapshot(&self, enc: &mut Enc) -> Result<(), CoreError> {
         enc.put_usize(self.s);
-        for row in &self.partial {
-            for cell in row {
-                enc.put_bits(cell);
+        for v in 0..self.n {
+            for u in 0..self.n {
+                enc.put_bits(&self.assembled(v, u));
             }
         }
         Ok(())

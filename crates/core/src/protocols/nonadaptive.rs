@@ -185,7 +185,7 @@ impl<'a> NaSession<'a> {
         routed: &crate::routing::RoutingOutput,
     ) -> AllToAllOutput {
         let (n, b) = (self.n, self.b);
-        let mut out = AllToAllOutput::empty(n);
+        let mut out = AllToAllOutput::empty(n, b);
         for v in 0..n {
             let my_shifts = decode_shifts(&received_shifts[v], self.r, n);
             for u in 0..n {

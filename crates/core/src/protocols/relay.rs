@@ -138,7 +138,7 @@ impl<'a> RelaySession<'a> {
     /// Majority per message.
     fn finish(&mut self) -> AllToAllOutput {
         let (n, b) = (self.n, self.b);
-        let mut out = AllToAllOutput::empty(n);
+        let mut out = AllToAllOutput::empty(n, b);
         for v in 0..n {
             for u in 0..n {
                 if u == v {

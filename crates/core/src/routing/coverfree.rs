@@ -421,7 +421,7 @@ impl PackEngine for CfEngine {
                         } else {
                             delivery
                                 .received(w, msg.src)
-                                .and_then(|f| lane_symbol(f, lane, shape.slot))
+                                .and_then(|f| lane_symbol(&f, lane, shape.slot))
                         };
                         val.unwrap_or(RelayGrid::ABSENT)
                     })
@@ -484,7 +484,7 @@ impl PackEngine for CfEngine {
                     } else {
                         delivery
                             .received(v, w)
-                            .and_then(|f| lane_symbol(f, lane, shape.slot))
+                            .and_then(|f| lane_symbol(&f, lane, shape.slot))
                     };
                     match val {
                         Some(sym) => received[pos] = sym,
@@ -620,8 +620,7 @@ mod tests {
                         continue;
                     }
                     for (a, b) in [(u, v), (v, u)] {
-                        if let Some(f) = scope.intended(a, b) {
-                            let mut flipped = f.clone();
+                        if let Some(mut flipped) = scope.intended(a, b) {
                             for i in 0..flipped.len() {
                                 flipped.flip(i);
                             }
@@ -649,7 +648,7 @@ mod tests {
             sent.clear();
             for (from, to, _) in scope.intended_frames() {
                 let frame = scope.intended(from, to).expect("listed as intended");
-                sent.push((from, to, frame.clone()));
+                sent.push((from, to, frame));
             }
             TestGreedy.corrupt(view, scope);
         }

@@ -193,7 +193,7 @@ impl UnitEngine {
                     continue;
                 };
                 let pos = self.stage_src[stage][i].1;
-                if let Some(sym) = lane_symbol(frame, lane, self.shape.slot) {
+                if let Some(sym) = lane_symbol(&frame, lane, self.shape.slot) {
                     block[lane_offsets[lane] + pos] = sym;
                 }
             }
@@ -373,7 +373,7 @@ impl PackEngine for UnitEngine {
                     } else {
                         delivery
                             .received(x, w)
-                            .and_then(|f| lane_symbol(f, lane, shape.slot))
+                            .and_then(|f| lane_symbol(&f, lane, shape.slot))
                     };
                     match val {
                         Some(sym) => received[w] = sym,

@@ -25,14 +25,14 @@ fn sparse_exchange_n4096_never_densifies() {
         traffic.send(u, (u + 1) % n, BitVec::from_fn(16, |i| (i + u) % 3 == 0));
     }
     // Still sparse: the whole ring fits in well under a megabyte; the dense
-    // matrix alone would be ~0.5 GiB of Option<BitVec> slots.
+    // grid alone would be ~46 MB of bits at this bandwidth.
     assert!(traffic.store_bytes() < 1 << 20, "{}", traffic.store_bytes());
     let delivery = net.exchange(traffic);
     for u in 0..n {
         let v = (u + 1) % n;
         assert_eq!(
             delivery.received(v, u),
-            Some(&BitVec::from_fn(16, |i| (i + u) % 3 == 0))
+            Some(BitVec::from_fn(16, |i| (i + u) % 3 == 0))
         );
         assert_eq!(delivery.inbox_of(v).count(), 1);
     }

@@ -141,9 +141,9 @@ impl IntendedOverlay {
 
     /// The round's intended frame on `from → to`: the saved original if the
     /// slot was rewritten, the live frame otherwise.
-    fn resolve<'a>(&'a self, traffic: &'a Traffic, from: usize, to: usize) -> Option<&'a BitVec> {
+    fn resolve(&self, traffic: &Traffic, from: usize, to: usize) -> Option<BitVec> {
         match self.originals.get(&(from, to)) {
-            Some(original) => original.as_ref(),
+            Some(original) => original.clone(),
             None => traffic.frame(from, to),
         }
     }
@@ -305,13 +305,14 @@ impl<'a> CorruptionScope<'a> {
     }
 
     /// The frame the honest sender *intended* on `from → to` this round —
-    /// unaffected by any rewrites already applied (the rushing view).
-    pub fn intended(&self, from: usize, to: usize) -> Option<&BitVec> {
+    /// unaffected by any rewrites already applied (the rushing view). A
+    /// copy; inline, so allocation-free, up to 64 bits.
+    pub fn intended(&self, from: usize, to: usize) -> Option<BitVec> {
         self.overlay.resolve(self.traffic, from, to)
     }
 
     /// The frame currently queued on `from → to` (post any prior rewrites).
-    pub fn current(&self, from: usize, to: usize) -> Option<&BitVec> {
+    pub fn current(&self, from: usize, to: usize) -> Option<BitVec> {
         self.traffic.frame(from, to)
     }
 
@@ -434,13 +435,14 @@ impl<'a> AdaptiveScope<'a> {
     }
 
     /// The frame the honest sender *intended* on `from → to` this round —
-    /// unaffected by any rewrites already applied (the rushing view).
-    pub fn intended(&self, from: usize, to: usize) -> Option<&BitVec> {
+    /// unaffected by any rewrites already applied (the rushing view). A
+    /// copy; inline, so allocation-free, up to 64 bits.
+    pub fn intended(&self, from: usize, to: usize) -> Option<BitVec> {
         self.overlay.resolve(self.traffic, from, to)
     }
 
     /// The frame currently queued on `from → to`.
-    pub fn current(&self, from: usize, to: usize) -> Option<&BitVec> {
+    pub fn current(&self, from: usize, to: usize) -> Option<BitVec> {
         self.traffic.frame(from, to)
     }
 
@@ -689,7 +691,7 @@ mod tests {
         allowed.insert(2, 3);
         let mut scope = CorruptionScope::new(&mut traffic, &allowed);
         scope.set(3, 2, Some(BitVec::from_bools(&[false])));
-        assert_eq!(scope.current(3, 2), Some(&BitVec::from_bools(&[false])));
+        assert_eq!(scope.current(3, 2), Some(BitVec::from_bools(&[false])));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             scope.set(0, 1, None);
         }));
@@ -710,25 +712,25 @@ mod tests {
         let mut scope = AdaptiveScope::new(&mut traffic, &topo, 0.7);
 
         // Before any rewrite, intended == current == the live frame.
-        assert_eq!(scope.intended(0, 1), Some(&original));
-        assert_eq!(scope.current(0, 1), Some(&original));
+        assert_eq!(scope.intended(0, 1), Some(original.clone()));
+        assert_eq!(scope.current(0, 1), Some(original.clone()));
 
         // First rewrite: suppress. The view keeps the original.
         assert!(scope.try_corrupt(0, 1, None));
-        assert_eq!(scope.intended(0, 1), Some(&original));
+        assert_eq!(scope.intended(0, 1), Some(original.clone()));
         assert_eq!(scope.current(0, 1), None);
 
         // Second rewrite of the same slot: still the original, not the
         // intermediate suppression.
         assert!(scope.try_corrupt(0, 1, Some(BitVec::from_bools(&[false, false]))));
-        assert_eq!(scope.intended(0, 1), Some(&original));
+        assert_eq!(scope.intended(0, 1), Some(original.clone()));
         assert_eq!(
             scope.current(0, 1),
-            Some(&BitVec::from_bools(&[false, false]))
+            Some(BitVec::from_bools(&[false, false]))
         );
 
         // Untouched slots read through to the live matrix.
-        assert_eq!(scope.intended(1, 0), Some(&BitVec::from_bools(&[false])));
+        assert_eq!(scope.intended(1, 0), Some(BitVec::from_bools(&[false])));
         // An empty slot is empty in both views.
         assert_eq!(scope.intended(2, 0), None);
         assert_eq!(scope.current(2, 0), None);
@@ -766,13 +768,10 @@ mod tests {
         // empty, current shows the injection.
         scope.set(1, 0, Some(BitVec::from_bools(&[true, true])));
         assert_eq!(scope.intended(1, 0), None);
-        assert_eq!(
-            scope.current(1, 0),
-            Some(&BitVec::from_bools(&[true, true]))
-        );
+        assert_eq!(scope.current(1, 0), Some(BitVec::from_bools(&[true, true])));
 
         scope.set(0, 1, None);
-        assert_eq!(scope.intended(0, 1), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(scope.intended(0, 1), Some(BitVec::from_bools(&[true])));
         assert_eq!(scope.current(0, 1), None);
     }
 }

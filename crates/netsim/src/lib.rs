@@ -32,13 +32,16 @@
 //!
 //! A round's frame matrix lives in one of two stores, selected by load
 //! factor and by nothing else: sparse per-sender adjacency rows until the
-//! round holds `n²/16` frames, the flat matrix from then on. Deliveries
-//! expose per-receiver iteration ([`Delivery::inbox_of`]) so receiving
-//! costs `O(frames)` rather than `O(n)` probes per node, and the
-//! [`Network`] recycles tables and the matrix buffer across rounds
-//! ([`Network::reclaim`]); frames of up to 64 bits sit inline in their
-//! slots and own no allocation. This is what scales experiments from
-//! `n = 64` to `n ≥ 4096`.
+//! round holds `n²/16` frames, from then on one
+//! [`bdclique_bits::BitGrid`]: a presence bitset plus a length-prefixed,
+//! bandwidth-wide slot of bits per pair (≈ 3.4 MB at `n = 1024` and
+//! bandwidth 20). Deliveries expose per-receiver iteration
+//! ([`Delivery::inbox_of`]) so receiving costs `O(frames)` rather than
+//! `O(n)` probes per node, and the [`Network`] recycles tables and the grid
+//! across rounds ([`Network::reclaim`]); emptying a grid zeroes its `n²`
+//! presence bits and nothing else. Reads hand frames out by value, inline
+//! up to 64 bits. This is what scales experiments from `n = 64` to
+//! `n ≥ 4096`.
 //!
 //! # Examples
 //!
@@ -50,7 +53,7 @@
 //! let mut traffic = net.traffic();
 //! traffic.send(0, 1, BitVec::from_bools(&[true, false, true]));
 //! let delivery = net.exchange(traffic);
-//! assert_eq!(delivery.received(1, 0), Some(&BitVec::from_bools(&[true, false, true])));
+//! assert_eq!(delivery.received(1, 0), Some(BitVec::from_bools(&[true, false, true])));
 //! assert_eq!(net.rounds(), 1);
 //! ```
 

@@ -285,7 +285,7 @@ impl Network {
         Traffic::new_in(self.n, self.bandwidth, &mut self.arena, &self.topology)
     }
 
-    /// Returns a consumed [`Delivery`]'s tables or dense matrix buffer to the
+    /// Returns a consumed [`Delivery`]'s tables or dense grid to the
     /// network's arena for reuse by later rounds. Optional — dropping a
     /// delivery is always correct — but protocols that run many rounds cut
     /// their allocator traffic substantially by reclaiming.
@@ -427,7 +427,7 @@ mod tests {
         ) {
             for (u, v) in edges.iter().collect::<Vec<_>>() {
                 for (a, b) in [(u, v), (v, u)] {
-                    if let Some(frame) = scope.intended(a, b).cloned() {
+                    if let Some(frame) = scope.intended(a, b) {
                         let mut flipped = frame;
                         for i in 0..flipped.len() {
                             flipped.flip(i);
@@ -454,8 +454,8 @@ mod tests {
         t.send(0, 1, BitVec::from_bools(&[true, false]));
         t.send(2, 0, BitVec::from_bools(&[true]));
         let d = net.exchange(t);
-        assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[true, false])));
-        assert_eq!(d.received(0, 2), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(d.received(1, 0), Some(BitVec::from_bools(&[true, false])));
+        assert_eq!(d.received(0, 2), Some(BitVec::from_bools(&[true])));
         assert_eq!(net.stats().bits_sent, 3);
         assert_eq!(net.stats().frames_sent, 2);
         assert_eq!(net.stats().edges_corrupted, 0);
@@ -470,10 +470,10 @@ mod tests {
         t.send(1, 0, BitVec::from_bools(&[false]));
         t.send(0, 2, BitVec::from_bools(&[true]));
         let d = net.exchange(t);
-        assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[false, false])));
-        assert_eq!(d.received(0, 1), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(d.received(1, 0), Some(BitVec::from_bools(&[false, false])));
+        assert_eq!(d.received(0, 1), Some(BitVec::from_bools(&[true])));
         // Uncontrolled edge is untouched.
-        assert_eq!(d.received(2, 0), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(d.received(2, 0), Some(BitVec::from_bools(&[true])));
         assert_eq!(net.stats().edges_corrupted, 1);
         assert_eq!(net.stats().frames_corrupted, 2);
         assert_eq!(net.stats().peak_fault_degree, 1);
@@ -582,7 +582,7 @@ mod tests {
         let mut t = net.traffic();
         t.send(0, 1, BitVec::from_bools(&[true]));
         let d = net.exchange(t);
-        assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(d.received(1, 0), Some(BitVec::from_bools(&[true])));
         assert_eq!(net.rounds(), 2);
         assert_eq!(net.stats().edges_corrupted, 1, "no new corruption");
         assert_eq!(net.published().len(), 1);
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn densified_rounds_reuse_the_pooled_matrix() {
         // n = 4: the 1/16 load threshold is one frame, so every non-empty
-        // round densifies; after the first reclaim the matrix buffer must
+        // round densifies; after the first reclaim the dense grid must
         // circulate instead of being reallocated.
         let mut net = Network::new(4, 2, 0.0, Adversary::none());
         for round in 0..3 {
@@ -629,8 +629,8 @@ mod tests {
         t.send(0, 1, BitVec::from_bools(&[true]));
         t.send(3, 0, BitVec::from_bools(&[false, true]));
         let d = net.exchange(t);
-        assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[true])));
-        assert_eq!(d.received(0, 3), Some(&BitVec::from_bools(&[false, true])));
+        assert_eq!(d.received(1, 0), Some(BitVec::from_bools(&[true])));
+        assert_eq!(d.received(0, 3), Some(BitVec::from_bools(&[false, true])));
     }
 
     #[test]
@@ -721,8 +721,8 @@ mod tests {
         t.send(0, 1, BitVec::from_bools(&[true, true]));
         t.send(1, 2, BitVec::from_bools(&[false]));
         let d = net.exchange(t);
-        assert_eq!(d.received(1, 0), Some(&BitVec::from_bools(&[false, false])));
-        assert_eq!(d.received(2, 1), Some(&BitVec::from_bools(&[false])));
+        assert_eq!(d.received(1, 0), Some(BitVec::from_bools(&[false, false])));
+        assert_eq!(d.received(2, 1), Some(BitVec::from_bools(&[false])));
         assert_eq!(net.stats().edges_corrupted, 1);
         assert_eq!(net.stats().frames_corrupted, 1);
     }

@@ -4,14 +4,17 @@
 //! frames, but the paper's protocols are *sparse* most rounds: the √n-relay
 //! waves, the cover-free router, and the relay-replication hops each queue
 //! `O(n·k)` frames with `k ≪ n`. Materializing the dense matrix costs
-//! `Θ(n²)` allocation and touch per round — at `n = 4096` that is ~16.7M
-//! `Option<BitVec>` slots per round, which is what capped experiments at
-//! toy sizes.
+//! `Θ(n²)` bits of allocation and touch per round, so those rounds stay
+//! `O(frames)`.
 //!
 //! [`FrameStore`] keeps both representations behind one interface:
 //!
-//! * **Dense** — the original row-major `Vec<Option<BitVec>>`; optimal for
-//!   full-matrix rounds (`NaiveExchange`, the compiler's direct exchanges).
+//! * **Dense** — one row-major [`BitGrid`] at the round's bandwidth: a
+//!   presence bit plus a length-prefixed, bandwidth-wide slot per pair,
+//!   ≈ 3.4 MB at `n = 1024` and bandwidth 20; optimal for full-matrix
+//!   rounds (`NaiveExchange`, the compiler's direct exchanges). Slots keep
+//!   their own length because a round may mix widths: a corrupting
+//!   adversary may replace any frame with up to `bandwidth` bits.
 //! * **Sparse** — per-sender sorted adjacency rows `Vec<(to, frame)>`;
 //!   `O(frames)` memory, `O(log deg)` lookups, and ascending-id iteration
 //!   that keeps every consumer deterministic.
@@ -27,27 +30,26 @@
 //!
 //! [`FrameArena`] amortizes the remaining per-round allocations across
 //! rounds: emptied adjacency tables (with their capacity) and the dense
-//! matrix buffer itself are pooled on the owning [`crate::Network`] and
-//! reissued instead of reallocated. Frames are not pooled: a `BitVec` of at
-//! most 64 bits lives inline in its slot, and no protocol sends a wider
-//! frame (the registry's widest is 36 bits), so a frame has no allocation
-//! to recycle.
+//! grids themselves are pooled on the owning [`crate::Network`] and
+//! reissued instead of reallocated. Emptying a grid zeroes its `n²`-bit
+//! presence bitset only (128 KB at `n = 1024`); frames are read out by
+//! value, so no frame owns an allocation to recycle.
 
-use bdclique_bits::BitVec;
+use bdclique_bits::{BitGrid, BitVec};
 
 /// Auto-switch threshold: a sparse store densifies once
 /// `frame_count · DENSE_SWITCH_DIVISOR ≥ n²` (load factor ≥ 1/16). Below it
-/// the adjacency rows win on memory and iteration; above it the flat matrix
+/// the adjacency rows win on memory and iteration; above it the flat grid
 /// wins on lookup and insert. 1/16 keeps genuinely sparse rounds (≤1% load)
 /// far from the switch while full-matrix rounds (NaiveExchange) pay for at
-/// most a 1/16 prefix of sparse inserts before landing on the flat matrix.
+/// most a 1/16 prefix of sparse inserts before landing on the flat grid.
 pub const DENSE_SWITCH_DIVISOR: u64 = 16;
 
 /// Upper bound on pooled adjacency tables (rows + inbox columns of one
 /// round are at most `2n`; the cap just bounds a pathological caller).
 const MAX_POOLED_TABLES: usize = 1 << 16;
-/// Upper bound on pooled dense matrix buffers: one for the traffic being
-/// built plus one for the delivery still being consumed.
+/// Upper bound on pooled dense grids: one for the traffic being built plus
+/// one for the delivery still being consumed.
 const MAX_POOLED_MATRICES: usize = 2;
 
 /// One sparse adjacency table: `(peer, frame)` pairs sorted by peer id.
@@ -61,11 +63,9 @@ pub(crate) type AdjTable = Vec<(u32, BitVec)>;
 #[derive(Debug, Default)]
 pub(crate) struct FrameArena {
     tables: Vec<AdjTable>,
-    /// Spent dense matrix buffers (all-`None`).
-    /// Rounds that auto-densify reuse one instead of allocating and zeroing
-    /// `n²` fresh slots — at `n = 4096` that allocation alone is ~0.5 GiB
-    /// per densified round.
-    matrices: Vec<Vec<Option<BitVec>>>,
+    /// Spent dense grids, every slot empty. Rounds that auto-densify reuse
+    /// one instead of allocating and zeroing a fresh `n²`-slot slab.
+    matrices: Vec<BitGrid>,
 }
 
 impl FrameArena {
@@ -87,8 +87,8 @@ impl FrameArena {
         }
     }
 
-    /// Drains a round-local arena's tables and matrix buffers into this one
-    /// (up to the caps) — how a [`crate::Traffic`]'s recycling rejoins the
+    /// Drains a round-local arena's tables and grids into this one (up to
+    /// the caps) — how a [`crate::Traffic`]'s recycling rejoins the
     /// network-wide arena at exchange time.
     pub(crate) fn absorb(&mut self, mut other: FrameArena) {
         while self.tables.len() < MAX_POOLED_TABLES {
@@ -105,27 +105,27 @@ impl FrameArena {
         }
     }
 
-    /// Drops a dense matrix's frames and keeps the (now all-`None`) matrix
-    /// buffer itself for the next densified round.
-    pub(crate) fn put_matrix(&mut self, mut matrix: Vec<Option<BitVec>>) {
-        matrix.fill(None);
+    /// Empties a dense grid — its presence bitset, nothing else — and keeps
+    /// it for the next densified round.
+    pub(crate) fn put_matrix(&mut self, mut grid: BitGrid) {
         if self.matrices.len() < MAX_POOLED_MATRICES {
-            self.matrices.push(matrix);
+            grid.clear();
+            self.matrices.push(grid);
         }
     }
 
-    /// An all-`None` dense matrix of `n²` slots, recycled when a pooled
-    /// buffer of the right shape exists.
-    pub(crate) fn take_matrix(&mut self, n: usize) -> Vec<Option<BitVec>> {
+    /// An empty `n × n` grid of `width`-bit slots, recycled when a pooled
+    /// grid of that shape exists.
+    pub(crate) fn take_matrix(&mut self, n: usize, width: usize) -> BitGrid {
         match self.matrices.pop() {
-            Some(m) if m.len() == n * n => m,
-            _ => vec![None; n * n],
+            Some(g) if g.n() == n && g.width() == width => g,
+            _ => BitGrid::new(n, width),
         }
     }
 
-    /// Moves one pooled matrix buffer into `other` (a round-local arena), so
-    /// an auto-densify inside the round can reuse it. Unused, it rejoins
-    /// this arena through [`FrameArena::absorb`] at exchange time.
+    /// Moves one pooled grid into `other` (a round-local arena), so an
+    /// auto-densify inside the round can reuse it. Unused, it rejoins this
+    /// arena through [`FrameArena::absorb`] at exchange time.
     pub(crate) fn lend_matrix(&mut self, other: &mut FrameArena) {
         if let Some(m) = self.matrices.pop() {
             other.matrices.push(m);
@@ -139,7 +139,7 @@ impl FrameArena {
         self.tables.len()
     }
 
-    /// Pooled dense-matrix buffer count — test observable.
+    /// Pooled dense-grid count — test observable.
     #[cfg(test)]
     pub(crate) fn pooled_matrices(&self) -> usize {
         self.matrices.len()
@@ -149,8 +149,8 @@ impl FrameArena {
 /// The frame matrix of one round, in either representation.
 #[derive(Debug)]
 pub(crate) enum FrameStore {
-    /// Row-major `frames[from · n + to]`.
-    Dense(Vec<Option<BitVec>>),
+    /// Row-major grid, slot `(from, to)`, as wide as the bandwidth.
+    Dense(BitGrid),
     /// `rows[from]` sorted by `to`.
     Sparse(Vec<AdjTable>),
 }
@@ -169,14 +169,14 @@ impl FrameStore {
         matches!(self, FrameStore::Sparse(_))
     }
 
-    pub(crate) fn get(&self, n: usize, from: usize, to: usize) -> Option<&BitVec> {
+    pub(crate) fn get(&self, from: usize, to: usize) -> Option<BitVec> {
         match self {
-            FrameStore::Dense(frames) => frames[from * n + to].as_ref(),
+            FrameStore::Dense(grid) => grid.get(from, to),
             FrameStore::Sparse(rows) => {
                 let row = &rows[from];
                 row.binary_search_by_key(&(to as u32), |&(t, _)| t)
                     .ok()
-                    .map(|i| &row[i].1)
+                    .map(|i| row[i].1.clone())
             }
         }
     }
@@ -184,13 +184,15 @@ impl FrameStore {
     /// Replaces the slot `from → to`, returning the displaced frame.
     pub(crate) fn replace(
         &mut self,
-        n: usize,
         from: usize,
         to: usize,
         bits: Option<BitVec>,
     ) -> Option<BitVec> {
         match self {
-            FrameStore::Dense(frames) => std::mem::replace(&mut frames[from * n + to], bits),
+            FrameStore::Dense(grid) => match &bits {
+                Some(b) => grid.set(from, to, b),
+                None => grid.take(from, to),
+            },
             FrameStore::Sparse(rows) => {
                 let row = &mut rows[from];
                 let key = to as u32;
@@ -220,13 +222,11 @@ impl FrameStore {
     }
 
     /// Visits every frame in ascending `(from, to)` order.
-    pub(crate) fn for_each(&self, n: usize, mut f: impl FnMut(usize, usize, &BitVec)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, usize, &BitVec)) {
         match self {
-            FrameStore::Dense(frames) => {
-                for (i, slot) in frames.iter().enumerate() {
-                    if let Some(b) = slot {
-                        f(i / n, i % n, b);
-                    }
+            FrameStore::Dense(grid) => {
+                for (from, to, bits) in grid.iter() {
+                    f(from, to, &bits);
                 }
             }
             FrameStore::Sparse(rows) => {
@@ -239,36 +239,29 @@ impl FrameStore {
         }
     }
 
-    /// Converts sparse rows into the dense matrix (the load-factor switch).
-    /// The spent row tables go back to the arena, and the matrix buffer is
-    /// drawn from the arena's matrix pool.
-    pub(crate) fn densify(&mut self, n: usize, arena: &mut FrameArena) {
+    /// Converts sparse rows into the dense grid (the load-factor switch).
+    /// The spent row tables go back to the arena, and the grid is drawn
+    /// from the arena's pool.
+    pub(crate) fn densify(&mut self, n: usize, bandwidth: usize, arena: &mut FrameArena) {
         if let FrameStore::Sparse(rows) = self {
-            let mut frames = arena.take_matrix(n);
+            let mut grid = arena.take_matrix(n, bandwidth);
             for (from, mut row) in rows.drain(..).enumerate() {
                 for (to, b) in row.drain(..) {
-                    frames[from * n + to as usize] = Some(b);
+                    grid.set(from, to as usize, &b);
                 }
                 arena.put_table(row);
             }
-            *self = FrameStore::Dense(frames);
+            *self = FrameStore::Dense(grid);
         }
     }
 
-    /// Approximate heap bytes held by the store (matrix slots / adjacency
-    /// entries plus the blocks of any frame too wide to sit inline) — what
-    /// the benchmark's `netsim.store_bytes_per_frame_*` probes read on each
-    /// side of the switch.
+    /// Approximate heap bytes held by the store (the grid / adjacency
+    /// entries plus the blocks of any sparse frame too wide to sit inline)
+    /// — what the benchmark's `netsim.store_bytes_per_frame_*` probes read
+    /// on each side of the switch.
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
-            FrameStore::Dense(frames) => {
-                frames.capacity() * std::mem::size_of::<Option<BitVec>>()
-                    + frames
-                        .iter()
-                        .flatten()
-                        .map(BitVec::heap_bytes)
-                        .sum::<usize>()
-            }
+            FrameStore::Dense(grid) => grid.heap_bytes(),
             FrameStore::Sparse(rows) => {
                 rows.capacity() * std::mem::size_of::<AdjTable>()
                     + rows
@@ -291,32 +284,40 @@ mod tests {
         BitVec::from_bools(bits)
     }
 
-    fn new_dense(n: usize) -> FrameStore {
-        FrameStore::Dense(vec![None; n * n])
+    fn new_dense(n: usize, width: usize) -> FrameStore {
+        FrameStore::Dense(BitGrid::new(n, width))
+    }
+
+    /// A grid with a frame in one slot, to pool.
+    fn spent_grid(n: usize, width: usize) -> BitGrid {
+        let mut grid = BitGrid::new(n, width);
+        grid.set(0, 1, &bv(&[true]));
+        grid
     }
 
     #[test]
     fn sparse_and_dense_agree_on_replace_get() {
         let n = 5;
-        let mut dense = new_dense(n);
+        let mut dense = new_dense(n, 2);
         let mut sparse = FrameStore::new_sparse(n);
         let ops: &[(usize, usize, Option<&[bool]>)] = &[
             (0, 3, Some(&[true, false])),
             (0, 1, Some(&[true])),
-            (0, 3, Some(&[false])), // overwrite
+            (0, 3, Some(&[false])), // overwrite with a narrower frame
             (4, 2, Some(&[true, true])),
-            (0, 1, None), // clear
-            (2, 0, None), // clear empty slot
+            (2, 4, Some(&[])), // present but empty
+            (0, 1, None),      // clear
+            (2, 0, None),      // clear empty slot
         ];
         for &(f, t, bits) in ops {
             let b = bits.map(bv);
-            let da = dense.replace(n, f, t, b.clone());
-            let sa = sparse.replace(n, f, t, b);
+            let da = dense.replace(f, t, b.clone());
+            let sa = sparse.replace(f, t, b);
             assert_eq!(da, sa, "displaced frames differ at ({f},{t})");
         }
         for f in 0..n {
             for t in 0..n {
-                assert_eq!(dense.get(n, f, t), sparse.get(n, f, t), "slot ({f},{t})");
+                assert_eq!(dense.get(f, t), sparse.get(f, t), "slot ({f},{t})");
             }
         }
     }
@@ -324,16 +325,16 @@ mod tests {
     #[test]
     fn for_each_is_ascending_and_identical_across_backends() {
         let n = 4;
-        let mut dense = new_dense(n);
+        let mut dense = new_dense(n, 2);
         let mut sparse = FrameStore::new_sparse(n);
         for &(f, t) in &[(3usize, 0usize), (1, 2), (0, 3), (1, 0)] {
             let b = bv(&[f % 2 == 0, t % 2 == 0]);
-            dense.replace(n, f, t, Some(b.clone()));
-            sparse.replace(n, f, t, Some(b));
+            dense.replace(f, t, Some(b.clone()));
+            sparse.replace(f, t, Some(b));
         }
         let collect = |s: &FrameStore| {
             let mut v = Vec::new();
-            s.for_each(n, |f, t, b| v.push((f, t, b.clone())));
+            s.for_each(|f, t, b| v.push((f, t, b.clone())));
             v
         };
         let d = collect(&dense);
@@ -349,13 +350,13 @@ mod tests {
         let n = 4;
         let mut arena = FrameArena::default();
         let mut store = FrameStore::new_sparse_in(n, &mut arena);
-        store.replace(n, 1, 2, Some(bv(&[true])));
-        store.replace(n, 3, 0, Some(bv(&[false, true])));
-        store.densify(n, &mut arena);
+        store.replace(1, 2, Some(bv(&[true])));
+        store.replace(3, 0, Some(bv(&[false, true])));
+        store.densify(n, 2, &mut arena);
         assert!(!store.is_sparse());
-        assert_eq!(store.get(n, 1, 2), Some(&bv(&[true])));
-        assert_eq!(store.get(n, 3, 0), Some(&bv(&[false, true])));
-        assert_eq!(store.get(n, 0, 1), None);
+        assert_eq!(store.get(1, 2), Some(bv(&[true])));
+        assert_eq!(store.get(3, 0), Some(bv(&[false, true])));
+        assert_eq!(store.get(0, 1), None);
         assert_eq!(
             arena.pooled_tables(),
             n,
@@ -363,7 +364,7 @@ mod tests {
         );
     }
 
-    /// Tables and matrix buffers come back; the frames they held are dropped.
+    /// Tables and grids come back; the frames they held are dropped.
     #[test]
     fn arena_recycles_frames_from_tables_and_matrices() {
         let mut arena = FrameArena::default();
@@ -372,51 +373,51 @@ mod tests {
         let table = arena.take_tables(1).pop().expect("one table asked for");
         assert!(table.is_empty(), "a reissued table is clean");
         assert!(table.capacity() >= 1, "and keeps its capacity");
-        arena.put_matrix(vec![None, Some(bv(&[true])), None, Some(bv(&[false]))]);
+        arena.put_matrix(spent_grid(2, 3));
         assert_eq!(arena.pooled_matrices(), 1);
     }
 
     #[test]
     fn matrix_buffers_recycle_through_the_arena() {
-        let n = 4;
+        let (n, width) = (4, 3);
         let mut arena = FrameArena::default();
-        // A spent matrix is retained (slots cleared)…
-        arena.put_matrix(vec![None, Some(bv(&[true])), None, Some(bv(&[false]))]);
+        // A spent grid is retained (slots emptied)…
+        arena.put_matrix(spent_grid(2, width));
         assert_eq!(arena.pooled_matrices(), 1);
-        // …but only a shape-matching buffer is reissued.
-        let wrong_shape = arena.take_matrix(n);
-        assert_eq!(wrong_shape.len(), n * n);
-        assert!(wrong_shape.iter().all(Option::is_none));
+        // …but only a shape-matching one is reissued: side and width.
+        let wrong_shape = arena.take_matrix(n, width);
+        assert_eq!((wrong_shape.n(), wrong_shape.present_count()), (n, 0));
         assert_eq!(arena.pooled_matrices(), 0);
-        arena.put_matrix(wrong_shape);
-        let reused = arena.take_matrix(n);
-        assert_eq!(reused.len(), n * n);
-        assert!(
-            reused.iter().all(Option::is_none),
-            "reissued buffers are clean"
-        );
-        // Densify draws its matrix from the arena instead of allocating.
+        arena.put_matrix(spent_grid(n, width + 1));
+        assert_eq!(arena.take_matrix(n, width).width(), width);
+        arena.put_matrix(spent_grid(n, width));
+        let reused = arena.take_matrix(n, width);
+        assert_eq!(reused, BitGrid::new(n, width), "reissued grids are clean");
+        // Densify draws its grid from the arena instead of allocating.
         arena.put_matrix(reused);
         let mut store = FrameStore::new_sparse(n);
-        store.replace(n, 1, 2, Some(bv(&[true])));
-        store.densify(n, &mut arena);
+        store.replace(1, 2, Some(bv(&[true])));
+        store.densify(n, width, &mut arena);
         assert!(!store.is_sparse());
         assert_eq!(
             arena.pooled_matrices(),
             0,
-            "densify consumed the pooled buffer"
+            "densify consumed the pooled grid"
         );
-        assert_eq!(store.get(n, 1, 2), Some(&bv(&[true])));
+        assert_eq!(store.get(1, 2), Some(bv(&[true])));
+        assert_eq!(store.get(0, 1), None, "the pooled grid's frame is gone");
     }
 
+    /// One frame per sender at `n = 1024` and the benchmark's bandwidth 20:
+    /// the rows hold ~190 KB, the grid its fixed ~3.4 MB.
     #[test]
     fn sparse_heap_bytes_tracks_occupancy_not_n_squared() {
-        let n = 64;
+        let n = 1024;
         let mut sparse = FrameStore::new_sparse(n);
-        let mut dense = new_dense(n);
+        let mut dense = new_dense(n, 20);
         for f in 0..n {
-            sparse.replace(n, f, (f + 1) % n, Some(bv(&[true])));
-            dense.replace(n, f, (f + 1) % n, Some(bv(&[true])));
+            sparse.replace(f, (f + 1) % n, Some(bv(&[true])));
+            dense.replace(f, (f + 1) % n, Some(bv(&[true])));
         }
         assert!(
             sparse.heap_bytes() * 10 < dense.heap_bytes(),

@@ -2,7 +2,7 @@
 
 use crate::store::{FrameArena, FrameStore, DENSE_SWITCH_DIVISOR};
 use crate::topology::Topology;
-use bdclique_bits::BitVec;
+use bdclique_bits::{BitGrid, BitVec, Column};
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// rejected), physically one of two frame stores selected by load factor:
 /// rounds start on sparse per-sender adjacency rows and **densify** once
 /// `frame_count ≥ n²/16`, so sparse protocol rounds cost `O(frames)` while
-/// full-matrix rounds get the flat matrix.
+/// full-matrix rounds get a flat [`BitGrid`] as wide as the bandwidth.
 ///
 /// Aggregate volume ([`Traffic::total_bits`], [`Traffic::frame_count`]) is
 /// maintained incrementally on every mutation, so both accessors are O(1) —
@@ -30,7 +30,7 @@ pub struct Traffic {
     /// clique (and for handle-less [`Traffic::new`] traffic), where every
     /// pair is an edge and per-frame checks would be pure overhead.
     topology: Option<Arc<Topology>>,
-    /// Round-local recycling: the lent matrix buffer and the tables spent
+    /// Round-local recycling: the lent dense grid and the tables spent
     /// by densification pool here, and rejoin the network-wide arena when
     /// the round is exchanged.
     arena: FrameArena,
@@ -50,9 +50,9 @@ impl Traffic {
 
     /// Arena-backed constructor used by [`crate::Network::traffic`]: the
     /// sparse row tables are recycled from previous rounds, and one pooled
-    /// dense matrix buffer rides along so a densify inside the round
-    /// reuses it instead of allocating `n²` fresh slots (unused, it rejoins
-    /// the network arena at exchange time).
+    /// dense grid rides along so a densify inside the round reuses it
+    /// instead of allocating a fresh `n²`-slot slab (unused, it rejoins the
+    /// network arena at exchange time).
     pub(crate) fn new_in(
         n: usize,
         bandwidth: usize,
@@ -111,10 +111,15 @@ impl Traffic {
     }
 
     /// Approximate heap bytes held by the frame store: `O(frames)` on the
-    /// sparse rows, at least `n²` slots once densified — which is also how
-    /// a caller outside the crate can tell the two apart.
+    /// sparse rows, `n²` bandwidth-wide slots of bits once densified.
     pub fn store_bytes(&self) -> usize {
         self.store.heap_bytes()
+    }
+
+    /// Whether the round has switched to the dense grid. The load factor
+    /// alone decides; a densified round never goes back.
+    pub fn is_dense(&self) -> bool {
+        !self.store.is_sparse()
     }
 
     #[inline]
@@ -144,17 +149,18 @@ impl Traffic {
         self.set_frame(from, to, None);
     }
 
-    /// The frame queued on `from → to`.
-    pub fn frame(&self, from: usize, to: usize) -> Option<&BitVec> {
+    /// The frame queued on `from → to` (a copy; inline, so
+    /// allocation-free, up to 64 bits).
+    pub fn frame(&self, from: usize, to: usize) -> Option<BitVec> {
         self.check_slot(from, to);
-        self.store.get(self.n, from, to)
+        self.store.get(from, to)
     }
 
     /// Visits every queued frame in ascending `(from, to)` order —
     /// `O(frames)` on the sparse store, the substrate behind
     /// adversary busy-edge scans.
     pub fn for_each_frame(&self, f: impl FnMut(usize, usize, &BitVec)) {
-        self.store.for_each(self.n, f);
+        self.store.for_each(f);
     }
 
     /// Replaces the slot `from → to`, keeps the volume counters in sync, and
@@ -177,7 +183,7 @@ impl Traffic {
             self.total_bits += new.len() as u64;
             self.frame_count += 1;
         }
-        let prev = self.store.replace(self.n, from, to, bits);
+        let prev = self.store.replace(from, to, bits);
         if let Some(old) = &prev {
             self.total_bits -= old.len() as u64;
             self.frame_count -= 1;
@@ -185,7 +191,7 @@ impl Traffic {
         if self.store.is_sparse()
             && self.frame_count * DENSE_SWITCH_DIVISOR >= (self.n * self.n) as u64
         {
-            self.store.densify(self.n, &mut self.arena);
+            self.store.densify(self.n, self.bandwidth, &mut self.arena);
         }
         prev
     }
@@ -207,9 +213,9 @@ impl Traffic {
         let n = self.n;
         arena.absorb(std::mem::take(&mut self.arena));
         match self.store {
-            FrameStore::Dense(frames) => Delivery {
+            FrameStore::Dense(grid) => Delivery {
                 n,
-                repr: DeliveryRepr::Dense(frames),
+                repr: DeliveryRepr::Dense(grid),
             },
             FrameStore::Sparse(rows) => {
                 let mut cols = arena.take_tables(n);
@@ -232,8 +238,8 @@ impl Traffic {
 
 #[derive(Debug, Clone)]
 enum DeliveryRepr {
-    /// Row-major `frames[from · n + to]` (dense rounds).
-    Dense(Vec<Option<BitVec>>),
+    /// Row-major grid, slot `(from, to)` (dense rounds).
+    Dense(BitGrid),
     /// Per-receiver inbox `cols[to]`, sorted by sender (sparse rounds).
     Sparse(Vec<Vec<(u32, BitVec)>>),
 }
@@ -252,32 +258,29 @@ pub struct Delivery {
 
 impl Delivery {
     /// The frame node `to` received from node `from`, or `None` when the
-    /// sender sent nothing (or the adversary suppressed the frame).
-    pub fn received(&self, to: usize, from: usize) -> Option<&BitVec> {
+    /// sender sent nothing (or the adversary suppressed the frame). A copy;
+    /// inline, so allocation-free, up to 64 bits.
+    pub fn received(&self, to: usize, from: usize) -> Option<BitVec> {
         assert!(from < self.n && to < self.n, "node id out of range");
         assert_ne!(from, to, "no self-loops in the clique");
         match &self.repr {
-            DeliveryRepr::Dense(frames) => frames[from * self.n + to].as_ref(),
+            DeliveryRepr::Dense(grid) => grid.get(from, to),
             DeliveryRepr::Sparse(cols) => {
                 let col = &cols[to];
                 col.binary_search_by_key(&(from as u32), |&(f, _)| f)
                     .ok()
-                    .map(|i| &col[i].1)
+                    .map(|i| col[i].1.clone())
             }
         }
     }
 
     /// Iterates node `to`'s inbox as `(sender, frame)` pairs in ascending
-    /// sender order. `O(frames received)` on sparse rounds.
+    /// sender order, frames by value. `O(frames received)` on sparse
+    /// rounds; one presence bit per sender on dense ones.
     pub fn inbox_of(&self, to: usize) -> Inbox<'_> {
         assert!(to < self.n, "node id out of range");
         Inbox(match &self.repr {
-            DeliveryRepr::Dense(frames) => InboxRepr::Dense {
-                frames,
-                n: self.n,
-                to,
-                from: 0,
-            },
+            DeliveryRepr::Dense(grid) => InboxRepr::Dense(grid.column(to)),
             DeliveryRepr::Sparse(cols) => InboxRepr::Sparse(cols[to].iter()),
         })
     }
@@ -294,15 +297,12 @@ impl Delivery {
     pub fn into_inboxes(self) -> Vec<Vec<(u32, BitVec)>> {
         match self.repr {
             DeliveryRepr::Sparse(cols) => cols,
-            DeliveryRepr::Dense(mut frames) => {
-                let n = self.n;
-                let mut cols: Vec<Vec<(u32, BitVec)>> = vec![Vec::new(); n];
-                for from in 0..n {
-                    for (to, col) in cols.iter_mut().enumerate() {
-                        if let Some(bits) = frames[from * n + to].take() {
-                            col.push((from as u32, bits));
-                        }
-                    }
+            DeliveryRepr::Dense(grid) => {
+                // Row-major order visits senders ascending, so every inbox
+                // column ends up sorted by sender with plain pushes.
+                let mut cols: Vec<Vec<(u32, BitVec)>> = vec![Vec::new(); self.n];
+                for (from, to, bits) in grid.iter() {
+                    cols[to].push((from as u32, bits));
                 }
                 cols
             }
@@ -315,15 +315,12 @@ impl Delivery {
     pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_usize(self.n);
         match &self.repr {
-            DeliveryRepr::Dense(frames) => {
+            DeliveryRepr::Dense(grid) => {
                 enc.put_u8(0);
-                let count = frames.iter().flatten().count();
-                enc.put_usize(count);
-                for (i, slot) in frames.iter().enumerate() {
-                    if let Some(bits) = slot {
-                        enc.put_u64(i as u64);
-                        enc.put_bits(bits);
-                    }
+                enc.put_usize(grid.present_count());
+                for (from, to, bits) in grid.iter() {
+                    enc.put_u64((from * self.n + to) as u64);
+                    enc.put_bits(&bits);
                 }
             }
             DeliveryRepr::Sparse(cols) => {
@@ -344,14 +341,18 @@ impl Delivery {
     ///
     /// [`SnapError`] on truncated or corrupt input.
     pub fn restore(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
-        // `n` must be bounded *before* the slot table is allocated, or a
-        // corrupt snapshot can request a multi-gigabyte allocation and abort
-        // (the overflow check alone does not bound the magnitude — caught by
-        // the validate-before-alloc lint). The ceilings sit far above any
-        // supported simulation: the dense bound alone admits `n = 16384`,
-        // the largest deployment the bench grids reach.
+        // `n` and the grid's bits must be bounded *before* the grid is
+        // allocated, or a corrupt snapshot can request a multi-gigabyte
+        // allocation and abort (the overflow check alone does not bound the
+        // magnitude — caught by the validate-before-alloc lint). A dense
+        // delivery allocates `n²·(1 + ⌈log2(w + 1)⌉ + w)` bits for its
+        // widest frame `w`, only once its frames have been read and
+        // validated. The ceilings sit far above any supported simulation:
+        // 2 GiB of grid admits `n = 16384` with frames of up to 57 bits
+        // (the registry's widest is 36), the largest deployment the bench
+        // grids reach.
         const MAX_NODES: usize = 1 << 17;
-        const MAX_DENSE_SLOTS: usize = 1 << 28;
+        const MAX_DENSE_BITS: u64 = 1 << 34;
         let n = dec.get_usize()?;
         if !(2..=MAX_NODES).contains(&n) {
             return Err(SnapError::corrupt(format!("delivery n = {n} out of range")));
@@ -359,26 +360,31 @@ impl Delivery {
         let repr = match dec.get_u8()? {
             0 => {
                 let count = dec.get_len(9)?;
-                let slots = n
-                    .checked_mul(n)
-                    .filter(|&s| s <= MAX_DENSE_SLOTS)
-                    .ok_or_else(|| {
-                        SnapError::corrupt(format!("dense delivery n = {n} too large"))
-                    })?;
-                let mut frames: Vec<Option<BitVec>> = vec![None; slots];
+                let slots = n as u64 * n as u64;
+                let mut frames = Vec::new();
                 let mut last: Option<u64> = None;
                 for _ in 0..count {
                     let i = dec.get_u64()?;
-                    if i as usize >= frames.len() {
+                    if i >= slots {
                         return Err(SnapError::corrupt("delivery slot out of range"));
                     }
                     if last.is_some_and(|prev| prev >= i) {
                         return Err(SnapError::corrupt("delivery slots out of order"));
                     }
                     last = Some(i);
-                    frames[i as usize] = Some(dec.get_bits()?);
+                    frames.push((i as usize, dec.get_bits()?));
                 }
-                DeliveryRepr::Dense(frames)
+                let width = frames.iter().map(|(_, bits)| bits.len()).max().unwrap_or(0);
+                if BitGrid::storage_bits(n, width).is_none_or(|bits| bits as u64 > MAX_DENSE_BITS) {
+                    return Err(SnapError::corrupt(format!(
+                        "dense delivery n = {n}, widest frame {width} bits: too large"
+                    )));
+                }
+                let mut grid = BitGrid::new(n, width);
+                for (i, bits) in &frames {
+                    grid.set(i / n, i % n, bits);
+                }
+                DeliveryRepr::Dense(grid)
             }
             1 => {
                 let mut cols = Vec::with_capacity(n);
@@ -402,11 +408,11 @@ impl Delivery {
         Ok(Self { n, repr })
     }
 
-    /// Hands the delivery's tables or matrix buffer to `arena` — the
+    /// Hands the delivery's tables or dense grid to `arena` — the
     /// [`crate::Network::reclaim`] implementation.
     pub(crate) fn recycle_into(self, arena: &mut FrameArena) {
         match self.repr {
-            DeliveryRepr::Dense(frames) => arena.put_matrix(frames),
+            DeliveryRepr::Dense(grid) => arena.put_matrix(grid),
             DeliveryRepr::Sparse(cols) => {
                 for col in cols {
                     arena.put_table(col);
@@ -431,36 +437,17 @@ pub struct Inbox<'a>(InboxRepr<'a>);
 
 #[derive(Debug)]
 enum InboxRepr<'a> {
-    Dense {
-        frames: &'a [Option<BitVec>],
-        n: usize,
-        to: usize,
-        from: usize,
-    },
+    Dense(Column<'a>),
     Sparse(std::slice::Iter<'a, (u32, BitVec)>),
 }
 
-impl<'a> Iterator for Inbox<'a> {
-    type Item = (usize, &'a BitVec);
+impl Iterator for Inbox<'_> {
+    type Item = (usize, BitVec);
 
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
-            InboxRepr::Dense {
-                frames,
-                n,
-                to,
-                from,
-            } => {
-                while *from < *n {
-                    let f = *from;
-                    *from += 1;
-                    if let Some(bits) = frames[f * *n + *to].as_ref() {
-                        return Some((f, bits));
-                    }
-                }
-                None
-            }
-            InboxRepr::Sparse(iter) => iter.next().map(|(f, b)| (*f as usize, b)),
+            InboxRepr::Dense(column) => column.next(),
+            InboxRepr::Sparse(iter) => iter.next().map(|(f, b)| (*f as usize, b.clone())),
         }
     }
 }
@@ -495,7 +482,7 @@ mod tests {
     fn send_and_frame() {
         let mut t = Traffic::new(3, 4);
         t.send(0, 2, BitVec::from_bools(&[true]));
-        assert_eq!(t.frame(0, 2), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(t.frame(0, 2), Some(BitVec::from_bools(&[true])));
         assert_eq!(t.frame(2, 0), None);
         assert_eq!(t.frame_count(), 1);
         assert_eq!(t.total_bits(), 1);
@@ -522,7 +509,7 @@ mod tests {
         let mut t = Traffic::new(4, 8);
         t.send(1, 3, BitVec::from_bools(&[false, true]));
         let d = delivery(t);
-        assert_eq!(d.received(3, 1), Some(&BitVec::from_bools(&[false, true])));
+        assert_eq!(d.received(3, 1), Some(BitVec::from_bools(&[false, true])));
         assert_eq!(d.received(1, 3), None);
         assert_eq!(d.n(), 4);
     }
@@ -549,7 +536,7 @@ mod tests {
         assert!(!t.store.is_sparse());
         assert_eq!(t.frame_count(), 4);
         // Contents survive the switch.
-        assert_eq!(t.frame(0, 1), Some(&BitVec::from_bools(&[true])));
+        assert_eq!(t.frame(0, 1), Some(BitVec::from_bools(&[true])));
     }
 
     #[test]
@@ -566,7 +553,7 @@ mod tests {
         let dense = build(densified(12, 4));
         assert!(matches!(sparse.repr, DeliveryRepr::Sparse(_)));
         assert!(matches!(dense.repr, DeliveryRepr::Dense(_)));
-        let inbox: Vec<(usize, BitVec)> = sparse.inbox_of(2).map(|(f, b)| (f, b.clone())).collect();
+        let inbox: Vec<(usize, BitVec)> = sparse.inbox_of(2).collect();
         assert_eq!(
             inbox,
             vec![
@@ -646,11 +633,12 @@ mod tests {
         assert_eq!(t.frame_count(), rescan_frames(&t));
     }
 
+    /// One frame per sender at `n = 1024` and the benchmark's bandwidth 20.
     #[test]
     fn sparse_store_bytes_beat_dense_at_low_load() {
-        let n = 256;
-        let mut sparse = Traffic::new(n, 8);
-        let mut dense = densified(n, 8);
+        let n = 1024;
+        let mut sparse = Traffic::new(n, 20);
+        let mut dense = densified(n, 20);
         for u in 0..n {
             sparse.send(u, (u + 1) % n, BitVec::from_bools(&[true; 8]));
             dense.send(u, (u + 1) % n, BitVec::from_bools(&[true; 8]));

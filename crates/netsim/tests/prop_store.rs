@@ -13,7 +13,6 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 mod common;
-use common::is_dense;
 
 const BANDWIDTH: usize = 12;
 const ALPHA: f64 = 0.9;
@@ -86,7 +85,7 @@ fn assert_matches_model(t: &Traffic, model: &Model) {
     for from in 0..n {
         for to in (0..n).filter(|&to| to != from) {
             assert_eq!(
-                t.frame(from, to),
+                t.frame(from, to).as_ref(),
                 model.get(&(from, to)),
                 "slot ({from},{to})"
             );
@@ -119,7 +118,7 @@ impl Corruptor for MixedCorruptor {
     ) {
         for (u, v) in edges.iter() {
             for (a, b) in [(u, v), (v, u)] {
-                let rewritten = corrupted(scope.intended(a, b));
+                let rewritten = corrupted(scope.intended(a, b).as_ref());
                 scope.set(a, b, rewritten);
             }
         }
@@ -149,9 +148,9 @@ fn assert_delivery_matches(d: &Delivery, delivered: &Model) {
     };
     for to in 0..n {
         for from in (0..n).filter(|&from| from != to) {
-            assert_eq!(d.received(to, from), delivered.get(&(from, to)));
+            assert_eq!(d.received(to, from).as_ref(), delivered.get(&(from, to)));
         }
-        let walked: Vec<(usize, BitVec)> = d.inbox_of(to).map(|(f, b)| (f, b.clone())).collect();
+        let walked: Vec<(usize, BitVec)> = d.inbox_of(to).collect();
         assert_eq!(walked, inbox_of(to), "inbox {to}");
     }
     let moved = d.clone().into_inboxes();
@@ -177,7 +176,7 @@ proptest! {
         let mut t = Traffic::new(n, BANDWIDTH);
         let mut model = Model::new();
         let switched = apply_ops(&mut t, &mut model, n, &ops_from(raw_ops));
-        prop_assert_eq!(is_dense(&t), switched, "store must follow the load factor");
+        prop_assert_eq!(t.is_dense(), switched, "store must follow the load factor");
         assert_matches_model(&t, &model);
     }
 
@@ -198,7 +197,7 @@ proptest! {
         let mut t = net.traffic();
         let mut model = Model::new();
         let switched = apply_ops(&mut t, &mut model, n, &ops_from(raw_ops));
-        prop_assert_eq!(is_dense(&t), switched);
+        prop_assert_eq!(t.is_dense(), switched);
         let d = net.exchange(t);
 
         let edges = edge_set(&pairs, n, net.fault_budget());

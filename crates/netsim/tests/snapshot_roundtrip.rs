@@ -117,10 +117,11 @@ proptest! {
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         // A flipped node count inside the decoder's ceiling is a legal
-        // header: a dense delivery then allocates its n² slots for real,
-        // gigabytes near the ceiling. Out-of-range counts are still fed in.
+        // header: a dense delivery then allocates its grid for real,
+        // n²·(1 + 4 + 9) bits for these 9-bit frames — 29 MB at n = 4096,
+        // 470 MB at n = 16384. Out-of-range counts are still fed in.
         let n_flipped = announced_n(&bytes);
-        prop_assume!(n_flipped <= 1024 || n_flipped > 1 << 17);
+        prop_assume!(n_flipped <= 4096 || n_flipped > 1 << 17);
         let _ = decode_delivery(&bytes); // must return, not panic
     }
 
@@ -178,6 +179,55 @@ proptest! {
             stream.fork("next").seed()
         );
         prop_assert_eq!(resumed.fork_u64(7).seed(), stream.fork_u64(7).seed());
+    }
+}
+
+/// FNV-1a over an encoding: pins bytes without spelling them out.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Six frames of widths 9, 0, 4, 1, 7 and 9 on twelve nodes: below the
+/// switch unless the round is moved onto the dense store first.
+fn pinned_delivery(dense: bool) -> Delivery {
+    let (n, bandwidth) = (12, 9);
+    let mut net = Network::new(n, bandwidth, 0.0, Adversary::none());
+    let mut t = net.traffic();
+    if dense {
+        common::densify(&mut t);
+    }
+    for (from, to, len) in [
+        (0, 1, 9),
+        (1, 0, 0),
+        (2, 11, 4),
+        (7, 1, 1),
+        (11, 10, 7),
+        (3, 4, 9),
+    ] {
+        t.send(
+            from,
+            to,
+            BitVec::from_fn(len, |i| (i * 5 + from + 2 * to) % 3 == 1),
+        );
+    }
+    net.exchange(t)
+}
+
+/// Both delivery encodings are pinned: they are part of snapshot format 5,
+/// so a change to either value is a format change and needs a `VERSION`
+/// bump, whatever backs the dense store.
+#[test]
+fn delivery_encodings_are_pinned() {
+    for (dense, tag, len, fnv) in [
+        (false, 1, 184, 0x3662_f6cc_bda1_1f99),
+        (true, 0, 120, 0x62b6_aac1_a838_fc77),
+    ] {
+        let bytes = encode(|e| pinned_delivery(dense).snapshot(e));
+        assert_eq!(bytes[8], tag, "dense = {dense}: representation tag");
+        assert_eq!(bytes.len(), len, "dense = {dense}");
+        assert_eq!(fnv1a(&bytes), fnv, "dense = {dense}");
     }
 }
 

@@ -57,6 +57,9 @@ fn main() {
             }
         }
         let bytes = snapshot_run(&net, session.as_ref()).expect("snapshot");
+        // Snapshot format 5 pins this document's size; a change to any codec
+        // it contains shows here before it shows in a resumed run.
+        assert_eq!(bytes.len(), 2324, "the checkpoint encoding changed");
         std::fs::write(&path, &bytes).expect("write checkpoint");
         println!(
             "checkpointed at round {} ({} bytes) -> {}",
