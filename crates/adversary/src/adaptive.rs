@@ -240,7 +240,7 @@ pub struct HistoryCamper {
     payload: Payload,
     rng: ChaCha8Rng,
     // BTreeMap so ranking and snapshots iterate in a fixed order on every
-    // process (enforced by bdclique-lint's no-hashmap-iteration rule).
+    // process (clippy.toml bans the hash containers workspace-wide).
     load: std::collections::BTreeMap<(usize, usize), u64>,
 }
 

@@ -148,6 +148,10 @@ pub fn run_trial_checkpointed(
     cfg: &CheckpointConfig,
     key: &str,
 ) -> Result<(Trial, f64), CoreError> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trial's wall-clock seconds are the measurement"
+    )]
     let start = Instant::now();
     let (inst, fresh) = spec.build(seeds);
     let path = cfg.path_for(key);

@@ -16,7 +16,7 @@
 
 use crate::json::{parse_json, Json};
 use crate::scenario::SCHEMA;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One scenario of a parsed document: name, the scenario object, its cells.
 type ScenarioView<'a> = (&'a str, &'a Json, &'a [Json]);
@@ -92,7 +92,7 @@ struct MergedScenario {
 pub fn merge_documents(inputs: &[(String, String)]) -> Result<String, String> {
     let mut header: Option<(f64, Json, Json)> = None;
     let mut merged: Vec<MergedScenario> = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     for (label, text) in inputs {
         let doc = parse_document(label, text)?;
         let trials = doc

@@ -469,6 +469,10 @@ pub fn run(spec: &Scenario) -> ScenarioResult {
 /// [`run`] with explicit execution options (shard selection, mid-trial
 /// checkpointing).
 pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scenario's wall-clock seconds are the measurement"
+    )]
     let start = Instant::now();
     let selected: Vec<&Cell> = spec
         .cells
@@ -500,6 +504,10 @@ pub fn run_configured(spec: &Scenario, cfg: &RunConfig) -> ScenarioResult {
 
 fn run_cell(spec: &Scenario, cell: &Cell, cfg: &RunConfig) -> CellResult {
     let stream = cell.stream(spec.name);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the cell's wall-clock seconds are the measurement"
+    )]
     let start = Instant::now();
     let mut prior_secs = 0.0;
     let (metrics, aggregate, round_trace) = match &cell.kind {

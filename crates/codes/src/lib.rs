@@ -20,10 +20,6 @@
 //! encodes through, and the LDC implements [`Ldc`] with the paper's
 //! `DecodeIndices(i, R)` / `LDCDecode(x, i, R)` interface (Definition 4).
 
-// Dense linear-algebra and protocol code walks several same-length arrays
-// by explicit index; clippy's iterator rewrites would obscure the paper's
-// formulas, so this style lint is opted out crate-wide.
-#![allow(clippy::needless_range_loop)]
 mod error;
 mod gf;
 mod ldc;

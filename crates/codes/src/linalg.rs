@@ -268,6 +268,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the matrix product reads as the textbook triple sum"
+    )]
     fn invert_roundtrip() {
         let gf = Gf::new(8);
         let a = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 9, 11]];
@@ -354,8 +358,8 @@ mod tests {
         // wrong answer silently — either None or the true polynomial is
         // impossible to guarantee, but the distance check means any answer
         // returned must be within e_max of the received word.
-        for i in 0..4 {
-            ys[i] ^= 0x55;
+        for y in &mut ys[..4] {
+            *y ^= 0x55;
         }
         if let Some(g) = berlekamp_welch(&gf, &xs, &ys, d, 3) {
             let errors = xs

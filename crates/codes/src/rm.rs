@@ -315,12 +315,12 @@ mod tests {
         let msg = sample_msg(&ldc, 2);
         let cw = ldc.encode(&msg).unwrap();
         let sh = shared(1);
-        for i in 0..ldc.message_len() {
+        for (i, &want) in msg.iter().enumerate() {
             let qs = ldc.decode_indices(i, &sh);
             let answers: Vec<u16> = qs.iter().map(|&p| cw[p]).collect();
             assert_eq!(
                 ldc.local_decode(i, &answers, &sh).unwrap(),
-                msg[i],
+                want,
                 "index {i}"
             );
         }
@@ -340,10 +340,10 @@ mod tests {
         }
         let sh = shared(2);
         let mut ok = 0;
-        for i in 0..ldc.message_len() {
+        for (i, &want) in msg.iter().enumerate() {
             let qs = ldc.decode_indices(i, &sh);
             let answers: Vec<u16> = qs.iter().map(|&p| cw[p]).collect();
-            if ldc.local_decode(i, &answers, &sh) == Ok(msg[i]) {
+            if ldc.local_decode(i, &answers, &sh) == Ok(want) {
                 ok += 1;
             }
         }
@@ -369,10 +369,10 @@ mod tests {
         }
         let sh = shared(3);
         let mut ok = 0;
-        for i in 0..ldc.message_len() {
+        for (i, &want) in msg.iter().enumerate() {
             let qs = ldc.decode_indices(i, &sh);
             let answers: Vec<u16> = qs.iter().map(|&p| cw[p]).collect();
-            if ldc.local_decode(i, &answers, &sh) == Ok(msg[i]) {
+            if ldc.local_decode(i, &answers, &sh) == Ok(want) {
                 ok += 1;
             }
         }

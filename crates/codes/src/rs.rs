@@ -520,8 +520,8 @@ mod tests {
         let msg: Vec<u16> = (0..8).collect();
         let cw = rs.encode(&msg).unwrap();
         let mut recv = cw.clone();
-        for p in 0..6 {
-            recv[p] ^= 0x33; // 6 errors > t = 4
+        for r in &mut recv[..6] {
+            *r ^= 0x33; // 6 errors > t = 4
         }
         let eras = vec![false; 16];
         match rs.decode(&recv, &eras) {

@@ -12,10 +12,11 @@
 //! * [`protocols`] — the four `AllToAllComm` protocols of Table 1
 //!   (Theorems 1.2–1.5), plus baselines.
 
-// Dense linear-algebra and protocol code walks several same-length arrays
-// by explicit index; clippy's iterator rewrites would obscure the paper's
-// formulas, so this style lint is opted out crate-wide.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "dense linear-algebra and protocol code walks several same-length arrays \
+              by explicit index; iterator rewrites would obscure the paper's formulas"
+)]
 pub mod broadcast;
 pub mod cc;
 pub mod compiler;

@@ -38,7 +38,7 @@ use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Serializes a ChaCha8 generator mid-stream (key + block counter + intra-
 /// block cursor), so a restored session continues the exact draw sequence.
@@ -135,7 +135,7 @@ fn restore_wanted(n: usize, dec: &mut Dec<'_>) -> Result<Vec<Vec<(usize, usize)>
 
 /// Per-node fetched query answers: `(chunk, position) → holder-indexed
 /// symbol bundle`.
-type QueryAnswers = HashMap<(usize, usize), BitVec>;
+type QueryAnswers = BTreeMap<(usize, usize), BitVec>;
 
 /// LDC geometry shared by both variants.
 struct LdcPlan {
@@ -364,8 +364,8 @@ impl ScatterSession {
 /// per-process random iteration order leaked into the unit engine's greedy
 /// stage coloring — making the LDC-fetch protocols' round counts vary
 /// *across processes* for identical seeds. The `BTreeMap` pins the
-/// canonical order (and with it cross-process reproducibility); the
-/// no-hashmap-iteration lint keeps it that way.
+/// canonical order (and with it cross-process reproducibility); clippy's
+/// `disallowed_types` ban on hash containers keeps it that way.
 fn fetch_instance(
     n: usize,
     plan: &LdcPlan,
@@ -374,8 +374,7 @@ fn fetch_instance(
 ) -> RoutingInstance {
     let mf = plan.mf as usize;
     // targets_of[(position r, chunk c)] -> target nodes.
-    let mut targets_of: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-        std::collections::BTreeMap::new();
+    let mut targets_of: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (v, pairs) in wanted.iter().enumerate() {
         for &(c, r) in pairs {
             targets_of.entry((r, c)).or_default().push(v);
@@ -411,7 +410,7 @@ fn collect_answers(
     routed: &RoutingOutput,
     wanted: &[Vec<(usize, usize)>],
 ) -> Vec<QueryAnswers> {
-    let mut answers: Vec<QueryAnswers> = vec![HashMap::new(); n];
+    let mut answers: Vec<QueryAnswers> = vec![BTreeMap::new(); n];
     for (v, pairs) in wanted.iter().enumerate() {
         for &(c, r) in pairs {
             if let Some(p) = routed.delivered[v].get(&(r, c)) {
@@ -588,7 +587,7 @@ impl<'a> Take1Session<'a> {
         for v in 0..n {
             let shared = SharedRandomness::from_bits(&r3_received[v]);
             // Decode each needed symbol once per holder.
-            let mut decoded: HashMap<(usize, usize, usize), Option<u16>> = HashMap::new();
+            let mut decoded: BTreeMap<(usize, usize, usize), Option<u16>> = BTreeMap::new();
             for u in 0..n {
                 if u == v {
                     out.set(v, u, self.inst.message(u, u));
@@ -1446,7 +1445,7 @@ impl ProtocolSession for Take2Session<'_> {
                         let holder = common.parts[j][v / w];
                         let mut bits = BitVec::zeros(t);
                         let mut ok = true;
-                        let mut cache: HashMap<(usize, usize), Option<u16>> = HashMap::new();
+                        let mut cache: BTreeMap<(usize, usize), Option<u16>> = BTreeMap::new();
                         for (offset, bit) in (pos_v * t..(pos_v + 1) * t).enumerate() {
                             let (c, z, inner) = plan.locate(bit);
                             let sym = *cache.entry((c, z)).or_insert_with(|| {

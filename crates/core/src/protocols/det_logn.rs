@@ -159,8 +159,6 @@ struct HypercubeSession<'a> {
 }
 
 /// How one iteration's half exchange executes.
-// One engine lives per session, so the variant size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
 enum HcEngine {
     /// Complete topology: each iteration is a `k = 2` routed super-message
     /// instance (the paper's construction, resilient to the α-BD adversary).
@@ -565,7 +563,7 @@ mod tests {
         let bit_shift = ell - i;
         let my_bit = (v >> bit_shift) & 1;
         let partner = v ^ (1 << bit_shift);
-        let mut collected = std::collections::HashMap::new();
+        let mut collected = std::collections::BTreeMap::new();
         for (sender, payload) in [(v, own), (partner, theirs)] {
             let Some(payload) = payload else { continue };
             let sender_ids = message_ids(sender, i, ell);

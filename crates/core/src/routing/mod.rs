@@ -88,7 +88,7 @@ impl RoutingInstance {
     ///
     /// [`CoreError::InvalidInput`] with a diagnosis.
     pub fn validate(&self) -> Result<(), CoreError> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in &self.messages {
             if m.src >= self.n {
                 return Err(CoreError::invalid(format!("src {} out of range", m.src)));
@@ -248,7 +248,7 @@ pub struct RoutingReport {
 
 /// Routing results: `delivered[v]` maps `(src, slot)` to the payload `v`
 /// decoded. `BTreeMap` so iteration order is identical on every process —
-/// the determinism invariant the no-hashmap-iteration lint enforces.
+/// the determinism invariant `clippy.toml`'s hash-container ban enforces.
 #[derive(Debug, Clone)]
 pub struct RoutingOutput {
     /// Per-node delivered payloads.

@@ -50,7 +50,6 @@ use bdclique_bits::BitVec;
 use bdclique_codes::BitCode;
 use bdclique_netsim::{Delivery, Network, Traffic};
 use rayon::prelude::*;
-use std::collections::HashSet;
 use std::ops::Range;
 
 /// First-fit stage coloring: same-source or shared-target messages never
@@ -60,54 +59,68 @@ use std::ops::Range;
 /// Implemented with per-endpoint counters: `src_next[u]` / `tgt_next[v]`
 /// hold each endpoint's smallest free stage (its *mex*), so the scan for a
 /// message starts at the maximum of its endpoints' counters — every earlier
-/// stage is provably occupied by one of them — and probes occupancy in two
-/// hash sets keyed `(endpoint, stage)`. This is the same coloring the old
-/// `O(stages · n)`-memory occupancy matrices computed (stage-for-stage
-/// identical, regression-tested below), in `O(incidences)` memory and
-/// near-linear time: the scan past the counter maximum only crosses stages
-/// genuinely blocked by a conflicting endpoint, so total work is bounded by
-/// the conflict count rather than `messages × stages`.
+/// stage is provably occupied by one of them — and probes occupancy in
+/// per-endpoint stage bitsets, one row per source and one per target, each
+/// grown only up to the highest stage used at that endpoint. This is the
+/// same coloring the old `O(stages · n)`-memory occupancy matrices computed
+/// (stage-for-stage identical, regression-tested below) in near-linear
+/// time: the scan past the counter maximum only crosses stages genuinely
+/// blocked by a conflicting endpoint, so total work is bounded by the
+/// conflict count rather than `messages × stages`.
 ///
 /// Stage count never exceeds the greedy coloring bound `2·Δ − 1`, where `Δ`
 /// is the maximum per-endpoint multiplicity: a single-target message
 /// conflicts with at most `(deg(src) − 1) + (deg(tgt) − 1) ≤ 2Δ − 2` other
-/// messages, so first-fit places it below stage `2Δ − 1`.
+/// messages, so first-fit places it below stage `2Δ − 1`. Each of the two
+/// occupancy tables therefore holds at most `n·⌈2Δ/64⌉` words.
 pub(crate) fn schedule_stages(instance: &RoutingInstance) -> Vec<usize> {
     let mut stage_of = vec![0usize; instance.messages.len()];
     let mut src_next = vec![0u32; instance.n];
     let mut tgt_next = vec![0u32; instance.n];
-    let mut src_used: HashSet<(u32, u32)> = HashSet::new();
-    let mut tgt_used: HashSet<(u32, u32)> = HashSet::new();
+    let mut src_used: Vec<Vec<u64>> = vec![Vec::new(); instance.n];
+    let mut tgt_used: Vec<Vec<u64>> = vec![Vec::new(); instance.n];
     for (idx, m) in instance.messages.iter().enumerate() {
-        let src = m.src as u32;
         let mut stage = m
             .targets
             .iter()
             .map(|&t| tgt_next[t])
             .fold(src_next[m.src], u32::max);
         loop {
-            let free = !src_used.contains(&(src, stage))
-                && m.targets
-                    .iter()
-                    .all(|&t| !tgt_used.contains(&(t as u32, stage)));
+            let free = !stage_taken(&src_used[m.src], stage)
+                && m.targets.iter().all(|&t| !stage_taken(&tgt_used[t], stage));
             if free {
                 break;
             }
             stage += 1;
         }
-        src_used.insert((src, stage));
-        while src_used.contains(&(src, src_next[m.src])) {
+        take_stage(&mut src_used[m.src], stage);
+        while stage_taken(&src_used[m.src], src_next[m.src]) {
             src_next[m.src] += 1;
         }
         for &t in &m.targets {
-            tgt_used.insert((t as u32, stage));
-            while tgt_used.contains(&(t as u32, tgt_next[t])) {
+            take_stage(&mut tgt_used[t], stage);
+            while stage_taken(&tgt_used[t], tgt_next[t]) {
                 tgt_next[t] += 1;
             }
         }
         stage_of[idx] = stage as usize;
     }
     stage_of
+}
+
+/// Whether `stage` is occupied in one endpoint's occupancy row.
+fn stage_taken(row: &[u64], stage: u32) -> bool {
+    row.get((stage / 64) as usize)
+        .is_some_and(|w| (w >> (stage % 64)) & 1 == 1)
+}
+
+/// Marks `stage` occupied in one endpoint's occupancy row, growing it.
+fn take_stage(row: &mut Vec<u64>, stage: u32) {
+    let word = (stage / 64) as usize;
+    if word >= row.len() {
+        row.resize(word + 1, 0);
+    }
+    row[word] |= 1u64 << (stage % 64);
 }
 
 /// The unit engine's immutable routing plan: code parameters, stage

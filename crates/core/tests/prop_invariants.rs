@@ -2,8 +2,10 @@
 //! Lemma 6.2's hypercube message-set characterization and the compiler's
 //! fault-free equivalence.
 
-// Matches the crate-wide stance: indexed loops mirror the paper's formulas.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "matches the crate-wide stance: indexed loops mirror the paper's formulas"
+)]
 
 use bdclique_core::cc::{BooleanMatMul, SumAll};
 use bdclique_core::compiler::{compile, run_fault_free};

@@ -17,10 +17,11 @@
 //! expected number of tries is `O(1)` by the paper's union bound; the
 //! verifier makes the procedure Las-Vegas-deterministic.
 
-// Dense linear-algebra and protocol code walks several same-length arrays
-// by explicit index; clippy's iterator rewrites would obscure the paper's
-// formulas, so this style lint is opted out crate-wide.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "dense linear-algebra and protocol code walks several same-length arrays \
+              by explicit index; iterator rewrites would obscure the paper's formulas"
+)]
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::error::Error;

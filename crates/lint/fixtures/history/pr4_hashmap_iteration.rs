@@ -1,12 +1,18 @@
-// lint-fixture-as: crates/core/src/protocols/fixture.rs
 //! Replica of the PR 4 LDC-fetch bug: the pre-session code built a routing
 //! instance by iterating a `HashMap`, whose per-process random order leaked
 //! into the unit engine's greedy stage coloring — round counts varied
-//! *across processes* for identical seeds. This exact shape must fire.
+//! *across processes* for identical seeds. This exact shape must fail
+//! `clippy::disallowed_types`.
 
 use std::collections::HashMap;
 
-fn fetch_instance(wanted: &[Vec<(usize, usize)>]) -> Vec<SuperMessage> {
+pub struct FetchMessage {
+    pub src: usize,
+    pub slot: usize,
+    pub targets: Vec<usize>,
+}
+
+pub fn fetch_instance(wanted: &[Vec<(usize, usize)>]) -> Vec<FetchMessage> {
     let mut targets_of: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
     for (v, pairs) in wanted.iter().enumerate() {
         for &(c, r) in pairs {
@@ -17,7 +23,7 @@ fn fetch_instance(wanted: &[Vec<(usize, usize)>]) -> Vec<SuperMessage> {
     // The bug: iteration order decides message order, which decides the
     // greedy coloring, which decides the round count.
     for ((r, c), targets) in targets_of.iter() {
-        messages.push(SuperMessage {
+        messages.push(FetchMessage {
             src: *r,
             slot: *c,
             targets: targets.clone(),

@@ -1,9 +1,10 @@
-// lint-fixture-as: crates/core/src/protocols/fixture.rs
-//! Known-bad: iterating a HashMap in schedule-computing code.
+//! Known-bad: hash containers in schedule-computing code. Their iteration
+//! order is process-random, so the root `clippy.toml` bans the types
+//! themselves (`clippy::disallowed_types`), not only iterating over them.
 
 use std::collections::{HashMap, HashSet};
 
-fn order_leaks(map: HashMap<u32, u32>) -> Vec<(u32, u32)> {
+pub fn order_leaks(map: &HashMap<u32, u32>) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     for (k, v) in map.iter() {
         out.push((*k, *v));
@@ -11,13 +12,13 @@ fn order_leaks(map: HashMap<u32, u32>) -> Vec<(u32, u32)> {
     out
 }
 
-fn keys_leak(seen: HashSet<u32>) -> Vec<u32> {
+pub fn keys_leak(seen: &HashSet<u32>) -> Vec<u32> {
     seen.iter().copied().collect()
 }
 
-fn for_in_leaks(seen: HashSet<u32>) -> u32 {
+pub fn for_in_leaks(seen: &HashSet<u32>) -> u32 {
     let mut acc = 0;
-    for v in &seen {
+    for v in seen {
         acc ^= v;
     }
     acc

@@ -1,21 +1,12 @@
-// lint-fixture-as: crates/core/src/protocols/fixture.rs
-//! The fixed shape: BTree containers iterate in key order on every process,
-//! and keyed lookups on a HashMap are fine.
+//! The fixed shape: ordered containers, whose iteration order is a function
+//! of the keys alone, so every process builds the same schedule.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-fn order_pinned(map: BTreeMap<u32, u32>) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    for (k, v) in map.iter() {
-        out.push((*k, *v));
-    }
-    out
+pub fn order_is_key_order(map: &BTreeMap<u32, u32>) -> Vec<(u32, u32)> {
+    map.iter().map(|(k, v)| (*k, *v)).collect()
 }
 
-fn keys_pinned(seen: BTreeSet<u32>) -> Vec<u32> {
+pub fn keys_in_order(seen: &BTreeSet<u32>) -> Vec<u32> {
     seen.iter().copied().collect()
-}
-
-fn keyed_lookup_is_fine(index: HashMap<u32, u32>, k: u32) -> Option<u32> {
-    index.get(&k).copied()
 }

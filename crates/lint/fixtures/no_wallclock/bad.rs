@@ -1,15 +1,11 @@
-// lint-fixture-as: crates/netsim/src/fixture.rs
-//! Known-bad: wall-clock and OS-entropy inputs in schedule-computing code.
+//! Known-bad: wall-clock inputs in schedule-computing code. Identical
+//! inputs must produce identical schedules on every process, so the root
+//! `clippy.toml` bans the clock reads (`clippy::disallowed_methods`).
 
 use std::time::{Instant, SystemTime};
 
-fn clock_leaks() -> u64 {
+pub fn clock_leaks() -> u64 {
     let t = Instant::now();
     let _ = SystemTime::now();
     t.elapsed().as_nanos() as u64
-}
-
-fn entropy_leaks() -> u64 {
-    let mut rng = rand::thread_rng();
-    rng.next_u64()
 }

@@ -1,12 +1,6 @@
-// lint-fixture-as: crates/netsim/src/fixture.rs
-//! The fixed shape: randomness from a seeded stream, time from the
-//! simulator's round counter.
+//! The fixed shape: time is the simulator's round counter, an input like
+//! any other, so identical inputs give identical schedules.
 
-fn seeded(seed: u64) -> u64 {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    rng.next_u64()
-}
-
-fn round_clock(net: &Network) -> u64 {
-    net.rounds()
+pub fn stage_of(round: u64, stage_len: u64) -> u64 {
+    round / stage_len.max(1)
 }

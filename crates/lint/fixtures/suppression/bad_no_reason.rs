@@ -1,10 +1,12 @@
-// lint-fixture-as: crates/core/src/fixture.rs
-//! Known-bad: a suppression with no reason is itself a finding, and it
-//! does NOT suppress — the underlying violation still fires.
+//! Known-bad: a suppression with no reason. The workspace denies
+//! `clippy::allow_attributes_without_reason` (and `allow` altogether:
+//! suppressions are `#[expect(…, reason = "…")]`).
 
-use std::collections::HashMap;
-
-fn commutative_sum(map: HashMap<u32, u64>) -> u64 {
-    // bdclique-lint: allow(no-hashmap-iteration)
-    map.values().sum()
+#[allow(clippy::needless_range_loop)]
+pub fn sum_by_index(xs: &[u64]) -> u64 {
+    let mut acc = 0;
+    for i in 0..xs.len() {
+        acc += xs[i];
+    }
+    acc
 }

@@ -1,7 +1,7 @@
-// lint-fixture-as: crates/core/src/fixture.rs
-//! Known-bad: a suppression that suppresses nothing must be removed.
+//! Known-bad: an expectation that suppresses nothing must be removed. The
+//! workspace denies `unfulfilled_lint_expectations`.
 
-fn plain() -> u64 {
-    // bdclique-lint: allow(no-raw-spawn) — stale comment from a refactor.
+#[expect(clippy::needless_range_loop, reason = "stale after a refactor")]
+pub fn plain() -> u64 {
     7
 }

@@ -1,10 +1,14 @@
-// lint-fixture-as: crates/core/src/fixture.rs
-//! A well-formed suppression: names a known rule and carries a reason.
+//! A well-formed suppression: an `expect` that names the lint it silences,
+//! says why, and is fulfilled (the loop below does trip the lint).
 
-use std::collections::HashMap;
-
-fn commutative_sum(map: HashMap<u32, u64>) -> u64 {
-    // bdclique-lint: allow(no-hashmap-iteration) — addition is commutative,
-    // so the fold result is order-independent.
-    map.values().sum()
+#[expect(
+    clippy::needless_range_loop,
+    reason = "the index is the point: this mirrors a row-major kernel"
+)]
+pub fn sum_by_index(xs: &[u64]) -> u64 {
+    let mut acc = 0;
+    for i in 0..xs.len() {
+        acc += xs[i];
+    }
+    acc
 }

@@ -1,6 +1,6 @@
-// lint-fixture-as: crates/shims/rayon/src/fixture.rs
-//! Known-bad: `unsafe` inside the shims without an adjacent SAFETY comment.
+//! Known-bad: `unsafe` inside a shim. The shims inherit the workspace's
+//! `unsafe_code = "forbid"` like every other member.
 
-fn transmute_len(bytes: &[u8]) -> u32 {
+pub fn transmute_len(bytes: &[u8]) -> u32 {
     unsafe { *(bytes.as_ptr() as *const u32) }
 }

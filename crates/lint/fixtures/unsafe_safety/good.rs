@@ -1,9 +1,6 @@
-// lint-fixture-as: crates/shims/rayon/src/fixture.rs
-//! The fixed shape: shims may use `unsafe` with the invariant stated.
+//! The fixed shape: the same read, in safe code.
 
-fn read_len(bytes: &[u8]) -> u32 {
-    assert!(bytes.len() >= 4);
-    // SAFETY: the assert above guarantees at least 4 readable bytes, and
-    // u32 has no alignment requirement under read_unaligned.
-    unsafe { (bytes.as_ptr() as *const u32).read_unaligned() }
+pub fn read_len(bytes: &[u8]) -> Option<u32> {
+    let head: [u8; 4] = bytes.get(..4)?.try_into().ok()?;
+    Some(u32::from_le_bytes(head))
 }

@@ -13,8 +13,8 @@
 //! * numbers with radix prefixes and type suffixes.
 //!
 //! Comments are not discarded: they come back in a side channel with line
-//! spans, because two rules read them (`// SAFETY:` adjacency and
-//! `// bdclique-lint: allow(…)` suppressions).
+//! spans, because a fixture's first line may carry the
+//! `// lint-fixture-as:` scoping directive.
 
 /// What a token is. Rules mostly care about `Ident` and `Punct`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

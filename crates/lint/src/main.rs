@@ -1,4 +1,4 @@
-//! The `lint` binary: `cargo run -p bdclique-lint [-- --json] [paths…]`.
+//! The `lint` binary: `cargo run -p bdclique-lint [-- paths…]`.
 //!
 //! With no paths, lints the whole workspace (found by walking up from the
 //! current directory). With paths, lints exactly those files — paths are
@@ -9,25 +9,17 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use bdclique_lint::{find_workspace_root, lint_source, lint_workspace, report, RULES};
+use bdclique_lint::{find_workspace_root, lint_source, lint_workspace, report};
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut list_rules = false;
     let mut paths: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
-            "--rules" => list_rules = true,
             "--help" | "-h" => {
                 println!(
-                    "bdclique-lint: determinism & concurrency lints for the bdclique workspace\n\
+                    "bdclique-lint: the validate-before-alloc lint for the bdclique workspace\n\
                      \n\
-                     usage: cargo run -p bdclique-lint [-- OPTIONS] [FILES…]\n\
-                     \n\
-                     options:\n\
-                     \x20 --json    machine-readable report on stdout\n\
-                     \x20 --rules   print the rule catalog and exit\n\
+                     usage: cargo run -p bdclique-lint [-- FILES…]\n\
                      \n\
                      With no FILES, lints every .rs file in the workspace."
                 );
@@ -39,12 +31,6 @@ fn main() -> ExitCode {
             }
             a => paths.push(a.to_string()),
         }
-    }
-    if list_rules {
-        for (name, summary) in RULES {
-            println!("{name}\n    {summary}\n");
-        }
-        return ExitCode::SUCCESS;
     }
 
     let cwd = match std::env::current_dir() {
@@ -82,7 +68,7 @@ fn main() -> ExitCode {
                 }
             };
             // Report under the workspace-relative path when the file sits
-            // inside the workspace, so crate-scoped rules apply.
+            // inside the workspace, so the `src/` scoping applies.
             let rel = root
                 .as_deref()
                 .and_then(|r| {
@@ -98,15 +84,11 @@ fn main() -> ExitCode {
         findings
     };
 
-    if json {
-        print!("{}", report::to_json(&findings));
+    print!("{}", report::to_text(&findings));
+    if findings.is_empty() {
+        eprintln!("bdclique-lint: clean");
     } else {
-        print!("{}", report::to_text(&findings));
-        if findings.is_empty() {
-            eprintln!("bdclique-lint: clean");
-        } else {
-            eprintln!("bdclique-lint: {} finding(s)", findings.len());
-        }
+        eprintln!("bdclique-lint: {} finding(s)", findings.len());
     }
     if findings.is_empty() {
         ExitCode::SUCCESS

@@ -1,52 +1,6 @@
-//! Machine-readable output: a hand-rolled JSON serializer (the lint is
-//! dependency-free by design — it must build even when every other crate
-//! in the workspace is broken).
+//! Human-readable output.
 
 use crate::rules::Finding;
-
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON document:
-/// `{"findings": [...], "count": N, "ok": bool}`.
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            esc(f.rule),
-            esc(&f.path),
-            f.line,
-            esc(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"count\": {},\n  \"ok\": {}\n}}\n",
-        findings.len(),
-        findings.is_empty()
-    ));
-    out
-}
 
 /// Renders findings for humans: `path:line: [rule] message`.
 pub fn to_text(findings: &[Finding]) -> String {
@@ -65,23 +19,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_and_counts() {
-        let fs = vec![Finding {
-            rule: "no-raw-spawn",
+    fn empty_report_is_ok() {
+        assert_eq!(to_text(&[]), "");
+        let one = Finding {
+            rule: "validate-before-alloc",
             path: "a/b.rs".into(),
             line: 7,
-            message: "say \"no\"\nplease".into(),
-        }];
-        let j = to_json(&fs);
-        assert!(j.contains("\\\"no\\\"\\nplease"));
-        assert!(j.contains("\"count\": 1"));
-        assert!(j.contains("\"ok\": false"));
-    }
-
-    #[test]
-    fn empty_report_is_ok() {
-        let j = to_json(&[]);
-        assert!(j.contains("\"count\": 0"));
-        assert!(j.contains("\"ok\": true"));
+            message: "range-check `n`".into(),
+        };
+        assert_eq!(
+            to_text(&[one]),
+            "a/b.rs:7: [validate-before-alloc] range-check `n`\n"
+        );
     }
 }

@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 pub struct EdgeSet {
     // BTreeSet so `iter()` yields ascending edges on every process — the
     // adversary's claim order feeds corruption decisions, and those must
-    // be identical across processes (no-hashmap-iteration invariant).
+    // be identical across processes (clippy.toml bans hash containers).
     edges: BTreeSet<(usize, usize)>,
     degrees: Vec<usize>,
 }

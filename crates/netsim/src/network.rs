@@ -7,37 +7,37 @@ use crate::topology::Topology;
 use crate::traffic::{Delivery, Traffic};
 use bdclique_bits::BitVec;
 use bdclique_snapshot::{Dec, Enc, SnapError};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// Everything the protocol has published to *adaptive* adversaries, indexed
-/// by label.
+/// Everything the protocol has published to *adaptive* adversaries, in
+/// publication order.
 ///
 /// Retention policy: the log is **append-only for the lifetime of the
 /// network** — the paper's footnote-4 adversary conditions on *all* past
 /// randomness, so nothing is ever evicted. Publishing the same label again
 /// keeps both entries in [`PublishedLog::entries`] (the adversary saw the
 /// old value too) while [`PublishedLog::get`] resolves to the most recent
-/// one in O(1); adaptive strategies no longer need the linear scans the old
-/// bare `Vec<(String, BitVec)>` forced on them. Memory grows with the total
-/// published volume, which protocols keep at O(1) strings per run.
+/// one. Protocols publish O(1) labels per run, so a reverse scan is all
+/// the index a lookup needs. Memory grows with the total published volume.
 #[derive(Debug, Clone, Default)]
 pub struct PublishedLog {
     entries: Vec<(String, BitVec)>,
-    latest: HashMap<String, usize>,
 }
 
 impl PublishedLog {
     pub(crate) fn push(&mut self, label: String, bits: BitVec) {
-        self.latest.insert(label.clone(), self.entries.len());
         self.entries.push((label, bits));
     }
 
-    /// The most recent bits published under `label`. O(1).
+    /// The most recent bits published under `label`: a reverse scan over
+    /// the O(1) labels a run publishes.
     pub fn get(&self, label: &str) -> Option<&BitVec> {
-        self.latest.get(label).map(|&i| &self.entries[i].1)
+        self.entries
+            .iter()
+            .rev()
+            .find_map(|(l, bits)| (l == label).then_some(bits))
     }
 
     /// All publications, oldest first (repeated labels appear repeatedly).
@@ -55,8 +55,7 @@ impl PublishedLog {
         self.entries.is_empty()
     }
 
-    /// Serializes the append-only publication list (the label index is
-    /// rebuilt at restore).
+    /// Serializes the append-only publication list.
     pub fn snapshot(&self, enc: &mut Enc) {
         enc.put_seq(&self.entries, |e, (label, bits)| {
             e.put_str(label);
@@ -75,11 +74,7 @@ impl PublishedLog {
             let bits = d.get_bits()?;
             Ok((label, bits))
         })?;
-        let mut log = Self::default();
-        for (label, bits) in entries {
-            log.push(label, bits);
-        }
-        Ok(log)
+        Ok(Self { entries })
     }
 }
 

@@ -110,8 +110,8 @@ mod tests {
 
     #[test]
     fn splitmix64_is_injective_on_a_sample() {
-        use std::collections::HashSet;
-        let outs: HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
+        use std::collections::BTreeSet;
+        let outs: BTreeSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
     }
 
@@ -129,8 +129,8 @@ mod tests {
 
     #[test]
     fn distinct_roots_give_distinct_streams() {
-        use std::collections::HashSet;
-        let seeds: HashSet<u64> = (0..1_000u64)
+        use std::collections::BTreeSet;
+        let seeds: BTreeSet<u64> = (0..1_000u64)
             .map(|r| SeedStream::new(r).fork("x").seed())
             .collect();
         assert_eq!(seeds.len(), 1_000);

@@ -173,7 +173,7 @@ impl Topology {
         for attempt in 0..10_000u64 {
             let mut rng = Rng64::new(stream.fork_u64(attempt).seed());
             let mut edges = base.clone();
-            let mut present: std::collections::HashSet<(usize, usize)> =
+            let mut present: std::collections::BTreeSet<(usize, usize)> =
                 edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
             let m = edges.len();
             let (mut swaps, mut tries) = (0usize, 0usize);

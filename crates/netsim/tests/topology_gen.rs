@@ -17,7 +17,7 @@ fn edge_set(topo: &Topology) -> Vec<(usize, usize)> {
 /// Simplicity: no self-loops, no duplicate edges, endpoints in range.
 fn assert_simple(topo: &Topology) {
     let edges = edge_set(topo);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for &(u, v) in &edges {
         assert!(u < topo.n() && v < topo.n(), "endpoint out of range");
         assert_ne!(u, v, "self-loop");

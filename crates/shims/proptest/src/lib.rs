@@ -9,8 +9,6 @@
 //! failures are reproducible. **No shrinking**: a failing case reports its
 //! seed and case index instead of a minimized input.
 
-#![forbid(unsafe_code)]
-
 pub mod strategy {
     //! Value-generation strategies.
 

@@ -11,8 +11,6 @@
 //! experiment outputs will change; nothing here is part of the public
 //! bdclique API.
 
-#![forbid(unsafe_code)]
-
 /// The core of a random number generator: a source of random words.
 pub trait RngCore {
     /// Returns the next random `u32`.

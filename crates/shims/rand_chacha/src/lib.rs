@@ -8,8 +8,6 @@
 //! `rand_chacha` (no golden-value test in this workspace depends on that);
 //! it is fully deterministic in the seed, which is what every caller needs.
 
-#![forbid(unsafe_code)]
-
 use rand::{RngCore, SeedableRng};
 
 const BLOCK_WORDS: usize = 16;

@@ -19,8 +19,6 @@
 //! `install` runs and handed to every scoped worker, so (unlike upstream)
 //! `op` itself runs on the caller's thread.
 
-#![forbid(unsafe_code)]
-
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 
@@ -203,6 +201,10 @@ where
         // Workers are fresh threads: hand them the caller's pool scope so
         // the collects they nest stay inside it.
         let pool_threads = POOL_THREADS.get();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sanctioned fan-out: scoped workers cannot outlive this collect"
+        )]
         let mapped: Vec<U> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
@@ -238,18 +240,23 @@ impl<T> FromParallelIterator<T> for Vec<T> {
 mod tests {
     use super::prelude::*;
     use super::{ThreadPoolBuilder, POOL_THREADS};
-    use std::collections::HashSet;
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    /// Runs a `len`-item collect and returns the threads that ran items.
-    fn threads_of_collect(len: usize) -> HashSet<ThreadId> {
-        let seen = Mutex::new(HashSet::new());
+    /// Adds `id` to `seen` unless already there (`ThreadId` is not `Ord`).
+    fn note(seen: &mut Vec<ThreadId>, id: ThreadId) {
+        if !seen.contains(&id) {
+            seen.push(id);
+        }
+    }
+
+    /// Runs a `len`-item collect and returns the distinct threads that ran
+    /// items.
+    fn threads_of_collect(len: usize) -> Vec<ThreadId> {
+        let seen = Mutex::new(Vec::new());
         let _: Vec<()> = (0..len)
             .into_par_iter()
-            .map(|_| {
-                seen.lock().unwrap().insert(std::thread::current().id());
-            })
+            .map(|_| note(&mut seen.lock().unwrap(), std::thread::current().id()))
             .collect();
         seen.into_inner().unwrap()
     }
@@ -294,7 +301,7 @@ mod tests {
     fn scoped_workers_inherit_the_pool_scope() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let caller = std::thread::current().id();
-        let inner: Vec<(usize, ThreadId, HashSet<ThreadId>)> = pool.install(|| {
+        let inner: Vec<(usize, ThreadId, Vec<ThreadId>)> = pool.install(|| {
             (0..3usize)
                 .into_par_iter()
                 .map(|_| {
@@ -303,7 +310,10 @@ mod tests {
                 })
                 .collect()
         });
-        let outer: HashSet<ThreadId> = inner.iter().map(|(_, id, _)| *id).collect();
+        let mut outer = Vec::new();
+        for (_, id, _) in &inner {
+            note(&mut outer, *id);
+        }
         assert_eq!(outer.len(), 3);
         assert!(!outer.contains(&caller));
         for (scope, _, nested) in &inner {

@@ -474,8 +474,10 @@ impl<'a> Dec<'a> {
 }
 
 #[cfg(test)]
-// Tests assert on decode results; unwrap-on-corrupt is the point there.
-#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "tests assert on decode results; unwrap-on-corrupt is the point there"
+)]
 mod tests {
     use super::*;
 
