@@ -3,7 +3,7 @@
 
 use crate::corruptors::Payload;
 use crate::rng_state;
-use bdclique_netsim::{AdaptiveScope, AdaptiveStrategy, AdversaryView};
+use bdclique_netsim::{AdaptiveScope, AdaptiveStrategy, AdversaryView, BusyPair};
 use bdclique_snapshot::{Dec, Enc, SnapError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -30,41 +30,11 @@ impl GreedyLoad {
 
 impl AdaptiveStrategy for GreedyLoad {
     fn corrupt(&mut self, _view: &AdversaryView<'_>, scope: &mut AdaptiveScope<'_>) {
-        // Score undirected edges by total bits both ways — discovered from
-        // the O(frames) busy-slot list, never an n² probe sweep.
-        let mut scored: Vec<(usize, usize, usize)> = scope
-            .intended_frames()
-            .into_iter()
-            .map(|(from, to, bits)| {
-                let (u, v) = if from < to { (from, to) } else { (to, from) };
-                (bits, u, v)
-            })
-            .collect();
-        // The slot list is (from, to)-ascending, which interleaves the two
-        // directions of an undirected pair; merge them after a sort.
-        scored.sort_unstable_by_key(|&(_, u, v)| (u, v));
-        scored.dedup_by(|a, b| {
-            if (a.1, a.2) == (b.1, b.2) {
-                b.0 += a.0;
-                true
-            } else {
-                false
-            }
-        });
-        // Zero-length frames carry no payload worth the degree budget.
-        scored.retain(|&(load, _, _)| load > 0);
-        scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        for (_, u, v) in scored {
-            if !scope.try_acquire(u, v) {
-                continue;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if let Some(frame) = scope.intended(a, b) {
-                    let new = self.payload.apply(Some(&frame), &mut self.rng);
-                    scope.try_corrupt(a, b, new);
-                }
-            }
-        }
+        // Undirected edges scored by total bits both ways, from the sort-free
+        // busy-pair walk.
+        let ranked = loaded_by_weight(&scope.intended_pairs());
+        let pairs = ranked.iter().map(|&(u, v)| (u as usize, v as usize));
+        corrupt_pairs(scope, pairs, self.payload, &mut self.rng);
     }
 
     fn save_state(&self, enc: &mut Enc) {
@@ -75,6 +45,61 @@ impl AdaptiveStrategy for GreedyLoad {
         self.rng = rng_state::load(dec)?;
         Ok(())
     }
+}
+
+/// Offers `pairs` — each pair at most once — to the scope in order, and
+/// rewrites both directions of every pair it grants with `payload`.
+///
+/// When the scope arrives holding no edge, a pair reached with a full
+/// endpoint cannot be held (only granted pairs are touched, and none is
+/// offered twice), so it is refused without consulting the edge set — once
+/// the budget binds, that is most of the list. A scope that already holds
+/// edges, because a wrapping strategy acted first, takes the plain
+/// [`AdaptiveScope::try_acquire`] path.
+fn corrupt_pairs(
+    scope: &mut AdaptiveScope<'_>,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    payload: Payload,
+    rng: &mut ChaCha8Rng,
+) {
+    let fresh = scope.edges().is_empty();
+    for (u, v) in pairs {
+        let full = scope.remaining_degree(u) == 0 || scope.remaining_degree(v) == 0;
+        if (fresh && full) || !scope.try_acquire(u, v) {
+            continue;
+        }
+        for (a, b) in [(u, v), (v, u)] {
+            if let Some(frame) = scope.intended(a, b) {
+                let new = payload.apply(Some(&frame), rng);
+                scope.try_corrupt(a, b, new);
+            }
+        }
+    }
+}
+
+/// The endpoints of the loaded `pairs` (ascending `(u, v)`), heaviest
+/// first. A stable counting sort keeps ties in `(u, v)` order, so this is the
+/// `(load desc, u asc, v asc)` order in `O(pairs + max load)` — loads are at
+/// most twice the bandwidth. Empty pairs are dropped: zero-length frames
+/// carry no payload worth the degree budget.
+fn loaded_by_weight(pairs: &[BusyPair]) -> Vec<(u32, u32)> {
+    let max = pairs.iter().map(|p| p.bits as usize).max().unwrap_or(0);
+    let loaded = || pairs.iter().filter(|p| p.bits > 0);
+    // Load `l ≥ 1` has rank `max - l`; `start[rank]` is where its run begins.
+    let mut start = vec![0usize; max + 1];
+    for p in loaded() {
+        start[max - p.bits as usize + 1] += 1;
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut ranked = vec![(0, 0); start[max]];
+    for p in loaded() {
+        let slot = &mut start[max - p.bits as usize];
+        ranked[*slot] = (p.u, p.v);
+        *slot += 1;
+    }
+    ranked
 }
 
 /// Concentrates the entire budget on edges incident to one victim node,
@@ -161,29 +186,19 @@ impl RushingRandom {
 
 impl AdaptiveStrategy for RushingRandom {
     fn corrupt(&mut self, _view: &AdversaryView<'_>, scope: &mut AdaptiveScope<'_>) {
-        // Busy undirected pairs, ascending — the same candidate list the old
-        // n² probe sweep produced, discovered in O(frames).
-        let mut busy: Vec<(usize, usize)> = scope
-            .intended_frames()
-            .into_iter()
-            .map(|(from, to, _)| if from < to { (from, to) } else { (to, from) })
-            .collect();
-        busy.sort_unstable();
-        busy.dedup();
+        // Busy undirected pairs — empty frames included — ascending: the
+        // same candidate list the old n² probe sweep produced, discovered
+        // in O(frames).
+        let mut busy = scope.intended_pairs();
         for i in (1..busy.len()).rev() {
             busy.swap(i, self.rng.gen_range(0..=i));
         }
-        for (u, v) in busy {
-            if !scope.try_acquire(u, v) {
-                continue;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if let Some(frame) = scope.intended(a, b) {
-                    let new = self.payload.apply(Some(&frame), &mut self.rng);
-                    scope.try_corrupt(a, b, new);
-                }
-            }
-        }
+        corrupt_pairs(
+            scope,
+            busy.iter().map(BusyPair::endpoints),
+            self.payload,
+            &mut self.rng,
+        );
     }
 
     fn save_state(&self, enc: &mut Enc) {
@@ -258,29 +273,18 @@ impl HistoryCamper {
 impl AdaptiveStrategy for HistoryCamper {
     fn corrupt(&mut self, _view: &AdversaryView<'_>, scope: &mut AdaptiveScope<'_>) {
         // Accumulate the current round's loads into long-term memory.
-        // O(frames) via the busy-slot list; zero-length frames carry no load
-        // and must not enter the ranking.
-        for (from, to, bits) in scope.intended_frames() {
-            if bits == 0 {
-                continue;
+        // O(frames) via the busy-pair walk; pairs whose frames are all empty
+        // carry no load and must not enter the ranking.
+        for p in scope.intended_pairs() {
+            if p.bits > 0 {
+                *self.load.entry(p.endpoints()).or_insert(0) += u64::from(p.bits);
             }
-            let key = if from < to { (from, to) } else { (to, from) };
-            *self.load.entry(key).or_insert(0) += bits as u64;
         }
         let mut ranked: Vec<((usize, usize), u64)> =
             self.load.iter().map(|(&e, &l)| (e, l)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for ((u, v), _) in ranked {
-            if !scope.try_acquire(u, v) {
-                continue;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if let Some(frame) = scope.intended(a, b) {
-                    let new = self.payload.apply(Some(&frame), &mut self.rng);
-                    scope.try_corrupt(a, b, new);
-                }
-            }
-        }
+        let pairs = ranked.into_iter().map(|(pair, _)| pair);
+        corrupt_pairs(scope, pairs, self.payload, &mut self.rng);
     }
 
     fn save_state(&self, enc: &mut Enc) {
@@ -307,6 +311,9 @@ impl AdaptiveStrategy for HistoryCamper {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -208,23 +208,37 @@ impl BitGrid {
         self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The present slot indices, ascending — one pass over the presence
+    /// words.
+    fn present_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.present.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
     /// Every present slot as `(row, col, string)`, in ascending row-major
     /// order — one pass over the presence words, `O(n²/64 + present)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, BitVec)> + '_ {
-        self.present
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                let mut rest = word;
-                std::iter::from_fn(move || {
-                    (rest != 0).then(|| {
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        w * 64 + bit
-                    })
-                })
-            })
+        self.present_slots()
             .map(|i| (i / self.n, i % self.n, self.read(i)))
+    }
+
+    /// Every present slot as `(row, col, string length)`, in the order of
+    /// [`BitGrid::iter`], reading only each slot's length prefix — no
+    /// string is built.
+    pub fn lens(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let stride = self.stride();
+        self.present_slots().map(move |i| {
+            let len = load_bits(&self.slab, i * stride, self.len_bits) as usize;
+            (i / self.n, i % self.n, len)
+        })
     }
 
     /// The present slots of column `col` as `(row, string)`, in ascending
@@ -326,6 +340,21 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn set_rejects_a_string_wider_than_the_grid() {
         BitGrid::new(2, 3).set(0, 1, &BitVec::zeros(4));
+    }
+
+    #[test]
+    fn lens_follow_iter_across_word_boundaries() {
+        // Width 70: every slot spans two words; width 5: slots straddle them.
+        for width in [0, 5, 70] {
+            let mut grid = BitGrid::new(5, width);
+            for (row, col) in [(0, 1), (2, 2), (4, 0), (3, 4)] {
+                let len = (row * 7 + col * 3) % (width + 1);
+                grid.set(row, col, &BitVec::from_fn(len, |i| i % 3 == 0));
+            }
+            grid.set(1, 3, &BitVec::new());
+            let expected: Vec<_> = grid.iter().map(|(r, c, b)| (r, c, b.len())).collect();
+            assert_eq!(grid.lens().collect::<Vec<_>>(), expected, "width {width}");
+        }
     }
 
     #[test]

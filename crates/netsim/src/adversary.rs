@@ -11,6 +11,22 @@
 //! [`AdaptiveScope::intended`] resolve reads through it. A round in which
 //! the adversary touches `k` frames costs O(k) saved frames — never a
 //! matrix clone, and nothing at all for frames it only reads.
+//!
+//! # Busy-edge discovery
+//!
+//! Strategies find the round's traffic through two walks, both sort-free
+//! and neither building a frame (the dense store reads only each slot's
+//! length prefix):
+//!
+//! * [`AdaptiveScope::intended_frames`] / [`CorruptionScope::intended_frames`]
+//!   — every directed slot, merging the live store walk with the overlay's
+//!   ascending originals: `O(frames + rewrites)`, plus the dense store's
+//!   `n²/64`-word presence scan.
+//! * [`AdaptiveScope::intended_pairs`] — every undirected pair, both
+//!   directions' bits summed: two such walks (a counting pass, then a fill
+//!   that transposes the `from > to` frames into per-node lists), then one
+//!   merge of each node's out-row with its transposed list —
+//!   `O(frames + rewrites + n)`, in 8-byte entries per frame.
 
 use crate::network::{NetworkError, PublishedLog};
 use crate::topology::Topology;
@@ -102,6 +118,27 @@ impl EdgeSet {
     }
 }
 
+/// One undirected pair carrying intended traffic this round, as listed by
+/// [`AdaptiveScope::intended_pairs`]: `u < v`, and `bits` is the total
+/// length of the intended frames on `u → v` and `v → u` (zero when every
+/// frame between them is empty).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BusyPair {
+    /// The lower endpoint.
+    pub u: u32,
+    /// The higher endpoint.
+    pub v: u32,
+    /// Intended bits summed over both directions.
+    pub bits: u32,
+}
+
+impl BusyPair {
+    /// `(u, v)` as node ids.
+    pub fn endpoints(&self) -> (usize, usize) {
+        (self.u as usize, self.v as usize)
+    }
+}
+
 /// What an adversary may observe when acting, beyond the traffic itself.
 ///
 /// The round's intended traffic is read through the scope
@@ -127,8 +164,8 @@ pub struct AdversaryView<'a> {
 /// once, on its first rewrite, by *moving* the displaced frame in (no clone).
 #[derive(Debug, Default)]
 struct IntendedOverlay {
-    // BTreeMap: `intended_frames` iterates this, and its order reaches
-    // adaptive strategies' corruption choices.
+    // BTreeMap: the intended walks merge this in key order with the live
+    // store, and that order reaches adaptive strategies' corruption choices.
     originals: BTreeMap<(usize, usize), Option<BitVec>>,
 }
 
@@ -148,24 +185,106 @@ impl IntendedOverlay {
         }
     }
 
-    /// All directed slots carrying *intended* traffic, as
-    /// `(from, to, frame bits)` in ascending `(from, to)` order —
-    /// `O(frames + rewrites)` on the sparse backend, never an `n²` scan.
-    /// This is the substrate behind the strategies' busy-edge discovery.
-    fn intended_frames(&self, traffic: &Traffic) -> Vec<(usize, usize, usize)> {
-        let mut out = Vec::new();
-        traffic.for_each_frame(|from, to, bits| {
-            if !self.originals.contains_key(&(from, to)) {
-                out.push((from, to, bits.len()));
+    /// Visits every directed slot carrying *intended* traffic as
+    /// `(from, to, frame bits)`, in ascending `(from, to)` order: the live
+    /// store's length walk merged with the (ascending) saved originals,
+    /// which shadow the live slots they were displaced from. No sort, and no
+    /// frame is built.
+    fn for_each_intended(&self, traffic: &Traffic, mut f: impl FnMut(usize, usize, usize)) {
+        let mut saved = self.originals.iter().peekable();
+        traffic.for_each_frame_len(|from, to, len| {
+            let mut shadowed = false;
+            while let Some((&(a, b), original)) = saved.next_if(|&(&key, _)| key <= (from, to)) {
+                if let Some(bits) = original {
+                    f(a, b, bits.len());
+                }
+                shadowed = (a, b) == (from, to);
+            }
+            if !shadowed {
+                f(from, to, len);
             }
         });
-        for (&(from, to), original) in &self.originals {
+        for (&(a, b), original) in saved {
             if let Some(bits) = original {
-                out.push((from, to, bits.len()));
+                f(a, b, bits.len());
             }
         }
-        out.sort_unstable();
+    }
+
+    /// All directed slots carrying *intended* traffic, as
+    /// `(from, to, frame bits)` in ascending `(from, to)` order.
+    fn intended_frames(&self, traffic: &Traffic) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        self.for_each_intended(traffic, |from, to, len| out.push((from, to, len)));
         out
+    }
+
+    /// All undirected pairs carrying *intended* traffic, ascending `(u, v)`,
+    /// each with the summed bits of both directions. Pass one counts each
+    /// node's upper-triangle frames (`u → v`, `u < v`: its out-row) and
+    /// lower-triangle frames (`v → u`, `v > u`: keyed by the receiver `u`);
+    /// pass two fills both lists, the lower ones by prefix-sum cursors. The
+    /// walk is `from`-ascending, so every list comes out partner-ascending,
+    /// and each node's two lists merge without a sort.
+    fn intended_pairs(&self, traffic: &Traffic) -> Vec<BusyPair> {
+        let n = traffic.n();
+        assert!(
+            u32::try_from(n).is_ok() && u32::try_from(2 * traffic.bandwidth()).is_ok(),
+            "busy pairs keep node ids and summed frame bits in u32"
+        );
+        let mut up_start = vec![0usize; n + 1];
+        let mut down_start = vec![0usize; n + 1];
+        self.for_each_intended(traffic, |from, to, _| {
+            if from < to {
+                up_start[from + 1] += 1;
+            } else {
+                down_start[to + 1] += 1;
+            }
+        });
+        for u in 0..n {
+            up_start[u + 1] += up_start[u];
+            down_start[u + 1] += down_start[u];
+        }
+        // `(partner, bits)`; the upper list arrives in order, the lower one
+        // is scattered through per-node cursors.
+        let mut up: Vec<(u32, u32)> = Vec::with_capacity(up_start[n]);
+        let mut down = vec![(0u32, 0u32); down_start[n]];
+        let mut cursor = down_start.clone();
+        self.for_each_intended(traffic, |from, to, len| {
+            if from < to {
+                up.push((to as u32, len as u32));
+            } else {
+                down[cursor[to]] = (from as u32, len as u32);
+                cursor[to] += 1;
+            }
+        });
+        let mut pairs = Vec::with_capacity(up.len().max(down.len()));
+        for u in 0..n {
+            let outs = &up[up_start[u]..up_start[u + 1]];
+            let ins = &down[down_start[u]..down_start[u + 1]];
+            let (mut i, mut j) = (0, 0);
+            while i < outs.len() || j < ins.len() {
+                // Node ids are below `n ≤ u32::MAX`: MAX marks an exhausted list.
+                let next_out = outs.get(i).map_or(u32::MAX, |&(v, _)| v);
+                let next_in = ins.get(j).map_or(u32::MAX, |&(v, _)| v);
+                let v = next_out.min(next_in);
+                let mut bits = 0;
+                if next_out == v {
+                    bits += outs[i].1;
+                    i += 1;
+                }
+                if next_in == v {
+                    bits += ins[j].1;
+                    j += 1;
+                }
+                pairs.push(BusyPair {
+                    u: u as u32,
+                    v,
+                    bits,
+                });
+            }
+        }
+        pairs
     }
 
     /// The one corruption sequence both scopes share: enforce the bandwidth
@@ -318,8 +437,8 @@ impl<'a> CorruptionScope<'a> {
 
     /// All directed slots carrying intended traffic, as
     /// `(from, to, frame bits)` in ascending `(from, to)` order.
-    /// `O(frames + rewrites)` — strategies should prefer this over probing
-    /// all `n²` slots with [`CorruptionScope::intended`].
+    /// `O(frames + rewrites)`, sort-free — strategies should prefer this
+    /// over probing all `n²` slots with [`CorruptionScope::intended`].
     pub fn intended_frames(&self) -> Vec<(usize, usize, usize)> {
         self.overlay.intended_frames(self.traffic)
     }
@@ -396,19 +515,24 @@ impl<'a> AdaptiveScope<'a> {
     /// acquisition would push either endpoint past its per-node budget
     /// `⌊α·(deg(v)+1)⌋` (on the clique: the uniform `⌊αn⌋`).
     pub fn try_acquire(&mut self, from: usize, to: usize) -> bool {
-        if self.edges.contains(from, to) {
-            return true;
+        // The degree test comes first, so the tree is searched once per
+        // call: by the insert when both endpoints have room, else to tell a
+        // refusal from an edge already held.
+        if self.remaining_degree(from) == 0 || self.remaining_degree(to) == 0 {
+            return self.edges.contains(from, to);
         }
         if !self.topo.contains(from, to) {
             return false;
         }
-        if self.edges.degree(from) + 1 > self.budget_of(from)
-            || self.edges.degree(to) + 1 > self.budget_of(to)
-        {
-            return false;
-        }
+        // Held or newly taken, the edge is now controlled; `insert` leaves
+        // the degrees alone when it was already held.
         self.edges.insert(from, to);
         true
+    }
+
+    /// The edges acquired so far this round.
+    pub fn edges(&self) -> &EdgeSet {
+        &self.edges
     }
 
     /// How many more fault edges may touch `node` this round.
@@ -448,10 +572,19 @@ impl<'a> AdaptiveScope<'a> {
 
     /// All directed slots carrying intended traffic, as
     /// `(from, to, frame bits)` in ascending `(from, to)` order.
-    /// `O(frames + rewrites)` — strategies should prefer this over probing
-    /// all `n²` slots with [`AdaptiveScope::intended`].
+    /// `O(frames + rewrites)`, sort-free — strategies should prefer this
+    /// over probing all `n²` slots with [`AdaptiveScope::intended`].
     pub fn intended_frames(&self) -> Vec<(usize, usize, usize)> {
         self.overlay.intended_frames(self.traffic)
+    }
+
+    /// All undirected pairs carrying intended traffic — zero-length frames
+    /// included — in ascending `(u, v)` order, each with both directions'
+    /// bits summed. `O(frames + rewrites + n)` and sort-free: the busy-edge
+    /// list strategies rank or shuffle, without merging
+    /// [`AdaptiveScope::intended_frames`]' two directions themselves.
+    pub fn intended_pairs(&self) -> Vec<BusyPair> {
+        self.overlay.intended_pairs(self.traffic)
     }
 
     /// Network size.
@@ -663,6 +796,27 @@ mod tests {
         assert!(scope.try_corrupt(1, 0, Some(BitVec::from_bools(&[false]))));
         assert_eq!(scope.remaining_degree(0), 0);
         assert_eq!(scope.remaining_degree(3), 1);
+    }
+
+    /// `try_acquire` tests the budgets before the edge set: an edge already
+    /// held must still be granted once both its endpoints are full, while a
+    /// new edge at a full endpoint is refused.
+    #[test]
+    fn held_edge_is_granted_at_full_budget() {
+        let mut traffic = Traffic::new(4, 4);
+        let topo = Topology::complete(4);
+        // ⌊0.25·4⌋ = 1 fault edge per node.
+        let mut scope = AdaptiveScope::new(&mut traffic, &topo, 0.25);
+        assert!(scope.try_acquire(1, 2));
+        assert_eq!(scope.remaining_degree(1), 0);
+        assert_eq!(scope.remaining_degree(2), 0);
+        assert!(scope.try_acquire(2, 1), "held edge, both endpoints full");
+        assert!(scope.try_acquire(1, 2));
+        assert!(!scope.try_acquire(1, 3), "new edge at a full endpoint");
+        assert!(!scope.try_acquire(0, 2), "new edge at a full endpoint");
+        assert!(scope.try_acquire(0, 3));
+        assert_eq!(scope.edges().len(), 2);
+        assert_eq!(scope.edges().max_degree(), 1);
     }
 
     #[test]

@@ -66,8 +66,8 @@ mod topology;
 mod traffic;
 
 pub use adversary::{
-    AdaptiveScope, AdaptiveStrategy, Adversary, AdversaryView, CorruptionScope, Corruptor,
-    EdgePlan, EdgeSet,
+    AdaptiveScope, AdaptiveStrategy, Adversary, AdversaryView, BusyPair, CorruptionScope,
+    Corruptor, EdgePlan, EdgeSet,
 };
 pub use network::{Network, NetworkError, PublishedLog};
 pub use seed::SeedStream;

@@ -239,6 +239,23 @@ impl FrameStore {
         }
     }
 
+    /// Visits every frame's length in ascending `(from, to)` order, without
+    /// building a frame: the grid reads only each slot's length prefix.
+    pub(crate) fn for_each_len(&self, mut f: impl FnMut(usize, usize, usize)) {
+        match self {
+            // Internal iteration: `for_each` lets the grid's nested word /
+            // bit walk fold in place instead of resuming through `next`.
+            FrameStore::Dense(grid) => grid.lens().for_each(|(from, to, len)| f(from, to, len)),
+            FrameStore::Sparse(rows) => {
+                for (from, row) in rows.iter().enumerate() {
+                    for (to, b) in row {
+                        f(from, *to as usize, b.len());
+                    }
+                }
+            }
+        }
+    }
+
     /// Converts sparse rows into the dense grid (the load-factor switch).
     /// The spent row tables go back to the arena, and the grid is drawn
     /// from the arena's pool.
@@ -343,6 +360,12 @@ mod tests {
         let mut sorted = d.clone();
         sorted.sort_by_key(|&(f, t, _)| (f, t));
         assert_eq!(d, sorted, "iteration must be ascending (from, to)");
+        let lens: Vec<_> = d.iter().map(|(f, t, b)| (*f, *t, b.len())).collect();
+        for store in [&dense, &sparse] {
+            let mut walked = Vec::new();
+            store.for_each_len(|f, t, len| walked.push((f, t, len)));
+            assert_eq!(walked, lens, "the length walk follows for_each");
+        }
     }
 
     #[test]

@@ -163,6 +163,12 @@ impl Traffic {
         self.store.for_each(f);
     }
 
+    /// [`Traffic::for_each_frame`] with the frame's length in place of the
+    /// frame: no frame is built.
+    pub(crate) fn for_each_frame_len(&self, f: impl FnMut(usize, usize, usize)) {
+        self.store.for_each_len(f);
+    }
+
     /// Replaces the slot `from → to`, keeps the volume counters in sync, and
     /// returns the previous frame. All mutation funnels through here so the
     /// counters can never drift from the matrix.
